@@ -1,8 +1,11 @@
 """Jacobian-norm complexity R and the dimension-based generalization bounds.
 
 1/R is the Monte-Carlo average of log ||J_{h_U}(W)|| over cloud points W and
-batch draws U; spectral norms come from a hand-rolled power iteration with a
-dense symmetric-eigendecomposition oracle as the independent cross-check.
+batch draws U.  Up to DENSE_ORACLE_MAX_DIM = 64 parameters the spectral norms
+are exact: each J is assembled by one block Hessian product and a whole row
+of them goes through one stacked symmetric eigendecomposition.  Above that, a
+hand-rolled power iteration with a seed per cell takes over.  The dense
+column-by-column oracle stays the independent cross-check.
 R is reported signed: contractive systems give negative R, expanding ones
 positive.  No absolute values are taken silently.
 """
@@ -86,9 +89,34 @@ def matrix_operator_norm(matrix: np.ndarray, config: PowerIterConfig = PowerIter
 
 
 # --------------------------------------------------------------------------
-# dense oracle
+# exact norms of small dense Jacobians
 
 DENSE_ORACLE_MAX_DIM = 64
+
+
+def stacked_spectral_norms(J: np.ndarray, symmetric: bool = True) -> np.ndarray:
+    """Exact ||J_k||_2 for a stack J of shape (..., dim, dim).
+
+    Symmetric Jacobians (plain SGD steps, J = I - eta*H) take max|eigvalsh| of
+    the symmetrised matrix; others (preconditioned steps) take the largest
+    singular value.  Raises ZeroOperator when a norm is numerically zero:
+    at most dim * eps times max(1, largest entry of I - J), the rounding
+    error of forming J = I - eta*H.
+    """
+    dim = J.shape[-1]
+    if symmetric:
+        eigs = np.linalg.eigvalsh(0.5 * (J + np.swapaxes(J, -1, -2)))
+        norms = np.abs(eigs).max(axis=-1)
+    else:
+        norms = np.linalg.norm(J, 2, axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(J - np.eye(dim)).max(axis=(-2, -1)))
+    if np.any(norms <= dim * np.finfo(float).eps * scale):
+        raise ZeroOperator("Jacobian is numerically zero; its log norm is undefined")
+    return norms
+
+
+# --------------------------------------------------------------------------
+# dense oracle
 
 
 def dense_jacobian_oracle(
@@ -158,10 +186,17 @@ def estimate_R(
 
     W_i are ``n_w`` evenly strided cloud points; U_j are ``n_u`` batch draws
     (i.i.d. from the Partition probabilities, or without-replacement subsets
-    in Subset mode).  Norms use the power iteration with a derived seed per
-    (i, j) cell: the batch stream is child 0, cell (i, j) is 1 + i*n_u + j,
-    so the computation parallelizes without changing results.  Accumulation
-    is a row-major pairwise sum over the full (n_w, n_u) table.
+    in Subset mode), taken from the stream of child seed 0.
+
+    Up to DENSE_ORACLE_MAX_DIM parameters the norms are exact: for each W_i
+    the n_u Jacobians are built by one block ``jacobian_apply`` each and the
+    row goes through one stacked ``eigvalsh``.  Exact cells count as
+    converged.  Above that threshold each cell runs the power iteration with
+    seed child 1 + i*n_u + j, so the computation parallelizes without
+    changing results, and ``converged_fraction`` is the share of cells that
+    met the tolerance.  Either way accumulation is a row-major pairwise sum
+    over the full (n_w, n_u) table, and a numerically zero Jacobian raises
+    ZeroOperator.
     """
     pts = cloud.points
     if pts.shape[0] < config.n_w:
@@ -182,18 +217,27 @@ def estimate_R(
         ]
 
     lognorms = np.empty((config.n_w, config.n_u))
-    converged = 0
-    for i in range(config.n_w):
-        w = W[i]
-        for j in range(config.n_u):
-            cell_seed = child_seed(config.seed, 1 + i * config.n_u + j)
-            res = spectral_norm_power_iter(
-                lambda v: pr.jacobian_apply(problem, w, dataset, batches[j], eta, v),
-                dim,
-                PowerIterConfig(config.power_iter.tol, config.power_iter.max_iters, cell_seed),
+    if dim <= DENSE_ORACLE_MAX_DIM:
+        eye = np.eye(dim)
+        for i in range(config.n_w):
+            J = np.stack(
+                [pr.jacobian_apply(problem, W[i], dataset, batch, eta, eye) for batch in batches]
             )
-            lognorms[i, j] = math.log(res.value)
-            converged += res.converged
+            lognorms[i] = np.log(stacked_spectral_norms(J))
+        converged = lognorms.size
+    else:
+        converged = 0
+        for i in range(config.n_w):
+            w = W[i]
+            for j in range(config.n_u):
+                cell_seed = child_seed(config.seed, 1 + i * config.n_u + j)
+                res = spectral_norm_power_iter(
+                    lambda v: pr.jacobian_apply(problem, w, dataset, batches[j], eta, v),
+                    dim,
+                    PowerIterConfig(config.power_iter.tol, config.power_iter.max_iters, cell_seed),
+                )
+                lognorms[i, j] = math.log(res.value)
+                converged += res.converged
     inverse_r = float(lognorms.sum() / lognorms.size)
     if abs(inverse_r) < 1e-12:
         raise ZeroMeanLogNorm(f"mean log norm {inverse_r:.3e} is numerically zero; R undefined")

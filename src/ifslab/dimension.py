@@ -332,8 +332,9 @@ def rams_ratio(
 
     Affine maps have position-free Jacobians, so one norm per map suffices;
     problem-backed maps average log norms over ``n_w`` evenly strided cloud
-    points (default min(N, 128)), each norm from a power iteration seeded
-    with child index 1 + map_index*n_w + point_index.
+    points (default min(N, 128)).  Their norms are exact up to
+    DENSE_ORACLE_MAX_DIM parameters; above that each comes from a power
+    iteration seeded with child index 1 + map_index*n_w + point_index.
     ``neg_entropy_override`` substitutes log C(n,b) for Subset-mode systems.
     """
     probs = system.probs

@@ -65,9 +65,10 @@ class AffineMap:
 class ProblemMap:
     """One SGD step h(w) = w - eta * P(grad of the batch risk at w).
 
-    ``solve`` is the preconditioner application P (identity when None), in
-    which case the Jacobian I - eta * P H(w) is generally nonsymmetric and
-    norms are computed through J^T J.
+    ``solve`` is the preconditioner application P (identity when None); it
+    must accept a block (dim, k) as well as a vector.  With a preconditioner
+    the Jacobian I - eta * P H(w) is generally nonsymmetric, and its norm is
+    the largest singular value.
     """
 
     problem: pr.Problem
@@ -102,6 +103,12 @@ class ProblemMap:
         return self.solve is None
 
     def jacobian_norm(self, w: np.ndarray, config: cx.PowerIterConfig = cx.PowerIterConfig()) -> float:
+        """||J(w)||_2, exact up to DENSE_ORACLE_MAX_DIM parameters (``config``
+        unused there); above that, power iteration on J, or on J^T J when
+        preconditioned."""
+        if self.dim <= cx.DENSE_ORACLE_MAX_DIM:
+            J = self.jacobian_matvec(w, np.eye(self.dim))
+            return float(cx.stacked_spectral_norms(J, self.jacobian_symmetric))
         if self.jacobian_symmetric:
             return cx.spectral_norm_power_iter(
                 lambda v: self.jacobian_matvec(w, v), self.dim, config

@@ -276,13 +276,17 @@ def _svm_funcs(problem: SmoothHingeSVM):
 
 
 def _mlp_parts(problem: OneHiddenLayer, w: np.ndarray, A: np.ndarray):
-    """Per-sample predictions and first-layer geometry for feature rows A."""
+    """Per-sample predictions and first-layer geometry for feature rows A.
+
+    ``w`` is one flat parameter (m*d,) or a stack (c, m*d) of them; a stack
+    adds a leading axis of length c to ``Z`` and ``yhat``.
+    """
     b = np.asarray(problem.out_weights, dtype=float)
     m = problem.hidden
     d = A.shape[1]
-    W = w.reshape(m, d)
+    W = w.reshape(w.shape[:-1] + (m, d))
     f, f1, f2, _ = _act_table(problem.activation)
-    Z = A @ W.T  # (nb, m) pre-activations
+    Z = A @ W.swapaxes(-1, -2)  # (..., nb, m) pre-activations
     yhat = f(Z) @ b
     return b, W, Z, yhat, f1, f2
 
@@ -350,8 +354,17 @@ def grad(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray) -
     raise ConfigError(f"unknown problem kind {type(problem).__name__}")
 
 
+def _scale_rows(coef: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """coef[j] * X[j] for a vector X (nb,) or a block X (nb, k)."""
+    return coef.reshape(coef.shape + (1,) * (X.ndim - 1)) * X
+
+
 def hvp(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Mini-batch Hessian-vector product (1/b) sum_j H_j(w) v."""
+    """Mini-batch Hessian-vector product (1/b) sum_j H_j(w) v.
+
+    ``v`` is a vector (dim,) or a block (dim, k); a block returns H V of the
+    same shape, column k equal to the product with ``v[:, k]``.
+    """
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
     idx = np.asarray(batch, dtype=np.int64)
@@ -363,33 +376,36 @@ def hvp(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray, v:
     if isinstance(problem, Logistic):
         s = _sigmoid(y * (A @ w))
         coef = s * (1.0 - s) * y**2
-        return A.T @ (coef * (A @ v)) / nb + problem.lam * v
+        return A.T @ _scale_rows(coef, A @ v) / nb + problem.lam * v
     if isinstance(problem, RobustRegression):
         _, _, rho2 = _rho_funcs(problem)
         coef = rho2(y - A @ w)
-        return A.T @ (coef * (A @ v)) / nb + problem.lam_r * v
+        return A.T @ _scale_rows(coef, A @ v) / nb + problem.lam_r * v
     if isinstance(problem, SmoothHingeSVM):
         _, _, ell2 = _svm_funcs(problem)
         coef = ell2(y * (A @ w)) * y**2
-        return A.T @ (coef * (A @ v)) / nb + problem.lam * v
+        return A.T @ _scale_rows(coef, A @ v) / nb + problem.lam * v
     if isinstance(problem, OneHiddenLayer):
         b, _, Z, yhat, f1, f2 = _mlp_parts(problem, w, A)
-        m = problem.hidden
+        m, d = problem.hidden, A.shape[1]
+        X = v.reshape(m * d, -1)  # k columns; k = 1 for a vector
         V = (b[None, :] * f1(Z))[:, :, None] * A[:, None, :]  # (nb, m, d)
         V = V.reshape(nb, -1)
-        gauss = V.T @ (V @ v) / nb  # Gauss-Newton part (V V^T) v
-        U = v.reshape(m, A.shape[1])
-        T = A @ U.T  # (nb, m): a_j . u_r
+        gauss = V.T @ (V @ X) / nb  # Gauss-Newton part (V V^T) X
+        T = A @ X.reshape(m, d, -1)  # (m, nb, k): a_j . u_r per column
         c = (y - yhat)[:, None] * b[None, :] * f2(Z)  # resid * b_r * f''(z_jr)
-        block = (c * T).T @ A / nb  # (m, d): resid-weighted curvature blocks
-        return gauss - block.ravel() + problem.lam * v
+        block = A.T @ (c.T[:, :, None] * T) / nb  # (m, d, k): resid-weighted curvature
+        return (gauss - block.reshape(m * d, -1) + problem.lam * X).reshape(v.shape)
     raise ConfigError(f"unknown problem kind {type(problem).__name__}")
 
 
 def jacobian_apply(
     problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray, eta: float, v: np.ndarray
 ) -> np.ndarray:
-    """Apply the SGD-step Jacobian (I - eta * batch Hessian) to ``v``."""
+    """Apply the SGD-step Jacobian (I - eta * batch Hessian) to ``v``.
+
+    ``v`` may be a block (dim, k); ``v = np.eye(dim)`` gives the dense J.
+    """
     v = np.asarray(v, dtype=float)
     if eta == 0.0:
         return v.copy()
@@ -490,6 +506,9 @@ def norm_envelopes(
     return out
 
 
+_C_CHUNK_BYTES = 1 << 17
+
+
 def compute_one_layer_C(problem: OneHiddenLayer, dataset: Dataset, cloud_points: np.ndarray) -> float:
     """Curvature-deviation constant C for the one-hidden-layer contraction.
 
@@ -507,14 +526,17 @@ def compute_one_layer_C(problem: OneHiddenLayer, dataset: Dataset, cloud_points:
     b = np.asarray(problem.out_weights, dtype=float)
     sup2 = _act_table(problem.activation)[3]
     A = dataset.features
+    row_inf = np.abs(A).max(axis=1)
+    # cloud points per chunk: each (chunk, n, m) temporary stays near 128 KiB.
+    # Half a dozen coexist; at 1 MiB each the sweep's peak RSS rose by 4 MiB.
+    chunk = max(1, _C_CHUNK_BYTES // (8 * A.shape[0] * problem.hidden))
     m_y = 0.0
     v_sup = 0.0
-    for w in pts:
-        bvec, _, Z, yhat, f1_, _ = _mlp_parts(problem, w, A)
+    for start in range(0, pts.shape[0], chunk):
+        bvec, _, Z, yhat, f1_, _ = _mlp_parts(problem, pts[start : start + chunk], A)
         m_y = max(m_y, float(np.abs(dataset.targets - yhat).max()))
-        # ||v_j||_inf = max_r |b_r f'(z_jr)| * ||a_j||_inf
-        per_row = np.abs(bvec[None, :] * f1_(Z)).max(axis=1) * np.abs(A).max(axis=1)
-        v_sup = max(v_sup, float(per_row.max()))
+        # ||v_j||_inf = max_r |b_r f'(z_jr)| * ||a_j||_inf; one flat max over (point, j, r)
+        v_sup = max(v_sup, float((np.abs(bvec * f1_(Z)) * row_inf[:, None]).max()))
     R = dataset.radius()
     binf = float(np.abs(b).max()) if b.size else 0.0
     return m_y * binf * sup2 * R**2 + v_sup**2

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_problem_config
+from ifslab import complexity
 from ifslab.complexity import (
     ComplexityConfig,
     GeneralizationInputs,
@@ -211,22 +212,53 @@ def test_estimate_r_matches_dense_oracle_on_mlp():
     rng = np.random.default_rng(12)
     dim = param_dim(problem, dataset)
     cloud = cloud_of(rng.normal(scale=0.4, size=(40, dim)))
-    # eta large enough to spread J's spectrum; near eta=0 the top eigenvalues
-    # of I - eta*H nearly tie and the power iteration converges too slowly
-    eta = 2.0
-    cfg = ComplexityConfig(
-        n_w=5, n_u=6, power_iter=PowerIterConfig(tol=1e-10, max_iters=20_000)
-    )
-    est = estimate_R(problem, dataset, scheme, eta, cloud, cfg)
-    assert est.converged_fraction == 1.0
     W = cloud.points[(np.arange(5, dtype=np.int64) * 40) // 5]
     draws = draw_indices(Xoshiro256PP(child_seed(0, 0)), scheme.probs, 6)
-    for i in range(5):
-        for j in range(6):
-            _, dense = dense_jacobian_oracle(
-                problem, W[i], dataset, scheme.batches[draws[j]], eta
-            )
-            assert math.exp(est.per_sample_lognorms[i, j]) == pytest.approx(dense, rel=1e-5)
+    # near eta=0 the top eigenvalues of I - eta*H nearly tie; exact spectra
+    # must match the column-by-column oracle there as well as at a large step
+    for eta in (2.0, 0.05):
+        est = estimate_R(problem, dataset, scheme, eta, cloud, ComplexityConfig(n_w=5, n_u=6))
+        assert est.converged_fraction == 1.0
+        for i in range(5):
+            for j in range(6):
+                _, dense = dense_jacobian_oracle(
+                    problem, W[i], dataset, scheme.batches[draws[j]], eta
+                )
+                assert math.exp(est.per_sample_lognorms[i, j]) == pytest.approx(dense, rel=1e-10)
+
+
+def test_estimate_r_zero_jacobian_raises():
+    # J = 1 - eta * a^2 = 0 at eta = 1: the log norm is undefined
+    data = Dataset([[1.0]], [0.0])
+    scheme = partition_batches(1, 1)
+    with pytest.raises(ZeroOperator):
+        estimate_R(
+            LeastSquares(lam=0.0), data, scheme, 1.0, cloud_of(np.zeros(4)),
+            ComplexityConfig(n_w=2, n_u=2),
+        )
+
+
+def test_estimate_r_power_iteration_above_dense_cap(monkeypatch):
+    """dim 65 > DENSE_ORACLE_MAX_DIM: one power iteration per cell.
+
+    The top eigenvalue of J is 1 - eta*lam = 0.9, on the null space of the
+    two batch rows; rows of squared norm about 2 put the other two near 0.4."""
+    rng = np.random.default_rng(18)
+    data = Dataset(rng.uniform(-0.3, 0.3, size=(4, 65)), rng.uniform(-1, 1, size=4))
+    scheme = partition_batches(4, 2)
+    cloud = cloud_of(rng.normal(size=(20, 65)))
+    calls = []
+    real = complexity.spectral_norm_power_iter
+    monkeypatch.setattr(
+        complexity, "spectral_norm_power_iter", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    est = estimate_R(
+        LeastSquares(lam=0.2), data, scheme, 0.5, cloud, ComplexityConfig(n_w=3, n_u=4)
+    )
+    assert len(calls) == 12
+    assert np.isfinite(est.R)
+    assert est.converged_fraction == 1.0
+    np.testing.assert_allclose(est.per_sample_lognorms, math.log(0.9), rtol=1e-5)
 
 
 def test_estimate_r_determinism_and_json():

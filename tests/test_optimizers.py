@@ -19,7 +19,7 @@ from ifslab.optimizers import (
     partition_batches,
     sample_invariant_subset,
 )
-from ifslab.problems import Dataset, LeastSquares, Logistic, grad
+from ifslab.problems import Dataset, LeastSquares, Logistic, grad, hvp
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +186,28 @@ def test_preconditioned_map_hand_value():
         LeastSquares(lam=1.0), data, partition_batches(1, 1), 0.1, spec
     )
     np.testing.assert_allclose(system.maps[0].matrix, np.diag([0.8, 0.975]), atol=1e-12)
+
+
+def test_preconditioned_problem_map_norm_matches_dense_svd():
+    """Nonsymmetric J = I - eta P^{-1} H(w): the exact norm is the top singular value."""
+    rng = np.random.default_rng(56)
+    d = 4
+    data = Dataset(rng.uniform(-1, 1, size=(6, d)), rng.choice([-1.0, 1.0], size=6))
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    P = Q @ np.diag([1.0, 1.5, 2.5, 4.0]) @ Q.T
+    P = 0.5 * (P + P.T)
+    spec = PreconditionerSpec(P, (1.0, 4.0))
+    problem = Logistic(lam=0.5)
+    system = build_precond_sgd_ifs(problem, data, partition_batches(6, 2), 0.8, spec)
+    for m in system.maps:
+        assert not m.jacobian_symmetric
+        for _ in range(3):
+            w = rng.normal(size=d)
+            H = np.column_stack([hvp(problem, w, data, m.batch, e) for e in np.eye(d)])
+            J = np.eye(d) - 0.8 * np.linalg.solve(P, H)
+            assert not np.allclose(J, J.T)
+            dense = np.linalg.svd(J, compute_uv=False)[0]
+            assert m.jacobian_norm(w) == pytest.approx(dense, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,21 @@ def test_hessian_symmetry(kind, seed):
 
 
 @pytest.mark.parametrize("kind", PROBLEM_KINDS)
+@pytest.mark.parametrize("seed", range(10))
+def test_block_hvp_matches_columns(kind, seed):
+    problem, dataset, w, batch = make_problem_config(kind, seed)
+    rng = np.random.default_rng(3000 + seed)
+    V = rng.normal(size=(w.size, 5))
+    block = hvp(problem, w, dataset, batch, V)
+    cols = np.stack([hvp(problem, w, dataset, batch, V[:, k]) for k in range(5)], axis=1)
+    assert block.shape == V.shape
+    np.testing.assert_allclose(block, cols, rtol=0.0, atol=1e-13 * (1.0 + np.abs(cols).max()))
+    eye = np.eye(w.size)
+    J = jacobian_apply(problem, w, dataset, batch, 0.3, eye)
+    np.testing.assert_allclose(J, eye - 0.3 * hvp(problem, w, dataset, batch, eye), atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
 def test_regularizer_dominance_with_zero_features(kind):
     """With features zeroed the Hessian collapses to lambda*I exactly."""
     problem, dataset, w, batch = make_problem_config(kind, seed=3)
@@ -234,6 +249,25 @@ def test_one_layer_c_monotone_in_cloud():
     c_small = compute_one_layer_C(problem, dataset, cloud[:10])
     c_full = compute_one_layer_C(problem, dataset, cloud)
     assert c_full >= c_small
+
+
+def test_one_layer_c_chunks_match_point_loop():
+    """Chunked evaluation equals the per-point loop it replaced (1e-12 rel)."""
+    rng = np.random.default_rng(21)
+    dataset = Dataset(rng.uniform(-1, 1, size=(256, 4)), rng.uniform(-1, 1, size=256))
+    problem = OneHiddenLayer(lam=0.01, out_weights=(3.0, -3.0) * 4, activation="tanh")
+    cloud = rng.normal(scale=0.5, size=(300, 32))  # many chunks of 8 points
+    b = np.asarray(problem.out_weights)
+    A = dataset.features
+    m_y = v_sup = 0.0
+    for w in cloud:
+        Z = A @ w.reshape(8, 4).T
+        m_y = max(m_y, float(np.abs(dataset.targets - np.tanh(Z) @ b).max()))
+        per_row = np.abs(b * (1.0 - np.tanh(Z) ** 2)).max(axis=1) * np.abs(A).max(axis=1)
+        v_sup = max(v_sup, float(per_row.max()))
+    sup2 = 4.0 / (3.0 * math.sqrt(3.0))
+    expected = m_y * 3.0 * sup2 * dataset.radius() ** 2 + v_sup**2
+    assert compute_one_layer_C(problem, dataset, cloud) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

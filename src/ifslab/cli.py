@@ -180,7 +180,13 @@ def build_parser() -> _Parser:
     p_dim.set_defaults(func=cmd_dimension)
 
     p_bound = sub.add_parser("bound", help="analytic dimension bound")
-    p_bound.add_argument("--kind", required=True)
+    p_bound.add_argument(
+        "--kind",
+        required=True,
+        help="one of lsq, logistic, robust, svm, one_hidden, precond_lsq, precond_logistic, "
+        "precond_robust, precond_svm, precond_one_hidden, newton; a plain kind is its precond_* "
+        "kind at m = M = 1, and robust is the exponential-squared rho (||rho''|| = 2/t0)",
+    )
     p_bound.add_argument("--n", type=int, required=True)
     p_bound.add_argument("--b", type=int, required=True)
     p_bound.add_argument("--eta", type=float, required=True)

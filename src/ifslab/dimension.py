@@ -3,8 +3,9 @@
 The box counter snaps points to grids anchored at the cloud's coordinate-wise
 minimum at geometrically shrinking scales and fits log counts against
 log(1/delta).  The analytic bounds evaluate log(n/b)/log(1/Gamma) with each
-proposition's contraction factor Gamma.  The Rams ratio divides selection
-entropy by the mean log Jacobian norm under the sampled invariant measure.
+proposition's contraction factor Gamma, read from ``problems.PROPOSITIONS``.
+The Rams ratio divides selection entropy by the mean log Jacobian norm under
+the sampled invariant measure.
 
 All bounds are treated as upper bounds only; no tightness is claimed.
 """
@@ -18,8 +19,16 @@ from typing import Optional, Union
 import numpy as np
 
 from .complexity import PowerIterConfig
-from .errors import ConfigError, InsufficientScales, NonContractiveEstimate, PreconditionViolation
+from .errors import ConfigError, InsufficientScales, NonContractiveEstimate
 from .ifs import AffineMap, IfsSystem, SampleCloud
+from .problems import (
+    LAMBDA_POSITIVE,
+    PROPOSITIONS,
+    PropositionArgs,
+    RobustRegression,
+    require_hypotheses,
+    violation,
+)
 from .rng import child_seed
 
 # --------------------------------------------------------------------------
@@ -165,13 +174,6 @@ def box_counting_dimension(
 # closed-form dimension bounds
 
 
-def _violation(kind: str, relation: str, value: float, bound: float) -> PreconditionViolation:
-    return PreconditionViolation(
-        f"{kind}: requires {relation}, got value={value:.6g} vs bound={bound:.6g} "
-        f"(margin {bound - value:.6g})"
-    )
-
-
 def analytic_bound(
     kind: str,
     *,
@@ -189,117 +191,44 @@ def analytic_bound(
 ) -> float:
     """Closed-form upper bound log(m_b)/log(1/Gamma) on the support dimension.
 
-    ``kind`` selects the proposition: lsq, logistic, robust, svm, one_hidden,
-    their precond_* variants, and newton.  m_b defaults to n/b (Partition);
-    pass the subset count C(n, b) explicitly for Subset mode.  Violated
+    ``kind`` selects the proposition in ``problems.PROPOSITIONS``, one of the
+    11 kinds lsq, logistic, robust, svm, one_hidden, precond_lsq,
+    precond_logistic, precond_robust, precond_svm, precond_one_hidden and
+    newton.  A plain family kind is its precond_* proposition at m = M = 1;
+    precond_* kinds take m = m_low and M = m_high.  ``robust`` means the
+    exponential-squared rho with ||rho''|| = 2/t0, the only rho these
+    arguments can name.  Every kind but newton needs lambda > 0, because the
+    bound needs a strict contraction.  m_b defaults to n/b (Partition); pass
+    the subset count C(n, b) explicitly for Subset mode.  Violated
     step-size/radius hypotheses raise PreconditionViolation naming the
     inequality and its margin.
     """
     if n <= 0 or b <= 0 or b > n:
         raise ConfigError(f"need 0 < b <= n, got n={n}, b={b}")
     if eta <= 0.0:
-        raise _violation(kind, "eta > 0", eta, 0.0)
-    R = radius
-    m, M = m_low, m_high
-    if kind.startswith("precond_"):
-        if not 0.0 < m <= M:
-            raise ConfigError("preconditioned kinds need 0 < m_low <= m_high")
-
-    if kind == "lsq":
-        if lam <= 0.0:
-            raise _violation(kind, "lambda > 0", lam, 0.0)
-        if not eta < 1.0 / (R**2 + lam):
-            raise _violation(kind, "eta < 1/(R^2 + lambda)", eta, 1.0 / (R**2 + lam))
-        gamma = 1.0 - eta * lam
-    elif kind == "logistic":
-        if lam <= 0.0:
-            raise _violation(kind, "lambda > 0", lam, 0.0)
-        if not eta < 1.0 / lam:
-            raise _violation(kind, "eta < 1/lambda", eta, 1.0 / lam)
-        if not R < 2.0 * math.sqrt(lam):
-            raise _violation(kind, "R < 2 sqrt(lambda)", R, 2.0 * math.sqrt(lam))
-        gamma = 1.0 - eta * lam + 0.25 * eta * R**2
-    elif kind == "robust":
-        if t0 <= 0.0:
-            raise ConfigError("robust bound needs t0 > 0")
-        if lam <= 0.0:
-            raise _violation(kind, "lambda_r > 0", lam, 0.0)
-        lam_r, s = lam, 2.0 / t0
-        if not eta < 1.0 / (lam_r + s * R**2):
-            raise _violation(kind, "eta < 1/(lambda_r + 2R^2/t0)", eta, 1.0 / (lam_r + s * R**2))
-        if not R < math.sqrt(lam_r * t0 / 2.0):
-            raise _violation(kind, "R < sqrt(lambda_r t0 / 2)", R, math.sqrt(lam_r * t0 / 2.0))
-        gamma = 1.0 - eta * lam_r + eta * s * R**2
-    elif kind == "svm":
-        if lam <= 0.0:
-            raise _violation(kind, "lambda > 0", lam, 0.0)
-        if sigma_smooth <= 0.0:
-            raise ConfigError("svm bound needs sigma_smooth > 0")
-        bound = 1.0 / (lam + R**2 / (4.0 * sigma_smooth))
-        if not eta < bound:
-            raise _violation(kind, "eta < 1/(lambda + R^2/(4 sigma))", eta, bound)
-        gamma = 1.0 - eta * lam
-    elif kind == "one_hidden":
-        if lam <= 0.0:
-            raise _violation(kind, "lambda > 0", lam, 0.0)
-        if not eta < 1.0 / (2.0 * lam):
-            raise _violation(kind, "eta < 1/(2 lambda)", eta, 1.0 / (2.0 * lam))
-        if not c_const < lam:
-            raise _violation(kind, "C < lambda", c_const, lam)
-        gamma = 1.0 - eta * (lam - c_const)
-    elif kind == "precond_lsq":
-        if lam <= 0.0:
-            raise _violation(kind, "lambda > 0", lam, 0.0)
-        if not eta < m / (R**2 + lam):
-            raise _violation(kind, "eta < m/(R^2 + lambda)", eta, m / (R**2 + lam))
-        gamma = 1.0 - eta * lam / M
-    elif kind == "precond_logistic":
-        if lam <= 0.0:
-            raise _violation(kind, "lambda > 0", lam, 0.0)
-        if not eta < m / lam:
-            raise _violation(kind, "eta < m/lambda", eta, m / lam)
-        rb = 2.0 * math.sqrt(m * lam / M)
-        if not R < rb:
-            raise _violation(kind, "R < 2 sqrt(m lambda / M)", R, rb)
-        gamma = 1.0 - eta * lam / M + 0.25 * eta * R**2 / m
-    elif kind == "precond_robust":
-        if t0 <= 0.0:
-            raise ConfigError("robust bound needs t0 > 0")
-        if lam <= 0.0:
-            raise _violation(kind, "lambda_r > 0", lam, 0.0)
-        lam_r, s = lam, 2.0 / t0
-        if not eta < m / (lam_r + s * R**2):
-            raise _violation(kind, "eta < m/(lambda_r + 2R^2/t0)", eta, m / (lam_r + s * R**2))
-        rb = math.sqrt(lam_r * t0 * m / (2.0 * M))
-        if not R < rb:
-            raise _violation(kind, "R < sqrt(lambda_r t0 m / (2M))", R, rb)
-        gamma = 1.0 - eta * lam_r / M + eta * s * R**2 / m
-    elif kind == "precond_svm":
-        if lam <= 0.0:
-            raise _violation(kind, "lambda > 0", lam, 0.0)
-        if sigma_smooth <= 0.0:
-            raise ConfigError("svm bound needs sigma_smooth > 0")
-        bound = m / (lam + R**2 / (4.0 * sigma_smooth))
-        if not eta < bound:
-            raise _violation(kind, "eta < m/(lambda + R^2/(4 sigma))", eta, bound)
-        gamma = 1.0 - eta * lam / M
-    elif kind == "precond_one_hidden":
-        if lam <= 0.0:
-            raise _violation(kind, "lambda > 0", lam, 0.0)
-        if not eta < m / (c_const + lam):
-            raise _violation(kind, "eta < m/(C + lambda)", eta, m / (c_const + lam))
-        if not lam > (M / m) * c_const:
-            raise _violation(kind, "lambda > (M/m) C", lam, (M / m) * c_const)
-        gamma = 1.0 - eta * (lam / M - c_const / m)
-    elif kind == "newton":
-        if not eta < 1.0:
-            raise _violation(kind, "eta < 1", eta, 1.0)
-        gamma = 1.0 - eta
-    else:
+        raise violation(kind, "eta > 0", eta, 0.0)
+    precond = kind.startswith("precond_")
+    if precond and not 0.0 < m_low <= m_high:
+        raise ConfigError("preconditioned kinds need 0 < m_low <= m_high")
+    prop = PROPOSITIONS.get(kind)
+    if prop is None:
         raise ConfigError(f"unknown bound kind {kind!r}")
-
+    family = kind.removeprefix("precond_")
+    rho = 0.0
+    if family == "robust":
+        if t0 <= 0.0:
+            raise ConfigError("robust bound needs t0 > 0")
+        rho = RobustRegression(lam_r=lam, t0=t0).rho_double_sup()
+    m, M = (m_low, m_high) if precond else (1.0, 1.0)
+    args = PropositionArgs(eta, radius, lam, c_const, rho, sigma_smooth, m, M)
+    if family != "newton":
+        require_hypotheses(kind, (LAMBDA_POSITIVE,), args)
+    if family == "svm" and sigma_smooth <= 0.0:
+        raise ConfigError("svm bound needs sigma_smooth > 0")
+    require_hypotheses(kind, prop.hypotheses, args, precond)
+    gamma = prop.gamma(args)
     if not 0.0 < gamma < 1.0:
-        raise _violation(kind, "0 < Gamma < 1 (contractive factor)", gamma, 1.0)
+        raise violation(kind, "0 < Gamma < 1 (contractive factor)", gamma, 1.0)
     count = float(m_b) if m_b is not None else n / b
     return math.log(count) / math.log(1.0 / gamma)
 

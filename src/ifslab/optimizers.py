@@ -117,15 +117,6 @@ class PreconditionerSpec:
         return self._l_inv.T @ (self._l_inv @ X)
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """CLI-facing optimizer choice: kind in {sgd, precond_sgd, newton}."""
-
-    kind: str
-    eta: float
-    preconditioner: Optional[PreconditionerSpec] = None
-
-
 # --------------------------------------------------------------------------
 # builders (Partition schemes only; Subset systems are iterated directly)
 

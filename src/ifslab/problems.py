@@ -3,7 +3,9 @@
 Each problem kind provides per-sample losses, mini-batch gradients,
 Hessian-vector products, the step Jacobian J = I - eta*H applied to a vector,
 and per-batch norm envelopes (gamma_i, Gamma_i) bounding ||J|| under the
-step-size hypotheses of the corresponding contraction propositions.
+step-size hypotheses of the corresponding contraction propositions.  Each
+proposition is one record of ``PROPOSITIONS``, which ``check_step_size``,
+``norm_envelopes`` and ``dimension.analytic_bound`` all read.
 
 Conventions: parameters ``w`` are flat float64 vectors; a mini-batch is an
 integer index array into the dataset; batch quantities are averages
@@ -15,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -237,8 +239,8 @@ def _rho_funcs(problem: RobustRegression):
         def rho1(t):
             return (2.0 * t / t0) * np.exp(-(t**2) / t0)
 
-        def rho2(t):
-            return (2.0 / t0) * (1.0 - 2.0 * t**2 / t0) * np.exp(-(t**2) / t0)
+        def rho2(t):  # |rho''| peaks at t = 0
+            return problem.rho_double_sup() * (1.0 - 2.0 * t**2 / t0) * np.exp(-(t**2) / t0)
 
         return rho, rho1, rho2
     if problem.rho == "tukey":
@@ -253,7 +255,7 @@ def _rho_funcs(problem: RobustRegression):
 
         def rho2(t):
             s = (t / t0) ** 2
-            return np.where(np.abs(t) <= t0, 6.0 / t0**2 * (1.0 - s) * (1.0 - 5.0 * s), 0.0)
+            return np.where(np.abs(t) <= t0, problem.rho_double_sup() * (1.0 - s) * (1.0 - 5.0 * s), 0.0)
 
         return rho, rho1, rho2
     raise ConfigError(f"unknown robust rho kind {problem.rho!r}")
@@ -413,51 +415,147 @@ def jacobian_apply(
 
 
 # --------------------------------------------------------------------------
-# contraction envelopes
+# contraction propositions
 
 
-def _violation(name: str, value: float, bound: float, relation: str) -> PreconditionViolation:
+class PropositionArgs(NamedTuple):
+    """Inputs of a contraction proposition; m = M = 1 is plain SGD."""
+
+    eta: float
+    R: float  # data radius
+    lam: float  # regularizer weight (lambda, or lambda_r for robust)
+    C: float | None = None  # one-hidden-layer curvature constant
+    rho: float = 0.0  # ||rho''||_inf, robust only
+    sigma: float = 0.0  # smoothing width, svm only
+    m: float = 1.0  # preconditioner eigenvalue bounds
+    M: float = 1.0
+
+
+@dataclass(frozen=True)
+class Proposition:
+    """One contraction proposition: hypotheses, factor Gamma, norm envelope.
+
+    Each hypothesis is (relation, quantity, bound) and holds when
+    args.<quantity> compares with bound(args) as the relation's operator
+    says; a pair of relation texts gives the plain and the preconditioned
+    wording.  ``gamma`` at the envelope radius is the upper envelope Gamma_i,
+    and ``lower`` is gamma_i (plain kinds only).  The envelope radius is the
+    batch radius R_i when ``batch_radius`` is set, else the global R.
+    """
+
+    hypotheses: tuple
+    gamma: Callable[[PropositionArgs], float]
+    lower: Callable[[PropositionArgs], float] | None = None
+    batch_radius: bool = False
+
+
+def violation(name: str, relation: str, value: float, bound: float) -> PreconditionViolation:
     return PreconditionViolation(
         f"{name}: requires {relation}, got value={value:.6g} vs bound={bound:.6g} "
         f"(margin {bound - value:.6g})"
     )
 
 
+def require_hypotheses(name: str, hypotheses: tuple, args: PropositionArgs, precond: bool = False) -> None:
+    """Check ``hypotheses`` in order; raise PreconditionViolation at the first that fails."""
+    for relation, quantity, bound_of in hypotheses:
+        if not isinstance(relation, str):
+            relation = relation[precond]
+        value, bound = getattr(args, quantity), bound_of(args)
+        if not (value > bound if " > " in relation else value < bound):
+            raise violation(name, relation, value, bound)
+
+
+def _convex_gamma(a: PropositionArgs) -> float:
+    return 1.0 - a.eta * a.lam / a.M
+
+
+LAMBDA_POSITIVE = ("lambda > 0", "lam", lambda a: 0.0)
+_LSQ = Proposition(
+    ((("eta < 1/(R^2 + lambda)", "eta < m/(R^2 + lambda)"), "eta", lambda a: a.m / (a.R**2 + a.lam)),),
+    gamma=_convex_gamma,
+    lower=lambda a: 1.0 - a.eta * a.lam - a.eta * a.R**2,
+    batch_radius=True,
+)
+_LOGISTIC = Proposition(
+    (
+        LAMBDA_POSITIVE,
+        (("eta < 1/lambda", "eta < m/lambda"), "eta", lambda a: a.m / a.lam),
+        (("R < 2 sqrt(lambda)", "R < 2 sqrt(m lambda / M)"), "R",
+         lambda a: 2.0 * math.sqrt(a.m * a.lam / a.M)),
+    ),
+    gamma=lambda a: 1.0 - a.eta * a.lam / a.M + 0.25 * a.eta * a.R**2 / a.m,
+    lower=lambda a: 1.0 - a.eta * a.lam - 0.25 * a.eta * a.R**2,
+    batch_radius=True,
+)
+_ROBUST = Proposition(
+    (
+        (("eta < 1/(lambda_r + ||rho''|| R^2)", "eta < m/(lambda_r + ||rho''|| R^2)"), "eta",
+         lambda a: a.m / (a.lam + a.rho * a.R**2)),
+        (("R < sqrt(lambda_r / ||rho''||)", "R < sqrt(m lambda_r / (M ||rho''||))"), "R",
+         lambda a: math.sqrt(a.m * a.lam / (a.M * a.rho))),
+    ),
+    gamma=lambda a: 1.0 - a.eta * a.lam / a.M + a.eta * a.rho * a.R**2 / a.m,
+    lower=lambda a: 1.0 - a.eta * a.lam - a.eta * a.rho * a.R**2,
+)
+_SVM = Proposition(
+    ((("eta < 1/(lambda + R^2/(4 sigma))", "eta < m/(lambda + R^2/(4 sigma))"), "eta",
+      lambda a: a.m / (a.lam + a.R**2 / (4.0 * a.sigma))),),
+    gamma=_convex_gamma,
+    lower=lambda a: 1.0 - a.eta * a.lam - a.eta * a.R**2 / (4.0 * a.sigma),
+)
+
+# The 11 bound kinds.  Each plain family kind is its precond_* proposition at
+# m = M = 1; the one-hidden-layer pair are two different propositions.
+PROPOSITIONS: dict[str, Proposition] = {
+    "lsq": _LSQ,
+    "logistic": _LOGISTIC,
+    "robust": _ROBUST,
+    "svm": _SVM,
+    "one_hidden": Proposition(
+        (
+            LAMBDA_POSITIVE,
+            ("eta < 1/(2 lambda)", "eta", lambda a: 1.0 / (2.0 * a.lam)),
+            ("C < lambda", "C", lambda a: a.lam),
+        ),
+        gamma=lambda a: 1.0 - a.eta * (a.lam - a.C),
+        lower=lambda a: 1.0 - a.eta * (a.C + a.lam),
+    ),
+    "precond_lsq": _LSQ,
+    "precond_logistic": _LOGISTIC,
+    "precond_robust": _ROBUST,
+    "precond_svm": _SVM,
+    "precond_one_hidden": Proposition(
+        (
+            LAMBDA_POSITIVE,
+            ("eta < m/(C + lambda)", "eta", lambda a: a.m / (a.C + a.lam)),
+            ("lambda > (M/m) C", "lam", lambda a: (a.M / a.m) * a.C),
+        ),
+        gamma=lambda a: 1.0 - a.eta * (a.lam / a.M - a.C / a.m),
+    ),
+    "newton": Proposition((("eta < 1", "eta", lambda a: 1.0),), gamma=lambda a: 1.0 - a.eta),
+}
+_PROBLEM_KIND = {LeastSquares: "lsq", Logistic: "logistic", RobustRegression: "robust",
+                 SmoothHingeSVM: "svm", OneHiddenLayer: "one_hidden"}
+
+
+def _checked_proposition(problem: Problem, radius: float, eta: float, c_const: float | None):
+    """The plain-SGD proposition for ``problem`` and its arguments, hypotheses checked."""
+    kind = _PROBLEM_KIND.get(type(problem))
+    if kind is None:
+        raise ConfigError(f"unknown problem kind {type(problem).__name__}")
+    if kind == "one_hidden" and c_const is None:
+        raise ConfigError("one-hidden-layer envelopes need c_const (see compute_one_layer_C)")
+    rho = problem.rho_double_sup() if kind == "robust" else 0.0
+    sigma = problem.sigma_smooth if kind == "svm" else 0.0
+    args = PropositionArgs(eta, radius, regularizer_weight(problem), c_const, rho, sigma)
+    require_hypotheses(kind, PROPOSITIONS[kind].hypotheses, args)
+    return PROPOSITIONS[kind], args
+
+
 def check_step_size(problem: Problem, radius: float, eta: float, c_const: float | None = None) -> None:
     """Raise PreconditionViolation unless the proposition's hypotheses hold."""
-    R = radius
-    if isinstance(problem, LeastSquares):
-        bound = 1.0 / (R**2 + problem.lam)
-        if not eta < bound:
-            raise _violation("least squares", eta, bound, "eta < 1/(R^2 + lambda)")
-    elif isinstance(problem, Logistic):
-        if not eta < 1.0 / problem.lam:
-            raise _violation("logistic", eta, 1.0 / problem.lam, "eta < 1/lambda")
-        rb = 2.0 * math.sqrt(problem.lam)
-        if not R < rb:
-            raise _violation("logistic", R, rb, "R < 2 sqrt(lambda)")
-    elif isinstance(problem, RobustRegression):
-        s = problem.rho_double_sup()
-        bound = 1.0 / (problem.lam_r + s * R**2)
-        if not eta < bound:
-            raise _violation("robust", eta, bound, "eta < 1/(lambda_r + ||rho''|| R^2)")
-        rb = math.sqrt(problem.lam_r / s)
-        if not R < rb:
-            raise _violation("robust", R, rb, "R < sqrt(lambda_r / ||rho''||)")
-    elif isinstance(problem, SmoothHingeSVM):
-        bound = 1.0 / (problem.lam + R**2 / (4.0 * problem.sigma_smooth))
-        if not eta < bound:
-            raise _violation("svm", eta, bound, "eta < 1/(lambda + R^2/(4 sigma))")
-    elif isinstance(problem, OneHiddenLayer):
-        if c_const is None:
-            raise ConfigError("one-hidden-layer envelopes need c_const (see compute_one_layer_C)")
-        bound = 1.0 / (2.0 * problem.lam)
-        if not eta < bound:
-            raise _violation("one-hidden-layer", eta, bound, "eta < 1/(2 lambda)")
-        if not c_const < problem.lam:
-            raise _violation("one-hidden-layer", c_const, problem.lam, "C < lambda")
-    else:
-        raise ConfigError(f"unknown problem kind {type(problem).__name__}")
+    _checked_proposition(problem, radius, eta, c_const)
 
 
 def norm_envelopes(
@@ -478,31 +576,11 @@ def norm_envelopes(
     """
     if scheme.batches is None:
         raise ConfigError("norm_envelopes needs an enumerated (Partition) scheme")
-    R = dataset.radius()
-    check_step_size(problem, R, eta, c_const)
+    prop, args = _checked_proposition(problem, dataset.radius(), eta, c_const)
     out = []
     for batch in scheme.batches:
-        if isinstance(problem, LeastSquares):
-            ri2 = dataset.batch_radius(batch) ** 2
-            pair = (1.0 - eta * problem.lam - eta * ri2, 1.0 - eta * problem.lam)
-        elif isinstance(problem, Logistic):
-            ri2 = dataset.batch_radius(batch) ** 2
-            pair = (
-                1.0 - eta * problem.lam - 0.25 * eta * ri2,
-                1.0 - eta * problem.lam + 0.25 * eta * ri2,
-            )
-        elif isinstance(problem, RobustRegression):
-            s = problem.rho_double_sup()
-            base = 1.0 - eta * problem.lam_r
-            pair = (base - eta * s * R**2, base + eta * s * R**2)
-        elif isinstance(problem, SmoothHingeSVM):
-            pair = (
-                1.0 - eta * problem.lam - eta * R**2 / (4.0 * problem.sigma_smooth),
-                1.0 - eta * problem.lam,
-            )
-        else:  # OneHiddenLayer; unknown kinds rejected by check_step_size
-            pair = (1.0 - eta * (c_const + problem.lam), 1.0 - eta * (problem.lam - c_const))
-        out.append(pair)
+        at = args._replace(R=dataset.batch_radius(batch)) if prop.batch_radius else args
+        out.append((prop.lower(at), prop.gamma(at)))
     return out
 
 

@@ -91,14 +91,6 @@ class Xoshiro256PP:
         u = self.uniforms(2 * n)
         return np.sqrt(-2.0 * np.log(1.0 - u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
 
-    def uniform_symmetric(self, n: int) -> np.ndarray:
-        """``n`` doubles uniform on [-1, 1)."""
-        return 2.0 * self.uniforms(n) - 1.0
-
-    def integers_below(self, bound: int, n: int) -> np.ndarray:
-        """``n`` ints uniform on {0, ..., bound-1} via floor(bound*u)."""
-        return np.minimum((bound * self.uniforms(n)).astype(np.int64), bound - 1)
-
     def subset_without_replacement(self, n: int, b: int) -> np.ndarray:
         """Sorted ``b``-subset of {0..n-1} by partial Fisher-Yates selection."""
         pool = list(range(n))

@@ -177,6 +177,28 @@ def test_bound_lsq_matches_closed_form(eta, lam, n):
     assert value == pytest.approx(math.log(n) / math.log(1.0 / (1.0 - eta * lam)), rel=1e-9)
 
 
+def test_bound_precond_values_and_radius_caps():
+    """Preconditioned kinds place m and M as their propositions state."""
+    pre = dict(n=100, b=1, eta=0.1, m_low=0.5, m_high=2.0)
+    for kind, kwargs, gamma in (
+        # 1 - eta lam / M + eta R^2 / (4 m)
+        ("precond_logistic", dict(lam=1.0, radius=0.5), 0.9625),
+        # 1 - eta lam_r / M + eta (2/t0) R^2 / m
+        ("precond_robust", dict(lam=0.5, radius=0.05, t0=0.1), 0.985),
+        # 1 - eta lam / M
+        ("precond_svm", dict(lam=1.0, radius=1.0, sigma_smooth=0.5), 0.95),
+        # 1 - eta (lam / M - C / m)
+        ("precond_one_hidden", dict(lam=1.0, c_const=0.2, m_high=1.0), 0.94),
+    ):
+        got = analytic_bound(kind, **{**pre, **kwargs})
+        assert got == pytest.approx(math.log(100.0) / math.log(1.0 / gamma), rel=1e-12), kind
+    # radius caps 2 sqrt(m lambda / M) = 1 and sqrt(m lambda_r t0 / (2 M)) ~ 0.079
+    with pytest.raises(PreconditionViolation, match=r"R < 2 sqrt\(m lambda / M\)"):
+        analytic_bound("precond_logistic", lam=1.0, radius=1.5, **pre)
+    with pytest.raises(PreconditionViolation, match="R < sqrt"):
+        analytic_bound("precond_robust", lam=0.5, radius=0.1, t0=0.1, **pre)
+
+
 # ---------------------------------------------------------------------------
 # rams_ratio
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PROBLEM_KINDS, fd_grad, fd_hvp, make_problem_config
+from ifslab.dimension import analytic_bound
 from ifslab.errors import ConfigError, PreconditionViolation
 from ifslab.optimizers import partition_batches
 from ifslab.problems import (
@@ -17,6 +18,7 @@ from ifslab.problems import (
     OneHiddenLayer,
     RobustRegression,
     SmoothHingeSVM,
+    check_step_size,
     compute_one_layer_C,
     grad,
     hvp,
@@ -221,6 +223,69 @@ def test_envelopes_one_hidden_needs_c_const():
         norm_envelopes(problem, data, scheme, 0.1)
     lo, hi = norm_envelopes(problem, data, scheme, 0.1, c_const=0.5)[0]
     assert (lo, hi) == pytest.approx((1.0 - 0.1 * 1.5, 1.0 - 0.1 * 0.5), rel=1e-12)
+
+
+def test_envelopes_zero_lambda():
+    """Caps that divide by lambda raise a typed violation; least squares needs none."""
+    data = Dataset([[0.6, 0.0], [0.0, 1.0]], [1.0, -1.0])
+    scheme = partition_batches(2, 1)
+    for problem in (Logistic(lam=0.0), OneHiddenLayer(lam=0.0, out_weights=(1.0,))):
+        with pytest.raises(PreconditionViolation, match="lambda > 0"):
+            norm_envelopes(problem, data, scheme, 0.1, c_const=0.5)
+    pairs = norm_envelopes(LeastSquares(lam=0.0), data, scheme, 0.1)
+    assert pairs == [(1.0 - 0.1 * 0.36, 1.0), (1.0 - 0.1 * 1.0, 1.0)]
+
+
+def test_bound_nonpositive_lambda_checked_before_caps():
+    """lambda <= 0 is named before a cap divides by R^2 + lambda or takes a square root."""
+    for kind in ("lsq", "robust", "svm", "precond_lsq", "precond_robust"):
+        for lam in (0.0, -0.5):
+            with pytest.raises(PreconditionViolation, match="lambda > 0"):
+                analytic_bound(
+                    kind, n=10, b=1, eta=0.1, lam=lam, radius=0.0, t0=0.1, sigma_smooth=0.5,
+                    m_low=1.0, m_high=2.0,
+                )
+
+
+def _accepts(check) -> bool:
+    try:
+        check()
+    except PreconditionViolation:
+        return False
+    return True
+
+
+def test_step_size_check_agrees_with_analytic_bound():
+    """With lambda > 0 the hypotheses imply 0 < Gamma < 1, so both accept the same inputs."""
+    rng = np.random.default_rng(5)
+    outcomes = {}
+    for _ in range(400):
+        lam, t0, sigma = rng.uniform(0.01, 2.0), rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0)
+        eta, R, C = 10 ** rng.uniform(-3.0, 0.5), rng.uniform(0.0, 2.5), rng.uniform(0.0, 2.0)
+        for kind, problem in (
+            ("lsq", LeastSquares(lam=lam)),
+            ("logistic", Logistic(lam=lam)),
+            ("robust", RobustRegression(lam_r=lam, t0=t0)),
+            ("svm", SmoothHingeSVM(lam=lam, sigma_smooth=sigma)),
+            ("one_hidden", OneHiddenLayer(lam=lam, out_weights=(1.0,))),
+        ):
+            by_check = _accepts(lambda: check_step_size(problem, R, eta, c_const=C))
+            by_bound = _accepts(lambda: analytic_bound(
+                kind, n=100, b=1, eta=eta, lam=lam, radius=R, t0=t0, sigma_smooth=sigma, c_const=C
+            ))
+            assert by_check == by_bound, (kind, lam, t0, sigma, eta, R, C)
+            outcomes.setdefault(kind, set()).add(by_check)
+    assert all(seen == {True, False} for seen in outcomes.values())
+
+    # Tukey's rho has ||rho''|| = 6/t0^2, which check_step_size takes from the
+    # problem; analytic_bound("robust") is the exponential-squared rho (2/t0).
+    tukey = RobustRegression(lam_r=0.5, t0=0.1, rho="tukey")
+    with pytest.raises(PreconditionViolation, match=r"R < sqrt\(lambda_r / \|\|rho''\|\|\)") as info:
+        check_step_size(tukey, 0.1, 0.1)
+    assert "bound=0.0288675" in str(info.value)
+    check_step_size(RobustRegression(lam_r=0.5, t0=0.1), 0.1, 0.1)
+    value = analytic_bound("robust", n=100, b=1, eta=0.1, lam=0.5, radius=0.1, t0=0.1)
+    assert value == pytest.approx(151.19, abs=0.01)
 
 
 # ---------------------------------------------------------------------------

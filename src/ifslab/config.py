@@ -290,8 +290,6 @@ class ExperimentSetup:
     n_samples: int
     thin: int
     seed: int
-    box_config: BoxCountConfig
-    power_config: PowerIterConfig
     complexity_config: ComplexityConfig
     out_dir: Optional[str]
 
@@ -335,10 +333,6 @@ def parse_experiment_config(doc: dict, context: str = "config") -> ExperimentSet
                 f"for this problem/dataset"
             )
 
-    box_raw = sec.take("box_count", None)
-    box_config = parse_box_config(box_raw) if box_raw is not None else BoxCountConfig()
-    power_raw = sec.take("power_iter", None)
-    power_config = parse_power_config(power_raw) if power_raw is not None else PowerIterConfig()
     cplx_raw = sec.take("complexity", None)
     complexity_config = (
         parse_complexity_config(cplx_raw) if cplx_raw is not None else ComplexityConfig()
@@ -358,8 +352,6 @@ def parse_experiment_config(doc: dict, context: str = "config") -> ExperimentSet
         n_samples=n_samples,
         thin=thin,
         seed=seed,
-        box_config=box_config,
-        power_config=power_config,
         complexity_config=complexity_config,
         out_dir=out_dir,
     )

@@ -20,7 +20,7 @@ from .complexity import ComplexityConfig, estimate_R, generalization_gap
 from .dimension import BoxCountConfig, DimensionEstimate, analytic_bound, box_counting_dimension
 from .errors import ComputeError, ConfigError, DegenerateVariance, IfslabError, PreconditionViolation
 from .fileio import atomic_write_bytes, atomic_write_text, fmt_float, write_json
-from .ifs import IfsSystem, sample_invariant
+from .ifs import IfsSystem, _run_chain, sample_invariant
 from .optimizers import build_sgd_ifs, partition_batches
 from .rng import Xoshiro256PP, child_seed, draw_indices
 
@@ -333,27 +333,21 @@ def _student_problem(config: SweepConfig) -> pr.OneHiddenLayer:
     return pr.OneHiddenLayer(lam=config.lam, out_weights=outs, activation=config.activation)
 
 
-def _train_point(
-    problem: pr.OneHiddenLayer,
-    train: pr.Dataset,
-    b: int,
-    eta: float,
-    config: SweepConfig,
-    point_seed: int,
-) -> np.ndarray:
-    """Constant-step SGD until mean train loss < loss_tol or max_iters steps."""
-    scheme = partition_batches(train.n, b)
+def _train_point(system: IfsSystem, train: pr.Dataset, config: SweepConfig, point_seed: int) -> np.ndarray:
+    """Constant-step SGD until mean train loss < loss_tol or max_iters steps.
+
+    Each ``check_every`` block runs through the chain driver, which raises
+    NonFiniteState when the block ends on a non-finite iterate.
+    """
+    problem = system.maps[0].problem
     gen = Xoshiro256PP(point_seed)
-    w = 0.5 * gen.normals(pr.param_dim(problem, train))
+    w = 0.5 * gen.normals(system.dim)
     steps = 0
     while steps < config.max_iters:
         block = min(config.check_every, config.max_iters - steps)
-        idx = draw_indices(gen, scheme.probs, block)
-        for k in idx:
-            w = w - eta * pr.grad(problem, w, train, scheme.batches[k])
+        idx = draw_indices(gen, system.probs, block)
+        w = _run_chain((system.maps[i] for i in idx.tolist()), w, block - 1, 1, 1)[0]
         steps += block
-        if not np.all(np.isfinite(w)):
-            raise ComputeError(f"training diverged at step {steps}")
         if pr.mean_loss(problem, w, train) < config.loss_tol:
             break
     return w
@@ -368,11 +362,10 @@ def _sweep_point(
     point_seed: int,
 ) -> SweepRow:
     problem = _student_problem(config)
-    w_trained = _train_point(problem, train, b, eta, config, point_seed)
-    gap = generalization_gap(problem, train, test, w_trained)
-
     scheme = partition_batches(train.n, b)
     system = build_sgd_ifs(problem, train, scheme, eta)
+    w_trained = _train_point(system, train, config, point_seed)
+    gap = generalization_gap(problem, train, test, w_trained)
     cloud = sample_invariant(
         system, w_trained, config.burn_in, config.n_cloud, config.thin, child_seed(point_seed, 1)
     )

@@ -5,6 +5,13 @@ iterating w_k = h_{U_k}(w_{k-1}) with U_k ~ p approximates the stationary
 (invariant) measure after burn-in.  Maps are either explicit affine maps
 M w + q or SGD steps backed by a problem/dataset/batch triple.
 
+That recursion is stepped in one place, ``_run_chain``, which takes any
+stream of maps: the index-drawn maps of a system here, the lazily drawn
+subset-mode maps of ``optimizers``, and the sweep's training blocks in
+``experiments``.  Scalar affine systems take a float-arithmetic fast path.
+``lyapunov_exponent`` keeps its own loop, since it also pushes a tangent
+vector through each step's Jacobian.
+
 Geometric ergodicity of problem-backed systems is *not* certified here;
 stationarity is only spot-checked empirically (see the KS-distance test).
 """
@@ -13,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -58,6 +65,10 @@ class AffineMap:
     jacobian_symmetric = False  # not assumed; norms go through M^T M
 
     def jacobian_norm(self, w: Optional[np.ndarray] = None, config: cx.PowerIterConfig = cx.PowerIterConfig()) -> float:
+        """||M||_2, exact up to DENSE_ORACLE_MAX_DIM (``config`` unused there);
+        above that, power iteration on M^T M."""
+        if self.dim <= cx.DENSE_ORACLE_MAX_DIM:
+            return float(np.linalg.norm(self.matrix, 2))
         return cx.matrix_operator_norm(self.matrix, config)
 
 
@@ -246,57 +257,53 @@ def _check_recorded_finite(arr: np.ndarray) -> None:
         raise NonFiniteState("iterate overflowed (system appears to diverge)")
 
 
-def _run_chain(
-    system: IfsSystem,
-    w0: np.ndarray,
-    idx: np.ndarray,
-    record_from: int,
-    thin: int,
-    n_record: int,
-) -> np.ndarray:
-    """Shared driver: apply maps along ``idx``; record ``n_record`` thinned
-    states after step ``record_from``.  Scalar affine systems take a
-    float-arithmetic fast path (the long-chain Cantor runs live there)."""
-    d = system.dim
-    out = np.empty((n_record, d))
-    if system.is_affine and d == 1:
-        ms = [float(m.matrix[0, 0]) for m in system.maps]
-        qs = [float(m.offset[0]) for m in system.maps]
-        w = float(w0[0])
-        r = 0
-        steps = idx.tolist()
-        for t, i in enumerate(steps, start=1):
-            w = ms[i] * w + qs[i]
-            if t > record_from and (t - record_from) % thin == 0 and r < n_record:
-                out[r, 0] = w
-                r += 1
-        _check_recorded_finite(out[:r])
-        if not math.isfinite(w):
-            raise NonFiniteState("iterate overflowed (system appears to diverge)")
-        return out
-    w = np.asarray(w0, dtype=float).copy()
+def _run_chain(maps: Iterable, w0: np.ndarray, record_from: int, thin: int, n_record: int) -> np.ndarray:
+    """The chain driver: w_t = maps[t-1].apply(w_{t-1}) for each map in turn.
+
+    ``maps`` is any iterable of objects with ``apply`` (drawn lazily or not);
+    the states after steps record_from + j*thin, j = 1..n_record, are
+    returned.  A recorded or final state that is not finite raises
+    NonFiniteState.
+    """
+    w = np.atleast_1d(np.asarray(w0, dtype=float))
+    out = np.empty((n_record, w.shape[0]))
     r = 0
-    steps = idx.tolist()
     # overflow to inf/nan is an anticipated outcome here, reported as
     # NonFiniteState below rather than as a numpy warning mid-loop
-    if system.is_affine:
-        ms = [m.matrix for m in system.maps]
-        qs = [m.offset for m in system.maps]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t, i in enumerate(steps, start=1):
-                w = ms[i] @ w + qs[i]
-                if t > record_from and (t - record_from) % thin == 0 and r < n_record:
-                    out[r] = w
-                    r += 1
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t, i in enumerate(steps, start=1):
-                w = system.maps[i].apply(w)
-                if t > record_from and (t - record_from) % thin == 0 and r < n_record:
-                    out[r] = w
-                    r += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, m in enumerate(maps, start=1):
+            w = m.apply(w)
+            if t > record_from and (t - record_from) % thin == 0 and r < n_record:
+                out[r] = w
+                r += 1
     _check_recorded_finite(out[:r])
     if not np.isfinite(w).all():
+        raise NonFiniteState("iterate overflowed (system appears to diverge)")
+    return out
+
+
+def _run_system(
+    system: IfsSystem, w0: np.ndarray, idx: np.ndarray, record_from: int, thin: int, n_record: int
+) -> np.ndarray:
+    """Step ``system`` along the map indices ``idx`` through ``_run_chain``.
+
+    Scalar affine systems take a float-arithmetic fast path instead (the
+    long-chain Cantor runs live there).
+    """
+    if not (system.is_affine and system.dim == 1):
+        return _run_chain((system.maps[i] for i in idx.tolist()), w0, record_from, thin, n_record)
+    out = np.empty((n_record, 1))
+    ms = [float(m.matrix[0, 0]) for m in system.maps]
+    qs = [float(m.offset[0]) for m in system.maps]
+    w = float(w0[0])
+    r = 0
+    for t, i in enumerate(idx.tolist(), start=1):
+        w = ms[i] * w + qs[i]
+        if t > record_from and (t - record_from) % thin == 0 and r < n_record:
+            out[r, 0] = w
+            r += 1
+    _check_recorded_finite(out[:r])
+    if not math.isfinite(w):
         raise NonFiniteState("iterate overflowed (system appears to diverge)")
     return out
 
@@ -315,7 +322,7 @@ def iterate(system: IfsSystem, w0: np.ndarray, k: int, seed: int) -> Trajectory:
     states = np.empty((k + 1, system.dim))
     states[0] = w0
     if k:
-        states[1:] = _run_chain(system, w0, idx, record_from=0, thin=1, n_record=k)
+        states[1:] = _run_system(system, w0, idx, record_from=0, thin=1, n_record=k)
     _check_recorded_finite(states)
     return Trajectory(states=states, indices=idx, seed=seed)
 
@@ -336,7 +343,7 @@ def sample_invariant(
     total = burn_in + n_samples * thin
     gen = Xoshiro256PP(seed)
     idx = draw_indices(gen, system.probs, total)
-    pts = _run_chain(system, w0, idx, record_from=burn_in, thin=thin, n_record=n_samples)
+    pts = _run_system(system, w0, idx, record_from=burn_in, thin=thin, n_record=n_samples)
     return SampleCloud(points=pts, burn_in=burn_in, thin=thin, seed=seed)
 
 
@@ -350,9 +357,10 @@ def contractivity_report(
     """Per-map Lipschitz constants and the average-contractivity criterion
     sum_i p_i log L_i < 0.
 
-    Analytic mode (affine systems only) computes L_i = ||M_i|| by power
-    iteration on M_i^T M_i.  Sampled-pairs mode lower-bounds L_i by
-    max ||h(x)-h(y)||/||x-y|| over pairs drawn uniformly from a ball.
+    Analytic mode (affine systems only) computes L_i = ||M_i||_2, exactly up
+    to DENSE_ORACLE_MAX_DIM (see ``AffineMap.jacobian_norm``).  Sampled-pairs
+    mode lower-bounds L_i by max ||h(x)-h(y)||/||x-y|| over pairs drawn
+    uniformly from a ball.
     Probe stream order: per map in system order, per pair: point x
     (dim gaussians + 1 radius uniform), then point y.
     """

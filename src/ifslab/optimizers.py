@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -20,11 +20,10 @@ from .complexity import PowerIterConfig, spectral_norm_power_iter
 from .errors import (
     ConfigError,
     IndivisibleBatch,
-    NonFiniteState,
     NotPositiveDefinite,
     SingularBatchHessian,
 )
-from .ifs import AffineMap, IfsSystem, ProblemMap, SampleCloud, Trajectory
+from .ifs import AffineMap, IfsSystem, ProblemMap, SampleCloud, Trajectory, _run_chain
 from .rng import Xoshiro256PP
 
 # --------------------------------------------------------------------------
@@ -247,31 +246,15 @@ def build_stoch_newton_ifs(
 # subset-mode (lazy) iteration
 
 
-def _subset_chain(
-    problem: pr.Problem,
-    dataset: pr.Dataset,
-    b: int,
-    eta: float,
-    w0: np.ndarray,
-    total: int,
-    seed: int,
-    record_from: int,
-    thin: int,
-    n_record: int,
-) -> np.ndarray:
+def _subset_maps(
+    problem: pr.Problem, dataset: pr.Dataset, b: int, eta: float, total: int, seed: int
+) -> Iterator[ProblemMap]:
+    """Lazy stream of ``total`` SGD maps, one fresh b-subset draw each."""
     gen = Xoshiro256PP(seed)
-    w = np.atleast_1d(np.asarray(w0, dtype=float)).copy()
-    out = np.empty((n_record, w.shape[0]))
-    r = 0
-    for t in range(1, total + 1):
-        batch = gen.subset_without_replacement(dataset.n, b)
-        w = w - eta * pr.grad(problem, w, dataset, batch)
-        if t > record_from and (t - record_from) % thin == 0 and r < n_record:
-            out[r] = w
-            r += 1
-    if not (np.isfinite(out[:r]).all() and np.isfinite(w).all()):
-        raise NonFiniteState("iterate overflowed (system appears to diverge)")
-    return out
+    return (
+        ProblemMap(problem, dataset, gen.subset_without_replacement(dataset.n, b), eta)
+        for _ in range(total)
+    )
 
 
 def iterate_subset_sgd(
@@ -287,7 +270,7 @@ def iterate_subset_sgd(
     states = np.empty((k + 1, pr.param_dim(problem, dataset)))
     states[0] = w0
     if k:
-        states[1:] = _subset_chain(problem, dataset, b, eta, w0, k, seed, 0, 1, k)
+        states[1:] = _run_chain(_subset_maps(problem, dataset, b, eta, k, seed), w0, 0, 1, k)
     return Trajectory(states=states, indices=np.empty(0, dtype=np.int64), seed=seed)
 
 
@@ -306,6 +289,6 @@ def sample_invariant_subset(
     _validate_labels(problem, dataset)
     if burn_in < 0 or n_samples <= 0 or thin <= 0:
         raise ConfigError("need burn_in >= 0, n_samples > 0, thin > 0")
-    total = burn_in + n_samples * thin
-    pts = _subset_chain(problem, dataset, b, eta, w0, total, seed, burn_in, thin, n_samples)
+    maps = _subset_maps(problem, dataset, b, eta, burn_in + n_samples * thin, seed)
+    pts = _run_chain(maps, w0, burn_in, thin, n_samples)
     return SampleCloud(points=pts, burn_in=burn_in, thin=thin, seed=seed)

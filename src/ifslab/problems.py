@@ -490,6 +490,7 @@ _LOGISTIC = Proposition(
 )
 _ROBUST = Proposition(
     (
+        LAMBDA_POSITIVE,
         (("eta < 1/(lambda_r + ||rho''|| R^2)", "eta < m/(lambda_r + ||rho''|| R^2)"), "eta",
          lambda a: a.m / (a.lam + a.rho * a.R**2)),
         (("R < sqrt(lambda_r / ||rho''||)", "R < sqrt(m lambda_r / (M ||rho''||))"), "R",

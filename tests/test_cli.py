@@ -100,6 +100,15 @@ def test_simulate_unknown_key_rejected(tmp_path, capsys):
     assert "unknown keys ['lamb']" in capsys.readouterr().err
 
 
+def test_simulate_rejects_removed_top_level_keys(tmp_path, capsys):
+    """box_count and power_iter are read from `dimension --config` and
+    `complexity.power_iter`; at the top level they are unknown keys."""
+    for key, value in (("box_count", {"num_scales": 8}), ("power_iter", {"tol": 1e-6})):
+        cfg = experiment_config(tmp_path, **{key: value})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"unknown keys ['{key}']" in capsys.readouterr().err
+
+
 def test_simulate_requires_out_somewhere(tmp_path, capsys):
     cfg = experiment_config(tmp_path)
     assert main(["simulate", "--config", cfg]) == 1

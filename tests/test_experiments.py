@@ -1,5 +1,6 @@
 """Synthetic data, artifact emitters, preset experiments, and the sweep."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,16 +15,22 @@ from ifslab.experiments import (
     MlpRegression,
     SweepConfig,
     UniformLinReg,
+    _student_problem,
+    _train_point,
     cantor_system,
     correlation_stats,
     density_grid,
     generate_synthetic,
     histogram_csv_text,
     pgm_bytes,
+    reference_sweep_config,
     run_cantor,
     run_linreg2d,
     run_sweep,
 )
+from ifslab.optimizers import build_sgd_ifs, partition_batches
+from ifslab.problems import grad, param_dim
+from ifslab.rng import Xoshiro256PP, draw_indices
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +327,36 @@ def test_sweep_csv_layout_and_determinism(tmp_path):
         assert row.error == ""
         assert math.isfinite(row.R) and math.isfinite(row.gen_gap)
         assert row.gen_gap >= 0.0
+
+
+def test_train_point_matches_reference_loop():
+    """Two check_every blocks through the chain driver equal plain SGD steps bit for bit."""
+    cfg = tiny_sweep_config(max_iters=200, check_every=100, loss_tol=0.0)
+    train = generate_synthetic(cfg.data, cfg.seed)
+    problem = _student_problem(cfg)
+    eta, b, seed = 0.05, 4, 31
+    scheme = partition_batches(train.n, b)
+    w_trained = _train_point(build_sgd_ifs(problem, train, scheme, eta), train, cfg, seed)
+
+    gen = Xoshiro256PP(seed)
+    w = 0.5 * gen.normals(param_dim(problem, train))
+    for _ in range(2):
+        for k in draw_indices(gen, scheme.probs, 100):
+            w = w - eta * grad(problem, w, train, scheme.batches[k])
+    assert np.array_equal(w_trained, w)
+
+
+def test_sweep_records_typed_training_divergence(tmp_path):
+    cfg = dataclasses.replace(
+        reference_sweep_config(etas=(0.07, 5000.0), batch_sizes=(16,)),
+        max_iters=1000, n_cloud=200, n_w=8, n_u=4,
+    )
+    result = run_sweep(cfg, str(tmp_path / "div"))
+    ok, diverged = result.rows
+    assert ok.error == "" and math.isfinite(ok.R) and math.isfinite(ok.gen_gap)
+    assert diverged.error.startswith("NonFiniteState")
+    lines = open(tmp_path / "div" / "sweep.csv").read().splitlines()
+    assert len(lines) == 3 and lines[2].split(",")[-1].startswith("NonFiniteState")
 
 
 def test_sweep_rejects_empty_or_bad_grid():

@@ -20,6 +20,7 @@ from ifslab.ifs import (
 )
 from ifslab.optimizers import build_sgd_ifs, partition_batches
 from ifslab.problems import Dataset, LeastSquares, Logistic
+from ifslab.rng import Xoshiro256PP, draw_indices
 
 
 def affine_1d(slope: float, offset: float) -> AffineMap:
@@ -126,6 +127,26 @@ def test_eta_third_quadratic_fills_interval():
     assert counts[20:980].min() > 0
 
 
+def test_affine_2d_sample_invariant_matches_reference_loop():
+    """The chain driver reproduces w = M[i] @ w + q[i] bit for bit."""
+    rng = np.random.default_rng(21)
+    M = 0.6 * rng.uniform(-1.0, 1.0, size=(3, 2, 2))
+    q = rng.uniform(-1.0, 1.0, size=(3, 2))
+    probs = np.array([0.2, 0.3, 0.5])
+    system = IfsSystem(tuple(AffineMap(M[i], q[i]) for i in range(3)), probs)
+    burn_in, n_samples, thin, seed = 50, 400, 3, 22
+    cloud = sample_invariant(system, np.array([0.5, -0.5]), burn_in, n_samples, thin, seed)
+
+    idx = draw_indices(Xoshiro256PP(seed), probs, burn_in + n_samples * thin)
+    w = np.array([0.5, -0.5])
+    expected = []
+    for t, i in enumerate(idx, start=1):
+        w = M[i] @ w + q[i]
+        if t > burn_in and (t - burn_in) % thin == 0:
+            expected.append(w)
+    assert np.array_equal(cloud.points, np.array(expected))
+
+
 def test_sample_invariant_thinning_and_determinism():
     system = cantor_system()
     a = sample_invariant(system, np.array([0.0]), 100, 500, thin=3, seed=2)
@@ -207,6 +228,22 @@ def test_least_squares_lipschitz_equals_one_minus_eta_lam():
     report = contractivity_report(system)
     # tolerance reflects the power iteration's relative-change stopping rule
     assert report.lipschitz == pytest.approx((1.0 - eta * lam,) * 4, rel=1e-5)
+
+
+def test_least_squares_lipschitz_is_exact():
+    """Affine norms up to DENSE_ORACLE_MAX_DIM come from an SVD, not power iteration."""
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.uniform(-1.0, 1.0, size=(4, 2)), rng.uniform(-1.0, 1.0, size=4))
+    lam, eta = 1.0, 0.2
+    system = build_sgd_ifs(LeastSquares(lam=lam), data, partition_batches(4, 1), eta)
+    report = contractivity_report(system)
+    assert report.lipschitz == pytest.approx((1.0 - eta * lam,) * 4, rel=1e-12)
+
+
+def test_affine_norm_above_dense_cap_uses_power_iteration():
+    diag = np.linspace(-0.9, 0.5, 65)
+    m = AffineMap(np.diag(diag), np.zeros(65))
+    assert m.jacobian_norm() == pytest.approx(0.9, rel=1e-5)
 
 
 def test_sampled_pairs_probe_lower_bounds_analytic():

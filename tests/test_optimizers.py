@@ -20,6 +20,7 @@ from ifslab.optimizers import (
     sample_invariant_subset,
 )
 from ifslab.problems import Dataset, LeastSquares, Logistic, grad, hvp
+from ifslab.rng import Xoshiro256PP
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +291,25 @@ def test_subset_sampling_matches_partition_when_b_equals_n():
     a = iterate(system, np.array([1.0, 1.0]), 50, seed=15)
     b = iterate_subset_sgd(problem, data, 4, 0.2, np.array([1.0, 1.0]), 50, seed=99)
     np.testing.assert_allclose(a.states, b.states, atol=1e-12)
+
+
+def test_subset_sampling_matches_reference_loop():
+    """b < n: the lazily drawn subset maps reproduce w - eta * grad(...) bit for bit."""
+    rng = np.random.default_rng(18)
+    data = Dataset(rng.uniform(-1, 1, size=(7, 3)), np.where(rng.uniform(size=7) < 0.5, -1.0, 1.0))
+    problem, b, eta = Logistic(lam=0.1), 3, 0.3
+    burn_in, n_samples, thin, seed = 20, 60, 2, 19
+    w0 = np.array([0.1, -0.2, 0.3])
+    cloud = sample_invariant_subset(problem, data, b, eta, w0, burn_in, n_samples, thin, seed)
+
+    gen = Xoshiro256PP(seed)
+    w = w0
+    expected = []
+    for t in range(1, burn_in + n_samples * thin + 1):
+        w = w - eta * grad(problem, w, data, gen.subset_without_replacement(data.n, b))
+        if t > burn_in and (t - burn_in) % thin == 0:
+            expected.append(w)
+    assert np.array_equal(cloud.points, np.array(expected))
 
 
 def test_subset_invariant_cloud():

@@ -247,6 +247,19 @@ def test_bound_nonpositive_lambda_checked_before_caps():
                 )
 
 
+def test_robust_step_size_check_names_lambda_first():
+    """lambda_r <= 0 is named before the radius cap takes sqrt(lambda_r / ||rho''||)
+    or the step cap divides by lambda_r + ||rho''|| R^2."""
+    data = Dataset([[1.0], [-1.0]], [0.0, 1.0])
+    scheme = partition_batches(2, 1)
+    for lam_r, radius in ((-0.1, 0.5), (0.0, 0.0)):
+        problem = RobustRegression(lam_r=lam_r, t0=1.0)
+        with pytest.raises(PreconditionViolation, match="lambda > 0"):
+            check_step_size(problem, radius, 0.01)
+    with pytest.raises(PreconditionViolation, match="lambda > 0"):
+        norm_envelopes(RobustRegression(lam_r=-0.1, t0=1.0), data, scheme, 0.01)
+
+
 def _accepts(check) -> bool:
     try:
         check()

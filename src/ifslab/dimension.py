@@ -276,7 +276,7 @@ def rams_ratio(
     if system.is_affine:
         logs = np.array(
             [
-                math.log(m.jacobian_norm(config=power_config)) if active[i] else 0.0
+                math.log(m.jacobian_norm()) if active[i] else 0.0
                 for i, m in enumerate(system.maps)
             ]
         )

@@ -20,7 +20,7 @@ from .complexity import ComplexityConfig, estimate_R, generalization_gap
 from .dimension import BoxCountConfig, DimensionEstimate, analytic_bound, box_counting_dimension
 from .errors import ComputeError, ConfigError, DegenerateVariance, IfslabError, PreconditionViolation
 from .fileio import atomic_write_bytes, atomic_write_text, fmt_float, write_json
-from .ifs import IfsSystem, _run_chain, sample_invariant
+from .ifs import IfsSystem, _run_system, sample_invariant
 from .optimizers import build_sgd_ifs, partition_batches
 from .rng import Xoshiro256PP, child_seed, draw_indices
 
@@ -337,7 +337,9 @@ def _train_point(system: IfsSystem, train: pr.Dataset, config: SweepConfig, poin
     """Constant-step SGD until mean train loss < loss_tol or max_iters steps.
 
     Each ``check_every`` block runs through the chain driver, which raises
-    NonFiniteState when the block ends on a non-finite iterate.
+    NonFiniteState when the block ends on a non-finite iterate.  Training is
+    defined for problem-backed systems only: the loss check reads the
+    problem of ``system.maps[0]``.
     """
     problem = system.maps[0].problem
     gen = Xoshiro256PP(point_seed)
@@ -346,7 +348,7 @@ def _train_point(system: IfsSystem, train: pr.Dataset, config: SweepConfig, poin
     while steps < config.max_iters:
         block = min(config.check_every, config.max_iters - steps)
         idx = draw_indices(gen, system.probs, block)
-        w = _run_chain((system.maps[i] for i in idx.tolist()), w, block - 1, 1, 1)[0]
+        w = _run_system(system, w, idx, block - 1, 1, 1)[0]
         steps += block
         if pr.mean_loss(problem, w, train) < config.loss_tol:
             break

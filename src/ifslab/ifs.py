@@ -65,11 +65,9 @@ class AffineMap:
     jacobian_symmetric = False  # not assumed; norms go through M^T M
 
     def jacobian_norm(self, w: Optional[np.ndarray] = None, config: cx.PowerIterConfig = cx.PowerIterConfig()) -> float:
-        """||M||_2, exact up to DENSE_ORACLE_MAX_DIM (``config`` unused there);
-        above that, power iteration on M^T M."""
-        if self.dim <= cx.DENSE_ORACLE_MAX_DIM:
-            return float(np.linalg.norm(self.matrix, 2))
-        return cx.matrix_operator_norm(self.matrix, config)
+        """||M||_2, exact at every dim since M is held explicitly; ``w`` and
+        ``config`` are unused (kept for parity with ProblemMap.jacobian_norm)."""
+        return float(np.linalg.norm(self.matrix, 2))
 
 
 @dataclass(frozen=True)
@@ -357,8 +355,8 @@ def contractivity_report(
     """Per-map Lipschitz constants and the average-contractivity criterion
     sum_i p_i log L_i < 0.
 
-    Analytic mode (affine systems only) computes L_i = ||M_i||_2, exactly up
-    to DENSE_ORACLE_MAX_DIM (see ``AffineMap.jacobian_norm``).  Sampled-pairs
+    Analytic mode (affine systems only) computes L_i = ||M_i||_2 exactly
+    (see ``AffineMap.jacobian_norm``).  Sampled-pairs
     mode lower-bounds L_i by max ||h(x)-h(y)||/||x-y|| over pairs drawn
     uniformly from a ball.
     Probe stream order: per map in system order, per pair: point x

@@ -240,10 +240,10 @@ def test_least_squares_lipschitz_is_exact():
     assert report.lipschitz == pytest.approx((1.0 - eta * lam,) * 4, rel=1e-12)
 
 
-def test_affine_norm_above_dense_cap_uses_power_iteration():
+def test_affine_norm_exact_above_dense_cap():
     diag = np.linspace(-0.9, 0.5, 65)
     m = AffineMap(np.diag(diag), np.zeros(65))
-    assert m.jacobian_norm() == pytest.approx(0.9, rel=1e-5)
+    assert m.jacobian_norm() == pytest.approx(0.9, rel=1e-12)
 
 
 def test_sampled_pairs_probe_lower_bounds_analytic():

@@ -62,7 +62,7 @@ class AffineMap:
     def jacobian_rmatvec(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.matrix.T @ v
 
-    jacobian_symmetric = False  # not assumed; norms go through M^T M
+    jacobian_symmetric = False  # not assumed; the norm is the largest singular value
 
     def jacobian_norm(self, w: Optional[np.ndarray] = None, config: cx.PowerIterConfig = cx.PowerIterConfig()) -> float:
         """||M||_2, exact at every dim since M is held explicitly; ``w`` and

@@ -19,7 +19,7 @@ from . import config as cfgmod
 from .complexity import estimate_R
 from .dimension import analytic_bound, box_counting_dimension
 from .errors import ConfigError, IfslabError
-from .experiments import run_cantor, run_linreg2d, run_sweep
+from .experiments import reference_sweep_config, run_cantor, run_linreg2d, run_sweep
 from .fileio import fmt_float, write_json
 from .ifs import IfsSystem, read_cloud_csv, sample_invariant
 from .optimizers import build_precond_sgd_ifs, build_sgd_ifs, build_stoch_newton_ifs
@@ -129,7 +129,7 @@ def cmd_complexity(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    doc = cfgmod.load_json(args.config)
+    doc = cfgmod.load_json(args.config) if args.config else {}
     if args.kind == "cantor":
         setup = cfgmod.parse_cantor_config(doc)
         out_dir = _resolve_out(args.out, setup.out_dir, "experiment cantor")
@@ -143,7 +143,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             setup.etas, setup.seed, out_dir, setup.n_samples, setup.burn_in, setup.box_config
         )
     else:
-        sweep_cfg, cfg_out = cfgmod.parse_sweep_config(doc)
+        sweep_cfg, cfg_out = (
+            cfgmod.parse_sweep_config(doc) if args.config else (reference_sweep_config(), None)
+        )
         out_dir = _resolve_out(args.out, cfg_out, "experiment sweep")
         result = run_sweep(sweep_cfg, out_dir)
         for name, pair in result.stats.items():
@@ -207,7 +209,7 @@ def build_parser() -> _Parser:
 
     p_exp = sub.add_parser("experiment", help="run a preset experiment")
     p_exp.add_argument("kind", choices=("cantor", "linreg2d", "sweep"))
-    p_exp.add_argument("--config", required=True, help="experiment config JSON")
+    p_exp.add_argument("--config", help="experiment config JSON (default: reference settings)")
     p_exp.add_argument("--out", help="output directory (overrides config out_dir)")
     p_exp.set_defaults(func=cmd_experiment)
 

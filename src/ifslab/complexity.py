@@ -1,10 +1,10 @@
 """Jacobian-norm complexity R and the dimension-based generalization bounds.
 
 1/R is the Monte-Carlo average of log ||J_{h_U}(W)|| over cloud points W and
-batch draws U.  Up to DENSE_ORACLE_MAX_DIM = 64 parameters the spectral norms
-are exact: each J is assembled by one block Hessian product and a whole row
-of them goes through one stacked symmetric eigendecomposition.  Above that, a
-hand-rolled power iteration with a seed per cell takes over.  The dense
+batch draws U.  Every step Jacobian norm comes from ``jacobian_norms``: exact
+up to DENSE_ORACLE_MAX_DIM = 64 parameters (one block Hessian product per J,
+one stacked eigendecomposition, or SVD when preconditioned), a hand-rolled
+power iteration with a seed per batch above that.  The dense
 column-by-column oracle stays the independent cross-check.
 R is reported signed: contractive systems give negative R, expanding ones
 positive.  No absolute values are taken silently.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -81,15 +81,8 @@ def spectral_norm_power_iter(
     return PowerIterResult(estimate, False, config.max_iters)
 
 
-def matrix_operator_norm(matrix: np.ndarray, config: PowerIterConfig = PowerIterConfig()) -> float:
-    """||M||_2 for a general square matrix via power iteration on M^T M."""
-    M = np.asarray(matrix, dtype=float)
-    res = spectral_norm_power_iter(lambda v: M.T @ (M @ v), M.shape[0], config)
-    return math.sqrt(res.value)
-
-
 # --------------------------------------------------------------------------
-# exact norms of small dense Jacobians
+# step Jacobian norms
 
 DENSE_ORACLE_MAX_DIM = 64
 
@@ -113,6 +106,44 @@ def stacked_spectral_norms(J: np.ndarray, symmetric: bool = True) -> np.ndarray:
     if np.any(norms <= dim * np.finfo(float).eps * scale):
         raise ZeroOperator("Jacobian is numerically zero; its log norm is undefined")
     return norms
+
+
+def jacobian_norms(
+    problem: pr.Problem,
+    dataset: pr.Dataset,
+    batches: Sequence[np.ndarray],
+    eta: float,
+    w: np.ndarray,
+    power_iter: PowerIterConfig,
+    seeds: Iterable[int],
+    solve: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> tuple[np.ndarray, int]:
+    """||J_B|| = ||I - eta * P * H_B(w)||_2 for each batch B, and how many converged.
+
+    P is the preconditioner ``solve`` (identity when None).  Up to
+    DENSE_ORACLE_MAX_DIM parameters the norms are exact (``jacobian_apply``
+    on a block, then ``stacked_spectral_norms``) and all count as converged.
+    Above that, power iteration per batch on J, or on J^T J when
+    preconditioned, with the tolerance and cap of ``power_iter`` and the
+    matching entry of ``seeds``, which only this path reads.
+    """
+    dim = pr.param_dim(problem, dataset)
+    if dim <= DENSE_ORACLE_MAX_DIM:
+        eye = np.eye(dim)
+        J = np.stack([pr.jacobian_apply(problem, w, dataset, b, eta, eye, solve) for b in batches])
+        return stacked_spectral_norms(J, solve is None), len(batches)
+    norms = np.empty(len(batches))
+    converged = 0
+    for j, (batch, seed) in enumerate(zip(batches, seeds, strict=True)):
+        def op(v: np.ndarray) -> np.ndarray:  # J v, or J^T J v with J^T = I - eta * H P
+            u = pr.jacobian_apply(problem, w, dataset, batch, eta, v, solve)
+            return u if solve is None else u - eta * pr.hvp(problem, w, dataset, batch, solve(u))
+
+        config = PowerIterConfig(power_iter.tol, power_iter.max_iters, seed)
+        res = spectral_norm_power_iter(op, dim, config)
+        norms[j] = res.value if solve is None else math.sqrt(res.value)
+        converged += res.converged
+    return norms, converged
 
 
 # --------------------------------------------------------------------------
@@ -188,15 +219,13 @@ def estimate_R(
     (i.i.d. from the Partition probabilities, or without-replacement subsets
     in Subset mode), taken from the stream of child seed 0.
 
-    Up to DENSE_ORACLE_MAX_DIM parameters the norms are exact: for each W_i
-    the n_u Jacobians are built by one block ``jacobian_apply`` each and the
-    row goes through one stacked ``eigvalsh``.  Exact cells count as
-    converged.  Above that threshold each cell runs the power iteration with
-    seed child 1 + i*n_u + j, so the computation parallelizes without
-    changing results, and ``converged_fraction`` is the share of cells that
-    met the tolerance.  Either way accumulation is a row-major pairwise sum
-    over the full (n_w, n_u) table, and a numerically zero Jacobian raises
-    ZeroOperator.
+    Each row W_i is one ``jacobian_norms`` call over the n_u batches: exact
+    up to DENSE_ORACLE_MAX_DIM parameters (exact cells count as converged),
+    and above that one power iteration per cell with seed child
+    1 + i*n_u + j, so the computation parallelizes without changing results;
+    ``converged_fraction`` is the share of cells that met the tolerance.
+    Accumulation is a row-major pairwise sum over the full (n_w, n_u) table,
+    and a numerically zero Jacobian raises ZeroOperator.
     """
     pts = cloud.points
     if pts.shape[0] < config.n_w:
@@ -217,27 +246,12 @@ def estimate_R(
         ]
 
     lognorms = np.empty((config.n_w, config.n_u))
-    if dim <= DENSE_ORACLE_MAX_DIM:
-        eye = np.eye(dim)
-        for i in range(config.n_w):
-            J = np.stack(
-                [pr.jacobian_apply(problem, W[i], dataset, batch, eta, eye) for batch in batches]
-            )
-            lognorms[i] = np.log(stacked_spectral_norms(J))
-        converged = lognorms.size
-    else:
-        converged = 0
-        for i in range(config.n_w):
-            w = W[i]
-            for j in range(config.n_u):
-                cell_seed = child_seed(config.seed, 1 + i * config.n_u + j)
-                res = spectral_norm_power_iter(
-                    lambda v: pr.jacobian_apply(problem, w, dataset, batches[j], eta, v),
-                    dim,
-                    PowerIterConfig(config.power_iter.tol, config.power_iter.max_iters, cell_seed),
-                )
-                lognorms[i, j] = math.log(res.value)
-                converged += res.converged
+    converged = 0
+    for i in range(config.n_w):
+        seeds = (child_seed(config.seed, 1 + i * config.n_u + j) for j in range(config.n_u))
+        norms, n_conv = jacobian_norms(problem, dataset, batches, eta, W[i], config.power_iter, seeds)
+        lognorms[i] = np.log(norms)
+        converged += n_conv
     inverse_r = float(lognorms.sum() / lognorms.size)
     if abs(inverse_r) < 1e-12:
         raise ZeroMeanLogNorm(f"mean log norm {inverse_r:.3e} is numerically zero; R undefined")

@@ -369,7 +369,7 @@ class CantorSetup:
 
 def parse_cantor_config(doc: dict, context: str = "config") -> CantorSetup:
     sec = Section(doc, context)
-    etas = _real_list(sec.take("etas"), f"{context}.etas")
+    etas = _real_list(sec.take("etas", [0.01, 1.0 / 3.0, 2.0 / 3.0]), f"{context}.etas")
     setup = CantorSetup(
         etas=etas,
         n_samples=_integer(sec.take("n_samples", 1_000_000), f"{context}.n_samples"),
@@ -400,7 +400,7 @@ class Linreg2dSetup:
 
 def parse_linreg2d_config(doc: dict, context: str = "config") -> Linreg2dSetup:
     sec = Section(doc, context)
-    etas = _real_list(sec.take("etas"), f"{context}.etas")
+    etas = _real_list(sec.take("etas", [0.3, 0.5, 0.7, 0.9]), f"{context}.etas")
     setup = Linreg2dSetup(
         etas=etas,
         seed=_integer(sec.take("seed", 0), f"{context}.seed"),

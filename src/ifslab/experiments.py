@@ -18,7 +18,8 @@ import numpy as np
 from . import problems as pr
 from .complexity import ComplexityConfig, estimate_R, generalization_gap
 from .dimension import BoxCountConfig, DimensionEstimate, analytic_bound, box_counting_dimension
-from .errors import ComputeError, ConfigError, DegenerateVariance, IfslabError, PreconditionViolation
+from .errors import (ComputeError, ConfigError, DegenerateVariance, IfslabError, NonFiniteState,
+                     PreconditionViolation)
 from .fileio import atomic_write_bytes, atomic_write_text, fmt_float, write_json
 from .ifs import IfsSystem, _run_system, sample_invariant
 from .optimizers import build_sgd_ifs, partition_batches
@@ -336,8 +337,8 @@ def _student_problem(config: SweepConfig) -> pr.OneHiddenLayer:
 def _train_point(system: IfsSystem, train: pr.Dataset, config: SweepConfig, point_seed: int) -> np.ndarray:
     """Constant-step SGD until mean train loss < loss_tol or max_iters steps.
 
-    Each ``check_every`` block runs through the chain driver, which raises
-    NonFiniteState when the block ends on a non-finite iterate.  Training is
+    Each ``check_every`` block runs through the chain driver; a block that
+    ends on a non-finite iterate or loss raises NonFiniteState.  Training is
     defined for problem-backed systems only: the loss check reads the
     problem of ``system.maps[0]``.
     """
@@ -350,7 +351,11 @@ def _train_point(system: IfsSystem, train: pr.Dataset, config: SweepConfig, poin
         idx = draw_indices(gen, system.probs, block)
         w = _run_system(system, w, idx, block - 1, 1, 1)[0]
         steps += block
-        if pr.mean_loss(problem, w, train) < config.loss_tol:
+        with np.errstate(over="ignore", invalid="ignore"):  # as in the driver
+            loss = pr.mean_loss(problem, w, train)
+        if not math.isfinite(loss):
+            raise NonFiniteState(f"training loss is {loss} (system appears to diverge)")
+        if loss < config.loss_tol:
             break
     return w
 
@@ -459,7 +464,7 @@ def reference_sweep_config(
     batch_sizes: tuple[int, ...] = (16, 32),
     seed: int = 0,
 ) -> SweepConfig:
-    """The calibrated grid shared by scripts/run_sweep.py and the acceptance run.
+    """The calibrated grid of the acceptance run and of a config-less ``ifslab experiment sweep``.
 
     Sized so the trained chains sit in the locally expanding regime (R > 0,
     falling with eta).  The gap correlations are noisy at this problem scale;

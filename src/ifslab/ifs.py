@@ -59,14 +59,8 @@ class AffineMap:
     def jacobian_matvec(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
 
-    def jacobian_rmatvec(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ v
-
-    jacobian_symmetric = False  # not assumed; the norm is the largest singular value
-
-    def jacobian_norm(self, w: Optional[np.ndarray] = None, config: cx.PowerIterConfig = cx.PowerIterConfig()) -> float:
-        """||M||_2, exact at every dim since M is held explicitly; ``w`` and
-        ``config`` are unused (kept for parity with ProblemMap.jacobian_norm)."""
+    def jacobian_norm(self) -> float:
+        """||M||_2, exact at every dim since M is held explicitly."""
         return float(np.linalg.norm(self.matrix, 2))
 
 
@@ -75,9 +69,9 @@ class ProblemMap:
     """One SGD step h(w) = w - eta * P(grad of the batch risk at w).
 
     ``solve`` is the preconditioner application P (identity when None); it
-    must accept a block (dim, k) as well as a vector.  With a preconditioner
-    the Jacobian I - eta * P H(w) is generally nonsymmetric, and its norm is
-    the largest singular value.
+    must accept a block (dim, k) as well as a vector.  The Jacobian
+    I - eta * P H(w) is ``problems.jacobian_apply``; its norm (the largest
+    singular value when preconditioned) is ``complexity.jacobian_norms``.
     """
 
     problem: pr.Problem
@@ -97,35 +91,15 @@ class ProblemMap:
         return w - self.eta * g
 
     def jacobian_matvec(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-        h = pr.hvp(self.problem, w, self.dataset, self.batch, v)
-        if self.solve is not None:
-            h = self.solve(h)
-        return v - self.eta * h
-
-    def jacobian_rmatvec(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self.solve is None:
-            return self.jacobian_matvec(w, v)
-        return v - self.eta * pr.hvp(self.problem, w, self.dataset, self.batch, self.solve(v))
-
-    @property
-    def jacobian_symmetric(self) -> bool:
-        return self.solve is None
+        return pr.jacobian_apply(self.problem, w, self.dataset, self.batch, self.eta, v, self.solve)
 
     def jacobian_norm(self, w: np.ndarray, config: cx.PowerIterConfig = cx.PowerIterConfig()) -> float:
-        """||J(w)||_2, exact up to DENSE_ORACLE_MAX_DIM parameters (``config``
-        unused there); above that, power iteration on J, or on J^T J when
-        preconditioned."""
-        if self.dim <= cx.DENSE_ORACLE_MAX_DIM:
-            J = self.jacobian_matvec(w, np.eye(self.dim))
-            return float(cx.stacked_spectral_norms(J, self.jacobian_symmetric))
-        if self.jacobian_symmetric:
-            return cx.spectral_norm_power_iter(
-                lambda v: self.jacobian_matvec(w, v), self.dim, config
-            ).value
-        res = cx.spectral_norm_power_iter(
-            lambda v: self.jacobian_rmatvec(w, self.jacobian_matvec(w, v)), self.dim, config
+        """||J(w)||_2 from ``complexity.jacobian_norms``; ``config`` (seed
+        included) is read only above DENSE_ORACLE_MAX_DIM parameters."""
+        norms, _ = cx.jacobian_norms(
+            self.problem, self.dataset, [self.batch], self.eta, w, config, [config.seed], self.solve
         )
-        return math.sqrt(res.value)
+        return float(norms[0])
 
 
 MapDescriptor = Union[AffineMap, ProblemMap]

@@ -16,7 +16,6 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import problems as pr
-from .complexity import PowerIterConfig, spectral_norm_power_iter
 from .errors import (
     ConfigError,
     IndivisibleBatch,
@@ -77,11 +76,9 @@ class PreconditionerSpec:
     """SPD matrix H with certified eigenvalue bounds m_low <= eig <= m_high.
 
     Cholesky-factored once at construction (NotPositiveDefinite on failure);
-    the bounds are then verified by power iteration on H and H^{-1} to
-    tolerance 1e-8.  ``solve`` applies H^{-1} through the factor.
+    the bounds are checked against the exact extreme eigenvalues (eigvalsh)
+    with slack 1e-8 * max(1, bound).  ``solve`` applies H^{-1} via the factor.
     """
-
-    _VERIFY = PowerIterConfig(tol=1e-8, max_iters=500, seed=0x9E37)
 
     def __init__(self, matrix: np.ndarray, eigen_bounds: tuple[float, float]):
         H = np.asarray(matrix, dtype=float)
@@ -99,11 +96,8 @@ class PreconditionerSpec:
         self.matrix = H
         self.eigen_bounds = (float(m_low), float(m_high))
         self._l_inv = np.linalg.inv(L)  # triangular; H^{-1} = L^{-T} L^{-1}
-        lam_max = spectral_norm_power_iter(lambda v: H @ v, H.shape[0], self._VERIFY).value
-        lam_min = 1.0 / spectral_norm_power_iter(self.solve, H.shape[0], self._VERIFY).value
-        slack_hi = 1e-8 * max(1.0, m_high)
-        slack_lo = 1e-8 * max(1.0, m_low)
-        if lam_max > m_high + slack_hi or lam_min < m_low - slack_lo:
+        lam_min, lam_max = np.linalg.eigvalsh(H)[[0, -1]]
+        if lam_max > m_high + 1e-8 * max(1.0, m_high) or lam_min < m_low - 1e-8 * max(1.0, m_low):
             raise NotPositiveDefinite(
                 f"eigen bounds violated: spectrum within [{lam_min:.9g}, {lam_max:.9g}] "
                 f"but declared [{m_low:.9g}, {m_high:.9g}]"
@@ -111,9 +105,6 @@ class PreconditionerSpec:
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         return self._l_inv.T @ (self._l_inv @ v)
-
-    def solve_matrix(self, X: np.ndarray) -> np.ndarray:
-        return self._l_inv.T @ (self._l_inv @ X)
 
 
 # --------------------------------------------------------------------------
@@ -196,7 +187,7 @@ def build_precond_sgd_ifs(
             A = dataset.features[batch]
             y = dataset.targets[batch]
             b = len(batch)
-            M = eye - eta * precond.solve_matrix(problem.lam * eye + (A.T @ A) / b)
+            M = eye - eta * precond.solve(problem.lam * eye + (A.T @ A) / b)
             q = (eta / b) * precond.solve(A.T @ y)
             maps.append(AffineMap(M, q))
         return IfsSystem(tuple(maps), p)

@@ -1,7 +1,7 @@
 """Loss families whose SGD steps generate the iterated-function systems.
 
 Each problem kind provides per-sample losses, mini-batch gradients,
-Hessian-vector products, the step Jacobian J = I - eta*H applied to a vector,
+Hessian-vector products, the step Jacobian J = I - eta*P*H applied to a vector,
 and per-batch norm envelopes (gamma_i, Gamma_i) bounding ||J|| under the
 step-size hypotheses of the corresponding contraction propositions.  Each
 proposition is one record of ``PROPOSITIONS``, which ``check_step_size``,
@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -402,16 +402,19 @@ def hvp(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray, v:
 
 
 def jacobian_apply(
-    problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray, eta: float, v: np.ndarray
+    problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray, eta: float, v: np.ndarray,
+    solve: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> np.ndarray:
-    """Apply the SGD-step Jacobian (I - eta * batch Hessian) to ``v``.
+    """Apply the SGD-step Jacobian (I - eta * P * batch Hessian) to ``v``.
 
+    P is the preconditioner application ``solve`` (identity when None).
     ``v`` may be a block (dim, k); ``v = np.eye(dim)`` gives the dense J.
     """
     v = np.asarray(v, dtype=float)
     if eta == 0.0:
         return v.copy()
-    return v - eta * hvp(problem, w, dataset, batch, v)
+    h = hvp(problem, w, dataset, batch, v)
+    return v - eta * (h if solve is None else solve(h))
 
 
 # --------------------------------------------------------------------------

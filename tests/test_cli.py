@@ -266,3 +266,30 @@ def test_experiment_config_unknown_key(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {"etas": [0.5], "nsamples": 100})
     assert main(["experiment", "cantor", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "unknown keys ['nsamples']" in capsys.readouterr().err
+
+
+def test_experiment_without_config_runs_reference_settings(tmp_path, monkeypatch):
+    """No --config: each preset gets the settings its reference run uses."""
+    from ifslab import cli
+    from ifslab.dimension import BoxCountConfig
+    from ifslab.experiments import SweepResult, reference_sweep_config
+
+    calls = {}
+
+    def stub(kind, result):
+        def run(*args):
+            calls[kind] = args
+            return result
+        return run
+
+    monkeypatch.setattr(cli, "run_cantor", stub("cantor", []))
+    monkeypatch.setattr(cli, "run_linreg2d", stub("linreg2d", []))
+    monkeypatch.setattr(cli, "run_sweep", stub("sweep", SweepResult([], {}, [])))
+    out = str(tmp_path / "o")
+    for kind in ("cantor", "linreg2d", "sweep"):
+        assert main(["experiment", kind, "--out", out]) == 0
+    box = BoxCountConfig()
+    assert calls["cantor"] == ([0.01, 1.0 / 3.0, 2.0 / 3.0], out, 1_000_000, 10_000, 0, box)
+    assert calls["linreg2d"] == ([0.3, 0.5, 0.7, 0.9], 0, out, 400_000, 10_000, box)
+    assert calls["sweep"] == (reference_sweep_config(), out)
+    assert main(["experiment", "sweep"]) == 1  # no config and no --out: nowhere to write

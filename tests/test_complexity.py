@@ -18,7 +18,6 @@ from ifslab.complexity import (
     dense_jacobian_oracle,
     estimate_R,
     generalization_gap,
-    matrix_operator_norm,
     spectral_norm_power_iter,
 )
 from ifslab.dimension import RamsBound
@@ -103,11 +102,6 @@ def test_power_iter_matches_dense_eigensolver():
         dense = float(np.max(np.abs(np.linalg.eigvalsh(A))))
         assert res.converged
         assert res.value == pytest.approx(dense, rel=1e-6)
-
-
-def test_matrix_operator_norm_nonsymmetric():
-    M = np.array([[0.0, 2.0], [0.0, 0.0]])  # singular values (2, 0)
-    assert matrix_operator_norm(M) == pytest.approx(2.0, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

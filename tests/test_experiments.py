@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,19 @@ def test_sweep_records_typed_training_divergence(tmp_path):
     assert len(lines) == 3 and lines[2].split(",")[-1].startswith("NonFiniteState")
 
 
+def test_sweep_training_divergence_raises_no_numpy_warning(tmp_path):
+    """The loss check on a huge but finite iterate reports NonFiniteState, not an overflow warning."""
+    cfg = dataclasses.replace(
+        reference_sweep_config(etas=(0.07, 5000.0), batch_sizes=(16,)),
+        max_iters=1000, n_cloud=200, n_w=8, n_u=4,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_sweep(cfg, str(tmp_path / "div"))
+    assert result.rows[0].error == ""
+    assert result.rows[1].error.startswith("NonFiniteState")
+
+
 def test_sweep_rejects_empty_or_bad_grid():
     with pytest.raises(ConfigError):
         tiny_sweep_config(etas=())
@@ -367,29 +381,31 @@ def test_sweep_rejects_empty_or_bad_grid():
 
 
 def test_scripts_run_end_to_end(tmp_path):
-    # the argparse wrappers and their summary print loops have no other coverage
+    # `python -m ifslab.cli experiment` in a subprocess: the module entry point
+    # and the preset summary print loops
     import subprocess
     import sys
 
-    scripts = os.path.join(os.path.dirname(__file__), "..", "scripts")
-    common = {"cwd": str(tmp_path), "capture_output": True, "text": True, "timeout": 120}
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    common = {"cwd": str(tmp_path), "capture_output": True, "text": True, "timeout": 120,
+              "env": {**os.environ, "PYTHONPATH": path}}
 
-    proc = subprocess.run(
-        [sys.executable, os.path.join(scripts, "run_cantor.py"),
-         "--out", "cantor", "--etas", "0.6666666666666666",
-         "--n-samples", "20000", "--burn-in", "1000"],
-        **common,
-    )
+    def experiment(kind, out, etas):
+        config = tmp_path / f"{kind}.json"
+        config.write_text(json.dumps({"etas": etas, "n_samples": 20_000, "burn_in": 1_000}))
+        return subprocess.run(
+            [sys.executable, "-m", "ifslab.cli", "experiment", kind,
+             "--config", str(config), "--out", out],
+            **common,
+        )
+
+    proc = experiment("cantor", "cantor", [2.0 / 3.0])
     assert proc.returncode == 0, proc.stderr
     assert "dimension=" in proc.stdout
     assert os.path.exists(tmp_path / "cantor" / "summary.json")
 
-    proc = subprocess.run(
-        [sys.executable, os.path.join(scripts, "run_linreg2d.py"),
-         "--out", "lin", "--etas", "0.5", "80.0",
-         "--n-samples", "20000", "--burn-in", "1000"],
-        **common,
-    )
+    proc = experiment("linreg2d", "lin", [0.5, 80.0])
     assert proc.returncode == 0, proc.stderr
     assert "dimension=" in proc.stdout  # healthy eta
     assert "error: NonFiniteState" in proc.stdout  # divergent eta

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PROBLEM_KINDS, make_problem_config
+from ifslab.complexity import PowerIterConfig
 from ifslab.errors import ConfigError, IndivisibleBatch, NotPositiveDefinite
 from ifslab.ifs import AffineMap, iterate, sample_invariant
 from ifslab.optimizers import (
@@ -201,7 +202,7 @@ def test_preconditioned_problem_map_norm_matches_dense_svd():
     problem = Logistic(lam=0.5)
     system = build_precond_sgd_ifs(problem, data, partition_batches(6, 2), 0.8, spec)
     for m in system.maps:
-        assert not m.jacobian_symmetric
+        assert m.solve is not None
         for _ in range(3):
             w = rng.normal(size=d)
             H = np.column_stack([hvp(problem, w, data, m.batch, e) for e in np.eye(d)])
@@ -209,6 +210,32 @@ def test_preconditioned_problem_map_norm_matches_dense_svd():
             assert not np.allclose(J, J.T)
             dense = np.linalg.svd(J, compute_uv=False)[0]
             assert m.jacobian_norm(w) == pytest.approx(dense, rel=1e-12)
+
+
+def test_preconditioned_problem_map_norm_above_dense_cap_matches_svd():
+    """dim 65 > DENSE_ORACLE_MAX_DIM: power iteration on J^T J, then a square root."""
+    rng = np.random.default_rng(57)
+    d = 65
+    data = Dataset(rng.uniform(-1, 1, size=(8, d)), rng.choice([-1.0, 1.0], size=8))
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    P = Q @ np.diag(np.linspace(1.0, 4.0, d)) @ Q.T
+    spec = PreconditionerSpec(0.5 * (P + P.T), (1.0, 4.0))
+    problem = Logistic(lam=0.5)
+    system = build_precond_sgd_ifs(problem, data, partition_batches(8, 4), 0.8, spec)
+    for s, m in enumerate(system.maps):
+        w = rng.normal(size=d)
+        H = hvp(problem, w, data, m.batch, np.eye(d))
+        J = np.eye(d) - 0.8 * spec.solve(H)
+        dense = np.linalg.svd(J, compute_uv=False)[0]
+        norm = m.jacobian_norm(w, PowerIterConfig(1e-12, 20_000, s))
+        assert norm == pytest.approx(dense, rel=1e-8)
+
+
+def test_preconditioner_spec_rejects_bound_below_a_near_tied_top_eigenvalue():
+    """The top eigenvalue 2.001 exceeds the declared 2.00099; power iteration
+    on the near-tied pair (2, 2.001) stopped early and accepted the bound."""
+    with pytest.raises(NotPositiveDefinite):
+        PreconditionerSpec(np.diag([1.0, 2.0, 2.001]), (1.0, 2.00099))
 
 
 # ---------------------------------------------------------------------------

@@ -225,15 +225,15 @@ def test_preconditioned_problem_map_norm_above_dense_cap_matches_svd():
     for s, m in enumerate(system.maps):
         w = rng.normal(size=d)
         H = hvp(problem, w, data, m.batch, np.eye(d))
-        J = np.eye(d) - 0.8 * spec.solve(H)
+        J = np.eye(d) - 0.8 * np.linalg.solve(spec.matrix, H)
         dense = np.linalg.svd(J, compute_uv=False)[0]
         norm = m.jacobian_norm(w, PowerIterConfig(1e-12, 20_000, s))
         assert norm == pytest.approx(dense, rel=1e-8)
 
 
 def test_preconditioner_spec_rejects_bound_below_a_near_tied_top_eigenvalue():
-    """The top eigenvalue 2.001 exceeds the declared 2.00099; power iteration
-    on the near-tied pair (2, 2.001) stopped early and accepted the bound."""
+    """The top eigenvalue 2.001 exceeds the declared 2.00099 by 1e-5, next to
+    an eigenvalue 2 that a stopped-early iterative estimate can mistake for it."""
     with pytest.raises(NotPositiveDefinite):
         PreconditionerSpec(np.diag([1.0, 2.0, 2.001]), (1.0, 2.00099))
 

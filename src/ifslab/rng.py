@@ -1,10 +1,19 @@
 """Deterministic random numbers: xoshiro256++ seeded via splitmix64.
 
 Every stochastic operation in this package owns a private generator built
-from a 64-bit seed, so results are reproducible bit-for-bit across runs and
-platforms.  Uniform doubles take the top 53 bits of each 64-bit output;
-parallel/structured work derives child seeds with :func:`child_seed` instead
-of splitting generator state.
+from a 64-bit seed.  The streams are integer arithmetic, so they are
+identical bit for bit across runs and platforms.  Results computed from them
+(chain steps, norms) go through numpy and BLAS, whose float rounding may
+differ between BLAS builds and CPUs; those are byte-identical across runs on
+one machine and BLAS build.  Uniform doubles take the top 53 bits of each
+64-bit output; parallel/structured work derives child seeds with
+:func:`child_seed` instead of splitting generator state.
+
+Long uniform streams are drawn in lanes: the state update is linear over
+GF(2), so the state ``k`` draws ahead is ``q(T)·s`` with ``q = x^k mod P``
+and ``P`` the characteristic polynomial of the update ``T`` (Haramoto et al.,
+*Efficient jump ahead for F2-linear random number generators*, 2008).  Every
+lane draw is bit-equal to the scalar loop.
 """
 
 from __future__ import annotations
@@ -13,9 +22,21 @@ import math
 
 import numpy as np
 
+from .errors import ConfigError
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_2_53 = 1.0 / (1 << 53)
+
+# Characteristic polynomial of the xoshiro256 state update over GF(2), bit i
+# the coefficient of x^i (Berlekamp-Massey on 512 bits of the state sequence;
+# x^(2^128) and x^(2^192) mod P are the published JUMP and LONG_JUMP words).
+_CHARPOLY = 0x1_0003C03C_3F3ECB19_04B4EDCF_26259F85_0280002B_CEFD1A5E_9D116F2B_B0F0F001
+# Streams of _LANE_MIN_DRAWS or more draws run in _LANES lanes.  Building the
+# lanes takes log2(_LANES) jumps of 256 vector steps each; below the cut-over
+# that costs more than the scalar loop saves.
+_LANES = 1024
+_LANE_MIN_DRAWS = 40_000
 
 
 def splitmix64_stream(seed: int, n: int) -> list[int]:
@@ -63,11 +84,21 @@ class Xoshiro256PP:
         return (self.next_uint64() >> 11) * _INV_2_53
 
     def uniforms(self, n: int) -> np.ndarray:
-        """``n`` doubles in [0, 1), consumed in sequence order."""
+        """``n`` doubles in [0, 1), consumed in sequence order.
+
+        From ``_LANE_MIN_DRAWS`` draws on, the first ``L·(n // L)`` come from
+        ``L = _LANES`` jump-ahead lanes; the rest, and all of a shorter
+        stream, from the scalar loop.  Both give the same bits.
+        """
+        _check_count(n)
+        out = np.empty(n)
+        start = 0
+        if n >= _LANE_MIN_DRAWS:
+            start = _LANES * (n // _LANES)
+            self._s = _fill_lanes(self._s, out[:start].reshape(_LANES, -1))
         # Hot path: state kept in locals, generator logic inlined.
         s0, s1, s2, s3 = self._s
-        out = np.empty(n)
-        for i in range(n):
+        for i in range(start, n):
             x = (s0 + s3) & _MASK64
             r = ((((x << 23) & _MASK64) | (x >> 41)) + s0) & _MASK64
             out[i] = (r >> 11) * _INV_2_53
@@ -88,6 +119,7 @@ class Xoshiro256PP:
         return math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
 
     def normals(self, n: int) -> np.ndarray:
+        _check_count(n)
         u = self.uniforms(2 * n)
         return np.sqrt(-2.0 * np.log(1.0 - u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
 
@@ -99,6 +131,89 @@ class Xoshiro256PP:
             j = min(j, n - 1)
             pool[i], pool[j] = pool[j], pool[i]
         return np.array(sorted(pool[:b]), dtype=np.int64)
+
+
+def _check_count(n: int) -> None:
+    if n < 0:
+        raise ConfigError(f"n must be >= 0 draws, got n={n}")
+
+
+def _gf2_mulmod(a: int, b: int) -> int:
+    """``a·b mod _CHARPOLY`` over GF(2), polynomials as ints (bit i = x^i)."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a >> 256:
+            a ^= _CHARPOLY
+    return r
+
+
+def _x_pow_mod(k: int) -> int:
+    """``x^k mod _CHARPOLY``: the jump polynomial for ``k`` draws."""
+    r = 1
+    for bit in bin(k)[2:]:
+        r = _gf2_mulmod(r, r)
+        if bit == "1":
+            r = _gf2_mulmod(r, 2)
+    return r
+
+
+def _advance(s: list[np.ndarray], t: np.ndarray) -> None:
+    """One xoshiro256 state update, in place, on every lane; ``t`` is scratch."""
+    s0, s1, s2, s3 = s
+    np.left_shift(s1, 17, out=t)
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    np.right_shift(s3, 19, out=t)
+    s3 <<= 45
+    s3 |= t
+
+
+def _jump(s: list[np.ndarray], poly: int) -> list[np.ndarray]:
+    """Lane states ``poly(T)·s``: XOR of ``T^i·s`` over the set bits i of ``poly``."""
+    cur = [a.copy() for a in s]
+    acc = [np.zeros_like(a) for a in s]
+    t = np.empty_like(s[0])
+    while poly:
+        if poly & 1:
+            for a, c in zip(acc, cur):
+                a ^= c
+        poly >>= 1
+        if poly:
+            _advance(cur, t)
+    return acc
+
+
+def _fill_lanes(state: tuple[int, ...], out: np.ndarray) -> tuple[int, ...]:
+    """Fill ``out`` (L, m) row j with draws ``j·m .. j·m+m-1`` from ``state``.
+
+    Lane states are built by doubling: lanes ``0..2^i-1`` jumped by ``2^i·m``
+    become lanes ``2^i..2^(i+1)-1``.  Returns the state after ``L·m`` draws.
+    """
+    n_lanes, m = out.shape
+    s = [np.array([v], dtype=np.uint64) for v in state]
+    poly = _x_pow_mod(m)
+    while len(s[0]) < n_lanes:
+        s = [np.concatenate(pair) for pair in zip(s, _jump(s, poly))]
+        poly = _gf2_mulmod(poly, poly)
+    s0, s1, s2, s3 = s
+    x, y, t = (np.empty(n_lanes, dtype=np.uint64) for _ in range(3))
+    for i in range(m):
+        np.add(s0, s3, out=x)
+        np.right_shift(x, 41, out=y)
+        x <<= 23
+        x |= y
+        x += s0
+        x >>= 11
+        np.multiply(x, _INV_2_53, out=out[:, i])
+        _advance(s, t)
+    return tuple(int(a[-1]) for a in s)
 
 
 def draw_indices(gen: Xoshiro256PP, probs: np.ndarray, n: int) -> np.ndarray:

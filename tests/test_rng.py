@@ -8,9 +8,12 @@ rather than sharing any code with ifslab.rng.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ifslab import rng
+from ifslab.errors import ConfigError
 from ifslab.rng import Xoshiro256PP, child_seed, draw_indices, splitmix64_stream
 
 
@@ -34,12 +37,18 @@ def _oracle_rotl(x, k):
     return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
 
 
-def _oracle_xoshiro(seed, n):
+def _oracle_run(seed, n, keep=()):
+    """First ``n`` outputs as uint64, and the state after k draws for each k in ``keep``."""
     s = [np.uint64(v) for v in _oracle_splitmix(seed, 4)]
-    out = []
+    out = np.empty(n, dtype=np.uint64)
+    states = {}
     with np.errstate(over="ignore"):
-        for _ in range(n):
-            out.append(int(_oracle_rotl(s[0] + s[3], 23) + s[0]))
+        for i in range(n + 1):
+            if i in keep:
+                states[i] = tuple(int(v) for v in s)
+            if i == n:
+                break
+            out[i] = _oracle_rotl(s[0] + s[3], 23) + s[0]
             t = s[1] << np.uint64(17)
             s[2] ^= s[0]
             s[3] ^= s[1]
@@ -47,7 +56,34 @@ def _oracle_xoshiro(seed, n):
             s[0] ^= s[3]
             s[2] ^= t
             s[3] = _oracle_rotl(s[3], 45)
-    return out
+    return out, states
+
+
+def _oracle_xoshiro(seed, n):
+    return [int(v) for v in _oracle_run(seed, n)[0]]
+
+
+def _top53(raw):
+    return (raw >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+
+
+# One long oracle stream serves every lane-path test: a fresh generator's
+# first n draws are a prefix of it.
+_LONG_SEED = 0xC0FFEE
+_JUMPS = (0, 1, 255, 256, 2**20 + 3)
+_LANE_NS = (
+    rng._LANE_MIN_DRAWS - 1,
+    rng._LANE_MIN_DRAWS,
+    rng._LANE_MIN_DRAWS + 1,
+    45_678,  # not a multiple of the lane count
+    1_000_003,
+)
+
+
+@pytest.fixture(scope="module")
+def long_oracle():
+    n = max(_JUMPS + _LANE_NS) + 1
+    return _oracle_run(_LONG_SEED, n, keep=frozenset(_JUMPS + _LANE_NS))
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))
@@ -138,3 +174,78 @@ def test_subset_without_replacement_valid():
         assert len(set(s.tolist())) == 4
         assert np.all((s >= 0) & (s < 10))
         assert np.array_equal(s, np.sort(s))
+
+
+@pytest.mark.parametrize("n", _LANE_NS)
+def test_lane_path_matches_oracle(n, long_oracle):
+    raw, states = long_oracle
+    gen = Xoshiro256PP(_LONG_SEED)
+    assert np.array_equal(gen.uniforms(n), _top53(raw[:n]))
+    assert gen._s == states[n]
+    assert all(type(v) is int for v in gen._s)
+    assert gen.next_uint64() == int(raw[n])
+
+
+def test_lane_path_normals_and_indices_match_oracle(long_oracle):
+    raw, _ = long_oracle
+    u = _top53(raw)
+    n = rng._LANE_MIN_DRAWS // 2 + 7  # 2n uniforms: above the cut-over
+    z = Xoshiro256PP(_LONG_SEED).normals(n)
+    expected = np.sqrt(-2.0 * np.log(1.0 - u[0 : 2 * n : 2])) * np.cos(2.0 * np.pi * u[1 : 2 * n : 2])
+    assert np.array_equal(z, expected)
+    probs = np.array([0.2, 0.3, 0.5])
+    n = 45_678
+    idx = draw_indices(Xoshiro256PP(_LONG_SEED), probs, n)
+    assert np.array_equal(idx, np.searchsorted([0.2, 0.5, 1.0], u[:n], side="right"))
+
+
+@pytest.mark.parametrize("k", _JUMPS)
+def test_jump_equals_k_scalar_steps(k, long_oracle):
+    _, states = long_oracle
+    lanes = [np.array([v], dtype=np.uint64) for v in states[0]]
+    jumped = rng._jump(lanes, rng._x_pow_mod(k))
+    assert tuple(int(a[0]) for a in jumped) == states[k]
+
+
+def _berlekamp_massey(bits):
+    """Shortest LFSR of a GF(2) sequence: (connection polynomial, its length)."""
+    c, b, length, shift = 1, 1, 0, 1
+    for i, bit in enumerate(bits):
+        d = bit
+        for j in range(1, length + 1):
+            d ^= (c >> j) & bits[i - j]
+        if not d:
+            shift += 1
+            continue
+        prev = c
+        c ^= b << shift
+        if 2 * length <= i:
+            length, b, shift = i + 1 - length, prev, 1
+        else:
+            shift += 1
+    return c, length
+
+
+def test_charpoly_rederived_from_state_bits():
+    _, states = _oracle_run(99, 512, keep=frozenset(range(512)))
+    c, length = _berlekamp_massey([states[i][0] & 1 for i in range(512)])
+    assert length == 256
+    # The characteristic polynomial is the connection polynomial reversed.
+    assert rng._CHARPOLY == int(format(c, "0257b")[::-1], 2)
+    # x^(2^128) mod P is the published xoshiro256 JUMP polynomial.
+    jump = (0x180EC6D33CFD0ABA, 0xD5A61266F0C9392C, 0xA9582618E03FC9AA, 0x39ABDC4529B1661C)
+    assert rng._x_pow_mod(2**128) == sum(w << (64 * i) for i, w in enumerate(jump))
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda g: g.uniforms(-1),
+        lambda g: g.normals(-1),
+        lambda g: draw_indices(g, np.array([0.5, 0.5]), -1),
+    ],
+    ids=["uniforms", "normals", "draw_indices"],
+)
+def test_negative_count_raises_config_error(draw):
+    with pytest.raises(ConfigError, match=r"\bn=-1\b"):
+        draw(Xoshiro256PP(1))

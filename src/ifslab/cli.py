@@ -19,7 +19,8 @@ from . import config as cfgmod
 from .complexity import estimate_R
 from .dimension import analytic_bound, box_counting_dimension
 from .errors import ConfigError, IfslabError
-from .experiments import reference_sweep_config, run_cantor, run_linreg2d, run_sweep
+from .experiments import (CANTOR_REFERENCE, LINREG2D_REFERENCE, reference_sweep_config, run_cantor,
+                          run_linreg2d, run_sweep)
 from .fileio import fmt_float, write_json
 from .ifs import IfsSystem, read_cloud_csv, sample_invariant
 from .optimizers import build_precond_sgd_ifs, build_sgd_ifs, build_stoch_newton_ifs
@@ -130,18 +131,14 @@ def cmd_complexity(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     doc = cfgmod.load_json(args.config) if args.config else {}
-    if args.kind == "cantor":
-        setup = cfgmod.parse_cantor_config(doc)
-        out_dir = _resolve_out(args.out, setup.out_dir, "experiment cantor")
-        records = run_cantor(
-            setup.etas, out_dir, setup.n_samples, setup.burn_in, setup.seed, setup.box_config
+    if args.kind in ("cantor", "linreg2d"):
+        runner, reference = (
+            (run_cantor, CANTOR_REFERENCE) if args.kind == "cantor"
+            else (run_linreg2d, LINREG2D_REFERENCE)
         )
-    elif args.kind == "linreg2d":
-        setup = cfgmod.parse_linreg2d_config(doc)
-        out_dir = _resolve_out(args.out, setup.out_dir, "experiment linreg2d")
-        records = run_linreg2d(
-            setup.etas, setup.seed, out_dir, setup.n_samples, setup.burn_in, setup.box_config
-        )
+        kwargs, cfg_out = cfgmod.parse_preset_config(doc)
+        out_dir = _resolve_out(args.out, cfg_out, f"experiment {args.kind}")
+        records = runner(out_dir=out_dir, **{**reference, **kwargs})
     else:
         sweep_cfg, cfg_out = (
             cfgmod.parse_sweep_config(doc) if args.config else (reference_sweep_config(), None)

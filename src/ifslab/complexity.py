@@ -180,6 +180,10 @@ class ComplexityConfig:
     seed: int = 0
     power_iter: PowerIterConfig = field(default_factory=PowerIterConfig)
 
+    def __post_init__(self):
+        if self.n_w < 1 or self.n_u < 1:
+            raise ConfigError("n_w and n_u must be positive integers")
+
 
 @dataclass
 class ComplexityEstimate:

@@ -8,13 +8,15 @@ type-checked before it reaches a builder.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 import numpy as np
 
-from .complexity import ComplexityConfig, PowerIterConfig
+from .complexity import ComplexityConfig
 from .dimension import BoxCountConfig
 from .errors import ConfigError
 from .experiments import MlpRegression, SweepConfig, UniformLinReg, generate_synthetic
@@ -65,12 +67,6 @@ class Section:
             raise ConfigError(f"{self.context}: missing required key {key!r}")
         return default
 
-    def sub(self, key: str, required: bool = False) -> Optional["Section"]:
-        raw = self.take(key, _MISSING if required else None)
-        if raw is None:
-            return None
-        return Section(raw, f"{self.context}.{key}")
-
     def finish(self) -> None:
         unknown = sorted(set(self.obj) - self._seen)
         if unknown:
@@ -107,79 +103,87 @@ def _real_list(value: Any, context: str) -> list[float]:
     return [_real(v, f"{context}[{i}]") for i, v in enumerate(value)]
 
 
-def _int_list(value: Any, context: str) -> list[int]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{context} must be a nonempty list of integers")
-    return [_integer(v, f"{context}[{i}]") for i, v in enumerate(value)]
+_SCALARS = {int: _integer, float: _real, str: _string, bool: _boolean}
+
+
+def _typed(hint: Any, value: Any, context: str) -> Any:
+    """``value`` checked against a dataclass field annotation (never null)."""
+    if hint in _SCALARS:
+        return _SCALARS[hint](value, context)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is Union:  # Optional[X]: a present key holds an X
+        (inner,) = [a for a in args if a is not type(None)]
+        return _typed(inner, value, context)
+    if typing.get_origin(hint) is tuple:
+        if len(args) == 2 and args[1] is Ellipsis:
+            if not isinstance(value, list) or not value:
+                raise ConfigError(f"{context} must be a nonempty list")
+            args = (args[0],) * len(value)
+        elif not isinstance(value, list) or len(value) != len(args):
+            raise ConfigError(f"{context} must be a list of {len(args)} values")
+        return tuple(_typed(a, v, f"{context}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    if dataclasses.is_dataclass(hint):
+        return _fill(hint, Section(value, context))
+    raise TypeError(f"no JSON reader for annotation {hint!r}")
+
+
+def _fill(cls: type, sec: Section, **given: Any) -> Any:
+    """``cls(**given, ...)`` with every other field read from its key in ``sec``.
+
+    A present key is type-checked against the field's annotation; an absent
+    key keeps the field's default, or is a missing required key when the
+    field has none.  Keys of ``sec`` that name no field are rejected.
+    """
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if f.name not in given and (f.name in sec.obj or required):
+            given[f.name] = _typed(hints[f.name], sec.take(f.name), f"{sec.context}.{f.name}")
+    sec.finish()
+    return cls(**given)
+
+
+def _out_dir(sec: Section) -> Optional[str]:
+    return _string(sec.take("out_dir"), f"{sec.context}.out_dir") if "out_dir" in sec.obj else None
 
 
 # --------------------------------------------------------------------------
 # component parsers
 
 
+_SIMPLE_PROBLEMS = {
+    "least_squares": LeastSquares,
+    "logistic": Logistic,
+    "robust_regression": RobustRegression,
+    "smooth_hinge_svm": SmoothHingeSVM,
+}
+_DATA_SPECS = {"uniform_linreg": UniformLinReg, "mlp_regression": MlpRegression}
+
+
 def parse_problem(raw: Any, context: str = "problem") -> Problem:
     sec = Section(raw, context)
     kind = _string(sec.take("kind"), f"{context}.kind")
-    if kind == "least_squares":
-        problem: Problem = LeastSquares(lam=_real(sec.take("lam", 0.0), f"{context}.lam"))
-    elif kind == "logistic":
-        problem = Logistic(lam=_real(sec.take("lam", 0.0), f"{context}.lam"))
-    elif kind == "robust_regression":
-        problem = RobustRegression(
-            lam_r=_real(sec.take("lam_r"), f"{context}.lam_r"),
-            t0=_real(sec.take("t0"), f"{context}.t0"),
-            rho=_string(sec.take("rho", "exp_squared"), f"{context}.rho"),
-        )
-    elif kind == "smooth_hinge_svm":
-        problem = SmoothHingeSVM(
-            lam=_real(sec.take("lam"), f"{context}.lam"),
-            sigma_smooth=_real(sec.take("sigma_smooth"), f"{context}.sigma_smooth"),
-        )
-    elif kind == "one_hidden_layer":
-        lam = _real(sec.take("lam"), f"{context}.lam")
-        activation = _string(sec.take("activation", "sigmoid"), f"{context}.activation")
-        weights = sec.take("out_weights", None)
-        hidden = sec.take("hidden", None)
-        if (weights is None) == (hidden is None):
-            raise ConfigError(
-                f"{context}: give exactly one of 'out_weights' or 'hidden'+'out_scale'"
-            )
-        if weights is not None:
-            if "out_scale" in sec.obj:
-                raise ConfigError(f"{context}: 'out_scale' only applies with 'hidden'")
-            outs = tuple(_real_list(weights, f"{context}.out_weights"))
-        else:
-            m = _integer(hidden, f"{context}.hidden")
-            if m < 1:
-                raise ConfigError(f"{context}.hidden must be >= 1")
-            scale = _real(sec.take("out_scale", 1.0), f"{context}.out_scale")
-            outs = tuple(scale * (1.0 if r % 2 == 0 else -1.0) for r in range(m))
-        problem = OneHiddenLayer(lam=lam, out_weights=outs, activation=activation)
-    else:
+    if kind in _SIMPLE_PROBLEMS:
+        return _fill(_SIMPLE_PROBLEMS[kind], sec)
+    if kind != "one_hidden_layer":
         raise ConfigError(f"{context}.kind: unknown problem kind {kind!r}")
-    sec.finish()
-    return problem
-
-
-def parse_data_spec(sec: Section, kind: str, context: str):
-    if kind == "uniform_linreg":
-        spec = UniformLinReg(
-            n=_integer(sec.take("n"), f"{context}.n"),
-            d=_integer(sec.take("d"), f"{context}.d"),
+    weights = sec.take("out_weights", None)
+    hidden = sec.take("hidden", None)
+    if (weights is None) == (hidden is None):
+        raise ConfigError(
+            f"{context}: give exactly one of 'out_weights' or 'hidden'+'out_scale'"
         )
-    elif kind == "mlp_regression":
-        spec = MlpRegression(
-            n=_integer(sec.take("n"), f"{context}.n"),
-            d=_integer(sec.take("d"), f"{context}.d"),
-            teacher_seed=_integer(sec.take("teacher_seed", 1234), f"{context}.teacher_seed"),
-            teacher_hidden=_integer(sec.take("teacher_hidden", 8), f"{context}.teacher_hidden"),
-            noise_sigma=_real(sec.take("noise_sigma", 0.1), f"{context}.noise_sigma"),
-        )
+    if weights is not None:
+        if "out_scale" in sec.obj:
+            raise ConfigError(f"{context}: 'out_scale' only applies with 'hidden'")
+        outs = tuple(_real_list(weights, f"{context}.out_weights"))
     else:
-        raise ConfigError(f"{context}.kind: unknown dataset kind {kind!r}")
-    if spec.n < 1 or spec.d < 1:
-        raise ConfigError(f"{context}: need n >= 1 and d >= 1")
-    return spec
+        m = _integer(hidden, f"{context}.hidden")
+        if m < 1:
+            raise ConfigError(f"{context}.hidden must be >= 1")
+        scale = _real(sec.take("out_scale", 1.0), f"{context}.out_scale")
+        outs = tuple(scale * (1.0 if r % 2 == 0 else -1.0) for r in range(m))
+    return _fill(OneHiddenLayer, sec, out_weights=outs)
 
 
 def parse_dataset(raw: Any, context: str = "dataset") -> Dataset:
@@ -189,10 +193,10 @@ def parse_dataset(raw: Any, context: str = "dataset") -> Dataset:
         path = _string(sec.take("path"), f"{context}.path")
         sec.finish()
         return load_dataset_csv(path)
-    spec = parse_data_spec(sec, kind, context)
+    if kind not in _DATA_SPECS:
+        raise ConfigError(f"{context}.kind: unknown dataset kind {kind!r}")
     seed = _integer(sec.take("seed", 0), f"{context}.seed")
-    sec.finish()
-    return generate_synthetic(spec, seed)
+    return generate_synthetic(_fill(_DATA_SPECS[kind], sec), seed)
 
 
 def parse_scheme(raw: Any, n: int, context: str = "scheme") -> BatchScheme:
@@ -206,54 +210,7 @@ def parse_scheme(raw: Any, n: int, context: str = "scheme") -> BatchScheme:
 
 
 def parse_box_config(raw: Any, context: str = "box_count") -> BoxCountConfig:
-    sec = Section(raw, context)
-    kwargs: dict[str, Any] = {}
-    if "num_scales" in sec.obj:
-        kwargs["num_scales"] = _integer(sec.take("num_scales"), f"{context}.num_scales")
-    if "scale_ratio" in sec.obj:
-        kwargs["scale_ratio"] = _real(sec.take("scale_ratio"), f"{context}.scale_ratio")
-    if "coarsest_scale" in sec.obj:
-        kwargs["coarsest_scale"] = _real(sec.take("coarsest_scale"), f"{context}.coarsest_scale")
-    if "mass_truncation" in sec.obj:
-        kwargs["mass_truncation"] = _real(sec.take("mass_truncation"), f"{context}.mass_truncation")
-    if "min_occupied" in sec.obj:
-        kwargs["min_occupied"] = _integer(sec.take("min_occupied"), f"{context}.min_occupied")
-    if "fit_range" in sec.obj:
-        pair = _int_list(sec.take("fit_range"), f"{context}.fit_range")
-        if len(pair) != 2:
-            raise ConfigError(f"{context}.fit_range must be a [lo, hi] pair")
-        kwargs["fit_range"] = (pair[0], pair[1])
-    sec.finish()
-    return BoxCountConfig(**kwargs)
-
-
-def parse_power_config(raw: Any, context: str = "power_iter") -> PowerIterConfig:
-    sec = Section(raw, context)
-    cfg = PowerIterConfig(
-        tol=_real(sec.take("tol", 1e-6), f"{context}.tol"),
-        max_iters=_integer(sec.take("max_iters", 100), f"{context}.max_iters"),
-        seed=_integer(sec.take("seed", 0), f"{context}.seed"),
-    )
-    sec.finish()
-    return cfg
-
-
-def parse_complexity_config(raw: Any, context: str = "complexity") -> ComplexityConfig:
-    sec = Section(raw, context)
-    power_raw = sec.take("power_iter", None)
-    power = (
-        parse_power_config(power_raw, f"{context}.power_iter")
-        if power_raw is not None
-        else PowerIterConfig()
-    )
-    cfg = ComplexityConfig(
-        n_w=_integer(sec.take("n_w", 200), f"{context}.n_w"),
-        n_u=_integer(sec.take("n_u", 50), f"{context}.n_u"),
-        seed=_integer(sec.take("seed", 0), f"{context}.seed"),
-        power_iter=power,
-    )
-    sec.finish()
-    return cfg
+    return _fill(BoxCountConfig, Section(raw, context))
 
 
 def parse_preconditioner(raw: Any, context: str) -> PreconditionerSpec:
@@ -335,7 +292,9 @@ def parse_experiment_config(doc: dict, context: str = "config") -> ExperimentSet
 
     cplx_raw = sec.take("complexity", None)
     complexity_config = (
-        parse_complexity_config(cplx_raw) if cplx_raw is not None else ComplexityConfig()
+        _fill(ComplexityConfig, Section(cplx_raw, "complexity"))
+        if cplx_raw is not None
+        else ComplexityConfig()
     )
     out_dir_raw = sec.take("out_dir", None)
     out_dir = _string(out_dir_raw, f"{context}.out_dir") if out_dir_raw is not None else None
@@ -357,66 +316,24 @@ def parse_experiment_config(doc: dict, context: str = "config") -> ExperimentSet
     )
 
 
-@dataclass
-class CantorSetup:
-    etas: list[float]
-    n_samples: int
-    burn_in: int
-    seed: int
-    box_config: BoxCountConfig
-    out_dir: Optional[str]
+def parse_preset_config(doc: dict, context: str = "config") -> tuple[dict[str, Any], Optional[str]]:
+    """Keyword arguments for ``run_cantor`` / ``run_linreg2d``, and the out_dir.
 
-
-def parse_cantor_config(doc: dict, context: str = "config") -> CantorSetup:
+    Only the keys present become arguments; the runner's defaults and the
+    preset's reference settings cover the rest.
+    """
     sec = Section(doc, context)
-    etas = _real_list(sec.take("etas", [0.01, 1.0 / 3.0, 2.0 / 3.0]), f"{context}.etas")
-    setup = CantorSetup(
-        etas=etas,
-        n_samples=_integer(sec.take("n_samples", 1_000_000), f"{context}.n_samples"),
-        burn_in=_integer(sec.take("burn_in", 10_000), f"{context}.burn_in"),
-        seed=_integer(sec.take("seed", 0), f"{context}.seed"),
-        box_config=(
-            parse_box_config(sec.take("box_count"))
-            if "box_count" in sec.obj
-            else BoxCountConfig()
-        ),
-        out_dir=(
-            _string(sec.take("out_dir"), f"{context}.out_dir") if "out_dir" in sec.obj else None
-        ),
-    )
+    kwargs: dict[str, Any] = {}
+    if "etas" in sec.obj:
+        kwargs["etas"] = _real_list(sec.take("etas"), f"{context}.etas")
+    for key in ("n_samples", "burn_in", "seed"):
+        if key in sec.obj:
+            kwargs[key] = _integer(sec.take(key), f"{context}.{key}")
+    if "box_count" in sec.obj:
+        kwargs["box_config"] = parse_box_config(sec.take("box_count"))
+    out_dir = _out_dir(sec)
     sec.finish()
-    return setup
-
-
-@dataclass
-class Linreg2dSetup:
-    etas: list[float]
-    seed: int
-    n_samples: int
-    burn_in: int
-    box_config: BoxCountConfig
-    out_dir: Optional[str]
-
-
-def parse_linreg2d_config(doc: dict, context: str = "config") -> Linreg2dSetup:
-    sec = Section(doc, context)
-    etas = _real_list(sec.take("etas", [0.3, 0.5, 0.7, 0.9]), f"{context}.etas")
-    setup = Linreg2dSetup(
-        etas=etas,
-        seed=_integer(sec.take("seed", 0), f"{context}.seed"),
-        n_samples=_integer(sec.take("n_samples", 400_000), f"{context}.n_samples"),
-        burn_in=_integer(sec.take("burn_in", 10_000), f"{context}.burn_in"),
-        box_config=(
-            parse_box_config(sec.take("box_count"))
-            if "box_count" in sec.obj
-            else BoxCountConfig()
-        ),
-        out_dir=(
-            _string(sec.take("out_dir"), f"{context}.out_dir") if "out_dir" in sec.obj else None
-        ),
-    )
-    sec.finish()
-    return setup
+    return kwargs, out_dir
 
 
 def parse_sweep_config(doc: dict, context: str = "config") -> tuple[SweepConfig, Optional[str]]:
@@ -425,23 +342,6 @@ def parse_sweep_config(doc: dict, context: str = "config") -> tuple[SweepConfig,
     data_kind = _string(data_sec.take("kind", "mlp_regression"), f"{context}.data.kind")
     if data_kind != "mlp_regression":
         raise ConfigError(f"{context}.data.kind: sweep training data must be mlp_regression")
-    data = parse_data_spec(data_sec, data_kind, f"{context}.data")
-    data_sec.finish()
-
-    etas = tuple(_real_list(sec.take("etas"), f"{context}.etas"))
-    batch_sizes = tuple(_int_list(sec.take("batch_sizes"), f"{context}.batch_sizes"))
-    kwargs: dict[str, Any] = {}
-    int_fields = ("hidden", "n_test", "max_iters", "check_every", "burn_in", "n_cloud",
-                  "thin", "n_w", "n_u", "seed")
-    real_fields = ("lam", "out_scale", "loss_tol")
-    for key in int_fields:
-        if key in sec.obj:
-            kwargs[key] = _integer(sec.take(key), f"{context}.{key}")
-    for key in real_fields:
-        if key in sec.obj:
-            kwargs[key] = _real(sec.take(key), f"{context}.{key}")
-    if "activation" in sec.obj:
-        kwargs["activation"] = _string(sec.take("activation"), f"{context}.activation")
-    out_dir = _string(sec.take("out_dir"), f"{context}.out_dir") if "out_dir" in sec.obj else None
-    sec.finish()
-    return SweepConfig(data=data, etas=etas, batch_sizes=batch_sizes, **kwargs), out_dir
+    data = _fill(MlpRegression, data_sec)
+    out_dir = _out_dir(sec)
+    return _fill(SweepConfig, sec, data=data), out_dir

@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .complexity import PowerIterConfig
+from .complexity import PowerIterConfig, _strided_indices
 from .errors import ConfigError, InsufficientScales, NonContractiveEstimate
 from .ifs import AffineMap, IfsSystem, SampleCloud
 from .problems import (
@@ -267,19 +267,13 @@ def rams_ratio(
     ``neg_entropy_override`` substitutes log C(n,b) for Subset-mode systems.
     """
     probs = system.probs
-    active = probs > 0.0
     if neg_entropy_override is not None:
         neg_entropy = float(neg_entropy_override)
     else:
-        neg_entropy = float(-(probs[active] * np.log(probs[active])).sum())
+        neg_entropy = float(-(probs * np.log(probs)).sum())
 
     if system.is_affine:
-        logs = np.array(
-            [
-                math.log(m.jacobian_norm()) if active[i] else 0.0
-                for i, m in enumerate(system.maps)
-            ]
-        )
+        logs = np.array([math.log(m.jacobian_norm()) for m in system.maps])
         mean_log = float(np.dot(probs, logs))
         n_mc = 1
     else:
@@ -287,11 +281,9 @@ def rams_ratio(
         n_mc = min(pts.shape[0], 128) if n_w is None else n_w
         if pts.shape[0] < n_mc:
             raise ConfigError(f"cloud has {pts.shape[0]} points; need at least n_w={n_mc}")
-        W = pts[(np.arange(n_mc, dtype=np.int64) * pts.shape[0]) // n_mc]
+        W = pts[_strided_indices(pts.shape[0], n_mc)]
         mean_log = 0.0
         for i, m in enumerate(system.maps):
-            if not active[i]:
-                continue
             acc = 0.0
             for k in range(n_mc):
                 cfg = PowerIterConfig(

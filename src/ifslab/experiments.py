@@ -8,10 +8,11 @@ binary PGM (P5) heatmaps, and JSON summaries.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .dimension import BoxCountConfig, DimensionEstimate, analytic_bound, box_co
 from .errors import (ComputeError, ConfigError, DegenerateVariance, IfslabError, NonFiniteState,
                      PreconditionViolation)
 from .fileio import atomic_write_bytes, atomic_write_text, fmt_float, write_json
-from .ifs import IfsSystem, _run_system, sample_invariant
+from .ifs import IfsSystem, SampleCloud, _run_system, require_schedule, sample_invariant
 from .optimizers import build_sgd_ifs, partition_batches
 from .rng import Xoshiro256PP, child_seed, draw_indices
 
@@ -30,19 +31,24 @@ from .rng import Xoshiro256PP, child_seed, draw_indices
 
 
 @dataclass(frozen=True)
-class UniformLinReg:
-    """n rows of d features and a target, every entry i.i.d. uniform on [-1, 1]."""
-
+class _DataSize:
     n: int
     d: int
+
+    def __post_init__(self):
+        if self.n < 1 or self.d < 1:
+            raise ConfigError("synthetic data needs n >= 1 and d >= 1")
 
 
 @dataclass(frozen=True)
-class MlpRegression:
+class UniformLinReg(_DataSize):
+    """n rows of d features and a target, every entry i.i.d. uniform on [-1, 1]."""
+
+
+@dataclass(frozen=True)
+class MlpRegression(_DataSize):
     """Teacher-generated regression: uniform inputs, noisy one-hidden-layer targets."""
 
-    n: int
-    d: int
     teacher_seed: int = 1234
     teacher_hidden: int = 8
     noise_sigma: float = 0.1
@@ -67,8 +73,6 @@ def generate_synthetic(spec: DataSpec, seed: int) -> pr.Dataset:
     its additive noise from the child stream ``child_seed(seed, 1)``, so the
     same teacher can label many input draws.
     """
-    if spec.n < 1 or spec.d < 1:
-        raise ConfigError("synthetic data needs n >= 1 and d >= 1")
     gen = Xoshiro256PP(seed)
     features = gen.uniforms(spec.n * spec.d).reshape(spec.n, spec.d) * 2.0 - 1.0
     if isinstance(spec, UniformLinReg):
@@ -126,7 +130,64 @@ def pgm_bytes(grid: np.ndarray) -> bytes:
 
 
 # --------------------------------------------------------------------------
-# Cantor preset (two-point quadratic, batch size 1)
+# per-eta presets: Cantor chain and 2-D regression heatmaps
+
+
+@dataclass
+class EtaRunRecord:
+    eta: float
+    files: dict[str, str]
+    dimension: Optional[DimensionEstimate]
+    error: str = ""
+
+
+def _run_per_eta(
+    etas: list[float],
+    out_dir: str,
+    n_samples: int,
+    burn_in: int,
+    seed: int,
+    box_config: BoxCountConfig,
+    system_for: Callable[[float], IfsSystem],
+    w0: np.ndarray,
+    picture: tuple[str, str, Callable[[SampleCloud], bytes]],
+) -> list[EtaRunRecord]:
+    """Per eta: sample the chain, write its picture, box-count it and write the
+    dimension JSON; then one summary.json over all etas.
+
+    ``picture`` is (summary key, file name pattern, renderer).  A per-eta
+    IfslabError (a divergent step size, too few scales) lands in that eta's
+    ``error`` field and the remaining etas still run.
+    """
+    require_schedule(burn_in, n_samples, 1)
+    os.makedirs(out_dir, exist_ok=True)
+    key, pattern, render = picture
+    records = []
+    for i, eta in enumerate(etas):
+        record = EtaRunRecord(eta, {}, None)
+        try:
+            cloud = sample_invariant(system_for(eta), w0, burn_in, n_samples, 1, seed)
+            pic_name, dim_name = pattern.format(i), f"dim_{i:02d}.json"
+            atomic_write_bytes(os.path.join(out_dir, pic_name), render(cloud))
+            record.files[key] = pic_name
+            est = box_counting_dimension(cloud, box_config)
+            write_json(os.path.join(out_dir, dim_name), {"eta": eta, **est.to_json_dict()})
+            record.files["dimension"] = dim_name
+            record.dimension = est
+        except IfslabError as exc:
+            record.error = f"{type(exc).__name__}: {exc}"
+        records.append(record)
+    runs = [
+        {
+            "eta": r.eta,
+            "files": r.files,
+            "dimension": r.dimension.to_json_dict() if r.dimension is not None else None,
+            "error": r.error,
+        }
+        for r in records
+    ]
+    write_json(os.path.join(out_dir, "summary.json"), {"runs": runs})
+    return records
 
 
 def cantor_dataset() -> pr.Dataset:
@@ -140,29 +201,8 @@ def cantor_system(eta: float) -> IfsSystem:
     return build_sgd_ifs(pr.LeastSquares(lam=0.0), data, scheme, eta)
 
 
-@dataclass
-class EtaRunRecord:
-    eta: float
-    files: dict[str, str]
-    dimension: Optional[DimensionEstimate]
-    error: str = ""
-
-
-def _write_summary(out_dir: str, records: list[EtaRunRecord], extra: Optional[dict] = None) -> None:
-    payload = {
-        "runs": [
-            {
-                "eta": r.eta,
-                "files": r.files,
-                "dimension": r.dimension.to_json_dict() if r.dimension is not None else None,
-                "error": r.error,
-            }
-            for r in records
-        ]
-    }
-    if extra:
-        payload.update(extra)
-    write_json(os.path.join(out_dir, "summary.json"), payload)
+# A config-less ``ifslab experiment cantor`` runs these etas with the defaults below.
+CANTOR_REFERENCE = {"etas": (0.01, 1.0 / 3.0, 2.0 / 3.0)}
 
 
 def run_cantor(
@@ -173,32 +213,18 @@ def run_cantor(
     seed: int = 0,
     box_config: BoxCountConfig = BoxCountConfig(),
 ) -> list[EtaRunRecord]:
-    """Scalar quadratic-pair chains: histogram CSV + dimension JSON per eta."""
+    """Scalar quadratic-pair chains (batch size 1): histogram CSV + dimension JSON per eta."""
     for eta in etas:
         if not 0.0 < eta < 1.0:
             raise ConfigError(f"cantor preset needs eta in (0, 1), got {eta}")
-    os.makedirs(out_dir, exist_ok=True)
-    records = []
-    for i, eta in enumerate(etas):
-        system = cantor_system(eta)
-        cloud = sample_invariant(system, np.array([0.0]), burn_in, n_samples, 1, seed)
-        hist_name, dim_name = f"hist_{i:02d}.csv", f"dim_{i:02d}.json"
-        atomic_write_text(os.path.join(out_dir, hist_name), histogram_csv_text(cloud.points[:, 0]))
-        record = EtaRunRecord(eta, {"histogram": hist_name}, None)
-        try:
-            est = box_counting_dimension(cloud, box_config)
-            write_json(os.path.join(out_dir, dim_name), {"eta": eta, **est.to_json_dict()})
-            record.files["dimension"] = dim_name
-            record.dimension = est
-        except IfslabError as exc:
-            record.error = f"{type(exc).__name__}: {exc}"
-        records.append(record)
-    _write_summary(out_dir, records)
-    return records
+    histogram = ("histogram", "hist_{:02d}.csv",
+                 lambda cloud: histogram_csv_text(cloud.points[:, 0]).encode("utf-8"))
+    return _run_per_eta(etas, out_dir, n_samples, burn_in, seed, box_config,
+                        cantor_system, np.array([0.0]), histogram)
 
 
-# --------------------------------------------------------------------------
-# 2-D regression preset (Fig.-style heatmaps)
+# A config-less ``ifslab experiment linreg2d`` runs these settings with the defaults below.
+LINREG2D_REFERENCE = {"etas": (0.3, 0.5, 0.7, 0.9), "seed": 0}
 
 
 def run_linreg2d(
@@ -217,28 +243,12 @@ def run_linreg2d(
     for eta in etas:
         if eta <= 0.0:
             raise ConfigError(f"linreg2d preset needs eta > 0, got {eta}")
-    os.makedirs(out_dir, exist_ok=True)
     data = generate_synthetic(UniformLinReg(n=5, d=2), seed)
     scheme = partition_batches(data.n, 1)
     problem = pr.LeastSquares(lam=0.0)
-    records = []
-    for i, eta in enumerate(etas):
-        record = EtaRunRecord(eta, {}, None)
-        try:
-            system = build_sgd_ifs(problem, data, scheme, eta)
-            cloud = sample_invariant(system, np.zeros(2), burn_in, n_samples, 1, seed)
-            pgm_name, dim_name = f"heatmap_{i:02d}.pgm", f"dim_{i:02d}.json"
-            atomic_write_bytes(os.path.join(out_dir, pgm_name), pgm_bytes(density_grid(cloud.points)))
-            record.files["heatmap"] = pgm_name
-            est = box_counting_dimension(cloud, box_config)
-            write_json(os.path.join(out_dir, dim_name), {"eta": eta, **est.to_json_dict()})
-            record.files["dimension"] = dim_name
-            record.dimension = est
-        except IfslabError as exc:
-            record.error = f"{type(exc).__name__}: {exc}"
-        records.append(record)
-    _write_summary(out_dir, records)
-    return records
+    heatmap = ("heatmap", "heatmap_{:02d}.pgm", lambda cloud: pgm_bytes(density_grid(cloud.points)))
+    return _run_per_eta(etas, out_dir, n_samples, burn_in, seed, box_config,
+                        lambda eta: build_sgd_ifs(problem, data, scheme, eta), np.zeros(2), heatmap)
 
 
 # --------------------------------------------------------------------------
@@ -306,6 +316,9 @@ class SweepConfig:
             raise ConfigError("sweep grid must be nonempty")
         if any(e <= 0 for e in self.etas):
             raise ConfigError("sweep etas must be positive")
+        if self.check_every < 1:
+            raise ConfigError("check_every must be a positive integer")
+        ComplexityConfig(n_w=self.n_w, n_u=self.n_u)  # rejects an empty R table
 
 
 @dataclass
@@ -410,12 +423,8 @@ def run_sweep(config: SweepConfig, out_dir: str) -> SweepResult:
     """
     os.makedirs(out_dir, exist_ok=True)
     train = generate_synthetic(config.data, config.seed)
-    test_spec = MlpRegression(
-        n=config.n_test if config.n_test is not None else config.data.n,
-        d=config.data.d,
-        teacher_seed=config.data.teacher_seed,
-        teacher_hidden=config.data.teacher_hidden,
-        noise_sigma=config.data.noise_sigma,
+    test_spec = dataclasses.replace(
+        config.data, n=config.n_test if config.n_test is not None else config.data.n
     )
     test = generate_synthetic(test_spec, child_seed(config.seed, 2))
 

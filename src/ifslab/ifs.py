@@ -299,6 +299,12 @@ def iterate(system: IfsSystem, w0: np.ndarray, k: int, seed: int) -> Trajectory:
     return Trajectory(states=states, indices=idx, seed=seed)
 
 
+def require_schedule(burn_in: int, n_samples: int, thin: int) -> None:
+    """Reject a recording schedule that records nothing or starts before step 0."""
+    if burn_in < 0 or n_samples <= 0 or thin <= 0:
+        raise ConfigError("need burn_in >= 0, n_samples > 0, thin > 0")
+
+
 def sample_invariant(
     system: IfsSystem,
     w0: np.ndarray,
@@ -309,8 +315,7 @@ def sample_invariant(
 ) -> SampleCloud:
     """Approximate the invariant measure: record iterates burn_in + j*thin,
     j = 1..n_samples, streaming (burn-in states are never materialized)."""
-    if burn_in < 0 or n_samples <= 0 or thin <= 0:
-        raise ConfigError("need burn_in >= 0, n_samples > 0, thin > 0")
+    require_schedule(burn_in, n_samples, thin)
     w0 = np.atleast_1d(np.asarray(w0, dtype=float))
     total = burn_in + n_samples * thin
     gen = Xoshiro256PP(seed)

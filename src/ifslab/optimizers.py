@@ -22,7 +22,8 @@ from .errors import (
     NotPositiveDefinite,
     SingularBatchHessian,
 )
-from .ifs import AffineMap, IfsSystem, ProblemMap, SampleCloud, Trajectory, _run_chain
+from .ifs import (AffineMap, IfsSystem, ProblemMap, SampleCloud, Trajectory, _run_chain,
+                  require_schedule)
 from .rng import Xoshiro256PP
 
 # --------------------------------------------------------------------------
@@ -126,20 +127,17 @@ def build_sgd_ifs(
     dataset: pr.Dataset,
     scheme: BatchScheme,
     eta: float,
-    probs: Optional[np.ndarray] = None,
 ) -> IfsSystem:
     """One map per batch: h_i(w) = w - eta * grad_batch_i(w).
 
     Least squares yields explicit affine maps
     M_i = (1 - eta lam) I - (eta/b) A_i^T A_i,  q_i = (eta/b) A_i^T y_i;
-    other kinds yield problem-backed maps.  ``probs`` overrides the uniform
-    selection distribution (experiments never do).
+    other kinds yield problem-backed maps.
     """
     _require_enumerated(scheme, "build_sgd_ifs")
     _validate_labels(problem, dataset)
     if eta <= 0.0:
         raise ConfigError("eta must be positive")
-    p = scheme.probs if probs is None else np.asarray(probs, dtype=float)
     if isinstance(problem, pr.LeastSquares):
         d = dataset.d
         eye = np.eye(d)
@@ -151,11 +149,11 @@ def build_sgd_ifs(
             M = (1.0 - eta * problem.lam) * eye - (eta / b) * (A.T @ A)
             q = (eta / b) * (A.T @ y)
             maps.append(AffineMap(M, q))
-        return IfsSystem(tuple(maps), p)
+        return IfsSystem(tuple(maps), scheme.probs)
     maps = tuple(
         ProblemMap(problem, dataset, np.asarray(b_, dtype=np.int64), eta) for b_ in scheme.batches
     )
-    return IfsSystem(maps, p)
+    return IfsSystem(maps, scheme.probs)
 
 
 def build_precond_sgd_ifs(
@@ -164,7 +162,6 @@ def build_precond_sgd_ifs(
     scheme: BatchScheme,
     eta: float,
     precond: PreconditionerSpec,
-    probs: Optional[np.ndarray] = None,
 ) -> IfsSystem:
     """Preconditioned steps h_i(w) = w - eta H^{-1} grad_batch_i(w).
 
@@ -177,8 +174,7 @@ def build_precond_sgd_ifs(
         raise ConfigError("eta must be positive")
     if np.array_equal(precond.matrix, np.eye(dataset.d)):
         # exact identity: skip the solves so trajectories match plain SGD bit-for-bit
-        return build_sgd_ifs(problem, dataset, scheme, eta, probs=probs)
-    p = scheme.probs if probs is None else np.asarray(probs, dtype=float)
+        return build_sgd_ifs(problem, dataset, scheme, eta)
     if isinstance(problem, pr.LeastSquares):
         d = dataset.d
         eye = np.eye(d)
@@ -190,12 +186,12 @@ def build_precond_sgd_ifs(
             M = eye - eta * precond.solve(problem.lam * eye + (A.T @ A) / b)
             q = (eta / b) * precond.solve(A.T @ y)
             maps.append(AffineMap(M, q))
-        return IfsSystem(tuple(maps), p)
+        return IfsSystem(tuple(maps), scheme.probs)
     maps = tuple(
         ProblemMap(problem, dataset, np.asarray(b_, dtype=np.int64), eta, solve=precond.solve)
         for b_ in scheme.batches
     )
-    return IfsSystem(maps, p)
+    return IfsSystem(maps, scheme.probs)
 
 
 def build_stoch_newton_ifs(
@@ -278,8 +274,7 @@ def sample_invariant_subset(
 ) -> SampleCloud:
     """Subset-mode analogue of ifs.sample_invariant."""
     _validate_labels(problem, dataset)
-    if burn_in < 0 or n_samples <= 0 or thin <= 0:
-        raise ConfigError("need burn_in >= 0, n_samples > 0, thin > 0")
+    require_schedule(burn_in, n_samples, thin)
     maps = _subset_maps(problem, dataset, b, eta, burn_in + n_samples * thin, seed)
     pts = _run_chain(maps, w0, burn_in, thin, n_samples)
     return SampleCloud(points=pts, burn_in=burn_in, thin=thin, seed=seed)

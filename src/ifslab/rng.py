@@ -221,4 +221,4 @@ def draw_indices(gen: Xoshiro256PP, probs: np.ndarray, n: int) -> np.ndarray:
     cum = np.cumsum(probs)
     cum[-1] = 1.0  # guard the last edge against accumulated rounding
     u = gen.uniforms(n)
-    return np.searchsorted(cum, u, side="right").astype(np.int64)
+    return np.searchsorted(cum, u, side="right").astype(np.int64, copy=False)

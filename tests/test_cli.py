@@ -171,6 +171,73 @@ def test_complexity_estimate(tmp_path, capsys):
     assert printed["inverse_R"] < 0.0  # small eta, contractive
 
 
+@pytest.mark.parametrize("key", ["n_w", "n_u"])
+def test_complexity_rejects_empty_table(tmp_path, capsys, key):
+    cfg = experiment_config(tmp_path, complexity={key: 0})
+    assert main(["complexity", "--config", cfg]) == 1
+    assert "n_w and n_u must be positive" in capsys.readouterr().err
+
+
+def test_config_sections_fill_their_dataclasses(tmp_path):
+    from ifslab.complexity import ComplexityConfig, PowerIterConfig
+    from ifslab.config import (parse_box_config, parse_experiment_config, parse_problem,
+                               parse_sweep_config)
+    from ifslab.dimension import BoxCountConfig
+    from ifslab.experiments import MlpRegression
+    from ifslab.problems import OneHiddenLayer, RobustRegression
+
+    setup = parse_experiment_config({
+        "problem": {"kind": "robust_regression", "lam_r": 1, "t0": 4.0},
+        "dataset": {"kind": "uniform_linreg", "n": 6, "d": 2},
+        "scheme": {"b": 2},
+        "optimizer": {"eta": 0.1},
+        "simulation": {},
+        "complexity": {"n_u": 7, "power_iter": {"max_iters": 9}},
+    })
+    assert setup.problem == RobustRegression(lam_r=1.0, t0=4.0)
+    assert isinstance(setup.problem.lam_r, float)
+    assert setup.complexity_config == ComplexityConfig(n_u=7, power_iter=PowerIterConfig(max_iters=9))
+    box = parse_box_config({"coarsest_scale": 1, "fit_range": [2, 6]})
+    assert box == BoxCountConfig(coarsest_scale=1.0, fit_range=(2, 6))
+    sweep, out_dir = parse_sweep_config(
+        {"data": {"n": 8, "d": 2, "noise_sigma": 0}, "etas": [0.1, 1], "batch_sizes": [2]}
+    )
+    assert sweep.data == MlpRegression(n=8, d=2, noise_sigma=0.0)
+    assert sweep.etas == (0.1, 1.0) and sweep.batch_sizes == (2,) and out_dir is None
+    assert parse_problem({"kind": "one_hidden_layer", "lam": 0.5, "hidden": 2}) == OneHiddenLayer(
+        lam=0.5, out_weights=(1.0, -1.0)
+    )
+
+
+@pytest.mark.parametrize("parser, doc, message", [
+    ("parse_box_config", {"fit_range": [1, 2, 3]}, "box_count.fit_range must be a list of 2 values"),
+    ("parse_box_config", {"fit_range": [1, 2.5]}, "box_count.fit_range[1] must be an integer"),
+    ("parse_box_config", {"coarsest_scale": None}, "box_count.coarsest_scale must be a number"),
+    ("parse_box_config", {"num_scales": True}, "box_count.num_scales must be an integer"),
+    ("parse_problem", {"kind": "smooth_hinge_svm", "lam": 1.0},
+     "problem: missing required key 'sigma_smooth'"),
+])
+def test_config_section_errors(parser, doc, message):
+    from ifslab import config
+    from ifslab.errors import ConfigError
+
+    with pytest.raises(ConfigError) as info:
+        getattr(config, parser)(doc)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("complexity, message", [
+    ({"power_iter": 3}, "complexity.power_iter must be a JSON object"),
+    ({"power_iter": None}, "complexity.power_iter must be a JSON object"),
+    ({"power_iter": {"tol": "small"}}, "complexity.power_iter.tol must be a number"),
+    ({"seed": None}, "complexity.seed must be an integer"),
+])
+def test_complexity_section_type_errors(tmp_path, capsys, complexity, message):
+    cfg = experiment_config(tmp_path, complexity=complexity)
+    assert main(["complexity", "--config", cfg]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_complexity_rejects_non_sgd(tmp_path, capsys):
     cfg = experiment_config(
         tmp_path,
@@ -262,6 +329,16 @@ def test_experiment_sweep_cli(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "sweep_stats.json"))
 
 
+@pytest.mark.parametrize("kind", ["cantor", "linreg2d"])
+@pytest.mark.parametrize("setting", [{"n_samples": 0}, {"burn_in": -1}])
+def test_experiment_preset_rejects_empty_schedule(tmp_path, capsys, kind, setting):
+    cfg = write_config(tmp_path, "c.json", {"etas": [0.5], "n_samples": 1_000, **setting})
+    out = tmp_path / "o"
+    assert main(["experiment", kind, "--config", cfg, "--out", str(out)]) == 1
+    assert "need burn_in >= 0, n_samples > 0" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any work
+
+
 def test_experiment_config_unknown_key(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {"etas": [0.5], "nsamples": 100})
     assert main(["experiment", "cantor", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -270,26 +347,34 @@ def test_experiment_config_unknown_key(tmp_path, capsys):
 
 def test_experiment_without_config_runs_reference_settings(tmp_path, monkeypatch):
     """No --config: each preset gets the settings its reference run uses."""
+    import inspect
+
     from ifslab import cli
     from ifslab.dimension import BoxCountConfig
     from ifslab.experiments import SweepResult, reference_sweep_config
 
     calls = {}
 
-    def stub(kind, result):
-        def run(*args):
-            calls[kind] = args
+    def stub(kind, runner, result):
+        def run(*args, **kwargs):  # the runner's arguments by name, defaults filled in
+            bound = inspect.signature(runner).bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls[kind] = dict(bound.arguments)
             return result
         return run
 
-    monkeypatch.setattr(cli, "run_cantor", stub("cantor", []))
-    monkeypatch.setattr(cli, "run_linreg2d", stub("linreg2d", []))
-    monkeypatch.setattr(cli, "run_sweep", stub("sweep", SweepResult([], {}, [])))
+    monkeypatch.setattr(cli, "run_cantor", stub("cantor", cli.run_cantor, []))
+    monkeypatch.setattr(cli, "run_linreg2d", stub("linreg2d", cli.run_linreg2d, []))
+    monkeypatch.setattr(cli, "run_sweep", stub("sweep", cli.run_sweep, SweepResult([], {}, [])))
     out = str(tmp_path / "o")
     for kind in ("cantor", "linreg2d", "sweep"):
         assert main(["experiment", kind, "--out", out]) == 0
     box = BoxCountConfig()
-    assert calls["cantor"] == ([0.01, 1.0 / 3.0, 2.0 / 3.0], out, 1_000_000, 10_000, 0, box)
-    assert calls["linreg2d"] == ([0.3, 0.5, 0.7, 0.9], 0, out, 400_000, 10_000, box)
-    assert calls["sweep"] == (reference_sweep_config(), out)
+    for kind, etas, n_samples in (("cantor", [0.01, 1.0 / 3.0, 2.0 / 3.0], 1_000_000),
+                                  ("linreg2d", [0.3, 0.5, 0.7, 0.9], 400_000)):
+        args = calls[kind]
+        assert list(args.pop("etas")) == etas
+        assert args == {"out_dir": out, "n_samples": n_samples, "burn_in": 10_000, "seed": 0,
+                        "box_config": box}
+    assert calls["sweep"] == {"config": reference_sweep_config(), "out_dir": out}
     assert main(["experiment", "sweep"]) == 1  # no config and no --out: nowhere to write

@@ -378,6 +378,11 @@ def test_sweep_rejects_empty_or_bad_grid():
         tiny_sweep_config(etas=())
     with pytest.raises(ConfigError):
         tiny_sweep_config(etas=(0.0,))
+    with pytest.raises(ConfigError):  # zero-step blocks would never advance training
+        tiny_sweep_config(check_every=0)
+    for table in ({"n_w": 0}, {"n_u": 0}):
+        with pytest.raises(ConfigError):
+            tiny_sweep_config(**table)
 
 
 def test_scripts_run_end_to_end(tmp_path):

@@ -277,27 +277,23 @@ def parse_experiment_config(doc: dict, context: str = "config") -> ExperimentSet
     n_samples = _integer(sim.take("n_samples", 100_000), f"{context}.simulation.n_samples")
     thin = _integer(sim.take("thin", 1), f"{context}.simulation.thin")
     seed = _integer(sim.take("seed", 0), f"{context}.simulation.seed")
-    w0_raw = sim.take("w0", None)
+    w0 = np.array(_real_list(sim.take("w0"), f"{context}.simulation.w0")) if "w0" in sim.obj else None
     sim.finish()
     dim = param_dim(problem, dataset)
-    if w0_raw is None:
+    if w0 is None:
         w0 = np.zeros(dim)
-    else:
-        w0 = np.array(_real_list(w0_raw, f"{context}.simulation.w0"))
-        if w0.shape != (dim,):
-            raise ConfigError(
-                f"{context}.simulation.w0 has length {w0.size}, expected {dim} "
-                f"for this problem/dataset"
-            )
+    elif w0.shape != (dim,):
+        raise ConfigError(
+            f"{context}.simulation.w0 has length {w0.size}, expected {dim} "
+            f"for this problem/dataset"
+        )
 
-    cplx_raw = sec.take("complexity", None)
     complexity_config = (
-        _fill(ComplexityConfig, Section(cplx_raw, "complexity"))
-        if cplx_raw is not None
+        _fill(ComplexityConfig, Section(sec.take("complexity"), f"{context}.complexity"))
+        if "complexity" in sec.obj
         else ComplexityConfig()
     )
-    out_dir_raw = sec.take("out_dir", None)
-    out_dir = _string(out_dir_raw, f"{context}.out_dir") if out_dir_raw is not None else None
+    out_dir = _out_dir(sec)
     sec.finish()
     return ExperimentSetup(
         problem=problem,

@@ -318,6 +318,7 @@ class SweepConfig:
             raise ConfigError("sweep etas must be positive")
         if self.check_every < 1:
             raise ConfigError("check_every must be a positive integer")
+        require_schedule(self.burn_in, self.n_cloud, self.thin)  # before any point trains
         ComplexityConfig(n_w=self.n_w, n_u=self.n_u)  # rejects an empty R table
 
 

@@ -5,12 +5,19 @@ iterating w_k = h_{U_k}(w_{k-1}) with U_k ~ p approximates the stationary
 (invariant) measure after burn-in.  Maps are either explicit affine maps
 M w + q or SGD steps backed by a problem/dataset/batch triple.
 
-That recursion is stepped in one place, ``_run_chain``, which takes any
-stream of maps: the index-drawn maps of a system here, the lazily drawn
-subset-mode maps of ``optimizers``, and the sweep's training blocks in
-``experiments``.  Scalar affine systems take a float-arithmetic fast path.
-``lyapunov_exponent`` keeps its own loop, since it also pushes a tangent
-vector through each step's Jacobian.
+Affine systems, at any dimension, run through one parallel-in-time kernel,
+``_run_affine``: the index stream is cut into segments that are stepped in
+lockstep from guessed starts, and a segment is kept once the start it ran
+from equals its predecessor's end bit for bit.  Chains that contract on
+average forget their start, and in float64 two chains driven by one index
+stream become bit-equal (they coalesce), so two rounds usually settle every
+segment; families that never coalesce finish in one serial lane.  Every
+record equals the serial loop w = M[i] @ w + q[i] bit for bit.
+Problem-backed maps are stepped by the serial loop ``_run_chain``, which
+takes any stream of maps: the index-drawn maps of a system here, the lazily
+drawn subset-mode maps of ``optimizers``, and the sweep's training blocks in
+``experiments``.  ``lyapunov_exponent`` keeps its own loop, since it also
+pushes a tangent vector through each step's Jacobian.
 
 Geometric ergodicity of problem-backed systems is *not* certified here;
 stationarity is only spot-checked empirically (see the KS-distance test).
@@ -254,30 +261,131 @@ def _run_chain(maps: Iterable, w0: np.ndarray, record_from: int, thin: int, n_re
     return out
 
 
+# Affine chains of at least MIN_SEGMENTS segments of about SEG steps run in
+# lockstep (``_run_affine``).  A lockstep step costs a few numpy calls however
+# many segments it carries, so fewer segments would not repay its two rounds;
+# scalar chains, whose serial step is Python float arithmetic, need more.
+SEG = 2048
+MIN_SEGMENTS = 16
+MIN_SEGMENTS_SCALAR = 128
+
+
+def _lockstep(M: np.ndarray, Q: np.ndarray, idx: np.ndarray, w: np.ndarray, rec: np.ndarray) -> np.ndarray:
+    """Step K affine chains at once: chain k runs from ``w[k]`` along the map
+    indices ``idx[k]`` (idx is (K, S)), w <- M[i] w + Q[i].
+
+    The states of the last ``rec.shape[0]`` chains after each step land in
+    ``rec`` (shape (K', S, d)); the K end states are returned.  A step rounds
+    as ``M[i] @ w + Q[i]`` does: a batched matmul (gemv per chain) at d > 1;
+    at d = 1 that product is a dot, round(m*w) + 0.0, written out here.
+    """
+    off = w.shape[0] - rec.shape[0]
+    M1 = M[:, 0] if M.shape[1] == 1 else None
+    for k in range(idx.shape[1]):
+        col = idx[:, k]
+        if M1 is not None:
+            w = (M1[col] * w + 0.0) + Q[col]
+        else:
+            w = np.matmul(M[col], w[..., None])[..., 0] + Q[col]
+        rec[:, k] = w[off:]
+    return w
+
+
+def _lane(M: np.ndarray, Q: np.ndarray, idx: np.ndarray, w: np.ndarray, rec: np.ndarray) -> np.ndarray:
+    """``_lockstep`` for one chain, with the same rounding: a Python loop over
+    per-map arrays (floats at d = 1), which costs less per step than the
+    gathers.  The states after the last ``len(rec)`` steps land in ``rec``."""
+    skip = idx.shape[0] - rec.shape[0]
+    if M.shape[1] == 1:
+        ms, qs, v, out = M[:, 0, 0].tolist(), Q[:, 0].tolist(), float(w[0]), rec[:, 0]
+        for k, i in enumerate(idx.tolist()):
+            v = ms[i] * v + 0.0 + qs[i]
+            if k >= skip:
+                out[k - skip] = v
+        return np.array([v])
+    ms, qs, v = list(M), list(Q), w
+    for k, i in enumerate(idx.tolist()):
+        v = ms[i] @ v + qs[i]
+        if k >= skip:
+            rec[k - skip] = v
+    return v
+
+
+def _settle(M: np.ndarray, Q: np.ndarray, idx: np.ndarray, w0: np.ndarray, rec: np.ndarray) -> tuple:
+    """Lockstep rounds over the L segments ``idx`` (L, S) of one chain from w0.
+
+    Each round steps every segment from the first unsettled one on, each from
+    its predecessor's current end (all from w0 in round 1).  A segment is
+    settled once the start it last ran from equals, bit for bit, its settled
+    predecessor's end: by induction from segment 0 it then holds the serial
+    chain.  The segment a round starts at always settles; chains that contract
+    on average also coalesce in float64 from different starts, so two rounds
+    usually settle all.  Rounds stop when at most one segment is left, or when
+    a later round settles only that one (a family that never coalesces, such
+    as rotations).  The states of segments L - len(rec) on land in ``rec``.
+    Returns the chain's state after the last settled segment and the count of
+    settled segments.
+    """
+    L = idx.shape[0]
+    j_lo = L - rec.shape[0]
+    starts = np.tile(w0, (L, 1))
+    first = rounds = 0
+    while True:
+        ends = _lockstep(M, Q, idx[first:], starts[first:], rec[max(first - j_lo, 0):])
+        rounds += 1
+        same = (starts[first + 1:].view(np.uint64) == ends[:-1].view(np.uint64)).all(axis=1)
+        settled = first + 1 + int(np.logical_and.accumulate(same).sum())
+        if L - settled <= 1 or (rounds > 1 and settled == first + 1):
+            return ends[settled - 1 - first], settled
+        starts[first + 1:] = ends[:-1]
+        first = settled
+
+
+def _run_affine(
+    system: IfsSystem, w0: np.ndarray, idx: np.ndarray, record_from: int, thin: int, n_record: int
+) -> np.ndarray:
+    """The affine chain of ``_run_system``, parallel in time.
+
+    Its n steps split into L = n // SEG segments of S = n // L steps, which
+    ``_settle`` brings to the serial chain in lockstep rounds; the rest (the
+    tail of fewer than L steps, or everything when L is below MIN_SEGMENTS)
+    runs as one serial lane from there.  Every record is bit-equal to the
+    serial loop w = M[i] @ w + q[i].  States are kept from the start of the
+    first segment that holds a recorded step.
+    """
+    M = np.stack([m.matrix for m in system.maps])
+    Q = np.stack([m.offset for m in system.maps])
+    n, d = idx.shape[0], system.dim
+    L = n // SEG
+    if L < (MIN_SEGMENTS_SCALAR if d == 1 else MIN_SEGMENTS):
+        L = 1
+    S = n // L
+    lo = record_from if L == 1 else min(record_from // S, L) * S
+    buf = np.empty((n - lo, d))  # the states after steps lo + 1, ..., n
+    w, a = np.asarray(w0, dtype=float), 0  # the chain's state after a steps
+    # overflow to inf/nan is an anticipated outcome here, reported as
+    # NonFiniteState below rather than as a numpy warning mid-loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        if L > 1:
+            w, settled = _settle(M, Q, idx[: L * S].reshape(L, S), w, buf[: L * S - lo].reshape(-1, S, d))
+            a = settled * S
+        w = _lane(M, Q, idx[a:], w, buf[max(a - lo, 0):])
+    rows = buf[record_from - lo + thin - 1 :: thin][:n_record]
+    _check_recorded_finite(rows)
+    if not np.isfinite(w).all():
+        raise NonFiniteState("iterate overflowed (system appears to diverge)")
+    return rows if thin == 1 else rows.copy()
+
+
 def _run_system(
     system: IfsSystem, w0: np.ndarray, idx: np.ndarray, record_from: int, thin: int, n_record: int
 ) -> np.ndarray:
-    """Step ``system`` along the map indices ``idx`` through ``_run_chain``.
-
-    Scalar affine systems take a float-arithmetic fast path instead (the
-    long-chain Cantor runs live there).
-    """
-    if not (system.is_affine and system.dim == 1):
-        return _run_chain((system.maps[i] for i in idx.tolist()), w0, record_from, thin, n_record)
-    out = np.empty((n_record, 1))
-    ms = [float(m.matrix[0, 0]) for m in system.maps]
-    qs = [float(m.offset[0]) for m in system.maps]
-    w = float(w0[0])
-    r = 0
-    for t, i in enumerate(idx.tolist(), start=1):
-        w = ms[i] * w + qs[i]
-        if t > record_from and (t - record_from) % thin == 0 and r < n_record:
-            out[r, 0] = w
-            r += 1
-    _check_recorded_finite(out[:r])
-    if not math.isfinite(w):
-        raise NonFiniteState("iterate overflowed (system appears to diverge)")
-    return out
+    """Step ``system`` along the map indices ``idx``: affine systems through
+    the segmented kernel ``_run_affine``, problem-backed ones through the
+    serial loop ``_run_chain``.  Both return the same records."""
+    if system.is_affine:
+        return _run_affine(system, w0, idx, record_from, thin, n_record)
+    return _run_chain((system.maps[i] for i in idx.tolist()), w0, record_from, thin, n_record)
 
 
 def iterate(system: IfsSystem, w0: np.ndarray, k: int, seed: int) -> Trajectory:
@@ -314,7 +422,8 @@ def sample_invariant(
     seed: int = 0,
 ) -> SampleCloud:
     """Approximate the invariant measure: record iterates burn_in + j*thin,
-    j = 1..n_samples, streaming (burn-in states are never materialized)."""
+    j = 1..n_samples.  Burn-in states are not kept, except for up to one
+    segment of them in an affine chain run in lockstep."""
     require_schedule(burn_in, n_samples, thin)
     w0 = np.atleast_1d(np.asarray(w0, dtype=float))
     total = burn_in + n_samples * thin

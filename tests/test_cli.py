@@ -238,6 +238,20 @@ def test_complexity_section_type_errors(tmp_path, capsys, complexity, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"complexity": None}, "config.complexity must be a JSON object"),
+    ({"complexity": {"n_w": None}}, "config.complexity.n_w must be an integer"),
+    ({"out_dir": None}, "config.out_dir must be a string"),
+    ({"simulation": {"burn_in": 200, "n_samples": 1500, "w0": None}},
+     "config.simulation.w0 must be a nonempty list of numbers"),
+])
+def test_experiment_config_rejects_null(tmp_path, capsys, overrides, message):
+    """A null key is an error, as in every dataclass section, not "absent"."""
+    cfg = experiment_config(tmp_path, **overrides)
+    assert main(["complexity", "--config", cfg]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_complexity_rejects_non_sgd(tmp_path, capsys):
     cfg = experiment_config(
         tmp_path,
@@ -327,6 +341,22 @@ def test_experiment_sweep_cli(tmp_path, capsys):
     assert "R_vs_eta: pearson=" in text
     assert os.path.exists(os.path.join(out, "sweep.csv"))
     assert os.path.exists(os.path.join(out, "sweep_stats.json"))
+
+
+@pytest.mark.parametrize("setting", [{"n_cloud": 0}, {"thin": 0}, {"burn_in": -1}])
+def test_experiment_sweep_rejects_empty_schedule(tmp_path, capsys, monkeypatch, setting):
+    from ifslab import experiments
+
+    def no_training(*args):
+        raise AssertionError("a sweep point trained")
+
+    monkeypatch.setattr(experiments, "_train_point", no_training)
+    cfg = write_config(tmp_path, "s.json", {"data": {"n": 8, "d": 2}, "etas": [0.1],
+                                            "batch_sizes": [2], **setting})
+    out = tmp_path / "o"
+    assert main(["experiment", "sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert "need burn_in >= 0, n_samples > 0, thin > 0" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any work
 
 
 @pytest.mark.parametrize("kind", ["cantor", "linreg2d"])

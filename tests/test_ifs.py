@@ -1,12 +1,14 @@
 """IFS iteration, invariant sampling, contractivity, Lyapunov exponents."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ifslab import ifs
 from ifslab.errors import ConfigError, DegenerateProbe, NonFiniteState
 from ifslab.ifs import (
     AffineMap,
@@ -145,6 +147,154 @@ def test_affine_2d_sample_invariant_matches_reference_loop():
         if t > burn_in and (t - burn_in) % thin == 0:
             expected.append(w)
     assert np.array_equal(cloud.points, np.array(expected))
+
+
+# ---------------------------------------------------------------------------
+# segmented affine kernel
+
+
+def reference_chain(M, q, idx, w0, record_from, thin, n_record):
+    """The serial loop w = M[i] @ w + q[i] that the affine kernel must equal."""
+    w = np.asarray(w0, dtype=float)
+    out = []
+    for t, i in enumerate(idx, start=1):
+        w = M[i] @ w + q[i]
+        if t > record_from and (t - record_from) % thin == 0 and len(out) < n_record:
+            out.append(w)
+    return np.array(out)
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+@pytest.fixture
+def small_segments(monkeypatch):
+    """Segments of 64 steps, lockstep from two segments on; counts the
+    lockstep rounds and the steps of the serial lane."""
+    monkeypatch.setattr(ifs, "SEG", 64)
+    monkeypatch.setattr(ifs, "MIN_SEGMENTS", 2)
+    monkeypatch.setattr(ifs, "MIN_SEGMENTS_SCALAR", 2)
+    calls = {"rounds": 0, "lane_steps": 0}
+    lockstep, lane = ifs._lockstep, ifs._lane
+
+    def counted_lockstep(M, Q, idx, w, rec):
+        calls["rounds"] += 1
+        return lockstep(M, Q, idx, w, rec)
+
+    def counted_lane(M, Q, idx, w, rec):
+        calls["lane_steps"] += idx.shape[0]
+        return lane(M, Q, idx, w, rec)
+
+    monkeypatch.setattr(ifs, "_lockstep", counted_lockstep)
+    monkeypatch.setattr(ifs, "_lane", counted_lane)
+    return calls
+
+
+def random_affine(d, scale, seed, n_maps=3):
+    rng = np.random.default_rng(seed)
+    M = scale * rng.uniform(-1.0, 1.0, size=(n_maps, d, d)) / math.sqrt(d)
+    q = rng.uniform(-1.0, 1.0, size=(n_maps, d))
+    return M, q, IfsSystem(tuple(AffineMap(M[i], q[i]) for i in range(n_maps)),
+                           np.full(n_maps, 1.0 / n_maps))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("thin", [1, 3])
+@pytest.mark.parametrize("burn_in", [0, 100])
+@pytest.mark.parametrize("n", [64 * 5 - 1, 64 * 5, 64 * 5 + 3])
+def test_affine_kernel_matches_reference_loop(small_segments, d, thin, burn_in, n):
+    """Segment-cut lengths SEG*k - 1, SEG*k and SEG*k + remainder, bit for bit."""
+    M, q, system = random_affine(d, 0.6, seed=10 * d + thin)
+    idx = np.random.default_rng(n + burn_in).integers(0, 3, size=n)
+    w0 = np.linspace(-0.5, 0.5, d)
+    n_record = (n - burn_in) // thin
+    got = ifs._run_system(system, w0, idx, burn_in, thin, n_record)
+    assert small_segments["rounds"] >= 1
+    assert same_bits(got, reference_chain(M, q, idx, w0, burn_in, thin, n_record))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("burn_in", [0, 200])
+def test_affine_kernel_settles_contracting_chain_in_two_rounds(small_segments, d, burn_in):
+    """A strongly contracting family coalesces within a segment: two lockstep
+    rounds settle every segment and the serial lane runs only the tail.  With
+    burn_in = 200 the first three segments are not stored."""
+    M, q, system = random_affine(d, 0.2, seed=3)
+    n = 64 * 20 + 7  # 20 segments of 64 steps and a tail of 7
+    idx = np.random.default_rng(4).integers(0, 3, size=n)
+    got = ifs._run_system(system, np.zeros(d), idx, burn_in, 1, n - burn_in)
+    assert small_segments == {"rounds": 2, "lane_steps": 7}
+    assert same_bits(got, reference_chain(M, q, idx, np.zeros(d), burn_in, 1, n - burn_in))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_affine_kernel_settles_only_behind_a_settled_segment(small_segments, d):
+    """From w0 = 0 every segment without the rare map ends at exactly 0 in
+    round 1, so in round 2 segments 2, 3, ... start and end at 0 and match
+    each other; only the true chain, kicked away from 0 in segment 0, tells
+    them apart.  A segment settles only behind a settled one."""
+    M = np.stack([0.9 * np.eye(d), 0.9 * np.eye(d)])
+    q = np.stack([np.zeros(d), np.ones(d)])
+    system = IfsSystem((AffineMap(M[0], q[0]), AffineMap(M[1], q[1])), np.array([0.5, 0.5]))
+    idx = np.zeros(64 * 6, dtype=np.int64)
+    idx[10] = 1
+    got = ifs._run_system(system, np.zeros(d), idx, 0, 1, idx.size)
+    assert same_bits(got, reference_chain(M, q, idx, np.zeros(d), 0, 1, idx.size))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [5, 64 * 6 + 1])  # one serial lane; lockstep segments
+def test_affine_kernel_negative_zero_start(small_segments, d, n):
+    """A -0.0 start with a q = 0 map and a q = -0.0 one, taken first: the
+    reference loop's matmul turns m * (-0.0) into +0.0 before adding q."""
+    M = np.stack([0.5 * np.eye(d), 0.25 * np.eye(d)])
+    q = np.stack([np.zeros(d), np.full(d, -0.0)])
+    system = IfsSystem((AffineMap(M[0], q[0]), AffineMap(M[1], q[1])), np.array([0.5, 0.5]))
+    idx = np.random.default_rng(5).integers(0, 2, size=n)
+    idx[0] = 1
+    w0 = np.full(d, -0.0)
+    got = ifs._run_system(system, w0, idx, 0, 1, n)
+    assert same_bits(got, reference_chain(M, q, idx, w0, 0, 1, n))
+
+
+def test_affine_kernel_rotation_family_falls_back_to_one_lane(small_segments):
+    """Rotations never coalesce: after the second round settles only its first
+    segment, the rest runs serially, still bit-equal to the loop."""
+    M = np.stack([rotation(0.3), rotation(1.1)])
+    q = np.array([[1.0, 0.0], [0.0, 0.5]])
+    system = IfsSystem((AffineMap(M[0], q[0]), AffineMap(M[1], q[1])), np.array([0.5, 0.5]))
+    n = 64 * 30 + 5
+    idx = np.random.default_rng(6).integers(0, 2, size=n)
+    w0 = np.array([0.1, 0.2])
+    got = ifs._run_system(system, w0, idx, 50, 1, n - 50)
+    assert small_segments == {"rounds": 2, "lane_steps": n - 2 * 64}
+    assert same_bits(got, reference_chain(M, q, idx, w0, 50, 1, n - 50))
+
+
+def test_affine_kernel_expanding_map_raises(small_segments):
+    system = IfsSystem((AffineMap(2.0 * np.eye(2), np.array([1.0, -1.0])),), np.array([1.0]))
+    idx = np.zeros(64 * 40, dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflow is reported as NonFiniteState only
+        with pytest.raises(NonFiniteState):
+            ifs._run_system(system, np.ones(2), idx, 0, 1, idx.size)
+
+
+def test_affine_kernel_default_segments_match_reference_loop():
+    """At the module's own SEG and MIN_SEGMENTS, through sample_invariant."""
+    M, q, system = random_affine(2, 0.6, seed=7)
+    burn_in, n_samples, seed = 1_000, ifs.MIN_SEGMENTS * ifs.SEG + 5, 8
+    cloud = sample_invariant(system, np.array([0.5, -0.5]), burn_in, n_samples, 1, seed)
+    idx = draw_indices(Xoshiro256PP(seed), system.probs, burn_in + n_samples)
+    expected = reference_chain(M, q, idx, np.array([0.5, -0.5]), burn_in, 1, n_samples)
+    assert same_bits(cloud.points, expected)
 
 
 def test_sample_invariant_thinning_and_determinism():

@@ -9,6 +9,7 @@ type-checked before it reaches a builder.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import typing
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .complexity import ComplexityConfig
 from .dimension import BoxCountConfig
 from .errors import ConfigError
 from .experiments import MlpRegression, SweepConfig, UniformLinReg, generate_synthetic
+from .ifs import sample_invariant
 from .optimizers import BatchScheme, PreconditionerSpec, partition_batches
 from .problems import (
     Dataset,
@@ -127,20 +129,25 @@ def _typed(hint: Any, value: Any, context: str) -> Any:
     raise TypeError(f"no JSON reader for annotation {hint!r}")
 
 
-def _fill(cls: type, sec: Section, **given: Any) -> Any:
-    """``cls(**given, ...)`` with every other field read from its key in ``sec``.
+def _fill(fn: Any, sec: Section, **given: Any) -> Any:
+    """``fn(**given, ...)`` with every other parameter read from its key in ``sec``.
 
-    A present key is type-checked against the field's annotation; an absent
-    key keeps the field's default, or is a missing required key when the
-    field has none.  Keys of ``sec`` that name no field are rejected.
+    ``fn`` is a dataclass or a function.  A present key is type-checked
+    against the parameter's annotation; an absent key keeps the parameter's
+    default, or is a missing required key when it has none.  Keys of ``sec``
+    that name no parameter are rejected.
     """
-    hints = typing.get_type_hints(cls)
-    for f in dataclasses.fields(cls):
-        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        if f.name not in given and (f.name in sec.obj or required):
-            given[f.name] = _typed(hints[f.name], sec.take(f.name), f"{sec.context}.{f.name}")
+    hints = typing.get_type_hints(fn)
+    for name, param in inspect.signature(fn).parameters.items():
+        if name not in given and (name in sec.obj or param.default is param.empty):
+            given[name] = _typed(hints[name], sec.take(name), f"{sec.context}.{name}")
     sec.finish()
-    return cls(**given)
+    return fn(**given)
+
+
+def _default(fn: Any, name: str) -> Any:
+    """The default of parameter ``name`` of ``fn``, written once there."""
+    return inspect.signature(fn).parameters[name].default
 
 
 def _out_dir(sec: Section) -> Optional[str]:
@@ -200,13 +207,7 @@ def parse_dataset(raw: Any, context: str = "dataset") -> Dataset:
 
 
 def parse_scheme(raw: Any, n: int, context: str = "scheme") -> BatchScheme:
-    sec = Section(raw, context)
-    mode = _string(sec.take("mode", "partition"), f"{context}.mode")
-    b = _integer(sec.take("b"), f"{context}.b")
-    shuffle = _boolean(sec.take("shuffle", False), f"{context}.shuffle")
-    seed = _integer(sec.take("seed", 0), f"{context}.seed")
-    sec.finish()
-    return partition_batches(n, b, mode=mode, seed=seed, shuffle=shuffle)
+    return _fill(partition_batches, Section(raw, context), n=n)
 
 
 def parse_box_config(raw: Any, context: str = "box_count") -> BoxCountConfig:
@@ -275,8 +276,8 @@ def parse_experiment_config(doc: dict, context: str = "config") -> ExperimentSet
     sim = Section(sec.take("simulation"), f"{context}.simulation")
     burn_in = _integer(sim.take("burn_in", 1000), f"{context}.simulation.burn_in")
     n_samples = _integer(sim.take("n_samples", 100_000), f"{context}.simulation.n_samples")
-    thin = _integer(sim.take("thin", 1), f"{context}.simulation.thin")
-    seed = _integer(sim.take("seed", 0), f"{context}.simulation.seed")
+    thin = _integer(sim.take("thin", _default(sample_invariant, "thin")), f"{context}.simulation.thin")
+    seed = _integer(sim.take("seed", _default(sample_invariant, "seed")), f"{context}.simulation.seed")
     w0 = np.array(_real_list(sim.take("w0"), f"{context}.simulation.w0")) if "w0" in sim.obj else None
     sim.finish()
     dim = param_dim(problem, dataset)

@@ -22,8 +22,8 @@ from .dimension import BoxCountConfig, DimensionEstimate, analytic_bound, box_co
 from .errors import (ComputeError, ConfigError, DegenerateVariance, IfslabError, NonFiniteState,
                      PreconditionViolation)
 from .fileio import atomic_write_bytes, atomic_write_text, fmt_float, write_json
-from .ifs import IfsSystem, SampleCloud, _run_system, require_schedule, sample_invariant
-from .optimizers import build_sgd_ifs, partition_batches
+from .ifs import IfsSystem, SampleCloud, _run_sgd_stack, require_schedule, sample_invariant
+from .optimizers import BatchScheme, build_sgd_ifs, partition_batches
 from .rng import Xoshiro256PP, child_seed, draw_indices
 
 # --------------------------------------------------------------------------
@@ -348,48 +348,62 @@ def _student_problem(config: SweepConfig) -> pr.OneHiddenLayer:
     return pr.OneHiddenLayer(lam=config.lam, out_weights=outs, activation=config.activation)
 
 
-def _train_point(system: IfsSystem, train: pr.Dataset, config: SweepConfig, point_seed: int) -> np.ndarray:
-    """Constant-step SGD until mean train loss < loss_tol or max_iters steps.
+def _train_point(
+    problem: pr.OneHiddenLayer, train: pr.Dataset, scheme: BatchScheme, config: SweepConfig, seeds: list[int]
+) -> list:
+    """Constant-step SGD of one batch size's chains, stepped in lockstep.
 
-    Each ``check_every`` block runs through the chain driver; a block that
-    ends on a non-finite iterate or loss raises NonFiniteState.  Training is
-    defined for problem-backed systems only: the loss check reads the
-    problem of ``system.maps[0]``.
+    Chain k (step size config.etas[k]) starts from 0.5 * normals of
+    Xoshiro256PP(seeds[k]) and draws each ``check_every`` block of map
+    indices from that stream.  After each block its mean train loss is
+    checked: a chain below loss_tol leaves the stack, the rest go on until
+    max_iters steps.  Returns per chain the trained parameter, or the
+    NonFiniteState of a block that ended on a non-finite iterate or loss.
     """
-    problem = system.maps[0].problem
-    gen = Xoshiro256PP(point_seed)
-    w = 0.5 * gen.normals(system.dim)
+    gens = [Xoshiro256PP(seed) for seed in seeds]
+    dim = pr.param_dim(problem, train)
+    w = np.stack([0.5 * gen.normals(dim) for gen in gens])
+    batches = np.stack(scheme.batches)
+    out: list = [None] * len(seeds)
+    live = list(range(len(seeds)))  # the chains in the stack, in stack order
     steps = 0
-    while steps < config.max_iters:
+    while live and steps < config.max_iters:
         block = min(config.check_every, config.max_iters - steps)
-        idx = draw_indices(gen, system.probs, block)
-        w = _run_system(system, w, idx, block - 1, 1, 1)[0]
+        idx = np.stack([draw_indices(gens[k], scheme.probs, block) for k in live])
+        etas = [config.etas[k] for k in live]
+        ends = _run_sgd_stack(problem, train, batches, etas, w, idx, block - 1, 1, 1)
         steps += block
-        with np.errstate(over="ignore", invalid="ignore"):  # as in the driver
-            loss = pr.mean_loss(problem, w, train)
-        if not math.isfinite(loss):
-            raise NonFiniteState(f"training loss is {loss} (system appears to diverge)")
-        if loss < config.loss_tol:
-            break
-    return w
+        keep = []
+        for k, end in zip(live, ends):
+            if isinstance(end, NonFiniteState):
+                out[k] = end
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):  # as in the driver
+                loss = pr.mean_loss(problem, end[0], train)
+            if not math.isfinite(loss):
+                out[k] = NonFiniteState(f"training loss is {loss} (system appears to diverge)")
+            elif loss < config.loss_tol:
+                out[k] = end[0]
+            else:
+                keep.append((k, end[0]))
+        live = [k for k, _ in keep]
+        w = np.stack([wk for _, wk in keep]) if keep else w
+    for k, wk in zip(live, w):
+        out[k] = wk
+    return out
 
 
-def _sweep_point(
-    config: SweepConfig,
-    train: pr.Dataset,
-    test: pr.Dataset,
-    eta: float,
-    b: int,
-    point_seed: int,
+def _failed_row(eta: float, b: int, exc: IfslabError) -> SweepRow:
+    return SweepRow(eta, b, math.nan, math.nan, math.nan, math.nan, error=f"{type(exc).__name__}: {exc}")
+
+
+def _point_row(
+    config: SweepConfig, problem: pr.OneHiddenLayer, train: pr.Dataset, test: pr.Dataset,
+    scheme: BatchScheme, eta: float, w_trained: np.ndarray, cloud: SampleCloud, point_seed: int,
 ) -> SweepRow:
-    problem = _student_problem(config)
-    scheme = partition_batches(train.n, b)
-    system = build_sgd_ifs(problem, train, scheme, eta)
-    w_trained = _train_point(system, train, config, point_seed)
+    """R, box dimension, analytic bound and gap of one trained point and its cloud."""
+    b = scheme.batch_size
     gap = generalization_gap(problem, train, test, w_trained)
-    cloud = sample_invariant(
-        system, w_trained, config.burn_in, config.n_cloud, config.thin, child_seed(point_seed, 1)
-    )
     est = estimate_R(
         problem, train, scheme, eta, cloud,
         ComplexityConfig(n_w=config.n_w, n_u=config.n_u, seed=child_seed(point_seed, 2)),
@@ -413,6 +427,46 @@ def _sweep_point(
     return SweepRow(eta=eta, b=b, R=est.R, box_dim=box_dim, analytic_bound=bound, gen_gap=gap)
 
 
+def _sweep_group(
+    config: SweepConfig, train: pr.Dataset, test: pr.Dataset, b: int, seeds: list[int]
+) -> list[SweepRow]:
+    """The rows (eta, b) for every eta of the grid, point k seeded by seeds[k].
+
+    The chains train in lockstep (``_train_point``), and those that trained
+    draw their clouds in lockstep too, chain k from child_seed(seeds[k], 1);
+    R, the dimensions, the bound and the gap are then computed per point.
+    A failure lands in its point's row, or in every row when it is shared.
+    """
+    problem = _student_problem(config)
+    try:
+        scheme = partition_batches(train.n, b)
+        trained = _train_point(problem, train, scheme, config, seeds)
+    except IfslabError as exc:
+        return [_failed_row(eta, b, exc) for eta in config.etas]
+    live = [k for k, w in enumerate(trained) if not isinstance(w, IfslabError)]
+    clouds: dict = {}
+    if live:
+        total = config.burn_in + config.n_cloud * config.thin
+        gens = [Xoshiro256PP(child_seed(seeds[k], 1)) for k in live]
+        idx = np.stack([draw_indices(gen, scheme.probs, total) for gen in gens])
+        clouds = dict(zip(live, _run_sgd_stack(
+            problem, train, np.stack(scheme.batches), [config.etas[k] for k in live],
+            np.stack([trained[k] for k in live]), idx, config.burn_in, config.thin, config.n_cloud,
+        )))
+    rows = []
+    for k, eta in enumerate(config.etas):
+        points = clouds.get(k, trained[k])  # a chain that failed training has no cloud
+        if isinstance(points, IfslabError):
+            rows.append(_failed_row(eta, b, points))
+            continue
+        cloud = SampleCloud(points, config.burn_in, config.thin, child_seed(seeds[k], 1))
+        try:
+            rows.append(_point_row(config, problem, train, test, scheme, eta, trained[k], cloud, seeds[k]))
+        except IfslabError as exc:
+            rows.append(_failed_row(eta, b, exc))
+    return rows
+
+
 def run_sweep(config: SweepConfig, out_dir: str) -> SweepResult:
     """Grid sweep over (eta, b): train, collect cloud, compute R / dims / gap.
 
@@ -430,17 +484,10 @@ def run_sweep(config: SweepConfig, out_dir: str) -> SweepResult:
     test = generate_synthetic(test_spec, child_seed(config.seed, 2))
 
     rows: list[SweepRow] = []
-    for g, (b, eta) in enumerate(
-        (b, eta) for b in config.batch_sizes for eta in config.etas
-    ):
-        point_seed = child_seed(config.seed, 10 + g)
-        try:
-            rows.append(_sweep_point(config, train, test, eta, b, point_seed))
-        except IfslabError as exc:
-            rows.append(
-                SweepRow(eta, b, math.nan, math.nan, math.nan, math.nan,
-                         error=f"{type(exc).__name__}: {exc}")
-            )
+    n_eta = len(config.etas)
+    for i, b in enumerate(config.batch_sizes):  # grid point g = i * n_eta + k is (etas[k], b)
+        seeds = [child_seed(config.seed, 10 + i * n_eta + k) for k in range(n_eta)]
+        rows.extend(_sweep_group(config, train, test, b, seeds))
 
     warnings: list[str] = []
     stats: dict[str, dict[str, float]] = {}

@@ -14,10 +14,13 @@ stream become bit-equal (they coalesce), so two rounds usually settle every
 segment; families that never coalesce finish in one serial lane.  Every
 record equals the serial loop w = M[i] @ w + q[i] bit for bit.
 Problem-backed maps are stepped by the serial loop ``_run_chain``, which
-takes any stream of maps: the index-drawn maps of a system here, the lazily
-drawn subset-mode maps of ``optimizers``, and the sweep's training blocks in
-``experiments``.  ``lyapunov_exponent`` keeps its own loop, since it also
-pushes a tangent vector through each step's Jacobian.
+takes any stream of maps: the index-drawn maps of a system here and the
+lazily drawn subset-mode maps of ``optimizers``.  The sweep in
+``experiments`` trains and samples K plain-SGD chains that share one
+problem, dataset and batch family through ``_run_sgd_stack``, one stacked
+``grad`` call per step, bit-equal to each chain's serial loop.
+``lyapunov_exponent`` keeps its own loop, since it also pushes a tangent
+vector through each step's Jacobian.
 
 Geometric ergodicity of problem-backed systems is *not* certified here;
 stationarity is only spot-checked empirically (see the KS-distance test).
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -231,16 +234,22 @@ class LyapunovEstimate:
 # iteration cores
 
 
+def _diverged() -> NonFiniteState:
+    return NonFiniteState("iterate overflowed (system appears to diverge)")
+
+
 def _check_recorded_finite(arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
-        raise NonFiniteState("iterate overflowed (system appears to diverge)")
+        raise _diverged()
 
 
 def _run_chain(maps: Iterable, w0: np.ndarray, record_from: int, thin: int, n_record: int) -> np.ndarray:
-    """The chain driver: w_t = maps[t-1].apply(w_{t-1}) for each map in turn.
+    """The serial chain driver: w_t = maps[t-1].apply(w_{t-1}) for each map in turn.
 
-    ``maps`` is any iterable of objects with ``apply`` (drawn lazily or not);
-    the states after steps record_from + j*thin, j = 1..n_record, are
+    ``maps`` is any iterable of objects with ``apply`` (drawn lazily or not):
+    it serves ``sample_invariant`` and ``iterate`` on problem-backed systems
+    and subset-mode SGD; the sweep's lockstep chains use ``_run_sgd_stack``.
+    The states after steps record_from + j*thin, j = 1..n_record, are
     returned.  A recorded or final state that is not finite raises
     NonFiniteState.
     """
@@ -257,8 +266,37 @@ def _run_chain(maps: Iterable, w0: np.ndarray, record_from: int, thin: int, n_re
                 r += 1
     _check_recorded_finite(out[:r])
     if not np.isfinite(w).all():
-        raise NonFiniteState("iterate overflowed (system appears to diverge)")
+        raise _diverged()
     return out
+
+
+def _run_sgd_stack(
+    problem: pr.Problem, dataset: pr.Dataset, batches: np.ndarray, etas: Sequence[float], w0: np.ndarray,
+    idx: np.ndarray, record_from: int, thin: int, n_record: int,
+) -> list:
+    """K plain-SGD chains of one problem, dataset and batch family in lockstep.
+
+    Chain k runs w <- w - etas[k] * grad(problem, w, dataset, batches[i]) from
+    ``w0[k]`` along the map indices ``idx[k]``: ``w0`` is (K, dim), ``idx``
+    (K, n) and ``batches`` the (n_maps, b) array of the family's batches.
+    Each step is one stacked ``grad`` call, and every chain equals the
+    ``_run_chain`` loop over its ``ProblemMap`` steps bit for bit.  Returns,
+    per chain, the states after steps record_from + j*thin, j = 1..n_record,
+    or the NonFiniteState ``_run_chain`` raises when a recorded or the final
+    state is not finite; the other chains are unaffected.
+    """
+    w = np.asarray(w0, dtype=float)
+    eta = np.asarray(etas, dtype=float)[:, None]
+    out = np.empty((w.shape[0], n_record, w.shape[1]))
+    r = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _run_chain
+        for t, col in enumerate(idx.T, start=1):
+            w = w - eta * pr.grad(problem, w, dataset, batches.take(col, axis=0))
+            if t > record_from and (t - record_from) % thin == 0 and r < n_record:
+                out[:, r] = w
+                r += 1
+    finite = np.isfinite(out[:, :r]).all(axis=(1, 2)) & np.isfinite(w).all(axis=1)
+    return [out[k, :r] if finite[k] else _diverged() for k in range(w.shape[0])]
 
 
 # Affine chains of at least MIN_SEGMENTS segments of about SEG steps run in
@@ -320,22 +358,24 @@ def _settle(M: np.ndarray, Q: np.ndarray, idx: np.ndarray, w0: np.ndarray, rec: 
     predecessor's end: by induction from segment 0 it then holds the serial
     chain.  The segment a round starts at always settles; chains that contract
     on average also coalesce in float64 from different starts, so two rounds
-    usually settle all.  Rounds stop when at most one segment is left, or when
-    a later round settles only that one (a family that never coalesces, such
-    as rotations).  The states of segments L - len(rec) on land in ``rec``.
-    Returns the chain's state after the last settled segment and the count of
-    settled segments.
+    usually settle all, and slowly contracting ones a few more.  Rounds stop
+    when at most one segment is left, or when a round settles only that one
+    and its largest start/end mismatch (the Euclidean norm per segment) is
+    not below half the previous round's: a family that never coalesces, such
+    as rotations, whose mismatches keep their norms.  The states of segments
+    L - len(rec) on land in ``rec``.  Returns the chain's state after the
+    last settled segment and the count of settled segments.
     """
     L = idx.shape[0]
     j_lo = L - rec.shape[0]
     starts = np.tile(w0, (L, 1))
-    first = rounds = 0
+    first, gap = 0, math.inf
     while True:
         ends = _lockstep(M, Q, idx[first:], starts[first:], rec[max(first - j_lo, 0):])
-        rounds += 1
         same = (starts[first + 1:].view(np.uint64) == ends[:-1].view(np.uint64)).all(axis=1)
         settled = first + 1 + int(np.logical_and.accumulate(same).sum())
-        if L - settled <= 1 or (rounds > 1 and settled == first + 1):
+        last_gap, gap = gap, float(np.linalg.norm(starts[first + 1:] - ends[:-1], axis=1).max())
+        if L - settled <= 1 or (settled == first + 1 and not gap < 0.5 * last_gap):
             return ends[settled - 1 - first], settled
         starts[first + 1:] = ends[:-1]
         first = settled
@@ -373,7 +413,7 @@ def _run_affine(
     rows = buf[record_from - lo + thin - 1 :: thin][:n_record]
     _check_recorded_finite(rows)
     if not np.isfinite(w).all():
-        raise NonFiniteState("iterate overflowed (system appears to diverge)")
+        raise _diverged()
     return rows if thin == 1 else rows.copy()
 
 

@@ -197,36 +197,21 @@ def _sigmoid(x):
     return out
 
 
+# (act, act' and act'' as functions of the activation value a = act(x), sup|act''|)
+_ACTIVATIONS = {
+    "sigmoid": (_sigmoid, lambda s: s * (1.0 - s), lambda s: s * (1.0 - s) * (1.0 - 2.0 * s),
+                SIGMOID_SECOND_SUP),
+    "tanh": (np.tanh, lambda t: 1.0 - t**2, lambda t: -2.0 * t * (1.0 - t**2), TANH_SECOND_SUP),
+}
+
+
 def _act_table(name: str):
-    """(act, act', act'', sup|act''|) for the supported activations."""
-    if name == "sigmoid":
-
-        def f(x):
-            return _sigmoid(x)
-
-        def f1(x):
-            s = _sigmoid(x)
-            return s * (1.0 - s)
-
-        def f2(x):
-            s = _sigmoid(x)
-            return s * (1.0 - s) * (1.0 - 2.0 * s)
-
-        return f, f1, f2, SIGMOID_SECOND_SUP
-    if name == "tanh":
-
-        def f(x):
-            return np.tanh(x)
-
-        def f1(x):
-            return 1.0 - np.tanh(x) ** 2
-
-        def f2(x):
-            t = np.tanh(x)
-            return -2.0 * t * (1.0 - t**2)
-
-        return f, f1, f2, TANH_SECOND_SUP
-    raise ConfigError(f"unknown activation {name!r}")
+    """(act, act', act'', sup|act''|) for the supported activations; the
+    derivatives take the activation value act(x), not x."""
+    try:
+        return _ACTIVATIONS[name]
+    except KeyError:
+        raise ConfigError(f"unknown activation {name!r}") from None
 
 
 def _rho_funcs(problem: RobustRegression):
@@ -278,19 +263,27 @@ def _svm_funcs(problem: SmoothHingeSVM):
 
 
 def _mlp_parts(problem: OneHiddenLayer, w: np.ndarray, A: np.ndarray):
-    """Per-sample predictions and first-layer geometry for feature rows A.
+    """Per-sample predictions and hidden activations for feature rows A.
 
-    ``w`` is one flat parameter (m*d,) or a stack (c, m*d) of them; a stack
-    adds a leading axis of length c to ``Z`` and ``yhat``.
+    Returns (b, H, yhat, d1, d2): the output weights, the (..., nb, m)
+    activations H = act(A W^T) of the (..., m, d) first layer W, the
+    predictions H b, and act', act'' as functions of H.  ``w`` is one flat
+    parameter (m*d,) or a stack (c, m*d) of them; a stack adds a leading
+    axis of length c to ``H`` and ``yhat``.  ``A`` is (nb, d) rows shared by
+    the stack, or (c, nb, d) rows for each member.
     """
     b = np.asarray(problem.out_weights, dtype=float)
     m = problem.hidden
-    d = A.shape[1]
+    d = A.shape[-1]
     W = w.reshape(w.shape[:-1] + (m, d))
-    f, f1, f2, _ = _act_table(problem.activation)
-    Z = A @ W.swapaxes(-1, -2)  # (..., nb, m) pre-activations
-    yhat = f(Z) @ b
-    return b, W, Z, yhat, f1, f2
+    f, d1, d2, _ = _act_table(problem.activation)
+    H = f(A @ W.swapaxes(-1, -2))
+    return b, H, H @ b, d1, d2
+
+
+def _rows(dataset: Dataset, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The feature rows and targets at ``idx`` (any shape of indices)."""
+    return dataset.features.take(idx, axis=0), dataset.targets.take(idx)
 
 
 # --------------------------------------------------------------------------
@@ -301,8 +294,7 @@ def batch_losses(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.nd
     """Per-sample losses (regularizer included) at the given batch indices."""
     w = np.asarray(w, dtype=float)
     idx = np.asarray(batch, dtype=np.int64)
-    A = dataset.features[idx]
-    y = dataset.targets[idx]
+    A, y = _rows(dataset, idx)
     reg = 0.5 * regularizer_weight(problem) * float(w @ w)
     if isinstance(problem, LeastSquares):
         return 0.5 * (A @ w - y) ** 2 + reg
@@ -315,7 +307,7 @@ def batch_losses(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.nd
         ell, _, _ = _svm_funcs(problem)
         return ell(y * (A @ w)) + reg
     if isinstance(problem, OneHiddenLayer):
-        _, _, _, yhat, _, _ = _mlp_parts(problem, w, A)
+        _, _, yhat, _, _ = _mlp_parts(problem, w, A)
         return 0.5 * (y - yhat) ** 2 + reg
     raise ConfigError(f"unknown problem kind {type(problem).__name__}")
 
@@ -331,12 +323,25 @@ def mean_loss(problem: Problem, w: np.ndarray, dataset: Dataset) -> float:
 
 
 def grad(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray) -> np.ndarray:
-    """Mini-batch gradient (1/b) sum_j grad l(w, z_j)."""
+    """Mini-batch gradient (1/b) sum_j grad l(w, z_j).
+
+    The one-hidden-layer family also takes a stack: ``w`` (K, dim) and
+    ``batch`` (K, b) give the (K, dim) gradients, row k that of w[k] on
+    batch[k].  Other families take one vector and one batch.
+    """
     w = np.asarray(w, dtype=float)
     idx = np.asarray(batch, dtype=np.int64)
-    A = dataset.features[idx]
-    y = dataset.targets[idx]
-    nb = len(idx)
+    if idx.ndim != 1 or w.ndim != 1:
+        if not isinstance(problem, OneHiddenLayer):
+            raise ConfigError(
+                f"a stacked grad is defined for OneHiddenLayer only, not {type(problem).__name__}"
+            )
+        if idx.ndim != 2 or w.shape[:-1] != idx.shape[:-1]:
+            raise ConfigError(
+                f"a stacked grad needs w (K, dim) and batch (K, b), got {w.shape} and {idx.shape}"
+            )
+    A, y = _rows(dataset, idx)
+    nb = idx.shape[-1]
     if isinstance(problem, LeastSquares):
         return A.T @ (A @ w - y) / nb + problem.lam * w
     if isinstance(problem, Logistic):
@@ -349,10 +354,10 @@ def grad(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray) -
         _, ell1, _ = _svm_funcs(problem)
         return A.T @ (y * ell1(y * (A @ w))) / nb + problem.lam * w
     if isinstance(problem, OneHiddenLayer):
-        b, _, Z, yhat, f1, _ = _mlp_parts(problem, w, A)
+        b, H, yhat, d1, _ = _mlp_parts(problem, w, A)
         # V[j] = flatten_r(b_r f'(z_jr) a_j); grad = -(1/b) sum resid_j V_j + lam w
-        coef = (yhat - y)[:, None] * (b[None, :] * f1(Z))  # (nb, m)
-        return (coef.T @ A).ravel() / nb + problem.lam * w
+        coef = (yhat - y)[..., None] * (b * d1(H))  # (..., nb, m)
+        return (coef.swapaxes(-1, -2) @ A).reshape(w.shape) / nb + problem.lam * w
     raise ConfigError(f"unknown problem kind {type(problem).__name__}")
 
 
@@ -370,8 +375,7 @@ def hvp(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray, v:
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
     idx = np.asarray(batch, dtype=np.int64)
-    A = dataset.features[idx]
-    y = dataset.targets[idx]
+    A, y = _rows(dataset, idx)
     nb = len(idx)
     if isinstance(problem, LeastSquares):
         return A.T @ (A @ v) / nb + problem.lam * v
@@ -388,14 +392,14 @@ def hvp(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray, v:
         coef = ell2(y * (A @ w)) * y**2
         return A.T @ _scale_rows(coef, A @ v) / nb + problem.lam * v
     if isinstance(problem, OneHiddenLayer):
-        b, _, Z, yhat, f1, f2 = _mlp_parts(problem, w, A)
+        b, H, yhat, d1, d2 = _mlp_parts(problem, w, A)
         m, d = problem.hidden, A.shape[1]
         X = v.reshape(m * d, -1)  # k columns; k = 1 for a vector
-        V = (b[None, :] * f1(Z))[:, :, None] * A[:, None, :]  # (nb, m, d)
+        V = (b[None, :] * d1(H))[:, :, None] * A[:, None, :]  # (nb, m, d)
         V = V.reshape(nb, -1)
         gauss = V.T @ (V @ X) / nb  # Gauss-Newton part (V V^T) X
         T = A @ X.reshape(m, d, -1)  # (m, nb, k): a_j . u_r per column
-        c = (y - yhat)[:, None] * b[None, :] * f2(Z)  # resid * b_r * f''(z_jr)
+        c = (y - yhat)[:, None] * b[None, :] * d2(H)  # resid * b_r * f''(z_jr)
         block = A.T @ (c.T[:, :, None] * T) / nb  # (m, d, k): resid-weighted curvature
         return (gauss - block.reshape(m * d, -1) + problem.lam * X).reshape(v.shape)
     raise ConfigError(f"unknown problem kind {type(problem).__name__}")
@@ -615,10 +619,10 @@ def compute_one_layer_C(problem: OneHiddenLayer, dataset: Dataset, cloud_points:
     m_y = 0.0
     v_sup = 0.0
     for start in range(0, pts.shape[0], chunk):
-        bvec, _, Z, yhat, f1_, _ = _mlp_parts(problem, pts[start : start + chunk], A)
+        bvec, H, yhat, d1, _ = _mlp_parts(problem, pts[start : start + chunk], A)
         m_y = max(m_y, float(np.abs(dataset.targets - yhat).max()))
         # ||v_j||_inf = max_r |b_r f'(z_jr)| * ||a_j||_inf; one flat max over (point, j, r)
-        v_sup = max(v_sup, float((np.abs(bvec * f1_(Z)) * row_inf[:, None]).max()))
+        v_sup = max(v_sup, float((np.abs(bvec * d1(H)) * row_inf[:, None]).max()))
     R = dataset.radius()
     binf = float(np.abs(b).max()) if b.size else 0.0
     return m_y * binf * sup2 * R**2 + v_sup**2

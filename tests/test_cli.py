@@ -3,7 +3,9 @@
 import json
 import math
 import os
+import re
 
+import numpy as np
 import pytest
 
 from ifslab.cli import main
@@ -207,6 +209,39 @@ def test_config_sections_fill_their_dataclasses(tmp_path):
     assert parse_problem({"kind": "one_hidden_layer", "lam": 0.5, "hidden": 2}) == OneHiddenLayer(
         lam=0.5, out_weights=(1.0, -1.0)
     )
+
+
+def test_config_omitted_keys_take_the_callee_defaults():
+    """Scheme mode/shuffle/seed and simulation thin/seed default to the
+    parameters of ``partition_batches`` and ``sample_invariant``."""
+    import inspect
+
+    from ifslab.config import parse_experiment_config, parse_scheme
+    from ifslab.errors import ConfigError
+    from ifslab.ifs import sample_invariant
+    from ifslab.optimizers import partition_batches
+
+    setup = parse_experiment_config({
+        "problem": {"kind": "least_squares"},
+        "dataset": {"kind": "uniform_linreg", "n": 6, "d": 2},
+        "scheme": {"b": 2},
+        "optimizer": {"eta": 0.1},
+        "simulation": {},
+    })
+    scheme = partition_batches(6, 2)
+    assert (setup.scheme.mode, setup.scheme.m_b) == (scheme.mode, scheme.m_b)
+    assert all(np.array_equal(a, b) for a, b in zip(setup.scheme.batches, scheme.batches))
+    params = inspect.signature(sample_invariant).parameters
+    assert (setup.thin, setup.seed) == (params["thin"].default, params["seed"].default)
+    shuffled = parse_scheme({"b": 2, "shuffle": True, "seed": 5}, 6)
+    expected = partition_batches(6, 2, seed=5, shuffle=True)
+    assert all(np.array_equal(a, b) for a, b in zip(shuffled.batches, expected.batches))
+    for doc, message in [({"b": 2, "shuffle": 1}, "scheme.shuffle must be a boolean"),
+                         ({"b": 2, "mode": 3}, "scheme.mode must be a string"),
+                         ({}, "scheme: missing required key 'b'"),
+                         ({"b": 2, "n": 4}, "scheme: unknown keys ['n']")]:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_scheme(doc, 6)
 
 
 @pytest.mark.parametrize("parser, doc, message", [

@@ -1,6 +1,7 @@
 """Synthetic data, artifact emitters, preset experiments, and the sweep."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ifslab.errors import ComputeError, ConfigError, DegenerateVariance
+from ifslab.errors import ComputeError, ConfigError, DegenerateVariance, NonFiniteState
 from ifslab.experiments import (
     MlpRegression,
     SweepConfig,
@@ -29,8 +30,8 @@ from ifslab.experiments import (
     run_linreg2d,
     run_sweep,
 )
-from ifslab.optimizers import build_sgd_ifs, partition_batches
-from ifslab.problems import grad, param_dim
+from ifslab.optimizers import partition_batches
+from ifslab.problems import grad, mean_loss, param_dim
 from ifslab.rng import Xoshiro256PP, draw_indices
 
 
@@ -309,6 +310,10 @@ def test_sweep_single_point_grid_warns_nan(tmp_path):
     )
 
 
+SWEEP_CSV_SHA256 = "209811158416562188491f4a226012d66923e183ef29bae832f822753e071423"
+SWEEP_STATS_SHA256 = "774c80e16a8709a9e6f9b713af78713dc7007a60753de6fd6131cf098c321375"
+
+
 def test_sweep_csv_layout_and_determinism(tmp_path):
     cfg = tiny_sweep_config(etas=(0.05, 0.1), batch_sizes=(4, 8))
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -320,6 +325,10 @@ def test_sweep_csv_layout_and_determinism(tmp_path):
     stats_a = open(os.path.join(out_a, "sweep_stats.json"), "rb").read()
     stats_b = open(os.path.join(out_b, "sweep_stats.json"), "rb").read()
     assert stats_a == stats_b
+    # digests of the artifacts of the one-point-at-a-time sweep, so the
+    # lockstep trainer and cloud cannot drift (x86-64, OpenBLAS, numpy 2.4)
+    assert hashlib.sha256(csv_a).hexdigest() == SWEEP_CSV_SHA256
+    assert hashlib.sha256(stats_a).hexdigest() == SWEEP_STATS_SHA256
     lines = csv_a.decode().splitlines()
     assert lines[0] == "eta,b,R,box_dim,analytic_bound,gen_gap,error"
     assert len(lines) == 5
@@ -330,21 +339,77 @@ def test_sweep_csv_layout_and_determinism(tmp_path):
         assert row.gen_gap >= 0.0
 
 
-def test_train_point_matches_reference_loop():
-    """Two check_every blocks through the chain driver equal plain SGD steps bit for bit."""
-    cfg = tiny_sweep_config(max_iters=200, check_every=100, loss_tol=0.0)
-    train = generate_synthetic(cfg.data, cfg.seed)
-    problem = _student_problem(cfg)
-    eta, b, seed = 0.05, 4, 31
-    scheme = partition_batches(train.n, b)
-    w_trained = _train_point(build_sgd_ifs(problem, train, scheme, eta), train, cfg, seed)
-
+def reference_training(problem, train, scheme, eta, cfg, seed):
+    """One chain of plain SGD steps: the oracle of the lockstep trainer."""
     gen = Xoshiro256PP(seed)
     w = 0.5 * gen.normals(param_dim(problem, train))
-    for _ in range(2):
-        for k in draw_indices(gen, scheme.probs, 100):
+    steps = 0
+    while steps < cfg.max_iters:
+        block = min(cfg.check_every, cfg.max_iters - steps)
+        for k in draw_indices(gen, scheme.probs, block):
             w = w - eta * grad(problem, w, train, scheme.batches[k])
-    assert np.array_equal(w_trained, w)
+        steps += block
+        if mean_loss(problem, w, train) < cfg.loss_tol:
+            break
+    return w, steps
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def train_group(cfg, etas, seeds, b=4):
+    """The lockstep chains of ``etas`` at batch size b, and their solo oracle."""
+    cfg = dataclasses.replace(cfg, etas=etas)
+    train = generate_synthetic(cfg.data, cfg.seed)
+    problem = _student_problem(cfg)
+    scheme = partition_batches(train.n, b)
+    trained = _train_point(problem, train, scheme, cfg, seeds)
+    return trained, lambda eta, seed, c=cfg: reference_training(problem, train, scheme, eta, c, seed)
+
+
+def test_train_point_matches_reference_loop():
+    """Three chains of one batch size, two check_every blocks in lockstep:
+    each equals its own plain SGD steps bit for bit."""
+    cfg = tiny_sweep_config(max_iters=200, check_every=100, loss_tol=0.0)
+    etas, seeds = (0.05, 0.02, 0.1), (31, 32, 33)
+    trained, reference = train_group(cfg, etas, seeds)
+    for w, eta, seed in zip(trained, etas, seeds):
+        assert same_bits(w, reference(eta, seed)[0])
+
+
+def test_train_point_stops_each_chain_at_its_own_check():
+    """A chain that meets loss_tol at its first check leaves the stack; the
+    other trains on, and both equal their solo runs."""
+    cfg = tiny_sweep_config(max_iters=600, check_every=100, loss_tol=0.0)
+    etas, seeds = (0.1, 0.01), (41, 42)
+    _, reference = train_group(cfg, etas, seeds)
+    train = generate_synthetic(cfg.data, cfg.seed)
+    one_block = dataclasses.replace(cfg, max_iters=100)
+    first = [mean_loss(_student_problem(cfg), reference(eta, seed, one_block)[0], train)
+             for eta, seed in zip(etas, seeds)]
+    assert first[0] < first[1]
+    cfg = dataclasses.replace(cfg, loss_tol=math.sqrt(first[0] * first[1]))
+    trained, reference = train_group(cfg, etas, seeds)
+    solo = [reference(eta, seed) for eta, seed in zip(etas, seeds)]
+    assert solo[0][1] == 100 and solo[1][1] > 100
+    for w, (w_solo, _) in zip(trained, solo):
+        assert same_bits(w, w_solo)
+
+
+@pytest.mark.parametrize("check_every, message", [
+    (100, "training loss is inf (system appears to diverge)"),  # a block ends huge but finite
+    (300, "iterate overflowed (system appears to diverge)"),  # the block itself overflows
+])
+def test_train_point_divergent_chain_between_sane_ones(check_every, message):
+    cfg = tiny_sweep_config(max_iters=300, check_every=check_every, loss_tol=0.0)
+    etas, seeds = (0.05, 5000.0, 0.1), (51, 52, 53)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trained, reference = train_group(cfg, etas, seeds)
+    assert isinstance(trained[1], NonFiniteState) and str(trained[1]) == message
+    for k in (0, 2):
+        assert same_bits(trained[k], reference(etas[k], seeds[k])[0])
 
 
 def test_sweep_records_typed_training_divergence(tmp_path):

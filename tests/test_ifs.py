@@ -21,7 +21,7 @@ from ifslab.ifs import (
     sample_invariant,
 )
 from ifslab.optimizers import build_sgd_ifs, partition_batches
-from ifslab.problems import Dataset, LeastSquares, Logistic
+from ifslab.problems import Dataset, LeastSquares, Logistic, OneHiddenLayer
 from ifslab.rng import Xoshiro256PP, draw_indices
 
 
@@ -175,12 +175,8 @@ def rotation(theta):
 
 
 @pytest.fixture
-def small_segments(monkeypatch):
-    """Segments of 64 steps, lockstep from two segments on; counts the
-    lockstep rounds and the steps of the serial lane."""
-    monkeypatch.setattr(ifs, "SEG", 64)
-    monkeypatch.setattr(ifs, "MIN_SEGMENTS", 2)
-    monkeypatch.setattr(ifs, "MIN_SEGMENTS_SCALAR", 2)
+def kernel_calls(monkeypatch):
+    """Counts the lockstep rounds and the steps of the serial lane."""
     calls = {"rounds": 0, "lane_steps": 0}
     lockstep, lane = ifs._lockstep, ifs._lane
 
@@ -195,6 +191,15 @@ def small_segments(monkeypatch):
     monkeypatch.setattr(ifs, "_lockstep", counted_lockstep)
     monkeypatch.setattr(ifs, "_lane", counted_lane)
     return calls
+
+
+@pytest.fixture
+def small_segments(monkeypatch, kernel_calls):
+    """Segments of 64 steps, lockstep from two segments on, counted."""
+    monkeypatch.setattr(ifs, "SEG", 64)
+    monkeypatch.setattr(ifs, "MIN_SEGMENTS", 2)
+    monkeypatch.setattr(ifs, "MIN_SEGMENTS_SCALAR", 2)
+    return kernel_calls
 
 
 def random_affine(d, scale, seed, n_maps=3):
@@ -278,6 +283,36 @@ def test_affine_kernel_rotation_family_falls_back_to_one_lane(small_segments):
     assert same_bits(got, reference_chain(M, q, idx, w0, 50, 1, n - 50))
 
 
+def test_affine_kernel_settles_slowly_coalescing_chain(kernel_calls):
+    """Slope 0.99 on both maps (Cantor maps at eta = 0.01) coalesces over about
+    3,700 steps, more than one segment: the rounds go on while the largest
+    start/end mismatch halves, and settle every segment."""
+    system = quadratic_pair_system(0.01)
+    n = ifs.MIN_SEGMENTS_SCALAR * ifs.SEG + 5
+    idx = draw_indices(Xoshiro256PP(0), system.probs, n)
+    M = np.stack([m.matrix for m in system.maps])
+    q = np.stack([m.offset for m in system.maps])
+    got = ifs._run_system(system, np.zeros(1), idx, 0, 1, n)
+    assert kernel_calls == {"rounds": 4, "lane_steps": 5}
+    assert same_bits(got, reference_chain(M, q, idx, np.zeros(1), 0, 1, n))
+
+
+def test_preset_chains_settle_in_two_rounds(kernel_calls):
+    """The Cantor (eta = 2/3) and the four linreg2d chains at the sizes the
+    benchmark samples settle in two lockstep rounds."""
+    from ifslab.experiments import UniformLinReg, generate_synthetic
+
+    data = generate_synthetic(UniformLinReg(n=5, d=2), 0)
+    chains = [(quadratic_pair_system(2.0 / 3.0), np.zeros(1), 300_000)] + [
+        (build_sgd_ifs(LeastSquares(lam=0.0), data, partition_batches(5, 1), eta), np.zeros(2), 100_000)
+        for eta in (0.3, 0.5, 0.7, 0.9)
+    ]
+    for system, w0, n_samples in chains:
+        kernel_calls["rounds"] = 0
+        sample_invariant(system, w0, 10_000, n_samples, 1, 0)
+        assert kernel_calls["rounds"] == 2
+
+
 def test_affine_kernel_expanding_map_raises(small_segments):
     system = IfsSystem((AffineMap(2.0 * np.eye(2), np.array([1.0, -1.0])),), np.array([1.0]))
     idx = np.zeros(64 * 40, dtype=np.int64)
@@ -295,6 +330,33 @@ def test_affine_kernel_default_segments_match_reference_loop():
     idx = draw_indices(Xoshiro256PP(seed), system.probs, burn_in + n_samples)
     expected = reference_chain(M, q, idx, np.array([0.5, -0.5]), burn_in, 1, n_samples)
     assert same_bits(cloud.points, expected)
+
+
+def test_sgd_stack_records_each_chain_as_sample_invariant():
+    """Three one-hidden-layer chains stepped in lockstep record, each, what
+    ``sample_invariant`` records for it alone, bit for bit.  The divergent
+    middle chain gets the serial driver's NonFiniteState and leaves the
+    others alone."""
+    rng = np.random.default_rng(9)
+    data = Dataset(rng.uniform(-1.0, 1.0, size=(12, 2)), rng.uniform(-1.0, 1.0, size=12))
+    problem = OneHiddenLayer(lam=0.1, out_weights=(1.0, -1.0, 0.5), activation="tanh")
+    scheme = partition_batches(data.n, 3)
+    etas, seeds = (0.05, 1e6, 0.2), (1, 2, 3)
+    w0 = rng.normal(size=(3, 6))
+    burn_in, n_samples, thin = 20, 30, 2
+    idx = np.stack([draw_indices(Xoshiro256PP(s), scheme.probs, burn_in + n_samples * thin) for s in seeds])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflow is reported as NonFiniteState only
+        got = ifs._run_sgd_stack(problem, data, np.stack(scheme.batches), etas, w0, idx,
+                                 burn_in, thin, n_samples)
+    for k in (0, 2):
+        system = build_sgd_ifs(problem, data, scheme, etas[k])
+        cloud = sample_invariant(system, w0[k], burn_in, n_samples, thin, seeds[k])
+        assert same_bits(got[k], cloud.points)
+    system = build_sgd_ifs(problem, data, scheme, etas[1])
+    with pytest.raises(NonFiniteState) as solo:
+        sample_invariant(system, w0[1], burn_in, n_samples, thin, seeds[1])
+    assert isinstance(got[1], NonFiniteState) and str(got[1]) == str(solo.value)
 
 
 def test_sample_invariant_thinning_and_determinism():

@@ -141,6 +141,51 @@ def test_block_hvp_matches_columns(kind, seed):
     np.testing.assert_allclose(J, eye - 0.3 * hvp(problem, w, dataset, batch, eye), atol=1e-15)
 
 
+def reference_student():
+    """The reference sweep's student (dim 32) on its training data."""
+    from ifslab.experiments import _student_problem, generate_synthetic, reference_sweep_config
+
+    cfg = reference_sweep_config()
+    return _student_problem(cfg), generate_synthetic(cfg.data, cfg.seed)
+
+
+@pytest.mark.parametrize("K", [1, 2, 6])
+@pytest.mark.parametrize("b", [16, 32])
+def test_stacked_grad_rows_equal_solo_grad_bits(K, b):
+    problem, data = reference_student()
+    rng = np.random.default_rng(100 * K + b)
+    W = rng.normal(size=(K, param_dim(problem, data)))
+    batches = np.stack(partition_batches(data.n, b).batches)[rng.integers(0, data.n // b, size=K)]
+    G = grad(problem, W, data, batches)
+    assert G.shape == W.shape
+    for k in range(K):
+        solo = grad(problem, W[k], data, batches[k])
+        assert np.array_equal(G[k].view(np.uint64), solo.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", [k for k in PROBLEM_KINDS if k != "one_hidden"])
+def test_stacked_grad_rejects_glm_families(kind):
+    problem, dataset, w, batch = make_problem_config(kind, 0)
+    with pytest.raises(ConfigError, match="OneHiddenLayer only"):
+        grad(problem, np.stack([w, w]), dataset, np.stack([batch, batch]))
+    with pytest.raises(ConfigError, match="OneHiddenLayer only"):
+        grad(problem, w, dataset, np.stack([batch, batch]))
+
+
+def test_stacked_grad_rejects_mismatched_leading_shapes():
+    problem, data = reference_student()
+    dim = param_dim(problem, data)
+    batches = np.arange(48).reshape(3, 16)
+    for w, batch in [
+        (np.zeros((2, dim)), batches),  # 2 chains, 3 batches
+        (np.zeros(dim), batches),  # one w, a stack of batches
+        (np.zeros((3, dim)), batches[0]),  # a stack of w, one batch
+        (np.zeros((1, 3, dim)), batches[None]),  # a stack of stacks
+    ]:
+        with pytest.raises(ConfigError, match="stacked grad needs"):
+            grad(problem, w, data, batch)
+
+
 @pytest.mark.parametrize("kind", PROBLEM_KINDS)
 def test_regularizer_dominance_with_zero_features(kind):
     """With features zeroed the Hessian collapses to lambda*I exactly."""

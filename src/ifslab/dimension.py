@@ -215,9 +215,7 @@ def analytic_bound(
         raise ConfigError(f"unknown bound kind {kind!r}")
     family = kind.removeprefix("precond_")
     rho = 0.0
-    if family == "robust":
-        if t0 <= 0.0:
-            raise ConfigError("robust bound needs t0 > 0")
+    if family == "robust":  # RobustRegression rejects t0 <= 0
         rho = RobustRegression(lam_r=lam, t0=t0).rho_double_sup()
     m, M = (m_low, m_high) if precond else (1.0, 1.0)
     args = PropositionArgs(eta, radius, lam, c_const, rho, sigma_smooth, m, M)

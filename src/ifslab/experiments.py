@@ -320,6 +320,9 @@ class SweepConfig:
             raise ConfigError("check_every must be a positive integer")
         require_schedule(self.burn_in, self.n_cloud, self.thin)  # before any point trains
         ComplexityConfig(n_w=self.n_w, n_u=self.n_u)  # rejects an empty R table
+        _student_problem(self)  # rejects an unknown activation
+        for b in self.batch_sizes:
+            partition_batches(self.data.n, b)
 
 
 @dataclass
@@ -435,14 +438,11 @@ def _sweep_group(
     The chains train in lockstep (``_train_point``), and those that trained
     draw their clouds in lockstep too, chain k from child_seed(seeds[k], 1);
     R, the dimensions, the bound and the gap are then computed per point.
-    A failure lands in its point's row, or in every row when it is shared.
+    A failure lands in its point's row.
     """
     problem = _student_problem(config)
-    try:
-        scheme = partition_batches(train.n, b)
-        trained = _train_point(problem, train, scheme, config, seeds)
-    except IfslabError as exc:
-        return [_failed_row(eta, b, exc) for eta in config.etas]
+    scheme = partition_batches(train.n, b)
+    trained = _train_point(problem, train, scheme, config, seeds)
     live = [k for k, w in enumerate(trained) if not isinstance(w, IfslabError)]
     clouds: dict = {}
     if live:

@@ -183,8 +183,8 @@ def read_cloud_csv(path: str) -> SampleCloud:
     """Inverse of SampleCloud.write_csv (burn_in/thin recovered from iters)."""
     with open(path, newline="") as fh:
         header = fh.readline().rstrip("\n").split(",")
-        if not header or header[0] != "iter" or header[1:] != [f"w{i}" for i in range(len(header) - 1)]:
-            raise ConfigError(f"{path}: bad sample-cloud header {header!r}")
+        if len(header) < 2 or header[0] != "iter" or header[1:] != [f"w{i}" for i in range(len(header) - 1)]:
+            raise ConfigError(f"{path}: row 1: bad sample-cloud header {header!r}, expected iter,w0,...")
         rows = []
         iters = []
         for rownum, line in enumerate(fh, start=2):
@@ -200,6 +200,12 @@ def read_cloud_csv(path: str) -> SampleCloud:
         raise ConfigError(f"{path}: no samples")
     points = np.array(rows)
     thin = iters[1] - iters[0] if len(iters) > 1 else 1
+    for j in range(1, len(iters)):  # data row j is file row j + 2
+        if thin <= 0 or iters[j] - iters[j - 1] != thin:
+            raise ConfigError(
+                f"{path}: row {j + 2}: iter {iters[j]} after {iters[j - 1]} breaks the increasing, "
+                f"evenly spaced iters"
+            )
     burn_in = iters[0] - thin
     return SampleCloud(points=points, burn_in=burn_in, thin=thin, seed=0)
 

@@ -3,7 +3,10 @@
 Each problem kind provides per-sample losses, mini-batch gradients,
 Hessian-vector products, the step Jacobian J = I - eta*P*H applied to a vector,
 and per-batch norm envelopes (gamma_i, Gamma_i) bounding ||J|| under the
-step-size hypotheses of the corresponding contraction propositions.  Each
+step-size hypotheses of the corresponding contraction propositions.  The four
+GLM families are margin losses phi(a.w, y): each one's phi, phi' and phi'' is
+one entry of ``_MARGIN``, which ``batch_losses``, ``grad`` and ``hvp`` read
+beside their one-hidden-layer branch.  Each
 proposition is one record of ``PROPOSITIONS``, which ``check_step_size``,
 ``norm_envelopes`` and ``dimension.analytic_bound`` all read.
 
@@ -131,12 +134,14 @@ class RobustRegression:
     t0: float
     rho: str = "exp_squared"  # or "tukey"
 
+    def __post_init__(self):
+        if self.rho not in ("exp_squared", "tukey"):
+            raise ConfigError(f"robust regression rho must be 'exp_squared' or 'tukey', got {self.rho!r}")
+        if not self.t0 > 0.0:
+            raise ConfigError(f"robust regression t0 must be > 0, got {self.t0}")
+
     def rho_double_sup(self) -> float:
-        if self.rho == "exp_squared":
-            return 2.0 / self.t0
-        if self.rho == "tukey":
-            return 6.0 / self.t0**2
-        raise ConfigError(f"unknown robust rho kind {self.rho!r}")
+        return 2.0 / self.t0 if self.rho == "exp_squared" else 6.0 / self.t0**2
 
 
 @dataclass(frozen=True)
@@ -148,6 +153,10 @@ class SmoothHingeSVM:
 
     lam: float
     sigma_smooth: float
+
+    def __post_init__(self):
+        if not self.sigma_smooth > 0.0:
+            raise ConfigError(f"smooth-hinge SVM sigma_smooth must be > 0, got {self.sigma_smooth}")
 
 
 @dataclass(frozen=True)
@@ -161,6 +170,10 @@ class OneHiddenLayer:
     lam: float
     out_weights: tuple[float, ...]
     activation: str = "sigmoid"  # or "tanh"
+
+    def __post_init__(self):
+        if self.activation not in _ACTIVATIONS:
+            raise ConfigError(f"unknown activation {self.activation!r}")
 
     @property
     def hidden(self) -> int:
@@ -205,61 +218,48 @@ _ACTIVATIONS = {
 }
 
 
-def _act_table(name: str):
-    """(act, act', act'', sup|act''|) for the supported activations; the
-    derivatives take the activation value act(x), not x."""
-    try:
-        return _ACTIVATIONS[name]
-    except KeyError:
-        raise ConfigError(f"unknown activation {name!r}") from None
+# The GLM families are margin losses: with z = a.w the per-sample loss is
+# phi(z, y) + lam/2 ||w||^2, the batch gradient A^T phi'(z, y) / b + lam w and
+# the batch Hessian A^T diag(phi''(z, y)) A / b + lam I, derivatives in z.  Each
+# entry is (phi, phi', phi'') as functions of (problem, z, y).  Robust
+# regression is keyed by its rho, read at the residual t = y - z (so
+# phi' = -rho'(t)).  Least squares' phi'' is the constant 1, given as None so
+# that its Hessian needs no margin.
+_MARGIN = {
+    LeastSquares: (lambda p, z, y: 0.5 * (z - y) ** 2, lambda p, z, y: z - y, None),
+    Logistic: (  # log(1 + exp(-y z))
+        lambda p, z, y: np.logaddexp(0.0, -y * z),
+        lambda p, z, y: -y * _sigmoid(-(y * z)),
+        lambda p, z, y: (s := _sigmoid(y * z)) * (1.0 - s) * y**2,
+    ),
+    "exp_squared": (  # rho(t) = 1 - exp(-t^2/t0); |rho''| peaks at t = 0
+        lambda p, z, y: 1.0 - np.exp(-((y - z) ** 2) / p.t0),
+        lambda p, z, y: -((2.0 * (t := y - z) / p.t0) * np.exp(-(t**2) / p.t0)),
+        lambda p, z, y: (
+            p.rho_double_sup() * (1.0 - 2.0 * (t := y - z) ** 2 / p.t0) * np.exp(-(t**2) / p.t0)
+        ),
+    ),
+    "tukey": (  # rho(t) = 1 - (1 - (t/t0)^2)^3 for |t| <= t0, else 1
+        lambda p, z, y: np.where(np.abs(t := y - z) <= p.t0, 1.0 - (1.0 - (t / p.t0) ** 2) ** 3, 1.0),
+        lambda p, z, y: -np.where(
+            np.abs(t := y - z) <= p.t0, 6.0 * t / p.t0**2 * (1.0 - (t / p.t0) ** 2) ** 2, 0.0
+        ),
+        lambda p, z, y: np.where(
+            np.abs(t := y - z) <= p.t0, p.rho_double_sup() * (1.0 - (s := (t / p.t0) ** 2)) * (1.0 - 5.0 * s),
+            0.0,
+        ),
+    ),
+    SmoothHingeSVM: (  # l_sig(y z), l_sig(m) = 1 - m + sig log(1 + exp(-(1 - m)/sig))
+        lambda p, z, y: 1.0 - (m := y * z) + p.sigma_smooth * np.logaddexp(0.0, -(1.0 - m) / p.sigma_smooth),
+        lambda p, z, y: y * -_sigmoid((1.0 - y * z) / p.sigma_smooth),
+        lambda p, z, y: (s := _sigmoid((1.0 - y * z) / p.sigma_smooth)) * (1.0 - s) / p.sigma_smooth * y**2,
+    ),
+}
 
 
-def _rho_funcs(problem: RobustRegression):
-    t0 = problem.t0
-    if problem.rho == "exp_squared":
-
-        def rho(t):
-            return 1.0 - np.exp(-(t**2) / t0)
-
-        def rho1(t):
-            return (2.0 * t / t0) * np.exp(-(t**2) / t0)
-
-        def rho2(t):  # |rho''| peaks at t = 0
-            return problem.rho_double_sup() * (1.0 - 2.0 * t**2 / t0) * np.exp(-(t**2) / t0)
-
-        return rho, rho1, rho2
-    if problem.rho == "tukey":
-
-        def rho(t):
-            u = 1.0 - (t / t0) ** 2
-            return np.where(np.abs(t) <= t0, 1.0 - u**3, 1.0)
-
-        def rho1(t):
-            u = 1.0 - (t / t0) ** 2
-            return np.where(np.abs(t) <= t0, 6.0 * t / t0**2 * u**2, 0.0)
-
-        def rho2(t):
-            s = (t / t0) ** 2
-            return np.where(np.abs(t) <= t0, problem.rho_double_sup() * (1.0 - s) * (1.0 - 5.0 * s), 0.0)
-
-        return rho, rho1, rho2
-    raise ConfigError(f"unknown robust rho kind {problem.rho!r}")
-
-
-def _svm_funcs(problem: SmoothHingeSVM):
-    sig = problem.sigma_smooth
-
-    def ell(z):
-        return 1.0 - z + sig * np.logaddexp(0.0, -(1.0 - z) / sig)
-
-    def ell1(z):
-        return -_sigmoid((1.0 - z) / sig)
-
-    def ell2(z):
-        s = _sigmoid((1.0 - z) / sig)
-        return s * (1.0 - s) / sig
-
-    return ell, ell1, ell2
+def _margin(problem: Problem) -> tuple:
+    """The ``_MARGIN`` entry (phi, phi', phi'') of a GLM problem."""
+    return _MARGIN[problem.rho if isinstance(problem, RobustRegression) else type(problem)]
 
 
 def _mlp_parts(problem: OneHiddenLayer, w: np.ndarray, A: np.ndarray):
@@ -276,7 +276,7 @@ def _mlp_parts(problem: OneHiddenLayer, w: np.ndarray, A: np.ndarray):
     m = problem.hidden
     d = A.shape[-1]
     W = w.reshape(w.shape[:-1] + (m, d))
-    f, d1, d2, _ = _act_table(problem.activation)
+    f, d1, d2, _ = _ACTIVATIONS[problem.activation]
     H = f(A @ W.swapaxes(-1, -2))
     return b, H, H @ b, d1, d2
 
@@ -296,20 +296,10 @@ def batch_losses(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.nd
     idx = np.asarray(batch, dtype=np.int64)
     A, y = _rows(dataset, idx)
     reg = 0.5 * regularizer_weight(problem) * float(w @ w)
-    if isinstance(problem, LeastSquares):
-        return 0.5 * (A @ w - y) ** 2 + reg
-    if isinstance(problem, Logistic):
-        return np.logaddexp(0.0, -y * (A @ w)) + reg
-    if isinstance(problem, RobustRegression):
-        rho, _, _ = _rho_funcs(problem)
-        return rho(y - A @ w) + reg
-    if isinstance(problem, SmoothHingeSVM):
-        ell, _, _ = _svm_funcs(problem)
-        return ell(y * (A @ w)) + reg
     if isinstance(problem, OneHiddenLayer):
         _, _, yhat, _, _ = _mlp_parts(problem, w, A)
         return 0.5 * (y - yhat) ** 2 + reg
-    raise ConfigError(f"unknown problem kind {type(problem).__name__}")
+    return _margin(problem)[0](problem, A @ w, y) + reg
 
 
 def loss(problem: Problem, w: np.ndarray, dataset: Dataset, i: int) -> float:
@@ -342,23 +332,13 @@ def grad(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray) -
             )
     A, y = _rows(dataset, idx)
     nb = idx.shape[-1]
-    if isinstance(problem, LeastSquares):
-        return A.T @ (A @ w - y) / nb + problem.lam * w
-    if isinstance(problem, Logistic):
-        t = y * (A @ w)
-        return A.T @ (-y * _sigmoid(-t)) / nb + problem.lam * w
-    if isinstance(problem, RobustRegression):
-        _, rho1, _ = _rho_funcs(problem)
-        return A.T @ (-rho1(y - A @ w)) / nb + problem.lam_r * w
-    if isinstance(problem, SmoothHingeSVM):
-        _, ell1, _ = _svm_funcs(problem)
-        return A.T @ (y * ell1(y * (A @ w))) / nb + problem.lam * w
+    lam = regularizer_weight(problem)
     if isinstance(problem, OneHiddenLayer):
         b, H, yhat, d1, _ = _mlp_parts(problem, w, A)
         # V[j] = flatten_r(b_r f'(z_jr) a_j); grad = -(1/b) sum resid_j V_j + lam w
         coef = (yhat - y)[..., None] * (b * d1(H))  # (..., nb, m)
-        return (coef.swapaxes(-1, -2) @ A).reshape(w.shape) / nb + problem.lam * w
-    raise ConfigError(f"unknown problem kind {type(problem).__name__}")
+        return (coef.swapaxes(-1, -2) @ A).reshape(w.shape) / nb + lam * w
+    return A.T @ _margin(problem)[1](problem, A @ w, y) / nb + lam * w
 
 
 def _scale_rows(coef: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -377,20 +357,7 @@ def hvp(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray, v:
     idx = np.asarray(batch, dtype=np.int64)
     A, y = _rows(dataset, idx)
     nb = len(idx)
-    if isinstance(problem, LeastSquares):
-        return A.T @ (A @ v) / nb + problem.lam * v
-    if isinstance(problem, Logistic):
-        s = _sigmoid(y * (A @ w))
-        coef = s * (1.0 - s) * y**2
-        return A.T @ _scale_rows(coef, A @ v) / nb + problem.lam * v
-    if isinstance(problem, RobustRegression):
-        _, _, rho2 = _rho_funcs(problem)
-        coef = rho2(y - A @ w)
-        return A.T @ _scale_rows(coef, A @ v) / nb + problem.lam_r * v
-    if isinstance(problem, SmoothHingeSVM):
-        _, _, ell2 = _svm_funcs(problem)
-        coef = ell2(y * (A @ w)) * y**2
-        return A.T @ _scale_rows(coef, A @ v) / nb + problem.lam * v
+    lam = regularizer_weight(problem)
     if isinstance(problem, OneHiddenLayer):
         b, H, yhat, d1, d2 = _mlp_parts(problem, w, A)
         m, d = problem.hidden, A.shape[1]
@@ -401,8 +368,10 @@ def hvp(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray, v:
         T = A @ X.reshape(m, d, -1)  # (m, nb, k): a_j . u_r per column
         c = (y - yhat)[:, None] * b[None, :] * d2(H)  # resid * b_r * f''(z_jr)
         block = A.T @ (c.T[:, :, None] * T) / nb  # (m, d, k): resid-weighted curvature
-        return (gauss - block.reshape(m * d, -1) + problem.lam * X).reshape(v.shape)
-    raise ConfigError(f"unknown problem kind {type(problem).__name__}")
+        return (gauss - block.reshape(m * d, -1) + lam * X).reshape(v.shape)
+    phi2 = _margin(problem)[2]
+    Av = A @ v if phi2 is None else _scale_rows(phi2(problem, A @ w, y), A @ v)
+    return A.T @ Av / nb + lam * v
 
 
 def jacobian_apply(
@@ -610,7 +579,7 @@ def compute_one_layer_C(problem: OneHiddenLayer, dataset: Dataset, cloud_points:
     if pts.shape[0] == 0:
         raise ConfigError("compute_one_layer_C needs a nonempty cloud")
     b = np.asarray(problem.out_weights, dtype=float)
-    sup2 = _act_table(problem.activation)[3]
+    sup2 = _ACTIVATIONS[problem.activation][3]
     A = dataset.features
     row_inf = np.abs(A).max(axis=1)
     # cloud points per chunk: each (chunk, n, m) temporary stays near 128 KiB.

@@ -131,6 +131,28 @@ def test_divergent_simulate_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "complexity"])
+@pytest.mark.parametrize(
+    "problem",
+    [
+        {"kind": "robust_regression", "lam_r": 0.5, "t0": 0},
+        {"kind": "robust_regression", "lam_r": 0.5, "t0": -1},
+        {"kind": "smooth_hinge_svm", "lam": 0.5, "sigma_smooth": 0},
+        {"kind": "smooth_hinge_svm", "lam": 0.5, "sigma_smooth": -0.5},
+    ],
+)
+def test_problem_parameter_outside_formula_is_config_error(tmp_path, capsys, command, problem):
+    # the robust t0 cases used to diverge (exit 2) and the SVM cases to exit 0
+    # with R = NaN or a finite R from a non-convex loss
+    path = tmp_path / "cls.csv"
+    path.write_text("x0,x1,y\n0.5,0.1,1\n-0.3,0.2,-1\n0.2,-0.4,1\n-0.1,-0.3,-1\n")
+    cfg = experiment_config(tmp_path, problem=problem, dataset={"kind": "csv", "path": str(path)})
+    out = ["--out", str(tmp_path / "o")] if command == "simulate" else []
+    assert main([command, "--config", cfg, *out]) == 1
+    field = "t0" if "t0" in problem else "sigma_smooth"
+    assert f"{field} must be > 0" in capsys.readouterr().err
+
+
 def test_dimension_roundtrip(tmp_path, capsys):
     cfg = experiment_config(tmp_path)
     out = str(tmp_path / "out")

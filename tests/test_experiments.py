@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ifslab.errors import ComputeError, ConfigError, DegenerateVariance, NonFiniteState
+from ifslab.errors import ComputeError, ConfigError, DegenerateVariance, IndivisibleBatch, NonFiniteState
 from ifslab.experiments import (
     MlpRegression,
     SweepConfig,
@@ -448,6 +448,12 @@ def test_sweep_rejects_empty_or_bad_grid():
     for table in ({"n_w": 0}, {"n_u": 0}):
         with pytest.raises(ConfigError):
             tiny_sweep_config(**table)
+    with pytest.raises(ConfigError, match="activation"):
+        tiny_sweep_config(activation="relu")
+    with pytest.raises(IndivisibleBatch):  # n = 24: rejected before b = 4 trains
+        tiny_sweep_config(batch_sizes=(4, 5))
+    with pytest.raises(ConfigError, match="b <= n"):
+        tiny_sweep_config(batch_sizes=(4, 30))
 
 
 def test_scripts_run_end_to_end(tmp_path):

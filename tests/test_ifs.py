@@ -390,6 +390,22 @@ def test_cloud_csv_round_trip(tmp_path):
     assert back.thin == cloud.thin
 
 
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        ("iter\n1\n2\n3\n", "row 1"),  # no w columns: was read as a single-point cloud
+        ("iter,w0\n5,0.1\n3,0.2\n4,0.3\n", "row 3"),  # was thin = -2, burn_in = 7
+        ("iter,w0\n2,0.1\n4,0.2\n5,0.3\n", "row 4"),
+        ("iter,w0\n2,0.1\n2,0.2\n", "row 3"),
+    ],
+)
+def test_cloud_csv_rejects_malformed_clouds(tmp_path, text, row):
+    path = tmp_path / "cloud.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=row):
+        read_cloud_csv(str(path))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     slopes=st.tuples(st.floats(0.05, 0.9), st.floats(0.05, 0.9)),

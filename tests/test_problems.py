@@ -415,6 +415,26 @@ def test_param_dim_one_hidden_layer():
     assert param_dim(problem, data) == 6
 
 
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: RobustRegression(lam_r=0.5, t0=0.0), "t0"),
+        (lambda: RobustRegression(lam_r=0.5, t0=-1.0, rho="tukey"), "t0"),
+        (lambda: RobustRegression(lam_r=0.5, t0=math.nan), "t0"),
+        (lambda: RobustRegression(lam_r=0.5, t0=1.0, rho="huber"), "rho"),
+        (lambda: SmoothHingeSVM(lam=0.5, sigma_smooth=0.0), "sigma_smooth"),
+        (lambda: SmoothHingeSVM(lam=0.5, sigma_smooth=-0.5), "sigma_smooth"),
+        (lambda: OneHiddenLayer(lam=0.1, out_weights=(1.0,), activation="relu"), "activation"),
+    ],
+    ids=["t0=0", "tukey-t0=-1", "t0=nan", "rho=huber", "sigma=0", "sigma=-0.5", "relu"],
+)
+def test_problem_rejects_parameters_outside_its_formulas(make, field):
+    # t0 <= 0 made the robust chains overflow; sigma_smooth <= 0 gave a NaN or
+    # a finite but meaningless R; unknown rho/activation failed only when used
+    with pytest.raises(ConfigError, match=field):
+        make()
+
+
 def test_csv_loader_round_trip(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("x0,x1,y\n0.5,-0.25,1\n-1,0.125,-1\n")

@@ -186,8 +186,6 @@ def parse_problem(raw: Any, context: str = "problem") -> Problem:
         outs = tuple(_real_list(weights, f"{context}.out_weights"))
     else:
         m = _integer(hidden, f"{context}.hidden")
-        if m < 1:
-            raise ConfigError(f"{context}.hidden must be >= 1")
         scale = _real(sec.take("out_scale", 1.0), f"{context}.out_scale")
         outs = tuple(scale * (1.0 if r % 2 == 0 else -1.0) for r in range(m))
     return _fill(OneHiddenLayer, sec, out_weights=outs)

@@ -22,7 +22,7 @@ from .dimension import BoxCountConfig, DimensionEstimate, analytic_bound, box_co
 from .errors import (ComputeError, ConfigError, DegenerateVariance, IfslabError, NonFiniteState,
                      PreconditionViolation)
 from .fileio import atomic_write_bytes, atomic_write_text, fmt_float, write_json
-from .ifs import IfsSystem, SampleCloud, _run_sgd_stack, require_schedule, sample_invariant
+from .ifs import IfsSystem, SampleCloud, _diverged, _run_sgd, require_schedule, sample_invariant
 from .optimizers import BatchScheme, build_sgd_ifs, partition_batches
 from .rng import Xoshiro256PP, child_seed, draw_indices
 
@@ -373,13 +373,14 @@ def _train_point(
     while live and steps < config.max_iters:
         block = min(config.check_every, config.max_iters - steps)
         idx = np.stack([draw_indices(gens[k], scheme.probs, block) for k in live])
-        etas = [config.etas[k] for k in live]
-        ends = _run_sgd_stack(problem, train, batches, etas, w, idx, block - 1, 1, 1)
+        etas = np.array([config.etas[k] for k in live])[:, None]
+        ends, finite = _run_sgd(problem, train, etas, w, (batches.take(col, axis=0) for col in idx.T),
+                                block - 1, 1, 1)
         steps += block
         keep = []
-        for k, end in zip(live, ends):
-            if isinstance(end, NonFiniteState):
-                out[k] = end
+        for k, end, ok in zip(live, ends, finite):
+            if not ok:
+                out[k] = _diverged()
                 continue
             with np.errstate(over="ignore", invalid="ignore"):  # as in the driver
                 loss = pr.mean_loss(problem, end[0], train)
@@ -449,10 +450,13 @@ def _sweep_group(
         total = config.burn_in + config.n_cloud * config.thin
         gens = [Xoshiro256PP(child_seed(seeds[k], 1)) for k in live]
         idx = np.stack([draw_indices(gen, scheme.probs, total) for gen in gens])
-        clouds = dict(zip(live, _run_sgd_stack(
-            problem, train, np.stack(scheme.batches), [config.etas[k] for k in live],
-            np.stack([trained[k] for k in live]), idx, config.burn_in, config.thin, config.n_cloud,
-        )))
+        batches = np.stack(scheme.batches)
+        points, finite = _run_sgd(
+            problem, train, np.array([config.etas[k] for k in live])[:, None],
+            np.stack([trained[k] for k in live]), (batches.take(col, axis=0) for col in idx.T),
+            config.burn_in, config.thin, config.n_cloud,
+        )
+        clouds = {k: points[j] if finite[j] else _diverged() for j, k in enumerate(live)}
     rows = []
     for k, eta in enumerate(config.etas):
         points = clouds.get(k, trained[k])  # a chain that failed training has no cloud

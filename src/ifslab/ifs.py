@@ -13,12 +13,11 @@ average forget their start, and in float64 two chains driven by one index
 stream become bit-equal (they coalesce), so two rounds usually settle every
 segment; families that never coalesce finish in one serial lane.  Every
 record equals the serial loop w = M[i] @ w + q[i] bit for bit.
-Problem-backed maps are stepped by the serial loop ``_run_chain``, which
-takes any stream of maps: the index-drawn maps of a system here and the
-lazily drawn subset-mode maps of ``optimizers``.  The sweep in
-``experiments`` trains and samples K plain-SGD chains that share one
-problem, dataset and batch family through ``_run_sgd_stack``, one stacked
-``grad`` call per step, bit-equal to each chain's serial loop.
+Every problem-backed chain is stepped by one SGD loop, ``_run_sgd``,
+along a stream of per-step batches: a system's index-drawn batches, the
+lazy b-subsets of subset mode (``optimizers``), or the sweep's K chains in
+lockstep (``experiments``), one stacked ``grad`` call per step, each chain
+bit-equal to its run alone.
 ``lyapunov_exponent`` keeps its own loop, since it also pushes a tangent
 vector through each step's Jacobian.
 
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -117,7 +116,8 @@ MapDescriptor = Union[AffineMap, ProblemMap]
 
 @dataclass(frozen=True)
 class IfsSystem:
-    """Finite map family with selection probabilities summing to one."""
+    """Finite map family with selection probabilities summing to one: all affine
+    maps, or SGD steps that differ only in their batch."""
 
     maps: tuple[MapDescriptor, ...]
     probs: np.ndarray
@@ -131,9 +131,20 @@ class IfsSystem:
             raise ConfigError("probs length must match maps")
         if np.any(self.probs <= 0.0) or abs(float(self.probs.sum()) - 1.0) > 1e-12:
             raise ConfigError("probs must be positive and sum to 1 within 1e-12")
-        dims = {m.dim for m in self.maps}
-        if len(dims) != 1:
-            raise ConfigError("all maps must share one ambient dimension")
+        m0 = self.maps[0]
+        if isinstance(m0, AffineMap):
+            ok = all(isinstance(m, AffineMap) and m.dim == m0.dim for m in self.maps)
+        else:
+            ok = all(
+                isinstance(m, ProblemMap) and m.dataset is m0.dataset
+                and (m.problem, m.eta, m.solve) == (m0.problem, m0.eta, m0.solve)
+                for m in self.maps
+            )
+        if not ok:
+            raise ConfigError(
+                "an IfsSystem needs affine maps of one dimension, or SGD steps that share "
+                "one problem, dataset, eta and solve"
+            )
 
     @property
     def dim(self) -> int:
@@ -141,7 +152,7 @@ class IfsSystem:
 
     @property
     def is_affine(self) -> bool:
-        return all(isinstance(m, AffineMap) for m in self.maps)
+        return isinstance(self.maps[0], AffineMap)
 
 
 # --------------------------------------------------------------------------
@@ -181,7 +192,11 @@ class SampleCloud:
 
 def read_cloud_csv(path: str) -> SampleCloud:
     """Inverse of SampleCloud.write_csv (burn_in/thin recovered from iters)."""
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot read sample-cloud file: {exc}") from None
+    with fh:
         header = fh.readline().rstrip("\n").split(",")
         if len(header) < 2 or header[0] != "iter" or header[1:] != [f"w{i}" for i in range(len(header) - 1)]:
             raise ConfigError(f"{path}: row 1: bad sample-cloud header {header!r}, expected iter,w0,...")
@@ -249,60 +264,33 @@ def _check_recorded_finite(arr: np.ndarray) -> None:
         raise _diverged()
 
 
-def _run_chain(maps: Iterable, w0: np.ndarray, record_from: int, thin: int, n_record: int) -> np.ndarray:
-    """The serial chain driver: w_t = maps[t-1].apply(w_{t-1}) for each map in turn.
+def _run_sgd(
+    problem: pr.Problem, dataset: pr.Dataset, eta: Union[float, np.ndarray], w0: np.ndarray,
+    batches: Iterable, record_from: int, thin: int, n_record: int, solve: Optional[Callable] = None,
+) -> tuple:
+    """The SGD chain loop: w_t = w_{t-1} - eta * P(grad(problem, w_{t-1}, dataset, B_t)),
+    with P = ``solve`` (identity when None) and B_t the t-th of ``batches``.
 
-    ``maps`` is any iterable of objects with ``apply`` (drawn lazily or not):
-    it serves ``sample_invariant`` and ``iterate`` on problem-backed systems
-    and subset-mode SGD; the sweep's lockstep chains use ``_run_sgd_stack``.
-    The states after steps record_from + j*thin, j = 1..n_record, are
-    returned.  A recorded or final state that is not finite raises
-    NonFiniteState.
-    """
-    w = np.atleast_1d(np.asarray(w0, dtype=float))
-    out = np.empty((n_record, w.shape[0]))
-    r = 0
-    # overflow to inf/nan is an anticipated outcome here, reported as
-    # NonFiniteState below rather than as a numpy warning mid-loop
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, m in enumerate(maps, start=1):
-            w = m.apply(w)
-            if t > record_from and (t - record_from) % thin == 0 and r < n_record:
-                out[r] = w
-                r += 1
-    _check_recorded_finite(out[:r])
-    if not np.isfinite(w).all():
-        raise _diverged()
-    return out
-
-
-def _run_sgd_stack(
-    problem: pr.Problem, dataset: pr.Dataset, batches: np.ndarray, etas: Sequence[float], w0: np.ndarray,
-    idx: np.ndarray, record_from: int, thin: int, n_record: int,
-) -> list:
-    """K plain-SGD chains of one problem, dataset and batch family in lockstep.
-
-    Chain k runs w <- w - etas[k] * grad(problem, w, dataset, batches[i]) from
-    ``w0[k]`` along the map indices ``idx[k]``: ``w0`` is (K, dim), ``idx``
-    (K, n) and ``batches`` the (n_maps, b) array of the family's batches.
-    Each step is one stacked ``grad`` call, and every chain equals the
-    ``_run_chain`` loop over its ``ProblemMap`` steps bit for bit.  Returns,
-    per chain, the states after steps record_from + j*thin, j = 1..n_record,
-    or the NonFiniteState ``_run_chain`` raises when a recorded or the final
-    state is not finite; the other chains are unaffected.
+    One chain has ``w0`` (dim,), a float ``eta`` and batches (b,); K plain-SGD
+    chains in lockstep have ``w0`` (K, dim), ``eta`` (K, 1) and batches (K, b).
+    Returns the states after steps record_from + j*thin, j = 1..n_record, as
+    (n_record, dim) or (K, n_record, dim), and whether each chain's records
+    and final state are finite (a bool, or one per chain).
     """
     w = np.asarray(w0, dtype=float)
-    eta = np.asarray(etas, dtype=float)[:, None]
-    out = np.empty((w.shape[0], n_record, w.shape[1]))
+    out = np.empty(w.shape[:-1] + (n_record, w.shape[-1]))
     r = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _run_chain
-        for t, col in enumerate(idx.T, start=1):
-            w = w - eta * pr.grad(problem, w, dataset, batches.take(col, axis=0))
+    # overflow to inf/nan is an anticipated outcome here, reported through
+    # the finite flags rather than as a numpy warning mid-loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, batch in enumerate(batches, start=1):
+            g = pr.grad(problem, w, dataset, batch)
+            w = w - eta * (g if solve is None else solve(g))
             if t > record_from and (t - record_from) % thin == 0 and r < n_record:
-                out[:, r] = w
+                out[..., r, :] = w
                 r += 1
-    finite = np.isfinite(out[:, :r]).all(axis=(1, 2)) & np.isfinite(w).all(axis=1)
-    return [out[k, :r] if finite[k] else _diverged() for k in range(w.shape[0])]
+    out = out[..., :r, :]
+    return out, np.isfinite(out).all(axis=(-2, -1)) & np.isfinite(w).all(axis=-1)
 
 
 # Affine chains of at least MIN_SEGMENTS segments of about SEG steps run in
@@ -427,11 +415,25 @@ def _run_system(
     system: IfsSystem, w0: np.ndarray, idx: np.ndarray, record_from: int, thin: int, n_record: int
 ) -> np.ndarray:
     """Step ``system`` along the map indices ``idx``: affine systems through
-    the segmented kernel ``_run_affine``, problem-backed ones through the
-    serial loop ``_run_chain``.  Both return the same records."""
+    the segmented kernel ``_run_affine``, problem-backed ones through the SGD
+    loop ``_run_sgd`` with the problem, dataset, eta and preconditioner all
+    their maps share.  Both return the same records."""
     if system.is_affine:
         return _run_affine(system, w0, idx, record_from, thin, n_record)
-    return _run_chain((system.maps[i] for i in idx.tolist()), w0, record_from, thin, n_record)
+    m, batches = system.maps[0], [mp.batch for mp in system.maps]
+    rows, finite = _run_sgd(m.problem, m.dataset, m.eta, w0, (batches[i] for i in idx.tolist()),
+                            record_from, thin, n_record, m.solve)
+    if not finite:
+        raise _diverged()
+    return rows
+
+
+def require_start(w0: np.ndarray, dim: int) -> np.ndarray:
+    """``w0`` as a float vector, rejected unless it has the ``dim`` parameters of the chain."""
+    w0 = np.atleast_1d(np.asarray(w0, dtype=float))
+    if w0.shape != (dim,):
+        raise ConfigError(f"w0 has shape {w0.shape}, but the chain has {dim} parameters")
+    return w0
 
 
 def iterate(system: IfsSystem, w0: np.ndarray, k: int, seed: int) -> Trajectory:
@@ -442,7 +444,7 @@ def iterate(system: IfsSystem, w0: np.ndarray, k: int, seed: int) -> Trajectory:
     """
     if k < 0:
         raise ConfigError("k must be nonnegative")
-    w0 = np.atleast_1d(np.asarray(w0, dtype=float))
+    w0 = require_start(w0, system.dim)
     gen = Xoshiro256PP(seed)
     idx = draw_indices(gen, system.probs, k)
     states = np.empty((k + 1, system.dim))
@@ -471,7 +473,7 @@ def sample_invariant(
     j = 1..n_samples.  Burn-in states are not kept, except for up to one
     segment of them in an affine chain run in lockstep."""
     require_schedule(burn_in, n_samples, thin)
-    w0 = np.atleast_1d(np.asarray(w0, dtype=float))
+    w0 = require_start(w0, system.dim)
     total = burn_in + n_samples * thin
     gen = Xoshiro256PP(seed)
     idx = draw_indices(gen, system.probs, total)

@@ -2,8 +2,8 @@
 
 Partition mode splits {0..n-1} into contiguous blocks of size b (seeded
 shuffle optional) and enumerates one map per block.  Subset mode (the
-without-replacement C(n,b) family) is never enumerated: its maps are drawn
-lazily during iteration, and operations needing the map count use
+without-replacement C(n,b) family) is never enumerated: its batches are
+drawn lazily during iteration, and operations needing the map count use
 m_b = C(n,b) as a plain number.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .errors import (
     NotPositiveDefinite,
     SingularBatchHessian,
 )
-from .ifs import (AffineMap, IfsSystem, ProblemMap, SampleCloud, Trajectory, _run_chain,
-                  require_schedule)
+from .ifs import (AffineMap, IfsSystem, ProblemMap, SampleCloud, Trajectory, _diverged, _run_sgd,
+                  require_schedule, require_start)
 from .rng import Xoshiro256PP
 
 # --------------------------------------------------------------------------
@@ -117,6 +117,11 @@ def _require_enumerated(scheme: BatchScheme, op: str) -> None:
         raise ConfigError(f"{op} needs an enumerated Partition scheme; Subset mode is iterated lazily")
 
 
+def _require_eta(eta: float) -> None:
+    if not eta > 0.0:
+        raise ConfigError("eta must be positive")
+
+
 def _validate_labels(problem: pr.Problem, dataset: pr.Dataset) -> None:
     if isinstance(problem, (pr.Logistic, pr.SmoothHingeSVM)):
         pr.require_pm1_labels(dataset, type(problem).__name__)
@@ -136,8 +141,7 @@ def build_sgd_ifs(
     """
     _require_enumerated(scheme, "build_sgd_ifs")
     _validate_labels(problem, dataset)
-    if eta <= 0.0:
-        raise ConfigError("eta must be positive")
+    _require_eta(eta)
     if isinstance(problem, pr.LeastSquares):
         d = dataset.d
         eye = np.eye(d)
@@ -170,8 +174,7 @@ def build_precond_sgd_ifs(
     """
     _require_enumerated(scheme, "build_precond_sgd_ifs")
     _validate_labels(problem, dataset)
-    if eta <= 0.0:
-        raise ConfigError("eta must be positive")
+    _require_eta(eta)
     if np.array_equal(precond.matrix, np.eye(dataset.d)):
         # exact identity: skip the solves so trajectories match plain SGD bit-for-bit
         return build_sgd_ifs(problem, dataset, scheme, eta)
@@ -208,8 +211,7 @@ def build_stoch_newton_ifs(
         raise ConfigError("stochastic Newton is defined for least squares only")
     if problem.lam <= 0.0:
         raise ConfigError("stochastic Newton needs lam > 0")
-    if not 0.0 < eta:
-        raise ConfigError("eta must be positive")
+    _require_eta(eta)
     d = dataset.d
     eye = np.eye(d)
     maps = []
@@ -233,31 +235,38 @@ def build_stoch_newton_ifs(
 # subset-mode (lazy) iteration
 
 
-def _subset_maps(
-    problem: pr.Problem, dataset: pr.Dataset, b: int, eta: float, total: int, seed: int
-) -> Iterator[ProblemMap]:
-    """Lazy stream of ``total`` SGD maps, one fresh b-subset draw each."""
+def _run_subset(
+    problem: pr.Problem, dataset: pr.Dataset, b: int, eta: float, w0: np.ndarray, seed: int,
+    record_from: int, thin: int, n_record: int,
+) -> np.ndarray:
+    """Subset-mode SGD from ``w0``: each step draws a fresh b-subset from
+    Xoshiro256PP(seed), one draw per step in step order.  The inputs are
+    checked before any step; records as ``ifs._run_sgd``."""
+    _validate_labels(problem, dataset)
+    partition_batches(dataset.n, b, "subset")  # rejects b outside 1..n
+    _require_eta(eta)
+    w0 = require_start(w0, pr.param_dim(problem, dataset))
     gen = Xoshiro256PP(seed)
-    return (
-        ProblemMap(problem, dataset, gen.subset_without_replacement(dataset.n, b), eta)
-        for _ in range(total)
-    )
+    total = record_from + n_record * thin
+    batches = (gen.subset_without_replacement(dataset.n, b) for _ in range(total))
+    rows, finite = _run_sgd(problem, dataset, eta, w0, batches, record_from, thin, n_record)
+    if not finite:
+        raise _diverged()
+    return rows
 
 
 def iterate_subset_sgd(
     problem: pr.Problem, dataset: pr.Dataset, b: int, eta: float, w0: np.ndarray, k: int, seed: int
 ) -> Trajectory:
-    """SGD with a fresh without-replacement b-subset each step (lazy maps).
+    """SGD with a fresh without-replacement b-subset each step, drawn lazily.
 
     Stream order: one b-subset draw per step.  Map indices are not recorded
     (the family is combinatorially large); Trajectory.indices stays empty.
     """
-    _validate_labels(problem, dataset)
-    w0 = np.atleast_1d(np.asarray(w0, dtype=float))
-    states = np.empty((k + 1, pr.param_dim(problem, dataset)))
-    states[0] = w0
-    if k:
-        states[1:] = _run_chain(_subset_maps(problem, dataset, b, eta, k, seed), w0, 0, 1, k)
+    if k < 0:
+        raise ConfigError("k must be nonnegative")
+    rows = _run_subset(problem, dataset, b, eta, w0, seed, 0, 1, k)
+    states = np.vstack([np.asarray(w0, dtype=float), rows])
     return Trajectory(states=states, indices=np.empty(0, dtype=np.int64), seed=seed)
 
 
@@ -273,8 +282,6 @@ def sample_invariant_subset(
     seed: int = 0,
 ) -> SampleCloud:
     """Subset-mode analogue of ifs.sample_invariant."""
-    _validate_labels(problem, dataset)
     require_schedule(burn_in, n_samples, thin)
-    maps = _subset_maps(problem, dataset, b, eta, burn_in + n_samples * thin, seed)
-    pts = _run_chain(maps, w0, burn_in, thin, n_samples)
+    pts = _run_subset(problem, dataset, b, eta, w0, seed, burn_in, thin, n_samples)
     return SampleCloud(points=pts, burn_in=burn_in, thin=thin, seed=seed)

@@ -73,7 +73,11 @@ def load_dataset_csv(path: str) -> Dataset:
 
     Malformed rows abort with their 1-based row number in the message.
     """
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot read dataset file: {exc}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -172,6 +176,8 @@ class OneHiddenLayer:
     activation: str = "sigmoid"  # or "tanh"
 
     def __post_init__(self):
+        if self.hidden == 0:
+            raise ConfigError("a one-hidden-layer net needs at least one hidden unit; out_weights is empty")
         if self.activation not in _ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
 

@@ -122,6 +122,14 @@ def test_simulate_missing_config_file(tmp_path, capsys):
     assert code == 1
 
 
+def test_simulate_missing_dataset_file(tmp_path, capsys):
+    missing = str(tmp_path / "nope.csv")
+    cfg = experiment_config(tmp_path, dataset={"kind": "csv", "path": missing})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ifslab: config error: cannot read dataset file") and missing in err
+
+
 def test_divergent_simulate_is_numerical_failure(tmp_path, capsys):
     cfg = experiment_config(
         tmp_path, optimizer={"kind": "sgd", "eta": 80.0}, problem={"kind": "least_squares"}
@@ -167,6 +175,13 @@ def test_dimension_roundtrip(tmp_path, capsys):
     assert set(printed) == {"value", "scales", "counts", "fit_r2"}
     assert 0.0 <= printed["value"] <= 2.0
     assert json.loads(open(est_path).read()) == printed
+
+
+def test_dimension_missing_samples_file(tmp_path, capsys):
+    missing = str(tmp_path / "nope.csv")
+    assert main(["dimension", "--samples", missing]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ifslab: config error: cannot read sample-cloud file") and missing in err
 
 
 def test_dimension_with_box_config(tmp_path, capsys):
@@ -414,6 +429,27 @@ def test_experiment_sweep_rejects_empty_schedule(tmp_path, capsys, monkeypatch, 
     assert main(["experiment", "sweep", "--config", cfg, "--out", str(out)]) == 1
     assert "need burn_in >= 0, n_samples > 0, thin > 0" in capsys.readouterr().err
     assert not out.exists()  # rejected before any work
+
+
+def test_experiment_sweep_rejects_empty_hidden_layer(tmp_path, capsys, monkeypatch):
+    from ifslab import experiments
+
+    def no_training(*args):
+        raise AssertionError("a sweep point trained")
+
+    monkeypatch.setattr(experiments, "_train_point", no_training)
+    cfg = write_config(tmp_path, "s.json", {"data": {"n": 8, "d": 2}, "etas": [0.1],
+                                            "batch_sizes": [2], "hidden": 0})
+    out = tmp_path / "o"
+    assert main(["experiment", "sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert "config error: a one-hidden-layer net needs at least one hidden unit" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any work
+
+
+def test_simulate_rejects_empty_hidden_layer(tmp_path, capsys):
+    cfg = experiment_config(tmp_path, problem={"kind": "one_hidden_layer", "lam": 0.1, "hidden": 0})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "at least one hidden unit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["cantor", "linreg2d"])

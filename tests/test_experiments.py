@@ -456,6 +456,12 @@ def test_sweep_rejects_empty_or_bad_grid():
         tiny_sweep_config(batch_sizes=(4, 30))
 
 
+@pytest.mark.parametrize("hidden", [0, -1])
+def test_sweep_rejects_an_empty_hidden_layer(hidden):
+    with pytest.raises(ConfigError, match="at least one hidden unit"):
+        tiny_sweep_config(hidden=hidden)
+
+
 def test_scripts_run_end_to_end(tmp_path):
     # `python -m ifslab.cli experiment` in a subprocess: the module entry point
     # and the preset summary print loops

@@ -99,6 +99,22 @@ def test_system_validation():
         IfsSystem((affine_1d(0.5, 0.0), affine_1d(0.5, 0.0)), np.array([1.0, 0.0]))
 
 
+def test_system_rejects_mixed_or_unshared_maps():
+    """A problem-backed system is stepped with its first map's problem,
+    dataset, eta and solve, so maps that differ in any of them, or a mix of
+    affine and problem-backed maps, are rejected."""
+    data = Dataset([[1.0, 0.5], [-0.5, 1.0]], [1.0, -1.0])
+    scheme = partition_batches(2, 1)
+    slow, fast = (build_sgd_ifs(Logistic(lam=0.1), data, scheme, eta).maps for eta in (0.1, 0.2))
+    probs = np.array([0.5, 0.5])
+    IfsSystem((slow[0], slow[1]), probs)
+    with pytest.raises(ConfigError, match="share one problem, dataset, eta and solve"):
+        IfsSystem((slow[0], fast[1]), probs)
+    for maps in ((AffineMap(np.eye(2), np.zeros(2)), slow[1]), (slow[0], AffineMap(np.eye(2), np.zeros(2)))):
+        with pytest.raises(ConfigError, match="affine maps of one dimension"):
+            IfsSystem(maps, probs)
+
+
 # ---------------------------------------------------------------------------
 # sample_invariant
 
@@ -333,10 +349,11 @@ def test_affine_kernel_default_segments_match_reference_loop():
 
 
 def test_sgd_stack_records_each_chain_as_sample_invariant():
-    """Three one-hidden-layer chains stepped in lockstep record, each, what
-    ``sample_invariant`` records for it alone, bit for bit.  The divergent
-    middle chain gets the serial driver's NonFiniteState and leaves the
-    others alone."""
+    """Three one-hidden-layer chains stepped in lockstep by ``_run_sgd``
+    record, each, what ``sample_invariant`` records for it alone, bit for
+    bit.  The divergent middle chain is flagged not finite, which
+    ``sample_invariant`` reports as NonFiniteState, and leaves the others
+    alone."""
     rng = np.random.default_rng(9)
     data = Dataset(rng.uniform(-1.0, 1.0, size=(12, 2)), rng.uniform(-1.0, 1.0, size=12))
     problem = OneHiddenLayer(lam=0.1, out_weights=(1.0, -1.0, 0.5), activation="tanh")
@@ -347,16 +364,17 @@ def test_sgd_stack_records_each_chain_as_sample_invariant():
     idx = np.stack([draw_indices(Xoshiro256PP(s), scheme.probs, burn_in + n_samples * thin) for s in seeds])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # overflow is reported as NonFiniteState only
-        got = ifs._run_sgd_stack(problem, data, np.stack(scheme.batches), etas, w0, idx,
-                                 burn_in, thin, n_samples)
+        batches = np.stack(scheme.batches)
+        got, finite = ifs._run_sgd(problem, data, np.array(etas)[:, None], w0,
+                                   (batches.take(col, axis=0) for col in idx.T), burn_in, thin, n_samples)
+    assert finite.tolist() == [True, False, True]
     for k in (0, 2):
         system = build_sgd_ifs(problem, data, scheme, etas[k])
         cloud = sample_invariant(system, w0[k], burn_in, n_samples, thin, seeds[k])
         assert same_bits(got[k], cloud.points)
     system = build_sgd_ifs(problem, data, scheme, etas[1])
-    with pytest.raises(NonFiniteState) as solo:
+    with pytest.raises(NonFiniteState, match="system appears to diverge"):
         sample_invariant(system, w0[1], burn_in, n_samples, thin, seeds[1])
-    assert isinstance(got[1], NonFiniteState) and str(got[1]) == str(solo.value)
 
 
 def test_sample_invariant_thinning_and_determinism():

@@ -21,7 +21,7 @@ from ifslab.optimizers import (
     sample_invariant_subset,
 )
 from ifslab.problems import Dataset, LeastSquares, Logistic, grad, hvp
-from ifslab.rng import Xoshiro256PP
+from ifslab.rng import Xoshiro256PP, draw_indices
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +190,28 @@ def test_preconditioned_map_hand_value():
     np.testing.assert_allclose(system.maps[0].matrix, np.diag([0.8, 0.975]), atol=1e-12)
 
 
+def test_preconditioned_logistic_chain_matches_reference_loop():
+    """sample_invariant on a non-identity preconditioner, with burn-in and
+    thinning, records w - eta * P^{-1} grad(...) bit for bit."""
+    rng = np.random.default_rng(21)
+    data = Dataset(rng.uniform(-1, 1, size=(8, 2)), np.where(rng.uniform(size=8) < 0.5, -1.0, 1.0))
+    spec = PreconditionerSpec(np.array([[2.0, 0.3], [0.3, 1.0]]), (0.5, 3.0))
+    problem, scheme, eta = Logistic(lam=0.1), partition_batches(8, 2), 0.3
+    burn_in, n_samples, thin, seed = 15, 40, 3, 22
+    w0 = np.array([0.4, -0.2])
+    system = build_precond_sgd_ifs(problem, data, scheme, eta, spec)
+    cloud = sample_invariant(system, w0, burn_in, n_samples, thin, seed)
+
+    idx = draw_indices(Xoshiro256PP(seed), scheme.probs, burn_in + n_samples * thin)
+    w = w0
+    expected = []
+    for t, i in enumerate(idx, start=1):
+        w = w - eta * spec.solve(grad(problem, w, data, scheme.batches[i]))
+        if t > burn_in and (t - burn_in) % thin == 0:
+            expected.append(w)
+    assert np.array_equal(cloud.points, np.array(expected))
+
+
 def test_preconditioned_problem_map_norm_matches_dense_svd():
     """Nonsymmetric J = I - eta P^{-1} H(w): the exact norm is the top singular value."""
     rng = np.random.default_rng(56)
@@ -337,6 +359,32 @@ def test_subset_sampling_matches_reference_loop():
         if t > burn_in and (t - burn_in) % thin == 0:
             expected.append(w)
     assert np.array_equal(cloud.points, np.array(expected))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p, d: iterate_subset_sgd(p, d, 2, 0.1, np.zeros(2), -1, 0), "k must be nonnegative"),
+        (lambda p, d: iterate_subset_sgd(p, d, 0, 0.1, np.zeros(2), 5, 0), "need 0 < b <= n"),
+        (lambda p, d: iterate_subset_sgd(p, d, 7, 0.1, np.zeros(2), 5, 0), "need 0 < b <= n"),
+        (lambda p, d: iterate_subset_sgd(p, d, 2, 0.0, np.zeros(2), 5, 0), "eta must be positive"),
+        (lambda p, d: sample_invariant_subset(p, d, 2, -0.1, np.zeros(2), 5, 5), "eta must be positive"),
+        (lambda p, d: sample_invariant_subset(p, d, 0, 0.1, np.zeros(2), 5, 5), "need 0 < b <= n"),
+        (lambda p, d: iterate_subset_sgd(p, d, 2, 0.1, np.zeros(3), 5, 0), "w0 has shape"),
+        (lambda p, d: sample_invariant_subset(p, d, 2, 0.1, np.zeros(1), 5, 5), "w0 has shape"),
+        (lambda p, d: iterate(build_sgd_ifs(p, d, partition_batches(6, 2), 0.1), np.zeros(3), 5, 0),
+         "w0 has shape"),
+        (lambda p, d: sample_invariant(build_sgd_ifs(p, d, partition_batches(6, 2), 0.1), np.zeros(3), 5, 5),
+         "w0 has shape"),
+        (lambda p, d: sample_invariant(build_sgd_ifs(LeastSquares(), d, partition_batches(6, 2), 0.1),
+                                       np.zeros((1, 2)), 5, 5), "w0 has shape"),
+    ],
+)
+def test_chain_inputs_are_checked_before_any_step(call, message):
+    rng = np.random.default_rng(20)
+    data = Dataset(rng.uniform(-1, 1, size=(6, 2)), np.array([1.0, -1.0] * 3))
+    with pytest.raises(ConfigError, match=message):
+        call(Logistic(lam=0.1), data)
 
 
 def test_subset_invariant_cloud():

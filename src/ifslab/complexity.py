@@ -1,10 +1,11 @@
 """Jacobian-norm complexity R and the dimension-based generalization bounds.
 
 1/R is the Monte-Carlo average of log ||J_{h_U}(W)|| over cloud points W and
-batch draws U.  Every step Jacobian norm comes from ``jacobian_norms``: exact
-up to DENSE_ORACLE_MAX_DIM = 64 parameters (one block Hessian product per J,
-one stacked eigendecomposition, or SVD when preconditioned), a hand-rolled
-power iteration with a seed per batch above that.  The dense
+batch draws U; ``dimension.rams_ratio`` averages the same ``log_norm_table``
+over a system's maps.  Every step Jacobian norm comes from ``jacobian_norms``:
+exact up to DENSE_ORACLE_MAX_DIM = 64 parameters (one block Hessian product
+per J, one stacked eigendecomposition, or SVD when preconditioned), a
+hand-rolled power iteration with a seed per batch above that.  The dense
 column-by-column oracle stays the independent cross-check.
 R is reported signed: contractive systems give negative R, expanding ones
 positive.  No absolute values are taken silently.
@@ -205,8 +206,36 @@ class ComplexityEstimate:
         }
 
 
-def _strided_indices(n_points: int, n_take: int) -> np.ndarray:
-    return (np.arange(n_take, dtype=np.int64) * n_points) // n_take
+def log_norm_table(
+    problem: pr.Problem, dataset: pr.Dataset, batches: Sequence[np.ndarray], eta: float,
+    points: np.ndarray, n_w: int, power_iter: PowerIterConfig, seed: int,
+    solve: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> tuple[np.ndarray, int]:
+    """The (n_w, len(batches)) table of log ||J_{B_j}(W_i)||, and how many cells converged.
+
+    W_i are the rows floor(i*N/n_w), i < n_w, of the (N, dim) cloud ``points``.
+    Row i is one ``jacobian_norms`` call over all the batches (exact cells
+    count as converged); above DENSE_ORACLE_MAX_DIM parameters cell (i, j) is
+    a power iteration seeded with child 1 + i*len(batches) + j of ``seed``, so
+    the cells parallelize without changing results.
+    """
+    if n_w < 1:
+        raise ConfigError(f"n_w must be a positive integer, got {n_w}")
+    if points.shape[0] < n_w:
+        raise ConfigError(f"cloud has {points.shape[0]} points; need at least n_w={n_w}")
+    dim = pr.param_dim(problem, dataset)
+    if points.shape[1] != dim:
+        raise ConfigError(f"cloud dimension {points.shape[1]} != parameter dimension {dim}")
+    n_u = len(batches)
+    W = points[(np.arange(n_w, dtype=np.int64) * points.shape[0]) // n_w]
+    table = np.empty((n_w, n_u))
+    converged = 0
+    for i in range(n_w):
+        seeds = (child_seed(seed, 1 + i * n_u + j) for j in range(n_u))
+        norms, n_conv = jacobian_norms(problem, dataset, batches, eta, W[i], power_iter, seeds, solve)
+        table[i] = np.log(norms)
+        converged += n_conv
+    return table, converged
 
 
 def estimate_R(
@@ -219,26 +248,14 @@ def estimate_R(
 ) -> ComplexityEstimate:
     """1/R = mean over (W_i, U_j) of log ||I - eta * Hessian_{U_j}(W_i)||.
 
-    W_i are ``n_w`` evenly strided cloud points; U_j are ``n_u`` batch draws
-    (i.i.d. from the Partition probabilities, or without-replacement subsets
-    in Subset mode), taken from the stream of child seed 0.
-
-    Each row W_i is one ``jacobian_norms`` call over the n_u batches: exact
-    up to DENSE_ORACLE_MAX_DIM parameters (exact cells count as converged),
-    and above that one power iteration per cell with seed child
-    1 + i*n_u + j, so the computation parallelizes without changing results;
-    ``converged_fraction`` is the share of cells that met the tolerance.
-    Accumulation is a row-major pairwise sum over the full (n_w, n_u) table,
-    and a numerically zero Jacobian raises ZeroOperator.
+    U_j are ``n_u`` batch draws (i.i.d. from the Partition probabilities, or
+    without-replacement subsets in Subset mode) from the stream of child seed
+    0, W_i the ``n_w`` strided cloud points of ``log_norm_table``, whose cells
+    take their seeds from ``config.seed``; ``converged_fraction`` is the share
+    of cells that met the tolerance.  Accumulation is a row-major pairwise sum
+    over the full (n_w, n_u) table, and a numerically zero Jacobian raises
+    ZeroOperator.
     """
-    pts = cloud.points
-    if pts.shape[0] < config.n_w:
-        raise ConfigError(f"cloud has {pts.shape[0]} points; need at least n_w={config.n_w}")
-    W = pts[_strided_indices(pts.shape[0], config.n_w)]
-    dim = pr.param_dim(problem, dataset)
-    if W.shape[1] != dim:
-        raise ConfigError(f"cloud dimension {W.shape[1]} != parameter dimension {dim}")
-
     batch_gen = Xoshiro256PP(child_seed(config.seed, 0))
     if scheme.batches is not None:
         draws = draw_indices(batch_gen, scheme.probs, config.n_u)
@@ -248,14 +265,9 @@ def estimate_R(
             batch_gen.subset_without_replacement(scheme.n, scheme.batch_size)
             for _ in range(config.n_u)
         ]
-
-    lognorms = np.empty((config.n_w, config.n_u))
-    converged = 0
-    for i in range(config.n_w):
-        seeds = (child_seed(config.seed, 1 + i * config.n_u + j) for j in range(config.n_u))
-        norms, n_conv = jacobian_norms(problem, dataset, batches, eta, W[i], config.power_iter, seeds)
-        lognorms[i] = np.log(norms)
-        converged += n_conv
+    lognorms, converged = log_norm_table(
+        problem, dataset, batches, eta, cloud.points, config.n_w, config.power_iter, config.seed
+    )
     inverse_r = float(lognorms.sum() / lognorms.size)
     if abs(inverse_r) < 1e-12:
         raise ZeroMeanLogNorm(f"mean log norm {inverse_r:.3e} is numerically zero; R undefined")

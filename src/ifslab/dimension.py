@@ -5,7 +5,8 @@ minimum at geometrically shrinking scales and fits log counts against
 log(1/delta).  The analytic bounds evaluate log(n/b)/log(1/Gamma) with each
 proposition's contraction factor Gamma, read from ``problems.PROPOSITIONS``.
 The Rams ratio divides selection entropy by the mean log Jacobian norm under
-the sampled invariant measure.
+the sampled invariant measure: ``ifs.contractivity_report``'s for affine
+systems, else the mean of ``complexity.log_norm_table``, the table behind R.
 
 All bounds are treated as upper bounds only; no tightness is claimed.
 """
@@ -18,18 +19,18 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .complexity import PowerIterConfig, _strided_indices
+from .complexity import PowerIterConfig, log_norm_table
 from .errors import ConfigError, InsufficientScales, NonContractiveEstimate
-from .ifs import AffineMap, IfsSystem, SampleCloud
+from .ifs import IfsSystem, SampleCloud, contractivity_report
 from .problems import (
     LAMBDA_POSITIVE,
     PROPOSITIONS,
     PropositionArgs,
     RobustRegression,
+    SmoothHingeSVM,
     require_hypotheses,
     violation,
 )
-from .rng import child_seed
 
 # --------------------------------------------------------------------------
 # box counting
@@ -199,12 +200,22 @@ def analytic_bound(
     exponential-squared rho with ||rho''|| = 2/t0, the only rho these
     arguments can name.  Every kind but newton needs lambda > 0, because the
     bound needs a strict contraction.  m_b defaults to n/b (Partition); pass
-    the subset count C(n, b) explicitly for Subset mode.  Violated
-    step-size/radius hypotheses raise PreconditionViolation naming the
-    inequality and its margin.
+    the subset count C(n, b) explicitly for Subset mode.  A non-finite real
+    argument, a negative radius or c_const, or m_b < 1 is a ConfigError
+    naming it; violated step-size/radius hypotheses raise
+    PreconditionViolation naming the inequality and its margin.
     """
     if n <= 0 or b <= 0 or b > n:
         raise ConfigError(f"need 0 < b <= n, got n={n}, b={b}")
+    reals = dict(eta=eta, lam=lam, radius=radius, t0=t0, sigma_smooth=sigma_smooth,
+                 c_const=c_const, m_low=m_low, m_high=m_high)
+    for name, value in reals.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+        if name in ("radius", "c_const") and value < 0.0:
+            raise ConfigError(f"{name} must be >= 0, got {value}")
+    if m_b is not None and not 1 <= m_b < math.inf:
+        raise ConfigError(f"m_b must be a finite map count >= 1, got {m_b}")
     if eta <= 0.0:
         raise violation(kind, "eta > 0", eta, 0.0)
     precond = kind.startswith("precond_")
@@ -217,12 +228,12 @@ def analytic_bound(
     rho = 0.0
     if family == "robust":  # RobustRegression rejects t0 <= 0
         rho = RobustRegression(lam_r=lam, t0=t0).rho_double_sup()
+    elif family == "svm":  # SmoothHingeSVM rejects sigma_smooth <= 0
+        SmoothHingeSVM(lam, sigma_smooth)
     m, M = (m_low, m_high) if precond else (1.0, 1.0)
     args = PropositionArgs(eta, radius, lam, c_const, rho, sigma_smooth, m, M)
     if family != "newton":
         require_hypotheses(kind, (LAMBDA_POSITIVE,), args)
-    if family == "svm" and sigma_smooth <= 0.0:
-        raise ConfigError("svm bound needs sigma_smooth > 0")
     require_hypotheses(kind, prop.hypotheses, args, precond)
     gamma = prop.gamma(args)
     if not 0.0 < gamma < 1.0:
@@ -257,11 +268,13 @@ def rams_ratio(
 ) -> RamsBound:
     """Entropy-to-contraction dimension bound for contractive-on-average IFS.
 
-    Affine maps have position-free Jacobians, so one norm per map suffices;
-    problem-backed maps average log norms over ``n_w`` evenly strided cloud
-    points (default min(N, 128)).  Their norms are exact up to
-    DENSE_ORACLE_MAX_DIM parameters; above that each comes from a power
-    iteration seeded with child index 1 + map_index*n_w + point_index.
+    Affine maps have position-free Jacobians: the mean log norm is
+    ``contractivity_report``'s (-inf, ratio 0, when a map is zero).
+    Problem-backed maps weight by p_i the column means of a
+    ``complexity.log_norm_table`` over ``n_w`` cloud points (default
+    min(N, 128)), one column per map; above DENSE_ORACLE_MAX_DIM parameters
+    cell (point i, map j) is seeded with child 1 + i*len(maps) + j of
+    ``power_config.seed``, as in ``estimate_R``.
     ``neg_entropy_override`` substitutes log C(n,b) for Subset-mode systems.
     """
     probs = system.probs
@@ -271,26 +284,16 @@ def rams_ratio(
         neg_entropy = float(-(probs * np.log(probs)).sum())
 
     if system.is_affine:
-        logs = np.array([math.log(m.jacobian_norm()) for m in system.maps])
-        mean_log = float(np.dot(probs, logs))
+        mean_log = contractivity_report(system).mean_log
         n_mc = 1
     else:
-        pts = cloud.points
-        n_mc = min(pts.shape[0], 128) if n_w is None else n_w
-        if pts.shape[0] < n_mc:
-            raise ConfigError(f"cloud has {pts.shape[0]} points; need at least n_w={n_mc}")
-        W = pts[_strided_indices(pts.shape[0], n_mc)]
-        mean_log = 0.0
-        for i, m in enumerate(system.maps):
-            acc = 0.0
-            for k in range(n_mc):
-                cfg = PowerIterConfig(
-                    power_config.tol,
-                    power_config.max_iters,
-                    child_seed(power_config.seed, 1 + i * n_mc + k),
-                )
-                acc += math.log(m.jacobian_norm(W[k], cfg))
-            mean_log += float(probs[i]) * acc / n_mc
+        m = system.maps[0]
+        n_mc = min(cloud.points.shape[0], 128) if n_w is None else n_w
+        table, _ = log_norm_table(
+            m.problem, m.dataset, [mp.batch for mp in system.maps], m.eta, cloud.points, n_mc,
+            power_config, power_config.seed, m.solve,
+        )
+        mean_log = float(probs @ table.mean(axis=0))
 
     if mean_log >= 0.0:
         raise NonContractiveEstimate(

@@ -3,7 +3,8 @@
 A system is a finite family of maps h_i with selection probabilities p_i;
 iterating w_k = h_{U_k}(w_{k-1}) with U_k ~ p approximates the stationary
 (invariant) measure after burn-in.  Maps are either explicit affine maps
-M w + q or SGD steps backed by a problem/dataset/batch triple.
+M w + q or SGD steps backed by a problem/dataset/batch triple.  Jacobian
+norms of SGD steps live in ``complexity``, a system's batches at once.
 
 Affine systems, at any dimension, run through one parallel-in-time kernel,
 ``_run_affine``: the index stream is cut into segments that are stepped in
@@ -33,7 +34,6 @@ from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
-from . import complexity as cx
 from . import problems as pr
 from .errors import ConfigError, DegenerateProbe, NonFiniteState
 from .fileio import atomic_write_text, fmt_float
@@ -79,8 +79,8 @@ class ProblemMap:
 
     ``solve`` is the preconditioner application P (identity when None); it
     must accept a block (dim, k) as well as a vector.  The Jacobian
-    I - eta * P H(w) is ``problems.jacobian_apply``; its norm (the largest
-    singular value when preconditioned) is ``complexity.jacobian_norms``.
+    I - eta * P H(w) is ``problems.jacobian_apply``; its log norms, for all
+    a system's batches at once, are ``complexity.log_norm_table``.
     """
 
     problem: pr.Problem
@@ -101,14 +101,6 @@ class ProblemMap:
 
     def jacobian_matvec(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         return pr.jacobian_apply(self.problem, w, self.dataset, self.batch, self.eta, v, self.solve)
-
-    def jacobian_norm(self, w: np.ndarray, config: cx.PowerIterConfig = cx.PowerIterConfig()) -> float:
-        """||J(w)||_2 from ``complexity.jacobian_norms``; ``config`` (seed
-        included) is read only above DENSE_ORACLE_MAX_DIM parameters."""
-        norms, _ = cx.jacobian_norms(
-            self.problem, self.dataset, [self.batch], self.eta, w, config, [config.seed], self.solve
-        )
-        return float(norms[0])
 
 
 MapDescriptor = Union[AffineMap, ProblemMap]
@@ -259,11 +251,6 @@ def _diverged() -> NonFiniteState:
     return NonFiniteState("iterate overflowed (system appears to diverge)")
 
 
-def _check_recorded_finite(arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
-        raise _diverged()
-
-
 def _run_sgd(
     problem: pr.Problem, dataset: pr.Dataset, eta: Union[float, np.ndarray], w0: np.ndarray,
     batches: Iterable, record_from: int, thin: int, n_record: int, solve: Optional[Callable] = None,
@@ -405,8 +392,7 @@ def _run_affine(
             a = settled * S
         w = _lane(M, Q, idx[a:], w, buf[max(a - lo, 0):])
     rows = buf[record_from - lo + thin - 1 :: thin][:n_record]
-    _check_recorded_finite(rows)
-    if not np.isfinite(w).all():
+    if not (np.isfinite(rows).all() and np.isfinite(w).all()):
         raise _diverged()
     return rows if thin == 1 else rows.copy()
 
@@ -429,10 +415,13 @@ def _run_system(
 
 
 def require_start(w0: np.ndarray, dim: int) -> np.ndarray:
-    """``w0`` as a float vector, rejected unless it has the ``dim`` parameters of the chain."""
+    """``w0`` as a float vector, rejected unless it has the ``dim`` parameters
+    of the chain, all finite."""
     w0 = np.atleast_1d(np.asarray(w0, dtype=float))
     if w0.shape != (dim,):
         raise ConfigError(f"w0 has shape {w0.shape}, but the chain has {dim} parameters")
+    if not np.isfinite(w0).all():
+        raise ConfigError("w0 has non-finite entries (nan or inf)")
     return w0
 
 
@@ -451,7 +440,6 @@ def iterate(system: IfsSystem, w0: np.ndarray, k: int, seed: int) -> Trajectory:
     states[0] = w0
     if k:
         states[1:] = _run_system(system, w0, idx, record_from=0, thin=1, n_record=k)
-    _check_recorded_finite(states)
     return Trajectory(states=states, indices=idx, seed=seed)
 
 
@@ -506,13 +494,15 @@ def contractivity_report(
         lip = [m.jacobian_norm() for m in system.maps]
         mode = "analytic"
     else:
-        if probe.n_pairs <= 0 or probe.radius <= 0.0:
-            raise ConfigError("probe needs n_pairs > 0 and radius > 0")
+        # a NaN pair quotient would lose every max() below and read as a contraction
+        if probe.n_pairs <= 0 or not 0.0 < probe.radius < math.inf:
+            raise ConfigError("probe needs n_pairs > 0 and a finite radius > 0")
         gen = Xoshiro256PP(probe.seed)
         d = system.dim
-        center = (
-            np.zeros(d) if probe.center is None else np.asarray(probe.center, dtype=float)
-        )
+        center = np.zeros(d) if probe.center is None else np.asarray(probe.center, dtype=float)
+        if center.shape != (d,) or not np.isfinite(center).all():
+            got = np.array2string(center, threshold=8)
+            raise ConfigError(f"probe center must be {d} finite values, got {got}")
 
         def ball_point() -> np.ndarray:
             g = gen.normals(d)
@@ -559,7 +549,7 @@ def lyapunov_exponent(
         raise ConfigError("lyapunov_exponent needs k >= 1000")
     if renorm_interval <= 0:
         raise ConfigError("renorm_interval must be positive")
-    w = np.atleast_1d(np.asarray(w0, dtype=float)).copy()
+    w = require_start(w0, system.dim)
     gen = Xoshiro256PP(seed)
     v = gen.normals(system.dim)
     v /= np.linalg.norm(v)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -127,6 +127,24 @@ def _validate_labels(problem: pr.Problem, dataset: pr.Dataset) -> None:
         pr.require_pm1_labels(dataset, type(problem).__name__)
 
 
+def _affine_system(
+    dataset: pr.Dataset, scheme: BatchScheme, step: Callable[[np.ndarray, np.ndarray, int], tuple]
+) -> IfsSystem:
+    """One AffineMap per batch of ``scheme``, its (M, q) = ``step(A, y, b)``
+    from the batch's feature rows A, targets y and size b.  A failed linear
+    solve in ``step`` (Newton's batch Hessian) raises SingularBatchHessian."""
+    maps = []
+    for batch in scheme.batches:
+        try:
+            M, q = step(dataset.features[batch], dataset.targets[batch], len(batch))
+        except np.linalg.LinAlgError:
+            raise SingularBatchHessian(
+                f"batch Hessian solve failed for batch starting at index {int(batch[0])}"
+            ) from None
+        maps.append(AffineMap(M, q))
+    return IfsSystem(tuple(maps), scheme.probs)
+
+
 def build_sgd_ifs(
     problem: pr.Problem,
     dataset: pr.Dataset,
@@ -143,17 +161,12 @@ def build_sgd_ifs(
     _validate_labels(problem, dataset)
     _require_eta(eta)
     if isinstance(problem, pr.LeastSquares):
-        d = dataset.d
-        eye = np.eye(d)
-        maps = []
-        for batch in scheme.batches:
-            A = dataset.features[batch]
-            y = dataset.targets[batch]
-            b = len(batch)
-            M = (1.0 - eta * problem.lam) * eye - (eta / b) * (A.T @ A)
-            q = (eta / b) * (A.T @ y)
-            maps.append(AffineMap(M, q))
-        return IfsSystem(tuple(maps), scheme.probs)
+        eye = np.eye(dataset.d)
+
+        def step(A: np.ndarray, y: np.ndarray, b: int) -> tuple:
+            return (1.0 - eta * problem.lam) * eye - (eta / b) * (A.T @ A), (eta / b) * (A.T @ y)
+
+        return _affine_system(dataset, scheme, step)
     maps = tuple(
         ProblemMap(problem, dataset, np.asarray(b_, dtype=np.int64), eta) for b_ in scheme.batches
     )
@@ -179,17 +192,13 @@ def build_precond_sgd_ifs(
         # exact identity: skip the solves so trajectories match plain SGD bit-for-bit
         return build_sgd_ifs(problem, dataset, scheme, eta)
     if isinstance(problem, pr.LeastSquares):
-        d = dataset.d
-        eye = np.eye(d)
-        maps = []
-        for batch in scheme.batches:
-            A = dataset.features[batch]
-            y = dataset.targets[batch]
-            b = len(batch)
+        eye = np.eye(dataset.d)
+
+        def step(A: np.ndarray, y: np.ndarray, b: int) -> tuple:
             M = eye - eta * precond.solve(problem.lam * eye + (A.T @ A) / b)
-            q = (eta / b) * precond.solve(A.T @ y)
-            maps.append(AffineMap(M, q))
-        return IfsSystem(tuple(maps), scheme.probs)
+            return M, (eta / b) * precond.solve(A.T @ y)
+
+        return _affine_system(dataset, scheme, step)
     maps = tuple(
         ProblemMap(problem, dataset, np.asarray(b_, dtype=np.int64), eta, solve=precond.solve)
         for b_ in scheme.batches
@@ -212,23 +221,13 @@ def build_stoch_newton_ifs(
     if problem.lam <= 0.0:
         raise ConfigError("stochastic Newton needs lam > 0")
     _require_eta(eta)
-    d = dataset.d
-    eye = np.eye(d)
-    maps = []
-    for batch in scheme.batches:
-        A = dataset.features[batch]
-        y = dataset.targets[batch]
-        b = len(batch)
+    eye = np.eye(dataset.d)
+
+    def step(A: np.ndarray, y: np.ndarray, b: int) -> tuple:
         H = (A.T @ A) / b + problem.lam * eye
-        c = (A.T @ y) / b
-        try:
-            q = eta * np.linalg.solve(H, c)
-        except np.linalg.LinAlgError:
-            raise SingularBatchHessian(
-                f"batch Hessian solve failed for batch starting at index {int(batch[0])}"
-            ) from None
-        maps.append(AffineMap((1.0 - eta) * eye, q))
-    return IfsSystem(tuple(maps), scheme.probs)
+        return (1.0 - eta) * eye, eta * np.linalg.solve(H, (A.T @ y) / b)
+
+    return _affine_system(dataset, scheme, step)
 
 
 # --------------------------------------------------------------------------

@@ -63,6 +63,18 @@ def test_bound_missing_flag_is_usage_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "svm", "--lambda", "1", "--radius", "1", "--sigma-smooth", "nan"],
+     "sigma_smooth must be finite"),
+    (["--kind", "lsq", "--lambda", "1", "--radius", "-1"], "radius must be >= 0"),
+])
+def test_bound_rejects_non_finite_or_negative_input(capsys, argv, message):
+    """The NaN case used to exit 2 with a "margin nan" violation; a negative
+    radius printed a bound."""
+    assert main(["bound", "--n", "100", "--b", "1", "--eta", "0.1", *argv]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_unknown_subcommand(capsys):
     assert main(["transmogrify"]) == 1
 
@@ -109,6 +121,13 @@ def test_simulate_rejects_removed_top_level_keys(tmp_path, capsys):
         cfg = experiment_config(tmp_path, **{key: value})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert f"unknown keys ['{key}']" in capsys.readouterr().err
+
+
+def test_simulate_rejects_non_finite_start(tmp_path, capsys):
+    """JSON readers accept NaN; the start used to run and exit 2 as a divergence."""
+    cfg = experiment_config(tmp_path, simulation={"burn_in": 20, "n_samples": 50, "w0": [math.nan, 0.0]})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "w0 has non-finite entries" in capsys.readouterr().err
 
 
 def test_simulate_requires_out_somewhere(tmp_path, capsys):

@@ -288,6 +288,18 @@ def test_estimate_r_cloud_too_small():
         estimate_R(problem, data, scheme, 0.5, cloud_of(np.zeros(3)), ComplexityConfig(n_w=10, n_u=2))
 
 
+@pytest.mark.parametrize("n_w, points, message", [
+    (0, np.zeros((10, 1)), "n_w must be a positive integer"),
+    (-1, np.zeros((10, 1)), "n_w must be a positive integer"),
+    (11, np.zeros((10, 1)), "cloud has 10 points; need at least n_w=11"),
+    (4, np.zeros((10, 2)), "cloud dimension 2 != parameter dimension 1"),
+])
+def test_log_norm_table_rejects_bad_n_w_and_cloud(n_w, points, message):
+    problem, data, scheme = quadratic_pair_setup()
+    with pytest.raises(ConfigError, match=message):
+        complexity.log_norm_table(problem, data, scheme.batches, 0.5, points, n_w, PowerIterConfig(), 0)
+
+
 def test_estimate_r_subset_mode():
     rng = np.random.default_rng(13)
     data = Dataset(rng.uniform(-1, 1, size=(6, 2)), rng.uniform(-1, 1, size=6))

@@ -23,8 +23,14 @@ from ifslab.errors import (
     PreconditionViolation,
 )
 from ifslab.ifs import AffineMap, IfsSystem, SampleCloud, sample_invariant
-from ifslab.optimizers import build_sgd_ifs, partition_batches
-from ifslab.problems import Dataset, LeastSquares
+from ifslab.optimizers import (
+    PreconditionerSpec,
+    build_precond_sgd_ifs,
+    build_sgd_ifs,
+    build_stoch_newton_ifs,
+    partition_batches,
+)
+from ifslab.problems import Dataset, LeastSquares, Logistic, hvp
 
 
 def scalar_map(slope, offset=0.0):
@@ -154,6 +160,24 @@ def test_bound_rejects_bad_sizes_and_kinds():
         analytic_bound("precond_lsq", n=10, b=2, eta=0.1, lam=1.0, m_low=0.0, m_high=1.0)
 
 
+@pytest.mark.parametrize("kind, arg, value, message", [
+    *[("lsq", name, math.nan, f"{name} must be finite")
+      for name in ("eta", "lam", "radius", "t0", "sigma_smooth", "c_const", "m_low", "m_high")],
+    ("lsq", "eta", math.inf, "eta must be finite"),
+    ("lsq", "radius", -1.0, "radius must be >= 0"),
+    ("one_hidden", "c_const", -0.1, "c_const must be >= 0"),
+    ("svm", "sigma_smooth", 0.0, "sigma_smooth must be > 0"),
+    ("lsq", "m_b", 0, "m_b must be a finite map count >= 1"),  # was a math domain error
+    ("lsq", "m_b", math.nan, "m_b must be a finite map count >= 1"),
+])
+def test_bound_rejects_non_finite_or_negative_inputs(kind, arg, value, message):
+    """Each used to end in a "margin nan" violation, return a bound, or (svm)
+    fail in a check of its own."""
+    args = dict(n=100, b=1, eta=0.1, lam=1.0, radius=0.5, sigma_smooth=0.5, c_const=0.4)
+    with pytest.raises(ConfigError, match=message):
+        analytic_bound(kind, **{**args, arg: value})
+
+
 def test_bound_monotone_in_eta_b_n():
     etas = [0.05, 0.1, 0.2, 0.3, 0.4]
     vals = [analytic_bound("lsq", n=1000, b=10, eta=e, lam=1.0, radius=1.0) for e in etas]
@@ -257,6 +281,65 @@ def test_rams_matches_lsq_analytic_bound():
     bound = rams_ratio(system, cloud_of(np.zeros(8)))
     slope = 1.0 - 0.2 * (0.5 + 1.0)
     assert bound.ratio == pytest.approx(math.log(4.0) / math.log(1.0 / slope), rel=1e-6)
+
+
+def test_rams_newton_eta_one_is_zero_ratio():
+    """Every map is the zero matrix: mean log norm -inf, ratio 0 (was a math
+    domain error from log 0)."""
+    rng = np.random.default_rng(8)
+    data = Dataset(rng.uniform(-1, 1, size=(4, 2)), rng.uniform(-1, 1, size=4))
+    system = build_stoch_newton_ifs(LeastSquares(lam=0.7), data, partition_batches(4, 2), 1.0)
+    bound = rams_ratio(system, cloud_of(np.zeros((5, 2))))
+    assert bound.mean_log_jacobian == -math.inf
+    assert bound.ratio == 0.0
+
+
+def logistic_rams_system(precond):
+    rng = np.random.default_rng(31)
+    d = 3
+    data = Dataset(rng.uniform(-1, 1, size=(8, d)), rng.choice([-1.0, 1.0], size=8))
+    problem, scheme = Logistic(lam=0.5), partition_batches(8, 4)  # full-rank batch Hessians
+    if not precond:
+        return build_sgd_ifs(problem, data, scheme, 0.6), None
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    P = Q @ np.diag([1.0, 2.0, 3.0]) @ Q.T
+    spec = PreconditionerSpec(0.5 * (P + P.T), (1.0, 3.0))
+    return build_precond_sgd_ifs(problem, data, scheme, 0.6, spec), spec.matrix
+
+
+@pytest.mark.parametrize("precond", [False, True])
+def test_rams_problem_backed_matches_dense_average(precond):
+    """sum_i p_i mean_k log ||J_i(W_k)|| by hand: dense eigvalsh, or SVD when
+    preconditioned, at the 5 strided points of a 17-point cloud."""
+    system, P = logistic_rams_system(precond)
+    cloud = sample_invariant(system, np.zeros(3), 100, 17, seed=2)
+    points = cloud.points[[0, 3, 6, 10, 13]]
+    mean_log = 0.0
+    for p, m in zip(system.probs, system.maps):
+        logs = []
+        for w in points:
+            H = hvp(m.problem, w, m.dataset, m.batch, np.eye(3))
+            if P is None:
+                logs.append(math.log(np.abs(np.linalg.eigvalsh(np.eye(3) - 0.6 * H)).max()))
+            else:
+                J = np.eye(3) - 0.6 * np.linalg.solve(P, H)
+                logs.append(math.log(np.linalg.svd(J, compute_uv=False)[0]))
+        mean_log += p * sum(logs) / len(logs)
+    bound = rams_ratio(system, cloud, n_w=5)
+    assert bound.mean_log_jacobian == pytest.approx(mean_log, rel=1e-12, abs=1e-12)
+    assert bound.n_mc_samples == 5
+
+
+@pytest.mark.parametrize("n_w, points, message", [
+    (0, np.zeros((10, 3)), "n_w must be a positive integer, got 0"),
+    (-1, np.zeros((10, 3)), "n_w must be a positive integer, got -1"),
+    (4, np.zeros((10, 2)), "cloud dimension 2 != parameter dimension 3"),
+])
+def test_rams_problem_backed_rejects_bad_n_w_and_cloud(n_w, points, message):
+    """Were a ZeroDivisionError, a false NonContractiveEstimate and a numpy error."""
+    system, _ = logistic_rams_system(False)
+    with pytest.raises(ConfigError, match=message):
+        rams_ratio(system, cloud_of(points), n_w=n_w)
 
 
 # ---------------------------------------------------------------------------

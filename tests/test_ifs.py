@@ -512,6 +512,21 @@ def test_degenerate_probe_raises():
         contractivity_report(system, SampledPairsProbe(n_pairs=5, radius=1e-14, seed=0))
 
 
+@pytest.mark.parametrize("radius, center, message", [
+    (1.0, np.zeros(3), "probe center must be 2 finite values"),  # was a numpy broadcasting error
+    # these made every pair quotient NaN, reported as L_i = 0 and a contractive system
+    (1.0, np.array([math.nan, 0.0]), "probe center must be 2 finite values"),
+    (math.nan, None, "finite radius > 0"),
+    (math.inf, None, "finite radius > 0"),
+])
+def test_probe_center_and_radius_are_checked(radius, center, message):
+    data = Dataset([[0.8, 0.1], [-0.5, 0.3]], [1.0, -1.0])
+    system = build_sgd_ifs(Logistic(lam=0.5), data, partition_batches(2, 1), 0.1)
+    probe = SampledPairsProbe(n_pairs=5, radius=radius, seed=0, center=center)
+    with pytest.raises(ConfigError, match=message):
+        contractivity_report(system, probe)
+
+
 # ---------------------------------------------------------------------------
 # lyapunov
 

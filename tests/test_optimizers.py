@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PROBLEM_KINDS, make_problem_config
-from ifslab.complexity import PowerIterConfig
+from ifslab.complexity import PowerIterConfig, jacobian_norms
 from ifslab.errors import ConfigError, IndivisibleBatch, NotPositiveDefinite
-from ifslab.ifs import AffineMap, iterate, sample_invariant
+from ifslab.ifs import AffineMap, iterate, lyapunov_exponent, sample_invariant
 from ifslab.optimizers import (
     PreconditionerSpec,
     build_precond_sgd_ifs,
@@ -231,7 +231,8 @@ def test_preconditioned_problem_map_norm_matches_dense_svd():
             J = np.eye(d) - 0.8 * np.linalg.solve(P, H)
             assert not np.allclose(J, J.T)
             dense = np.linalg.svd(J, compute_uv=False)[0]
-            assert m.jacobian_norm(w) == pytest.approx(dense, rel=1e-12)
+            (norm,), _ = jacobian_norms(problem, data, [m.batch], 0.8, w, PowerIterConfig(), [0], m.solve)
+            assert norm == pytest.approx(dense, rel=1e-12)
 
 
 def test_preconditioned_problem_map_norm_above_dense_cap_matches_svd():
@@ -249,7 +250,9 @@ def test_preconditioned_problem_map_norm_above_dense_cap_matches_svd():
         H = hvp(problem, w, data, m.batch, np.eye(d))
         J = np.eye(d) - 0.8 * np.linalg.solve(spec.matrix, H)
         dense = np.linalg.svd(J, compute_uv=False)[0]
-        norm = m.jacobian_norm(w, PowerIterConfig(1e-12, 20_000, s))
+        (norm,), _ = jacobian_norms(
+            problem, data, [m.batch], 0.8, w, PowerIterConfig(1e-12, 20_000), [s], m.solve
+        )
         assert norm == pytest.approx(dense, rel=1e-8)
 
 
@@ -361,6 +364,9 @@ def test_subset_sampling_matches_reference_loop():
     assert np.array_equal(cloud.points, np.array(expected))
 
 
+NAN_START = np.array([math.nan, 0.0])
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -378,6 +384,18 @@ def test_subset_sampling_matches_reference_loop():
          "w0 has shape"),
         (lambda p, d: sample_invariant(build_sgd_ifs(LeastSquares(), d, partition_batches(6, 2), 0.1),
                                        np.zeros((1, 2)), 5, 5), "w0 has shape"),
+        (lambda p, d: lyapunov_exponent(build_sgd_ifs(p, d, partition_batches(6, 2), 0.1), np.zeros(3), 1000),
+         "w0 has shape"),
+        # a NaN start used to be stepped and reported as a diverging chain
+        (lambda p, d: iterate(build_sgd_ifs(p, d, partition_batches(6, 2), 0.1), NAN_START, 5, 0),
+         "w0 has non-finite"),
+        (lambda p, d: sample_invariant(build_sgd_ifs(p, d, partition_batches(6, 2), 0.1), NAN_START, 5, 5),
+         "w0 has non-finite"),
+        (lambda p, d: sample_invariant(build_sgd_ifs(LeastSquares(), d, partition_batches(6, 2), 0.1),
+                                       NAN_START, 5, 5), "w0 has non-finite"),
+        (lambda p, d: lyapunov_exponent(build_sgd_ifs(p, d, partition_batches(6, 2), 0.1), NAN_START, 1000),
+         "w0 has non-finite"),
+        (lambda p, d: iterate_subset_sgd(p, d, 2, 0.1, NAN_START, 5, 0), "w0 has non-finite"),
     ],
 )
 def test_chain_inputs_are_checked_before_any_step(call, message):

@@ -31,6 +31,7 @@ from .problems import (
     Problem,
     RobustRegression,
     SmoothHingeSVM,
+    alternating_out_weights,
     load_dataset_csv,
     param_dim,
 )
@@ -187,7 +188,7 @@ def parse_problem(raw: Any, context: str = "problem") -> Problem:
     else:
         m = _integer(hidden, f"{context}.hidden")
         scale = _real(sec.take("out_scale", 1.0), f"{context}.out_scale")
-        outs = tuple(scale * (1.0 if r % 2 == 0 else -1.0) for r in range(m))
+        outs = alternating_out_weights(m, scale)
     return _fill(OneHiddenLayer, sec, out_weights=outs)
 
 

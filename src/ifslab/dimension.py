@@ -82,6 +82,8 @@ def _cloud_points(cloud: Union[SampleCloud, np.ndarray]) -> np.ndarray:
     pts = cloud.points if isinstance(cloud, SampleCloud) else np.asarray(cloud, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ConfigError("cloud must be a nonempty (N, d) array")
+    if not np.isfinite(pts).all():
+        raise ConfigError("cloud has non-finite points (nan or inf)")
     return pts
 
 

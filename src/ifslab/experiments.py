@@ -23,7 +23,7 @@ from .errors import (ComputeError, ConfigError, DegenerateVariance, IfslabError,
                      PreconditionViolation)
 from .fileio import atomic_write_bytes, atomic_write_text, fmt_float, write_json
 from .ifs import IfsSystem, SampleCloud, _diverged, _run_sgd, require_schedule, sample_invariant
-from .optimizers import BatchScheme, build_sgd_ifs, partition_batches
+from .optimizers import BatchScheme, _require_eta, build_sgd_ifs, partition_batches
 from .rng import Xoshiro256PP, child_seed, draw_indices
 
 # --------------------------------------------------------------------------
@@ -241,8 +241,7 @@ def run_linreg2d(
     aborting the remaining etas.
     """
     for eta in etas:
-        if eta <= 0.0:
-            raise ConfigError(f"linreg2d preset needs eta > 0, got {eta}")
+        _require_eta(eta)
     data = generate_synthetic(UniformLinReg(n=5, d=2), seed)
     scheme = partition_batches(data.n, 1)
     problem = pr.LeastSquares(lam=0.0)
@@ -314,8 +313,10 @@ class SweepConfig:
     def __post_init__(self):
         if not self.etas or not self.batch_sizes:
             raise ConfigError("sweep grid must be nonempty")
-        if any(e <= 0 for e in self.etas):
-            raise ConfigError("sweep etas must be positive")
+        for e in self.etas:
+            _require_eta(e)
+        if self.n_test is not None and self.n_test < 1:
+            raise ConfigError(f"n_test must be >= 1, got {self.n_test}")
         if self.check_every < 1:
             raise ConfigError("check_every must be a positive integer")
         require_schedule(self.burn_in, self.n_cloud, self.thin)  # before any point trains
@@ -347,7 +348,7 @@ SWEEP_COLUMNS = ("eta", "b", "R", "box_dim", "analytic_bound", "gen_gap", "error
 
 
 def _student_problem(config: SweepConfig) -> pr.OneHiddenLayer:
-    outs = tuple(config.out_scale * (1.0 if r % 2 == 0 else -1.0) for r in range(config.hidden))
+    outs = pr.alternating_out_weights(config.hidden, config.out_scale)
     return pr.OneHiddenLayer(lam=config.lam, out_weights=outs, activation=config.activation)
 
 

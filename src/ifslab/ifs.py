@@ -18,9 +18,9 @@ Every problem-backed chain is stepped by one SGD loop, ``_run_sgd``,
 along a stream of per-step batches: a system's index-drawn batches, the
 lazy b-subsets of subset mode (``optimizers``), or the sweep's K chains in
 lockstep (``experiments``), one stacked ``grad`` call per step, each chain
-bit-equal to its run alone.
-``lyapunov_exponent`` keeps its own loop, since it also pushes a tangent
-vector through each step's Jacobian.
+bit-equal to its run alone.  No other code steps a state:
+``lyapunov_exponent`` takes its states from these two loops and only
+pushes a tangent vector through each step's Jacobian.
 
 Geometric ergodicity of problem-backed systems is *not* certified here;
 stationarity is only spot-checked empirically (see the KS-distance test).
@@ -239,7 +239,6 @@ class ContractivityReport:
 class LyapunovEstimate:
     rho: float
     chain_length: int
-    renorm_interval: int
     seed: int
 
 
@@ -287,6 +286,10 @@ def _run_sgd(
 SEG = 2048
 MIN_SEGMENTS = 16
 MIN_SEGMENTS_SCALAR = 128
+
+# ``lyapunov_exponent`` renormalizes its tangent vector every this many steps;
+# every step would nearly double the time of a 2-D affine chain.
+RENORM_INTERVAL = 16
 
 
 def _lockstep(M: np.ndarray, Q: np.ndarray, idx: np.ndarray, w: np.ndarray, rec: np.ndarray) -> np.ndarray:
@@ -532,44 +535,39 @@ def contractivity_report(
     )
 
 
-def lyapunov_exponent(
-    system: IfsSystem,
-    w0: np.ndarray,
-    k: int,
-    renorm_interval: int = 16,
-    seed: int = 0,
-) -> LyapunovEstimate:
+def lyapunov_exponent(system: IfsSystem, w0: np.ndarray, k: int, seed: int = 0) -> LyapunovEstimate:
     """Top Lyapunov exponent: average log growth of a random unit vector
     pushed through J_{h_{U_k}}(w_{k-1}) ... J_{h_{U_1}}(w_0), renormalized
-    every ``renorm_interval`` steps.
+    every RENORM_INTERVAL steps and after the last.
 
+    The states come from ``_run_system`` in blocks of SEG * MIN_SEGMENTS
+    steps, each from the previous block's end, so state memory does not grow
+    with k; every state is bit-equal to the serial loop.  A Jacobian that
+    annihilates the vector gives -inf, unless its block diverges first.
     Stream order: the direction's gaussians first, then the index draws.
     """
     if k < 1000:
         raise ConfigError("lyapunov_exponent needs k >= 1000")
-    if renorm_interval <= 0:
-        raise ConfigError("renorm_interval must be positive")
     w = require_start(w0, system.dim)
     gen = Xoshiro256PP(seed)
     v = gen.normals(system.dim)
     v /= np.linalg.norm(v)
     idx = draw_indices(gen, system.probs, k)
-    total = 0.0
-    for t in range(k):
-        m = system.maps[idx[t]]
-        v = m.jacobian_matvec(w, v)
-        w = m.apply(w)
-        if (t + 1) % renorm_interval == 0:
-            nv = float(np.linalg.norm(v))
-            if nv == 0.0:
-                return LyapunovEstimate(-math.inf, k, renorm_interval, seed)
-            total += math.log(nv)
-            v /= nv
-    if k % renorm_interval:
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            return LyapunovEstimate(-math.inf, k, renorm_interval, seed)
-        total += math.log(nv)
-    if not (np.isfinite(w).all() and math.isfinite(total)):
-        raise NonFiniteState("state or tangent overflowed during Lyapunov accumulation")
-    return LyapunovEstimate(rho=total / k, chain_length=k, renorm_interval=renorm_interval, seed=seed)
+    block, total = SEG * MIN_SEGMENTS, 0.0
+    # an overflowing tangent is reported as NonFiniteState below, as _run_system reports states
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, k, block):
+            ids = idx[a : a + block]
+            states = _run_system(system, w, ids, record_from=0, thin=1, n_record=len(ids))
+            for t, (i, w_next) in enumerate(zip(ids.tolist(), states), start=a + 1):
+                v = system.maps[i].jacobian_matvec(w, v)
+                w = w_next
+                if t % RENORM_INTERVAL == 0 or t == k:
+                    nv = float(np.linalg.norm(v))
+                    if nv == 0.0:
+                        return LyapunovEstimate(-math.inf, k, seed)
+                    total += math.log(nv)
+                    v /= nv
+    if not math.isfinite(total):
+        raise _diverged()
+    return LyapunovEstimate(rho=total / k, chain_length=k, seed=seed)

@@ -119,7 +119,7 @@ def _require_enumerated(scheme: BatchScheme, op: str) -> None:
 
 def _require_eta(eta: float) -> None:
     if not eta > 0.0:
-        raise ConfigError("eta must be positive")
+        raise ConfigError(f"eta must be positive, got {eta}")
 
 
 def _validate_labels(problem: pr.Problem, dataset: pr.Dataset) -> None:

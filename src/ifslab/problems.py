@@ -186,6 +186,11 @@ class OneHiddenLayer:
         return len(self.out_weights)
 
 
+def alternating_out_weights(hidden: int, scale: float) -> tuple[float, ...]:
+    """Frozen output weights +scale, -scale, +scale, ... for ``hidden`` units."""
+    return tuple(scale * (1.0 if r % 2 == 0 else -1.0) for r in range(hidden))
+
+
 Problem = Union[LeastSquares, Logistic, RobustRegression, SmoothHingeSVM, OneHiddenLayer]
 
 

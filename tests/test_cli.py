@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, outputs, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -203,6 +204,15 @@ def test_dimension_missing_samples_file(tmp_path, capsys):
     assert err.startswith("ifslab: config error: cannot read sample-cloud file") and missing in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_dimension_rejects_non_finite_cloud(tmp_path, capsys, bad):
+    """Such a cloud used to end in a LinAlgError (nan) or math domain error (inf) traceback."""
+    samples = tmp_path / "cloud.csv"
+    samples.write_text("iter,w0\n1,0.1\n2," + bad + "\n3,0.5\n4,0.7\n5,0.9\n")
+    assert main(["dimension", "--samples", str(samples)]) == 1
+    assert "config error: cloud has non-finite points" in capsys.readouterr().err
+
+
 def test_dimension_with_box_config(tmp_path, capsys):
     cfg = experiment_config(tmp_path)
     out = str(tmp_path / "out")
@@ -241,7 +251,7 @@ def test_config_sections_fill_their_dataclasses(tmp_path):
     from ifslab.config import (parse_box_config, parse_experiment_config, parse_problem,
                                parse_sweep_config)
     from ifslab.dimension import BoxCountConfig
-    from ifslab.experiments import MlpRegression
+    from ifslab.experiments import MlpRegression, _student_problem
     from ifslab.problems import OneHiddenLayer, RobustRegression
 
     setup = parse_experiment_config({
@@ -265,6 +275,11 @@ def test_config_sections_fill_their_dataclasses(tmp_path):
     assert parse_problem({"kind": "one_hidden_layer", "lam": 0.5, "hidden": 2}) == OneHiddenLayer(
         lam=0.5, out_weights=(1.0, -1.0)
     )
+    # a config's hidden + out_scale net is the sweep's student for the same settings
+    student = {"lam": 0.01, "hidden": 3, "out_scale": 2.5, "activation": "tanh"}
+    assert parse_problem({"kind": "one_hidden_layer", **student}) == _student_problem(
+        dataclasses.replace(sweep, **student)
+    ) == OneHiddenLayer(lam=0.01, out_weights=(2.5, -2.5, 2.5), activation="tanh")
 
 
 def test_config_omitted_keys_take_the_callee_defaults():
@@ -447,6 +462,21 @@ def test_experiment_sweep_rejects_empty_schedule(tmp_path, capsys, monkeypatch, 
     out = tmp_path / "o"
     assert main(["experiment", "sweep", "--config", cfg, "--out", str(out)]) == 1
     assert "need burn_in >= 0, n_samples > 0, thin > 0" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any work
+
+
+@pytest.mark.parametrize("kind, doc, message", [
+    ("linreg2d", {"etas": [math.nan, 0.5], "n_samples": 1_000}, "eta must be positive, got nan"),
+    ("sweep", {"data": {"n": 8, "d": 2}, "etas": [math.nan], "batch_sizes": [2]}, "eta must be positive, got nan"),
+    ("sweep", {"data": {"n": 8, "d": 2}, "etas": [0.1], "batch_sizes": [2], "n_test": 0}, "n_test must be >= 1"),
+])
+def test_experiment_rejects_nan_eta_and_empty_test_set(tmp_path, capsys, kind, doc, message):
+    """A NaN eta used to pass the eta <= 0 checks and run (exit 0); n_test 0
+    failed only after the sweep had made its output directory."""
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = tmp_path / "o"
+    assert main(["experiment", kind, "--config", cfg, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()  # rejected before any work
 
 

@@ -408,6 +408,14 @@ def test_box_single_point_raises():
         box_counting_dimension(cloud_of(np.zeros(2000)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_box_rejects_non_finite_points(bad):
+    pts = np.linspace(0.0, 1.0, 2000)
+    pts[7] = bad
+    with pytest.raises(ConfigError, match="non-finite"):
+        box_counting_dimension(cloud_of(pts))
+
+
 def test_box_saturation_can_exhaust_scales():
     # 1000 distinct points with a huge min_occupied guard: everything saturates
     pts = np.linspace(0.0, 1.0, 1000)

@@ -441,8 +441,11 @@ def test_sweep_training_divergence_raises_no_numpy_warning(tmp_path):
 def test_sweep_rejects_empty_or_bad_grid():
     with pytest.raises(ConfigError):
         tiny_sweep_config(etas=())
-    with pytest.raises(ConfigError):
-        tiny_sweep_config(etas=(0.0,))
+    for etas in ((0.0,), (math.nan,), (0.05, math.nan)):
+        with pytest.raises(ConfigError, match="eta must be positive"):
+            tiny_sweep_config(etas=etas)
+    with pytest.raises(ConfigError, match="n_test"):
+        tiny_sweep_config(n_test=0)
     with pytest.raises(ConfigError):  # zero-step blocks would never advance training
         tiny_sweep_config(check_every=0)
     for table in ({"n_w": 0}, {"n_u": 0}):

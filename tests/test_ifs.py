@@ -20,7 +20,8 @@ from ifslab.ifs import (
     read_cloud_csv,
     sample_invariant,
 )
-from ifslab.optimizers import build_sgd_ifs, partition_batches
+from ifslab.optimizers import (PreconditionerSpec, build_precond_sgd_ifs, build_sgd_ifs,
+                               build_stoch_newton_ifs, partition_batches)
 from ifslab.problems import Dataset, LeastSquares, Logistic, OneHiddenLayer
 from ifslab.rng import Xoshiro256PP, draw_indices
 
@@ -558,3 +559,92 @@ def test_lyapunov_matches_contractivity_for_constant_slope():
 def test_lyapunov_requires_long_chain():
     with pytest.raises(ConfigError):
         lyapunov_exponent(cantor_system(), np.array([0.0]), 10, seed=0)
+
+
+def reference_lyapunov(system: IfsSystem, w0: np.ndarray, k: int, seed: int) -> float:
+    """The serial loop: each map's ``apply`` steps the state, renormalizing the
+    tangent every 16 steps and measuring it once more after the last."""
+    w = np.asarray(w0, dtype=float)
+    gen = Xoshiro256PP(seed)
+    v = gen.normals(system.dim)
+    v /= np.linalg.norm(v)
+    idx = draw_indices(gen, system.probs, k)
+    total = 0.0
+    for t in range(k):
+        m = system.maps[idx[t]]
+        v = m.jacobian_matvec(w, v)
+        w = m.apply(w)
+        if (t + 1) % 16 == 0:
+            nv = float(np.linalg.norm(v))
+            if nv == 0.0:
+                return -math.inf
+            total += math.log(nv)
+            v /= nv
+    if k % 16:
+        nv = float(np.linalg.norm(v))
+        if nv == 0.0:
+            return -math.inf
+        total += math.log(nv)
+    return total / k
+
+
+def lyapunov_case(kind: str) -> tuple:
+    """(system, w0, k): three problem-backed families at k = 1017, and a 2-D
+    affine system at a k that crosses two block boundaries, k % 16 = 1."""
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(8, 2))
+    labels = np.where(np.arange(8) % 2 == 0, 1.0, -1.0)
+    scheme = partition_batches(8, 2)
+    if kind == "logistic":
+        return build_sgd_ifs(Logistic(lam=0.1), Dataset(A, labels), scheme, 0.5), np.full(2, 0.1), 1017
+    if kind == "precond_logistic":
+        precond = PreconditionerSpec(np.diag([1.0, 2.5]), (1.0, 2.5))
+        system = build_precond_sgd_ifs(Logistic(lam=0.1), Dataset(A, labels), scheme, 0.5, precond)
+        return system, np.full(2, 0.1), 1017
+    if kind == "one_hidden":
+        net = OneHiddenLayer(lam=0.01, out_weights=(1.0, -1.0), activation="tanh")
+        return build_sgd_ifs(net, Dataset(A, A @ [0.5, -1.0]), scheme, 0.2), np.full(4, 0.3), 1017
+    maps = (AffineMap([[0.6, 0.2], [-0.1, 0.5]], [1.0, 0.0]), AffineMap([[0.4, -0.3], [0.2, 0.7]], [0.0, -1.0]))
+    return IfsSystem(maps, np.array([0.3, 0.7])), np.zeros(2), 2 * ifs.SEG * ifs.MIN_SEGMENTS + 4465
+
+
+@pytest.mark.parametrize("kind", ["logistic", "precond_logistic", "one_hidden", "affine_2d"])
+def test_lyapunov_is_bit_equal_to_the_serial_loop(kind):
+    system, w0, k = lyapunov_case(kind)
+    est = lyapunov_exponent(system, w0, k, seed=7)
+    assert math.isfinite(est.rho)
+    assert float.hex(est.rho) == float.hex(reference_lyapunov(system, w0, k, seed=7))
+
+
+def test_lyapunov_steps_its_chain_in_blocks_through_run_system(monkeypatch):
+    system, w0, k = lyapunov_case("affine_2d")
+    block = ifs.SEG * ifs.MIN_SEGMENTS
+    run_system, steps = ifs._run_system, []
+
+    def counted(system, w0, idx, *args, **kwargs):
+        steps.append(len(idx))
+        return run_system(system, w0, idx, *args, **kwargs)
+
+    monkeypatch.setattr(ifs, "_run_system", counted)
+    lyapunov_exponent(system, w0, k, seed=0)
+    assert len(steps) == -(-k // block) and max(steps) <= block and sum(steps) == k
+
+
+def test_lyapunov_newton_eta_one_is_minus_inf():
+    rng = np.random.default_rng(2)
+    A = rng.normal(size=(6, 3))
+    system = build_stoch_newton_ifs(LeastSquares(lam=0.1), Dataset(A, A @ [1.0, 0.0, -1.0]),
+                                    partition_batches(6, 2), 1.0)
+    assert lyapunov_exponent(system, np.zeros(3), 1017, seed=0).rho == -math.inf
+
+
+@pytest.mark.parametrize("slope, w0", [
+    (2.0, [1.0]),  # the state overflows
+    (1e30, [0.0]),  # the state stays at 0; only the tangent overflows
+])
+def test_lyapunov_divergence_is_typed_without_numpy_warnings(slope, w0):
+    system = IfsSystem((affine_1d(slope, 0.0),), np.array([1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteState, match="system appears to diverge"):
+            lyapunov_exponent(system, np.array(w0), 2000, seed=0)

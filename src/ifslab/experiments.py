@@ -22,7 +22,7 @@ from .dimension import BoxCountConfig, DimensionEstimate, analytic_bound, box_co
 from .errors import (ComputeError, ConfigError, DegenerateVariance, IfslabError, NonFiniteState,
                      PreconditionViolation)
 from .fileio import atomic_write_bytes, atomic_write_text, fmt_float, write_json
-from .ifs import IfsSystem, SampleCloud, _diverged, _run_sgd, require_schedule, sample_invariant
+from .ifs import IfsSystem, SampleCloud, _diverged, _run_sgd, _step_rows, require_schedule, sample_invariant
 from .optimizers import BatchScheme, _require_eta, build_sgd_ifs, partition_batches
 from .rng import Xoshiro256PP, child_seed, draw_indices
 
@@ -358,8 +358,8 @@ def _train_point(
     """Constant-step SGD of one batch size's chains, stepped in lockstep.
 
     Chain k (step size config.etas[k]) starts from 0.5 * normals of
-    Xoshiro256PP(seeds[k]) and draws each ``check_every`` block of map
-    indices from that stream.  After each block its mean train loss is
+    Xoshiro256PP(seeds[k]) and then draws its max_iters map indices from that
+    stream, in one call.  After each ``check_every`` block its mean train loss is
     checked: a chain below loss_tol leaves the stack, the rest go on until
     max_iters steps.  Returns per chain the trained parameter, or the
     NonFiniteState of a block that ended on a non-finite iterate or loss.
@@ -367,16 +367,16 @@ def _train_point(
     gens = [Xoshiro256PP(seed) for seed in seeds]
     dim = pr.param_dim(problem, train)
     w = np.stack([0.5 * gen.normals(dim) for gen in gens])
-    batches = np.stack(scheme.batches)
+    idx = np.stack([draw_indices(gen, scheme.probs, config.max_iters) for gen in gens])
+    table = np.stack(scheme.batches)
     out: list = [None] * len(seeds)
     live = list(range(len(seeds)))  # the chains in the stack, in stack order
     steps = 0
     while live and steps < config.max_iters:
         block = min(config.check_every, config.max_iters - steps)
-        idx = np.stack([draw_indices(gens[k], scheme.probs, block) for k in live])
         etas = np.array([config.etas[k] for k in live])[:, None]
-        ends, finite = _run_sgd(problem, train, etas, w, (batches.take(col, axis=0) for col in idx.T),
-                                block - 1, 1, 1)
+        rows = _step_rows(train, table, idx[live, steps : steps + block])
+        ends, finite = _run_sgd(problem, etas, w, rows, block - 1, 1, 1)
         steps += block
         keep = []
         for k, end, ok in zip(live, ends, finite):
@@ -451,10 +451,9 @@ def _sweep_group(
         total = config.burn_in + config.n_cloud * config.thin
         gens = [Xoshiro256PP(child_seed(seeds[k], 1)) for k in live]
         idx = np.stack([draw_indices(gen, scheme.probs, total) for gen in gens])
-        batches = np.stack(scheme.batches)
         points, finite = _run_sgd(
-            problem, train, np.array([config.etas[k] for k in live])[:, None],
-            np.stack([trained[k] for k in live]), (batches.take(col, axis=0) for col in idx.T),
+            problem, np.array([config.etas[k] for k in live])[:, None],
+            np.stack([trained[k] for k in live]), _step_rows(train, np.stack(scheme.batches), idx),
             config.burn_in, config.thin, config.n_cloud,
         )
         clouds = {k: points[j] if finite[j] else _diverged() for j, k in enumerate(live)}

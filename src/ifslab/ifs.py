@@ -15,10 +15,12 @@ stream become bit-equal (they coalesce), so two rounds usually settle every
 segment; families that never coalesce finish in one serial lane.  Every
 record equals the serial loop w = M[i] @ w + q[i] bit for bit.
 Every problem-backed chain is stepped by one SGD loop, ``_run_sgd``,
-along a stream of per-step batches: a system's index-drawn batches, the
-lazy b-subsets of subset mode (``optimizers``), or the sweep's K chains in
-lockstep (``experiments``), one stacked ``grad`` call per step, each chain
-bit-equal to its run alone.  No other code steps a state:
+along a stream of per-step batch rows passed to ``problems.grad_rows``: a
+system's index-drawn batches or the sweep's K chains in lockstep
+(``experiments``), their rows gathered once per chunk of steps by
+``_step_rows``, or the lazy b-subsets of subset mode (``optimizers``),
+gathered per step.  A stack of K chains takes one ``grad_rows`` call per
+step, each chain bit-equal to its run alone.  No other code steps a state:
 ``lyapunov_exponent`` takes its states from these two loops and only
 pushes a tangent vector through each step's Jacobian.
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -136,6 +138,10 @@ class IfsSystem:
             raise ConfigError(
                 "an IfsSystem needs affine maps of one dimension, or SGD steps that share "
                 "one problem, dataset, eta and solve"
+            )
+        if not self.is_affine and len(lengths := sorted({len(m.batch) for m in self.maps})) > 1:
+            raise ConfigError(
+                f"the SGD steps of an IfsSystem need batches of one length, got lengths {lengths}"
             )
 
     @property
@@ -251,17 +257,18 @@ def _diverged() -> NonFiniteState:
 
 
 def _run_sgd(
-    problem: pr.Problem, dataset: pr.Dataset, eta: Union[float, np.ndarray], w0: np.ndarray,
-    batches: Iterable, record_from: int, thin: int, n_record: int, solve: Optional[Callable] = None,
+    problem: pr.Problem, eta: Union[float, np.ndarray], w0: np.ndarray, rows: Iterable,
+    record_from: int, thin: int, n_record: int, solve: Optional[Callable] = None,
 ) -> tuple:
-    """The SGD chain loop: w_t = w_{t-1} - eta * P(grad(problem, w_{t-1}, dataset, B_t)),
-    with P = ``solve`` (identity when None) and B_t the t-th of ``batches``.
+    """The SGD chain loop: w_t = w_{t-1} - eta * P(grad_rows(problem, w_{t-1}, A_t, y_t)),
+    with P = ``solve`` (identity when None) and (A_t, y_t) the t-th of
+    ``rows``, the features and targets of step t's batch.
 
-    One chain has ``w0`` (dim,), a float ``eta`` and batches (b,); K plain-SGD
-    chains in lockstep have ``w0`` (K, dim), ``eta`` (K, 1) and batches (K, b).
-    Returns the states after steps record_from + j*thin, j = 1..n_record, as
-    (n_record, dim) or (K, n_record, dim), and whether each chain's records
-    and final state are finite (a bool, or one per chain).
+    One chain has ``w0`` (dim,), a float ``eta`` and rows (b, d), (b,); K
+    plain-SGD chains in lockstep have ``w0`` (K, dim), ``eta`` (K, 1) and rows
+    (K, b, d), (K, b).  Returns the states after steps record_from + j*thin,
+    j = 1..n_record, as (n_record, dim) or (K, n_record, dim), and whether
+    each chain's records and final state are finite (a bool, or one per chain).
     """
     w = np.asarray(w0, dtype=float)
     out = np.empty(w.shape[:-1] + (n_record, w.shape[-1]))
@@ -269,14 +276,35 @@ def _run_sgd(
     # overflow to inf/nan is an anticipated outcome here, reported through
     # the finite flags rather than as a numpy warning mid-loop
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, batch in enumerate(batches, start=1):
-            g = pr.grad(problem, w, dataset, batch)
+        for t, (A, y) in enumerate(rows, start=1):
+            g = pr.grad_rows(problem, w, A, y)
             w = w - eta * (g if solve is None else solve(g))
             if t > record_from and (t - record_from) % thin == 0 and r < n_record:
                 out[..., r, :] = w
                 r += 1
     out = out[..., :r, :]
     return out, np.isfinite(out).all(axis=(-2, -1)) & np.isfinite(w).all(axis=-1)
+
+
+# ``_step_rows`` gathers the batch rows of as many steps at once as fit this
+# many bytes (at least one step), so the gather costs a few numpy calls per
+# chunk and its memory does not grow with the batch size or the stack.
+ROW_CHUNK_BYTES = 1 << 16
+
+
+def _step_rows(dataset: pr.Dataset, table: np.ndarray, idx: np.ndarray) -> Iterator[tuple]:
+    """The rows (A, y) of each step's batch: step t's are those of the
+    batches ``table[idx[..., t]]``, table (n_maps, b) holding data indices.
+
+    ``idx`` is one chain's map indices (T,), giving rows (b, d) and (b,), or
+    K chains' (K, T), giving (K, b, d) and (K, b).  Each chunk of steps takes
+    one gather of features and one of targets; a step's rows are C-contiguous
+    views, laid out as ``problems.grad`` lays out its own gather.
+    """
+    lanes = 1 if idx.ndim == 1 else idx.shape[0]
+    chunk = max(1, ROW_CHUNK_BYTES // (8 * (dataset.d + 1) * table.shape[1] * lanes))
+    for a in range(0, idx.shape[-1], chunk):
+        yield from zip(*dataset.rows(table.take(idx[..., a : a + chunk].T, axis=0)))
 
 
 # Affine chains of at least MIN_SEGMENTS segments of about SEG steps run in
@@ -405,12 +433,12 @@ def _run_system(
 ) -> np.ndarray:
     """Step ``system`` along the map indices ``idx``: affine systems through
     the segmented kernel ``_run_affine``, problem-backed ones through the SGD
-    loop ``_run_sgd`` with the problem, dataset, eta and preconditioner all
-    their maps share.  Both return the same records."""
+    loop ``_run_sgd`` on their batches' rows, with the problem, eta and
+    preconditioner all their maps share.  Both return the same records."""
     if system.is_affine:
         return _run_affine(system, w0, idx, record_from, thin, n_record)
-    m, batches = system.maps[0], [mp.batch for mp in system.maps]
-    rows, finite = _run_sgd(m.problem, m.dataset, m.eta, w0, (batches[i] for i in idx.tolist()),
+    m, table = system.maps[0], np.array([mp.batch for mp in system.maps], dtype=np.int64)
+    rows, finite = _run_sgd(m.problem, m.eta, w0, _step_rows(m.dataset, table, idx),
                             record_from, thin, n_record, m.solve)
     if not finite:
         raise _diverged()
@@ -540,10 +568,11 @@ def lyapunov_exponent(system: IfsSystem, w0: np.ndarray, k: int, seed: int = 0) 
     pushed through J_{h_{U_k}}(w_{k-1}) ... J_{h_{U_1}}(w_0), renormalized
     every RENORM_INTERVAL steps and after the last.
 
-    The states come from ``_run_system`` in blocks of SEG * MIN_SEGMENTS
-    steps, each from the previous block's end, so state memory does not grow
-    with k; every state is bit-equal to the serial loop.  A Jacobian that
-    annihilates the vector gives -inf, unless its block diverges first.
+    The states come from ``_run_system`` in blocks, each from the previous
+    block's end: 1024 steps, then twice as many each time up to SEG *
+    MIN_SEGMENTS, so state memory does not grow with k and a Jacobian that
+    annihilates the vector early costs little; every state is bit-equal to
+    the serial loop.  That Jacobian gives -inf, unless its block diverges first.
     Stream order: the direction's gaussians first, then the index draws.
     """
     if k < 1000:
@@ -553,10 +582,10 @@ def lyapunov_exponent(system: IfsSystem, w0: np.ndarray, k: int, seed: int = 0) 
     v = gen.normals(system.dim)
     v /= np.linalg.norm(v)
     idx = draw_indices(gen, system.probs, k)
-    block, total = SEG * MIN_SEGMENTS, 0.0
+    a, block, total = 0, 1024, 0.0
     # an overflowing tangent is reported as NonFiniteState below, as _run_system reports states
     with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(0, k, block):
+        while a < k:
             ids = idx[a : a + block]
             states = _run_system(system, w, ids, record_from=0, thin=1, n_record=len(ids))
             for t, (i, w_next) in enumerate(zip(ids.tolist(), states), start=a + 1):
@@ -568,6 +597,7 @@ def lyapunov_exponent(system: IfsSystem, w0: np.ndarray, k: int, seed: int = 0) 
                         return LyapunovEstimate(-math.inf, k, seed)
                     total += math.log(nv)
                     v /= nv
+            a, block = a + len(ids), min(2 * block, SEG * MIN_SEGMENTS)
     if not math.isfinite(total):
         raise _diverged()
     return LyapunovEstimate(rho=total / k, chain_length=k, seed=seed)

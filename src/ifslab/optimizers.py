@@ -239,16 +239,16 @@ def _run_subset(
     record_from: int, thin: int, n_record: int,
 ) -> np.ndarray:
     """Subset-mode SGD from ``w0``: each step draws a fresh b-subset from
-    Xoshiro256PP(seed), one draw per step in step order.  The inputs are
-    checked before any step; records as ``ifs._run_sgd``."""
+    Xoshiro256PP(seed), one draw per step in step order, and gathers its
+    rows.  The inputs are checked before any step; records as ``ifs._run_sgd``."""
     _validate_labels(problem, dataset)
     partition_batches(dataset.n, b, "subset")  # rejects b outside 1..n
     _require_eta(eta)
     w0 = require_start(w0, pr.param_dim(problem, dataset))
     gen = Xoshiro256PP(seed)
     total = record_from + n_record * thin
-    batches = (gen.subset_without_replacement(dataset.n, b) for _ in range(total))
-    rows, finite = _run_sgd(problem, dataset, eta, w0, batches, record_from, thin, n_record)
+    steps = (dataset.rows(gen.subset_without_replacement(dataset.n, b)) for _ in range(total))
+    rows, finite = _run_sgd(problem, eta, w0, steps, record_from, thin, n_record)
     if not finite:
         raise _diverged()
     return rows

@@ -62,6 +62,10 @@ class Dataset:
         """R = max_i ||a_i||."""
         return float(np.sqrt((self.features**2).sum(axis=1).max()))
 
+    def rows(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The feature rows and targets at ``idx`` (any shape of indices)."""
+        return self.features.take(idx, axis=0), self.targets.take(idx)
+
     def batch_radius(self, batch: np.ndarray) -> float:
         """R_i = max over the batch of ||a_j||."""
         rows = self.features[np.asarray(batch, dtype=np.int64)]
@@ -212,13 +216,11 @@ TANH_SECOND_SUP = 4.0 / (3.0 * math.sqrt(3.0))
 
 
 def _sigmoid(x):
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) without overflow: with e = exp(-|x|), 1 / (1 + e)
+    where x >= 0 and e / (1 + e) elsewhere."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 # (act, act' and act'' as functions of the activation value a = act(x), sup|act''|)
@@ -292,11 +294,6 @@ def _mlp_parts(problem: OneHiddenLayer, w: np.ndarray, A: np.ndarray):
     return b, H, H @ b, d1, d2
 
 
-def _rows(dataset: Dataset, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The feature rows and targets at ``idx`` (any shape of indices)."""
-    return dataset.features.take(idx, axis=0), dataset.targets.take(idx)
-
-
 # --------------------------------------------------------------------------
 # core evaluations
 
@@ -305,7 +302,7 @@ def batch_losses(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.nd
     """Per-sample losses (regularizer included) at the given batch indices."""
     w = np.asarray(w, dtype=float)
     idx = np.asarray(batch, dtype=np.int64)
-    A, y = _rows(dataset, idx)
+    A, y = dataset.rows(idx)
     reg = 0.5 * regularizer_weight(problem) * float(w @ w)
     if isinstance(problem, OneHiddenLayer):
         _, _, yhat, _, _ = _mlp_parts(problem, w, A)
@@ -324,7 +321,8 @@ def mean_loss(problem: Problem, w: np.ndarray, dataset: Dataset) -> float:
 
 
 def grad(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray) -> np.ndarray:
-    """Mini-batch gradient (1/b) sum_j grad l(w, z_j).
+    """Mini-batch gradient (1/b) sum_j grad l(w, z_j): the batch's rows
+    gathered and passed to ``grad_rows``.
 
     The one-hidden-layer family also takes a stack: ``w`` (K, dim) and
     ``batch`` (K, b) give the (K, dim) gradients, row k that of w[k] on
@@ -341,8 +339,15 @@ def grad(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray) -
             raise ConfigError(
                 f"a stacked grad needs w (K, dim) and batch (K, b), got {w.shape} and {idx.shape}"
             )
-    A, y = _rows(dataset, idx)
-    nb = idx.shape[-1]
+    A, y = dataset.rows(idx)
+    return grad_rows(problem, w, A, y)
+
+
+def grad_rows(problem: Problem, w: np.ndarray, A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``grad`` on gathered rows: features ``A`` (b, d) and targets ``y`` (b,),
+    or for a one-hidden-layer stack w (K, dim), A (K, b, d) and y (K, b).
+    The arguments are not checked; the SGD chain loop calls this per step."""
+    nb = y.shape[-1]
     lam = regularizer_weight(problem)
     if isinstance(problem, OneHiddenLayer):
         b, H, yhat, d1, _ = _mlp_parts(problem, w, A)
@@ -366,7 +371,7 @@ def hvp(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray, v:
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
     idx = np.asarray(batch, dtype=np.int64)
-    A, y = _rows(dataset, idx)
+    A, y = dataset.rows(idx)
     nb = len(idx)
     lam = regularizer_weight(problem)
     if isinstance(problem, OneHiddenLayer):

@@ -13,6 +13,7 @@ from ifslab.errors import ConfigError, DegenerateProbe, NonFiniteState
 from ifslab.ifs import (
     AffineMap,
     IfsSystem,
+    ProblemMap,
     SampledPairsProbe,
     contractivity_report,
     iterate,
@@ -114,6 +115,15 @@ def test_system_rejects_mixed_or_unshared_maps():
     for maps in ((AffineMap(np.eye(2), np.zeros(2)), slow[1]), (slow[0], AffineMap(np.eye(2), np.zeros(2)))):
         with pytest.raises(ConfigError, match="affine maps of one dimension"):
             IfsSystem(maps, probs)
+
+
+def test_system_rejects_batches_of_different_lengths():
+    """The SGD loop steps on the rows of a (maps, b) batch table, so the
+    system names the lengths instead of failing later in the gather."""
+    data = Dataset([[1.0, 0.5], [-0.5, 1.0], [0.2, 0.3]], [1.0, -1.0, 1.0])
+    pair, single = (ProblemMap(Logistic(lam=0.1), data, np.array(batch), 0.5) for batch in ([0, 1], [2]))
+    with pytest.raises(ConfigError, match=r"batches of one length, got lengths \[1, 2\]"):
+        IfsSystem((pair, single), np.array([0.5, 0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +376,8 @@ def test_sgd_stack_records_each_chain_as_sample_invariant():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # overflow is reported as NonFiniteState only
         batches = np.stack(scheme.batches)
-        got, finite = ifs._run_sgd(problem, data, np.array(etas)[:, None], w0,
-                                   (batches.take(col, axis=0) for col in idx.T), burn_in, thin, n_samples)
+        rows = (data.rows(batches.take(col, axis=0)) for col in idx.T)
+        got, finite = ifs._run_sgd(problem, np.array(etas)[:, None], w0, rows, burn_in, thin, n_samples)
     assert finite.tolist() == [True, False, True]
     for k in (0, 2):
         system = build_sgd_ifs(problem, data, scheme, etas[k])
@@ -376,6 +386,80 @@ def test_sgd_stack_records_each_chain_as_sample_invariant():
     system = build_sgd_ifs(problem, data, scheme, etas[1])
     with pytest.raises(NonFiniteState, match="system appears to diverge"):
         sample_invariant(system, w0[1], burn_in, n_samples, thin, seeds[1])
+
+
+def apply_loop(maps, idx, w0, record_from, thin, n_record):
+    """What a plain ``ProblemMap.apply`` loop records along the map indices ``idx``."""
+    w, out = np.asarray(w0, dtype=float), []
+    for t, i in enumerate(idx.tolist(), start=1):
+        w = maps[i].apply(w)
+        if t > record_from and (t - record_from) % thin == 0 and len(out) < n_record:
+            out.append(w)
+    return np.array(out)
+
+
+def chunk_steps(data, b, lanes):
+    """The steps per row-gather chunk of ``ifs._step_rows``."""
+    return max(1, ifs.ROW_CHUNK_BYTES // (8 * (data.d + 1) * b * lanes))
+
+
+def chunked_chains(offset, lanes):
+    """A solo logistic system, or a one-hidden-layer problem for a stack of
+    ``lanes`` chains, and a schedule whose T = chunk + offset steps record,
+    every 2nd step, from 5 steps before the first chunk boundary on."""
+    rng = np.random.default_rng(11)
+    data = Dataset(rng.uniform(-1.0, 1.0, size=(12, 2)), rng.choice([-1.0, 1.0], size=12))
+    scheme = partition_batches(data.n, 3)
+    chunk = chunk_steps(data, 3, lanes)
+    T = chunk + offset
+    record_from = max(chunk - 5, 0)
+    return data, scheme, T, record_from, (T - record_from) // 2
+
+
+def solo_across_chunks(data, scheme, T, record_from, n_record):
+    """A logistic system's chain through ``_run_system``, and its plain apply loop."""
+    system = build_sgd_ifs(Logistic(lam=0.1), data, scheme, 0.5)
+    idx = draw_indices(Xoshiro256PP(3), system.probs, T)
+    got = ifs._run_system(system, np.array([0.3, -0.2]), idx, record_from, 2, n_record)
+    return got, apply_loop(system.maps, idx, [0.3, -0.2], record_from, 2, n_record)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_solo_chain_across_row_chunks_records_the_apply_loop(offset):
+    data, scheme, T, record_from, n_record = chunked_chains(offset, 1)
+    got, want = solo_across_chunks(data, scheme, T, record_from, n_record)
+    assert got.shape == (n_record, 2) and n_record >= 2 and same_bits(got, want)
+
+
+def stack_across_chunks(data, scheme, T, record_from, n_record):
+    """Three one-hidden-layer chains stepped in lockstep on chunked rows,
+    and each chain's plain apply loop."""
+    problem = OneHiddenLayer(lam=0.1, out_weights=(1.0, -1.0, 0.5), activation="sigmoid")
+    etas = (0.05, 0.1, 0.2)
+    w0 = np.random.default_rng(12).normal(size=(3, 6))
+    idx = np.stack([draw_indices(Xoshiro256PP(s), scheme.probs, T) for s in (1, 2, 3)])
+    rows = ifs._step_rows(data, np.stack(scheme.batches), idx)
+    got, finite = ifs._run_sgd(problem, np.array(etas)[:, None], w0, rows, record_from, 2, n_record)
+    assert finite.all()
+    for k, eta in enumerate(etas):
+        maps = build_sgd_ifs(problem, data, scheme, eta).maps
+        yield got[k], apply_loop(maps, idx[k], w0[k], record_from, 2, n_record)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_chain_stack_across_row_chunks_records_the_apply_loop(offset):
+    data, scheme, T, record_from, n_record = chunked_chains(offset, 3)
+    for got, want in stack_across_chunks(data, scheme, T, record_from, n_record):
+        assert got.shape == (n_record, 6) and same_bits(got, want)
+
+
+def test_one_step_row_chunks_record_the_apply_loop(monkeypatch):
+    """A byte budget below one step's rows still gathers one step at a time."""
+    monkeypatch.setattr(ifs, "ROW_CHUNK_BYTES", 1)
+    data, scheme, _, _, _ = chunked_chains(0, 1)
+    assert chunk_steps(data, 3, 3) == 1
+    for got, want in [solo_across_chunks(data, scheme, 9, 2, 3), *stack_across_chunks(data, scheme, 9, 2, 3)]:
+        assert got.shape[0] == 3 and same_bits(got, want)
 
 
 def test_sample_invariant_thinning_and_determinism():
@@ -616,9 +700,8 @@ def test_lyapunov_is_bit_equal_to_the_serial_loop(kind):
     assert float.hex(est.rho) == float.hex(reference_lyapunov(system, w0, k, seed=7))
 
 
-def test_lyapunov_steps_its_chain_in_blocks_through_run_system(monkeypatch):
-    system, w0, k = lyapunov_case("affine_2d")
-    block = ifs.SEG * ifs.MIN_SEGMENTS
+def counted_run_system(monkeypatch) -> list:
+    """Patch ``ifs._run_system`` to record the length of each index block it steps."""
     run_system, steps = ifs._run_system, []
 
     def counted(system, w0, idx, *args, **kwargs):
@@ -626,8 +709,18 @@ def test_lyapunov_steps_its_chain_in_blocks_through_run_system(monkeypatch):
         return run_system(system, w0, idx, *args, **kwargs)
 
     monkeypatch.setattr(ifs, "_run_system", counted)
+    return steps
+
+
+def test_lyapunov_steps_its_chain_in_blocks_through_run_system(monkeypatch):
+    """Blocks of 1024 steps, doubling up to SEG * MIN_SEGMENTS, then the rest."""
+    system, w0, k = lyapunov_case("affine_2d")
+    steps = counted_run_system(monkeypatch)
     lyapunov_exponent(system, w0, k, seed=0)
-    assert len(steps) == -(-k // block) and max(steps) <= block and sum(steps) == k
+    cap = ifs.SEG * ifs.MIN_SEGMENTS
+    expected = [1024 << j for j in range((cap // 1024).bit_length())]  # 1024, ..., cap
+    assert expected[-1] == cap and 0 < k - sum(expected) <= cap
+    assert steps == expected + [k - sum(expected)]
 
 
 def test_lyapunov_newton_eta_one_is_minus_inf():
@@ -636,6 +729,18 @@ def test_lyapunov_newton_eta_one_is_minus_inf():
     system = build_stoch_newton_ifs(LeastSquares(lam=0.1), Dataset(A, A @ [1.0, 0.0, -1.0]),
                                     partition_batches(6, 2), 1.0)
     assert lyapunov_exponent(system, np.zeros(3), 1017, seed=0).rho == -math.inf
+
+
+def test_lyapunov_zero_jacobian_stops_within_the_first_block(monkeypatch):
+    """Stochastic Newton at eta = 1 has the zero Jacobian: -inf after at
+    most 1024 states, however long the chain asked for."""
+    rng = np.random.default_rng(2)
+    A = rng.normal(size=(6, 3))
+    system = build_stoch_newton_ifs(LeastSquares(lam=0.1), Dataset(A, A @ [1.0, 0.0, -1.0]),
+                                    partition_batches(6, 2), 1.0)
+    steps = counted_run_system(monkeypatch)
+    assert lyapunov_exponent(system, np.zeros(3), 70_001, seed=0).rho == -math.inf
+    assert sum(steps) <= 1024
 
 
 @pytest.mark.parametrize("slope, w0", [

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import PROBLEM_KINDS, fd_grad, fd_hvp, make_problem_config
 from ifslab.dimension import analytic_bound
+from ifslab import problems as pr
 from ifslab.errors import ConfigError, PreconditionViolation
 from ifslab.optimizers import partition_batches
 from ifslab.problems import (
@@ -161,6 +162,52 @@ def test_stacked_grad_rows_equal_solo_grad_bits(K, b):
     for k in range(K):
         solo = grad(problem, W[k], data, batches[k])
         assert np.array_equal(G[k].view(np.uint64), solo.view(np.uint64))
+
+
+def masked_sigmoid(x):
+    """The logistic function as once written, with boolean masks: the oracle
+    for ``problems._sigmoid``."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def same_bits_or_both_nan(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    same_nan = np.array_equal(nan, np.isnan(b))
+    return same_nan and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
+def test_sigmoid_equals_the_masked_formula(monkeypatch):
+    """The mask-free sigmoid gives the masked formula's value for every input
+    (a NaN may differ only in its sign bit), so the margin derivatives of
+    logistic and SVM and the sigmoid activation keep their bits."""
+    edges = [0.0, -0.0, 1e-300, -1e-300, 20.0, -20.0, 709.0, -709.0, 745.0, -745.0,
+             math.inf, -math.inf, math.nan]
+    x = np.concatenate([edges, 30.0 * np.random.default_rng(16).normal(size=100_000)])
+    assert same_bits_or_both_nan(pr._sigmoid(x), masked_sigmoid(x))
+
+    rng = np.random.default_rng(17)
+    data = Dataset(rng.normal(size=(40, 3)), rng.choice([-1.0, 1.0], size=40))
+    w, v, batch = 30.0 * rng.normal(size=3), rng.normal(size=3), np.arange(5, 29)
+    net = OneHiddenLayer(lam=0.1, out_weights=(1.0, -0.5, 2.0), activation="sigmoid")
+    w_net = 30.0 * rng.normal(size=param_dim(net, data))
+    glms = [Logistic(lam=0.3), SmoothHingeSVM(lam=0.3, sigma_smooth=0.05)]
+
+    def outputs():
+        glm = [(grad(p, w, data, batch), hvp(p, w, data, batch, v)) for p in glms]
+        return glm + [grad(net, w_net, data, batch)]
+
+    new = outputs()
+    monkeypatch.setattr(pr, "_sigmoid", masked_sigmoid)
+    monkeypatch.setitem(pr._ACTIVATIONS, "sigmoid", (masked_sigmoid,) + pr._ACTIVATIONS["sigmoid"][1:])
+    for got, want in zip(new, outputs()):
+        assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
 
 
 @pytest.mark.parametrize("kind", [k for k in PROBLEM_KINDS if k != "one_hidden"])

@@ -6,23 +6,27 @@ iterating w_k = h_{U_k}(w_{k-1}) with U_k ~ p approximates the stationary
 M w + q or SGD steps backed by a problem/dataset/batch triple.  Jacobian
 norms of SGD steps live in ``complexity``, a system's batches at once.
 
-Affine systems, at any dimension, run through one parallel-in-time kernel,
-``_run_affine``: the index stream is cut into segments that are stepped in
-lockstep from guessed starts, and a segment is kept once the start it ran
-from equals its predecessor's end bit for bit.  Chains that contract on
-average forget their start, and in float64 two chains driven by one index
-stream become bit-equal (they coalesce), so two rounds usually settle every
-segment; families that never coalesce finish in one serial lane.  Every
-record equals the serial loop w = M[i] @ w + q[i] bit for bit.
-Every problem-backed chain is stepped by one SGD loop, ``_run_sgd``,
-along a stream of per-step batch rows passed to ``problems.grad_rows``: a
-system's index-drawn batches or the sweep's K chains in lockstep
+Affine chains and plain-SGD problem-backed chains run parallel in time
+through one settle loop, ``_settle``: the index stream is cut into segments
+that are stepped in lockstep from guessed starts, and a segment is kept once
+the start it ran from equals its predecessor's end bit for bit.  Chains
+that contract on average forget their start, and in float64 two chains
+driven by one index stream become bit-equal (they coalesce), so two rounds
+usually settle every segment; chains that never coalesce finish in one
+serial lane.  Affine segments step through ``_lockstep`` and SGD ones
+through ``_run_sgd`` on stacked rows, and every record equals the serial
+loop bit for bit.  Every problem-backed chain is stepped by one SGD loop,
+``_run_sgd``, along a stream of per-step batch rows passed to
+``problems.grad_rows``: a system's index-drawn batches (one chain, or its
+segments in lockstep) or the sweep's K chains in lockstep
 (``experiments``), their rows gathered once per chunk of steps by
 ``_step_rows``, or the lazy b-subsets of subset mode (``optimizers``),
 gathered per step.  A stack of K chains takes one ``grad_rows`` call per
-step, each chain bit-equal to its run alone.  No other code steps a state:
-``lyapunov_exponent`` takes its states from these two loops and only
-pushes a tangent vector through each step's Jacobian.
+step, each chain bit-equal to its run alone.  Preconditioned chains, and
+those whose steps cost too much per extra segment (b * dim above
+SGD_MAX_WORK), run serially.  No other code steps a state:
+``lyapunov_exponent`` takes its states from these loops and only pushes a
+tangent vector through each step's Jacobian.
 
 Geometric ergodicity of problem-backed systems is *not* certified here;
 stationarity is only spot-checked empirically (see the KS-distance test).
@@ -30,6 +34,7 @@ stationarity is only spot-checked empirically (see the KS-distance test).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -308,12 +313,24 @@ def _step_rows(dataset: pr.Dataset, table: np.ndarray, idx: np.ndarray) -> Itera
 
 
 # Affine chains of at least MIN_SEGMENTS segments of about SEG steps run in
-# lockstep (``_run_affine``).  A lockstep step costs a few numpy calls however
+# lockstep (``_run_system``).  A lockstep step costs a few numpy calls however
 # many segments it carries, so fewer segments would not repay its two rounds;
 # scalar chains, whose serial step is Python float arithmetic, need more.
 SEG = 2048
 MIN_SEGMENTS = 16
 MIN_SEGMENTS_SCALAR = 128
+
+# Plain-SGD chains run in lockstep segments of about SGD_SEG steps, at most
+# SGD_MAX_SEGMENTS of them at once, when b * dim <= SGD_MAX_WORK
+# (``_run_system``).  A lockstep step costs a solo step plus a share per
+# segment that grows with b * dim, and a chain that never coalesces wastes
+# two or three rounds before the settle loop gives up.  Up to b * dim = 32
+# that share is at most about 3 % of a solo step, so such a chain runs under
+# 10 % slower than serially; the sweep's student (b = 16, dim 32) ran 23-26 %
+# slower at any width from 16 to 64.
+SGD_SEG = 256
+SGD_MAX_SEGMENTS = 64
+SGD_MAX_WORK = 32
 
 # ``lyapunov_exponent`` renormalizes its tangent vector every this many steps;
 # every step would nearly double the time of a 2-D affine chain.
@@ -361,29 +378,34 @@ def _lane(M: np.ndarray, Q: np.ndarray, idx: np.ndarray, w: np.ndarray, rec: np.
     return v
 
 
-def _settle(M: np.ndarray, Q: np.ndarray, idx: np.ndarray, w0: np.ndarray, rec: np.ndarray) -> tuple:
+def _settle(step: Callable, idx: np.ndarray, w0: np.ndarray, rec: np.ndarray) -> tuple:
     """Lockstep rounds over the L segments ``idx`` (L, S) of one chain from w0.
 
-    Each round steps every segment from the first unsettled one on, each from
-    its predecessor's current end (all from w0 in round 1).  A segment is
-    settled once the start it last ran from equals, bit for bit, its settled
-    predecessor's end: by induction from segment 0 it then holds the serial
-    chain.  The segment a round starts at always settles; chains that contract
-    on average also coalesce in float64 from different starts, so two rounds
-    usually settle all, and slowly contracting ones a few more.  Rounds stop
-    when at most one segment is left, or when a round settles only that one
-    and its largest start/end mismatch (the Euclidean norm per segment) is
-    not below half the previous round's: a family that never coalesces, such
-    as rotations, whose mismatches keep their norms.  The states of segments
-    L - len(rec) on land in ``rec``.  Returns the chain's state after the
-    last settled segment and the count of settled segments.
+    ``step(idx, w, rec)`` steps K segments at once, segment k from ``w[k]``
+    along ``idx[k]``, as ``_lockstep`` steps affine chains and
+    ``_sgd_lockstep`` plain-SGD ones: it writes the states of the last
+    ``rec.shape[0]`` segments after each step to ``rec`` and returns the K
+    end states.  Each round steps every segment from the first unsettled
+    one on, each from its predecessor's current end (all from w0 in round
+    1).  A segment is settled once the start it last ran from equals, bit
+    for bit, its settled predecessor's end: by induction from segment 0 it
+    then holds the serial chain.  The segment a round starts at always
+    settles; chains that contract on average also coalesce in float64 from
+    different starts, so two rounds usually settle all, and slowly
+    contracting ones a few more.  Rounds stop when at most one segment is
+    left, or when a round settles only that one and its largest start/end
+    mismatch (the Euclidean norm per segment) is not below half the
+    previous round's: a family that never coalesces, such as rotations,
+    whose mismatches keep their norms.  The states of segments L - len(rec)
+    on land in ``rec``.  Returns the chain's state after the last settled
+    segment and the count of settled segments.
     """
     L = idx.shape[0]
     j_lo = L - rec.shape[0]
     starts = np.tile(w0, (L, 1))
     first, gap = 0, math.inf
     while True:
-        ends = _lockstep(M, Q, idx[first:], starts[first:], rec[max(first - j_lo, 0):])
+        ends = step(idx[first:], starts[first:], rec[max(first - j_lo, 0):])
         same = (starts[first + 1:].view(np.uint64) == ends[:-1].view(np.uint64)).all(axis=1)
         settled = first + 1 + int(np.logical_and.accumulate(same).sum())
         last_gap, gap = gap, float(np.linalg.norm(starts[first + 1:] - ends[:-1], axis=1).max())
@@ -393,51 +415,89 @@ def _settle(M: np.ndarray, Q: np.ndarray, idx: np.ndarray, w0: np.ndarray, rec: 
         first = settled
 
 
-def _run_affine(
-    system: IfsSystem, w0: np.ndarray, idx: np.ndarray, record_from: int, thin: int, n_record: int
+def _run_segments(
+    step: Callable, lane: Callable, L: int, w0: np.ndarray, idx: np.ndarray,
+    record_from: int, thin: int, n_record: int,
 ) -> np.ndarray:
-    """The affine chain of ``_run_system``, parallel in time.
+    """A chain of ``_run_system``, parallel in time.
 
-    Its n steps split into L = n // SEG segments of S = n // L steps, which
-    ``_settle`` brings to the serial chain in lockstep rounds; the rest (the
-    tail of fewer than L steps, or everything when L is below MIN_SEGMENTS)
-    runs as one serial lane from there.  Every record is bit-equal to the
-    serial loop w = M[i] @ w + q[i].  States are kept from the start of the
-    first segment that holds a recorded step.
+    Its n steps split into L segments of S = n // L steps, which ``_settle``
+    brings to the serial chain in lockstep rounds of ``step``; the rest (the
+    tail of fewer than L steps, and the segments left unsettled) runs as one
+    serial ``lane(idx, w, rec)`` from there, which writes the states after
+    its last ``len(rec)`` steps to ``rec`` and returns its end state.  L = 1
+    runs the whole chain in the lane.  Every record is bit-equal to the
+    serial loop.  States are kept from the start of the first segment that
+    holds a recorded step.
     """
-    M = np.stack([m.matrix for m in system.maps])
-    Q = np.stack([m.offset for m in system.maps])
-    n, d = idx.shape[0], system.dim
-    L = n // SEG
-    if L < (MIN_SEGMENTS_SCALAR if d == 1 else MIN_SEGMENTS):
-        L = 1
+    n, d = idx.shape[0], w0.shape[0]
     S = n // L
     lo = record_from if L == 1 else min(record_from // S, L) * S
     buf = np.empty((n - lo, d))  # the states after steps lo + 1, ..., n
-    w, a = np.asarray(w0, dtype=float), 0  # the chain's state after a steps
+    w, a = w0, 0  # the chain's state after a steps
     # overflow to inf/nan is an anticipated outcome here, reported as
     # NonFiniteState below rather than as a numpy warning mid-loop
     with np.errstate(over="ignore", invalid="ignore"):
         if L > 1:
-            w, settled = _settle(M, Q, idx[: L * S].reshape(L, S), w, buf[: L * S - lo].reshape(-1, S, d))
+            w, settled = _settle(step, idx[: L * S].reshape(L, S), w, buf[: L * S - lo].reshape(-1, S, d))
             a = settled * S
-        w = _lane(M, Q, idx[a:], w, buf[max(a - lo, 0):])
+        w = lane(idx[a:], w, buf[max(a - lo, 0):])
     rows = buf[record_from - lo + thin - 1 :: thin][:n_record]
     if not (np.isfinite(rows).all() and np.isfinite(w).all()):
         raise _diverged()
     return rows if thin == 1 else rows.copy()
 
 
+def _sgd_lockstep(m: ProblemMap, table: np.ndarray, idx: np.ndarray, w: np.ndarray, rec: np.ndarray) -> np.ndarray:
+    """``_lockstep`` for plain-SGD chains: K chains of the maps' problem and
+    eta, chain k from ``w[k]`` along the map indices ``idx[k]`` into the
+    batch table ``table``, stepped as one stack by ``_run_sgd``."""
+    S = idx.shape[1]
+    keep = S if rec.shape[0] else 1  # every state for ``rec``, else the ends
+    out, _ = _run_sgd(m.problem, m.eta, w, _step_rows(m.dataset, table, idx), S - keep, 1, keep)
+    if rec.shape[0]:
+        rec[...] = out[w.shape[0] - rec.shape[0]:]
+    return out[:, -1]
+
+
+def _sgd_lane(m: ProblemMap, table: np.ndarray, idx: np.ndarray, w: np.ndarray, rec: np.ndarray) -> np.ndarray:
+    """``_lane`` for one plain-SGD chain: a solo ``_run_sgd``."""
+    if not len(rec):
+        return w  # the lane has no steps: every state is in ``rec``
+    rec[...], _ = _run_sgd(m.problem, m.eta, w, _step_rows(m.dataset, table, idx),
+                           len(idx) - len(rec), 1, len(rec))
+    return rec[-1]
+
+
 def _run_system(
     system: IfsSystem, w0: np.ndarray, idx: np.ndarray, record_from: int, thin: int, n_record: int
 ) -> np.ndarray:
-    """Step ``system`` along the map indices ``idx``: affine systems through
-    the segmented kernel ``_run_affine``, problem-backed ones through the SGD
-    loop ``_run_sgd`` on their batches' rows, with the problem, eta and
-    preconditioner all their maps share.  Both return the same records."""
+    """Step ``system`` along the map indices ``idx``.
+
+    Affine chains and plain-SGD ones run parallel in time (``_run_segments``):
+    affine ones in L = n // SEG segments when there are at least
+    MIN_SEGMENTS of them (MIN_SEGMENTS_SCALAR at d = 1), stepped by
+    ``_lockstep``; SGD ones with b * dim <= SGD_MAX_WORK in L = n // SGD_SEG
+    segments, at most SGD_MAX_SEGMENTS, when there are at least two, stepped
+    by ``_run_sgd`` on stacked rows.  The other problem-backed chains
+    (preconditioned, wider or shorter ones) run serially through
+    ``_run_sgd``.  All return the same records, bit for bit.
+    """
+    w0 = np.asarray(w0, dtype=float)
+    n = idx.shape[0]
     if system.is_affine:
-        return _run_affine(system, w0, idx, record_from, thin, n_record)
+        M = np.stack([m.matrix for m in system.maps])
+        Q = np.stack([m.offset for m in system.maps])
+        L = n // SEG
+        if L < (MIN_SEGMENTS_SCALAR if system.dim == 1 else MIN_SEGMENTS):
+            L = 1
+        return _run_segments(functools.partial(_lockstep, M, Q), functools.partial(_lane, M, Q), L,
+                             w0, idx, record_from, thin, n_record)
     m, table = system.maps[0], np.array([mp.batch for mp in system.maps], dtype=np.int64)
+    L = min(n // SGD_SEG, SGD_MAX_SEGMENTS)
+    if m.solve is None and L >= 2 and table.shape[1] * system.dim <= SGD_MAX_WORK:
+        return _run_segments(functools.partial(_sgd_lockstep, m, table), functools.partial(_sgd_lane, m, table),
+                             L, w0, idx, record_from, thin, n_record)
     rows, finite = _run_sgd(m.problem, m.eta, w0, _step_rows(m.dataset, table, idx),
                             record_from, thin, n_record, m.solve)
     if not finite:

@@ -324,17 +324,13 @@ def grad(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray) -
     """Mini-batch gradient (1/b) sum_j grad l(w, z_j): the batch's rows
     gathered and passed to ``grad_rows``.
 
-    The one-hidden-layer family also takes a stack: ``w`` (K, dim) and
-    ``batch`` (K, b) give the (K, dim) gradients, row k that of w[k] on
-    batch[k].  Other families take one vector and one batch.
+    Every family also takes a stack: ``w`` (K, dim) and ``batch`` (K, b)
+    give the (K, dim) gradients, row k bit-equal to that of w[k] on batch[k]
+    alone.
     """
     w = np.asarray(w, dtype=float)
     idx = np.asarray(batch, dtype=np.int64)
     if idx.ndim != 1 or w.ndim != 1:
-        if not isinstance(problem, OneHiddenLayer):
-            raise ConfigError(
-                f"a stacked grad is defined for OneHiddenLayer only, not {type(problem).__name__}"
-            )
         if idx.ndim != 2 or w.shape[:-1] != idx.shape[:-1]:
             raise ConfigError(
                 f"a stacked grad needs w (K, dim) and batch (K, b), got {w.shape} and {idx.shape}"
@@ -345,8 +341,10 @@ def grad(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray) -
 
 def grad_rows(problem: Problem, w: np.ndarray, A: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``grad`` on gathered rows: features ``A`` (b, d) and targets ``y`` (b,),
-    or for a one-hidden-layer stack w (K, dim), A (K, b, d) and y (K, b).
-    The arguments are not checked; the SGD chain loop calls this per step."""
+    or for a stack w (K, dim), A (K, b, d) and y (K, b).  One expression
+    serves both, each stacked product a BLAS call per member with the solo
+    call's operands, so row k is bit-equal to the solo gradient.  The
+    arguments are not checked; the SGD chain loop calls this per step."""
     nb = y.shape[-1]
     lam = regularizer_weight(problem)
     if isinstance(problem, OneHiddenLayer):
@@ -354,7 +352,8 @@ def grad_rows(problem: Problem, w: np.ndarray, A: np.ndarray, y: np.ndarray) -> 
         # V[j] = flatten_r(b_r f'(z_jr) a_j); grad = -(1/b) sum resid_j V_j + lam w
         coef = (yhat - y)[..., None] * (b * d1(H))  # (..., nb, m)
         return (coef.swapaxes(-1, -2) @ A).reshape(w.shape) / nb + lam * w
-    return A.T @ _margin(problem)[1](problem, A @ w, y) / nb + lam * w
+    phi1 = _margin(problem)[1](problem, np.matmul(A, w[..., None])[..., 0], y)
+    return np.matmul(A.swapaxes(-1, -2), phi1[..., None])[..., 0] / nb + lam * w
 
 
 def _scale_rows(coef: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -23,7 +23,8 @@ from ifslab.ifs import (
 )
 from ifslab.optimizers import (PreconditionerSpec, build_precond_sgd_ifs, build_sgd_ifs,
                                build_stoch_newton_ifs, partition_batches)
-from ifslab.problems import Dataset, LeastSquares, Logistic, OneHiddenLayer
+from ifslab.problems import (Dataset, LeastSquares, Logistic, OneHiddenLayer, RobustRegression,
+                             SmoothHingeSVM)
 from ifslab.rng import Xoshiro256PP, draw_indices
 
 
@@ -460,6 +461,175 @@ def test_one_step_row_chunks_record_the_apply_loop(monkeypatch):
     assert chunk_steps(data, 3, 3) == 1
     for got, want in [solo_across_chunks(data, scheme, 9, 2, 3), *stack_across_chunks(data, scheme, 9, 2, 3)]:
         assert got.shape[0] == 3 and same_bits(got, want)
+
+
+# ---------------------------------------------------------------------------
+# plain-SGD chains in lockstep segments
+
+
+@pytest.fixture
+def sgd_segments(monkeypatch):
+    """SGD segments of 64 steps, at most 6 at once, at any b * dim; counts
+    the lockstep rounds and the steps of the serial lane."""
+    monkeypatch.setattr(ifs, "SGD_SEG", 64)
+    monkeypatch.setattr(ifs, "SGD_MAX_SEGMENTS", 6)
+    monkeypatch.setattr(ifs, "SGD_MAX_WORK", 10**9)
+    calls = {"rounds": 0, "lane_steps": 0}
+    lockstep, lane = ifs._sgd_lockstep, ifs._sgd_lane
+
+    def counted_lockstep(m, table, idx, w, rec):
+        calls["rounds"] += 1
+        return lockstep(m, table, idx, w, rec)
+
+    def counted_lane(m, table, idx, w, rec):
+        calls["lane_steps"] += idx.shape[0]
+        return lane(m, table, idx, w, rec)
+
+    monkeypatch.setattr(ifs, "_sgd_lockstep", counted_lockstep)
+    monkeypatch.setattr(ifs, "_sgd_lane", counted_lane)
+    return calls
+
+
+def sgd_system(family: str, eta: float = 0.3) -> IfsSystem:
+    """A problem-backed system of each GLM family (least squares as
+    ProblemMaps, which ``build_sgd_ifs`` would make affine) or a
+    one-hidden-layer net, on 12 rows in batches of 3."""
+    rng = np.random.default_rng(21)
+    A = rng.uniform(-1.0, 1.0, size=(12, 2))
+    labels = rng.choice([-1.0, 1.0], size=12)
+    problem, y = {
+        "logistic": (Logistic(lam=0.2), labels),
+        "svm": (SmoothHingeSVM(lam=0.2, sigma_smooth=0.5), labels),
+        "exp_squared": (RobustRegression(lam_r=0.2, t0=1.0), A @ [1.0, -0.5]),
+        "tukey": (RobustRegression(lam_r=0.2, t0=1.0, rho="tukey"), A @ [1.0, -0.5]),
+        "least_squares": (LeastSquares(lam=0.2), A @ [1.0, -0.5]),
+        "one_hidden": (OneHiddenLayer(lam=0.1, out_weights=(1.0, -1.0), activation="tanh"), A @ [1.0, -0.5]),
+    }[family]
+    data, scheme = Dataset(A, y), partition_batches(12, 3)
+    maps = tuple(ProblemMap(problem, data, np.asarray(b, dtype=np.int64), eta) for b in scheme.batches)
+    return IfsSystem(maps, scheme.probs)
+
+
+SGD_FAMILIES = ["logistic", "svm", "exp_squared", "tukey", "least_squares", "one_hidden"]
+
+
+@pytest.mark.parametrize("family", SGD_FAMILIES)
+@pytest.mark.parametrize("thin", [1, 2, 3])
+@pytest.mark.parametrize("cut", [-1, 0, 1])
+def test_sgd_segments_record_the_apply_loop(sgd_segments, family, thin, cut):
+    """Six segments of 64 steps and a tail of 5, recorded from a segment
+    boundary -1, 0 or +1 on, bit-equal to a plain ``apply`` loop."""
+    system = sgd_system(family)
+    n = 6 * 64 + 5
+    idx = draw_indices(Xoshiro256PP(thin), system.probs, n)
+    w0 = np.linspace(-0.5, 0.5, system.dim)
+    record_from = 3 * 64 + cut
+    n_record = (n - record_from) // thin
+    got = ifs._run_system(system, w0, idx, record_from, thin, n_record)
+    assert sgd_segments["rounds"] >= 1
+    assert got.shape == (n_record, system.dim)
+    assert same_bits(got, apply_loop(system.maps, idx, w0, record_from, thin, n_record))
+
+
+def benchmark_logistic(seed: int, lam: float = 1.0) -> IfsSystem:
+    """L2 logistic regression as ``perfbench`` runs it: 20 rows of norm 1.6,
+    in batches of two rows 60 degrees apart, eta = 0.5."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.0, 2.0 * math.pi, size=10)
+    angles = (base[:, None] + (math.pi / 3) * np.arange(2)[None, :]).ravel()
+    A = 1.6 * np.column_stack([np.cos(angles), np.sin(angles)])
+    return build_sgd_ifs(Logistic(lam=lam), Dataset(A, rng.choice([-1.0, 1.0], size=20)),
+                         partition_batches(20, 2), 0.5)
+
+
+@pytest.mark.parametrize("burn_in", [0, 100])
+def test_coalescing_sgd_chain_settles_in_two_rounds(sgd_segments, burn_in):
+    """The benchmark's logistic chain coalesces within a segment: two lockstep
+    rounds settle every segment, and the serial lane runs only the tail."""
+    system = benchmark_logistic(3)
+    n = 6 * 64 + 5
+    idx = draw_indices(Xoshiro256PP(4), system.probs, n)
+    w0 = np.array([0.5, -0.5])
+    got = ifs._run_system(system, w0, idx, burn_in, 1, n - burn_in)
+    assert sgd_segments == {"rounds": 2, "lane_steps": 5}
+    assert same_bits(got, apply_loop(system.maps, idx, w0, burn_in, 1, n - burn_in))
+
+
+def test_sgd_chain_that_never_coalesces_stops_by_the_rule(sgd_segments):
+    """Logistic regression without a regularizer on separable data drifts off
+    to infinity, and chains from different starts never meet.  The rounds
+    stop once a round settles only its first segment and the largest
+    mismatch stops halving; the rest runs in the serial lane."""
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(20, 2))
+    data = Dataset(A, np.where(A[:, 0] > 0.0, 1.0, -1.0))
+    system = build_sgd_ifs(Logistic(lam=0.0), data, partition_batches(20, 2), 0.5)
+    n = 6 * 64 + 5
+    idx = draw_indices(Xoshiro256PP(6), system.probs, n)
+    got = ifs._run_system(system, np.zeros(2), idx, 50, 1, n - 50)
+    assert sgd_segments == {"rounds": 3, "lane_steps": n - 3 * 64}
+    assert same_bits(got, apply_loop(system.maps, idx, np.zeros(2), 50, 1, n - 50))
+
+
+def test_divergent_sgd_segments_raise_non_finite_state(sgd_segments):
+    """Least squares at eta = 50 blows up: NonFiniteState, and no numpy warning."""
+    system = sgd_system("least_squares", eta=50.0)
+    idx = draw_indices(Xoshiro256PP(7), system.probs, 6 * 64 + 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteState, match="system appears to diverge"):
+            ifs._run_system(system, np.ones(2), idx, 0, 1, idx.size)
+    assert sgd_segments["rounds"] >= 1
+
+
+def test_preconditioned_sgd_chain_stays_serial(sgd_segments):
+    """A preconditioner keeps the chain out of the segments, and bit-equal."""
+    rng = np.random.default_rng(8)
+    A = rng.normal(size=(12, 2))
+    precond = PreconditionerSpec(np.diag([1.0, 2.5]), (1.0, 2.5))
+    system = build_precond_sgd_ifs(Logistic(lam=0.1), Dataset(A, np.where(A[:, 1] > 0, 1.0, -1.0)),
+                                   partition_batches(12, 3), 0.5, precond)
+    n = 6 * 64 + 5
+    idx = draw_indices(Xoshiro256PP(9), system.probs, n)
+    got = ifs._run_system(system, np.full(2, 0.1), idx, 10, 2, 150)
+    assert sgd_segments == {"rounds": 0, "lane_steps": 0}
+    assert same_bits(got, apply_loop(system.maps, idx, np.full(2, 0.1), 10, 2, 150))
+
+
+@pytest.mark.parametrize("kind", ["logistic", "one_hidden"])
+def test_lyapunov_is_bit_equal_on_sgd_segments(sgd_segments, kind):
+    """The reference cases' rho, with their states from lockstep segments."""
+    system, w0, k = lyapunov_case(kind)
+    est = lyapunov_exponent(system, w0, k, seed=7)
+    assert sgd_segments["rounds"] >= 2
+    assert float.hex(est.rho) == float.hex(reference_lyapunov(system, w0, k, seed=7))
+
+
+def test_wide_sgd_steps_stay_serial(monkeypatch):
+    """A chain with b * dim above SGD_MAX_WORK (here 12 against 11) runs
+    serially, as the sweep's student (16 * 32) does at the module's value."""
+    calls = []
+    monkeypatch.setattr(ifs, "_sgd_lockstep", lambda *args: calls.append(args))
+    system = sgd_system("one_hidden")  # b * dim = 3 * 4
+    monkeypatch.setattr(ifs, "SGD_MAX_WORK", 11)
+    idx = draw_indices(Xoshiro256PP(10), system.probs, 4 * ifs.SGD_SEG)
+    got = ifs._run_system(system, np.full(4, 0.1), idx, 0, 1, idx.size)
+    assert calls == [] and same_bits(got, apply_loop(system.maps, idx, np.full(4, 0.1), 0, 1, idx.size))
+
+
+def test_benchmark_logistic_chain_settles_at_the_default_segments(monkeypatch):
+    """At the module's constants, the benchmark's logistic chain through
+    sample_invariant settles in two rounds, bit-equal to the serial chain."""
+    system = benchmark_logistic(1)
+    burn_in, n_samples = 1_000, 20_000
+    assert burn_in + n_samples >= ifs.SGD_SEG * ifs.SGD_MAX_SEGMENTS
+    rounds, lockstep = [], ifs._sgd_lockstep
+    monkeypatch.setattr(ifs, "_sgd_lockstep", lambda *args: rounds.append(1) or lockstep(*args))
+    cloud = sample_invariant(system, np.zeros(2), burn_in, n_samples, 1, 1)
+    assert len(rounds) == 2
+    monkeypatch.setattr(ifs, "SGD_MAX_WORK", 0)  # the serial chain
+    serial = sample_invariant(system, np.zeros(2), burn_in, n_samples, 1, 1)
+    assert len(rounds) == 2 and same_bits(cloud.points, serial.points)
 
 
 def test_sample_invariant_thinning_and_determinism():

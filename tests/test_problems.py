@@ -211,12 +211,50 @@ def test_sigmoid_equals_the_masked_formula(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", [k for k in PROBLEM_KINDS if k != "one_hidden"])
-def test_stacked_grad_rejects_glm_families(kind):
+def test_stacked_grad_rejects_mismatched_glm_stacks(kind):
+    """A GLM family takes a stack too, but only w (K, dim) with batch (K, b)."""
     problem, dataset, w, batch = make_problem_config(kind, 0)
-    with pytest.raises(ConfigError, match="OneHiddenLayer only"):
-        grad(problem, np.stack([w, w]), dataset, np.stack([batch, batch]))
-    with pytest.raises(ConfigError, match="OneHiddenLayer only"):
-        grad(problem, w, dataset, np.stack([batch, batch]))
+    G = grad(problem, np.stack([w, -w]), dataset, np.stack([batch, batch]))
+    assert G.shape == (2, w.size)
+    for w_, batch_ in [(w, np.stack([batch, batch])), (np.stack([w, w]), batch),
+                       (np.stack([w, w, w]), np.stack([batch, batch]))]:
+        with pytest.raises(ConfigError, match="stacked grad needs"):
+            grad(problem, w_, dataset, batch_)
+
+
+def solo_glm_grad(problem, w, A, y):
+    """The GLM batch gradient A^T phi'(A w, y) / b + lam w as written for one
+    chain before ``grad_rows`` took stacks: the oracle of its bits."""
+    return A.T @ pr._margin(problem)[1](problem, A @ w, y) / y.shape[0] + pr.regularizer_weight(problem) * w
+
+
+GLM_FAMILIES = {
+    "logistic": Logistic(lam=0.3),
+    "svm": SmoothHingeSVM(lam=0.2, sigma_smooth=0.4),
+    "exp_squared": RobustRegression(lam_r=0.1, t0=1.5),
+    "tukey": RobustRegression(lam_r=0.1, t0=1.5, rho="tukey"),
+    "least_squares": LeastSquares(lam=0.05),
+}
+
+
+@pytest.mark.parametrize("family", list(GLM_FAMILIES))
+@pytest.mark.parametrize("d", [1, 2, 3, 17, 65])
+@pytest.mark.parametrize("b", [1, 2, 16])
+def test_stacked_glm_grad_rows_equal_the_solo_bits(family, d, b):
+    """Each row of a stacked GLM ``grad_rows`` is bit-equal to the solo call,
+    and that to the one-chain formula, at stack sizes 1, 3 and 64."""
+    problem = GLM_FAMILIES[family]
+    rng = np.random.default_rng(1000 * d + b)
+    for K in (1, 3, 64):
+        A = rng.normal(size=(K, b, d))
+        y = rng.choice([-1.0, 1.0], size=(K, b)) if family in ("logistic", "svm") else rng.normal(size=(K, b))
+        W = 2.0 * rng.normal(size=(K, d))
+        G = pr.grad_rows(problem, W, A, y)
+        assert G.shape == (K, d)
+        for k in range(K):
+            solo = pr.grad_rows(problem, W[k], A[k], y[k])
+            assert np.array_equal(G[k].view(np.uint64), solo.view(np.uint64))
+            assert np.array_equal(solo.view(np.uint64), solo_glm_grad(problem, W[k], A[k], y[k]).view(np.uint64))
 
 
 def test_stacked_grad_rejects_mismatched_leading_shapes():

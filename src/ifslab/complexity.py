@@ -3,9 +3,10 @@
 1/R is the Monte-Carlo average of log ||J_{h_U}(W)|| over cloud points W and
 batch draws U; ``dimension.rams_ratio`` averages the same ``log_norm_table``
 over a system's maps.  Every step Jacobian norm comes from ``jacobian_norms``:
-exact up to DENSE_ORACLE_MAX_DIM = 64 parameters (one block Hessian product
-per J, one stacked eigendecomposition, or SVD when preconditioned), a
-hand-rolled power iteration with a seed per batch above that.  The dense
+exact up to DENSE_ORACLE_MAX_DIM = 64 parameters, where the table's cells go
+in chunks, each one stacked Hessian product on the identity block and one
+stacked eigendecomposition (SVD when preconditioned); a hand-rolled power
+iteration per cell with its own seed above that.  The dense
 column-by-column oracle stays the independent cross-check.
 R is reported signed: contractive systems give negative R, expanding ones
 positive.  No absolute values are taken silently.
@@ -86,16 +87,26 @@ def spectral_norm_power_iter(
 # step Jacobian norms
 
 DENSE_ORACLE_MAX_DIM = 64
+# Byte cap on one chunk of exact cells.  A cell's largest temporary is
+# 8 * dim * max(dim, b * hidden) bytes (J, the batch rows times the block,
+# or the one-hidden-layer curvature terms of shape (hidden, b, dim)), and a
+# few such coexist.  Measured on one core: cells/s plateau from about 32 KiB
+# of chunk at dim 2 and from 128 KiB at dim 32, and fall at 4 MiB with
+# b = 32; at 1 MiB the sweep's peak RSS rose by 3 MiB, at 256 KiB by 0.3 MiB.
+TABLE_CHUNK_BYTES = 1 << 18
 
 
-def stacked_spectral_norms(J: np.ndarray, symmetric: bool = True) -> np.ndarray:
+def stacked_spectral_norms(
+    J: np.ndarray, symmetric: bool = True, name: Callable[[int], str] = lambda k: f"{k} of the stack"
+) -> np.ndarray:
     """Exact ||J_k||_2 for a stack J of shape (..., dim, dim).
 
     Symmetric Jacobians (plain SGD steps, J = I - eta*H) take max|eigvalsh| of
     the symmetrised matrix; others (preconditioned steps) take the largest
     singular value.  Raises ZeroOperator when a norm is numerically zero:
     at most dim * eps times max(1, largest entry of I - J), the rounding
-    error of forming J = I - eta*H.
+    error of forming J = I - eta*H.  The message gives the first such
+    norm and ``name`` of its flat stack index.
     """
     dim = J.shape[-1]
     if symmetric:
@@ -104,8 +115,13 @@ def stacked_spectral_norms(J: np.ndarray, symmetric: bool = True) -> np.ndarray:
     else:
         norms = np.linalg.norm(J, 2, axis=(-2, -1))
     scale = np.maximum(1.0, np.abs(J - np.eye(dim)).max(axis=(-2, -1)))
-    if np.any(norms <= dim * np.finfo(float).eps * scale):
-        raise ZeroOperator("Jacobian is numerically zero; its log norm is undefined")
+    zero = np.flatnonzero(norms <= dim * np.finfo(float).eps * scale)
+    if zero.size:
+        k = int(zero[0])
+        raise ZeroOperator(
+            f"Jacobian {name(k)} is numerically zero (norm {norms.flat[k]:.3e}); "
+            "its log norm is undefined"
+        )
     return norms
 
 
@@ -121,30 +137,53 @@ def jacobian_norms(
 ) -> tuple[np.ndarray, int]:
     """||J_B|| = ||I - eta * P * H_B(w)||_2 for each batch B, and how many converged.
 
-    P is the preconditioner ``solve`` (identity when None).  Up to
-    DENSE_ORACLE_MAX_DIM parameters the norms are exact (``jacobian_apply``
-    on a block, then ``stacked_spectral_norms``) and all count as converged.
-    Above that, power iteration per batch on J, or on J^T J when
-    preconditioned, with the tolerance and cap of ``power_iter`` and the
-    matching entry of ``seeds``, which only this path reads.
+    P is the preconditioner ``solve`` (identity when None).  ``w`` is one
+    point (dim,), giving (len(batches),) norms, or rows (n_w, dim), giving
+    the (n_w, len(batches)) table; cell (i, j) is flat cell i*len(batches) + j.
+    The batches must have one length.  Up to DENSE_ORACLE_MAX_DIM parameters
+    the norms are exact and all count as converged: the cells go in chunks
+    of at most TABLE_CHUNK_BYTES of temporaries, each chunk one stacked
+    ``jacobian_apply`` on the identity block and one
+    ``stacked_spectral_norms``.  Above that, power iteration per cell on J,
+    or on J^T J when preconditioned, with the tolerance and cap of
+    ``power_iter`` and the cell's entry of ``seeds``, which only this path
+    reads.
     """
     dim = pr.param_dim(problem, dataset)
+    w = np.asarray(w, dtype=float)
+    if w.shape[-1] != dim:
+        raise ConfigError(f"point dimension {w.shape[-1]} != parameter dimension {dim}")
+    rows = w.reshape(-1, dim)
+    n_u = len(batches)
+    if len(lengths := sorted({len(batch) for batch in batches})) > 1:
+        raise ConfigError(f"Jacobian norms need batches of one length, got lengths {lengths}")
+    n_cells = rows.shape[0] * n_u
+    norms = np.empty(n_cells)
     if dim <= DENSE_ORACLE_MAX_DIM:
+        idx = np.array(batches, dtype=np.int64).reshape(n_u, -1)
+        hidden = problem.hidden if isinstance(problem, pr.OneHiddenLayer) else 1
+        chunk = max(1, TABLE_CHUNK_BYTES // (8 * dim * max(dim, idx.shape[1] * hidden)))
         eye = np.eye(dim)
-        J = np.stack([pr.jacobian_apply(problem, w, dataset, b, eta, eye, solve) for b in batches])
-        return stacked_spectral_norms(J, solve is None), len(batches)
-    norms = np.empty(len(batches))
+        for start in range(0, n_cells, chunk):
+            cells = np.arange(start, min(start + chunk, n_cells))
+            J = pr.jacobian_apply(problem, rows[cells // n_u], dataset, idx[cells % n_u], eta, eye, solve)
+            norms[start : start + cells.size] = stacked_spectral_norms(
+                J, solve is None, lambda k: f"of cell (row {cells[k] // n_u}, batch {cells[k] % n_u})"
+            )
+        return norms.reshape(w.shape[:-1] + (n_u,)), n_cells
     converged = 0
-    for j, (batch, seed) in enumerate(zip(batches, seeds, strict=True)):
+    for c, seed in zip(range(n_cells), seeds, strict=True):
+        w_c, batch = rows[c // n_u], batches[c % n_u]
+
         def op(v: np.ndarray) -> np.ndarray:  # J v, or J^T J v with J^T = I - eta * H P
-            u = pr.jacobian_apply(problem, w, dataset, batch, eta, v, solve)
-            return u if solve is None else u - eta * pr.hvp(problem, w, dataset, batch, solve(u))
+            u = pr.jacobian_apply(problem, w_c, dataset, batch, eta, v, solve)
+            return u if solve is None else u - eta * pr.hvp(problem, w_c, dataset, batch, solve(u))
 
         config = PowerIterConfig(power_iter.tol, power_iter.max_iters, seed)
         res = spectral_norm_power_iter(op, dim, config)
-        norms[j] = res.value if solve is None else math.sqrt(res.value)
+        norms[c] = res.value if solve is None else math.sqrt(res.value)
         converged += res.converged
-    return norms, converged
+    return norms.reshape(w.shape[:-1] + (n_u,)), converged
 
 
 # --------------------------------------------------------------------------
@@ -214,7 +253,7 @@ def log_norm_table(
     """The (n_w, len(batches)) table of log ||J_{B_j}(W_i)||, and how many cells converged.
 
     W_i are the rows floor(i*N/n_w), i < n_w, of the (N, dim) cloud ``points``.
-    Row i is one ``jacobian_norms`` call over all the batches (exact cells
+    The whole table is one ``jacobian_norms`` call on the rows W (exact cells
     count as converged); above DENSE_ORACLE_MAX_DIM parameters cell (i, j) is
     a power iteration seeded with child 1 + i*len(batches) + j of ``seed``, so
     the cells parallelize without changing results.
@@ -226,16 +265,10 @@ def log_norm_table(
     dim = pr.param_dim(problem, dataset)
     if points.shape[1] != dim:
         raise ConfigError(f"cloud dimension {points.shape[1]} != parameter dimension {dim}")
-    n_u = len(batches)
     W = points[(np.arange(n_w, dtype=np.int64) * points.shape[0]) // n_w]
-    table = np.empty((n_w, n_u))
-    converged = 0
-    for i in range(n_w):
-        seeds = (child_seed(seed, 1 + i * n_u + j) for j in range(n_u))
-        norms, n_conv = jacobian_norms(problem, dataset, batches, eta, W[i], power_iter, seeds, solve)
-        table[i] = np.log(norms)
-        converged += n_conv
-    return table, converged
+    seeds = (child_seed(seed, 1 + c) for c in range(n_w * len(batches)))
+    norms, converged = jacobian_norms(problem, dataset, batches, eta, W, power_iter, seeds, solve)
+    return np.log(norms), converged
 
 
 def estimate_R(

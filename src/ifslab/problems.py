@@ -320,6 +320,18 @@ def mean_loss(problem: Problem, w: np.ndarray, dataset: Dataset) -> float:
     return float(batch_losses(problem, w, dataset, np.arange(dataset.n)).mean())
 
 
+def _stack_args(w, batch, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``w`` and ``batch`` as float and index arrays: one point (dim,) and one
+    batch (b,), or a stack w (K, dim) and batch (K, b); ConfigError otherwise."""
+    w = np.asarray(w, dtype=float)
+    idx = np.asarray(batch, dtype=np.int64)
+    if (idx.ndim != 1 or w.ndim != 1) and (idx.ndim != 2 or w.shape[:-1] != idx.shape[:-1]):
+        raise ConfigError(
+            f"a stacked {name} needs w (K, dim) and batch (K, b), got {w.shape} and {idx.shape}"
+        )
+    return w, idx
+
+
 def grad(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray) -> np.ndarray:
     """Mini-batch gradient (1/b) sum_j grad l(w, z_j): the batch's rows
     gathered and passed to ``grad_rows``.
@@ -328,13 +340,7 @@ def grad(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray) -
     give the (K, dim) gradients, row k bit-equal to that of w[k] on batch[k]
     alone.
     """
-    w = np.asarray(w, dtype=float)
-    idx = np.asarray(batch, dtype=np.int64)
-    if idx.ndim != 1 or w.ndim != 1:
-        if idx.ndim != 2 or w.shape[:-1] != idx.shape[:-1]:
-            raise ConfigError(
-                f"a stacked grad needs w (K, dim) and batch (K, b), got {w.shape} and {idx.shape}"
-            )
+    w, idx = _stack_args(w, batch, "grad")
     A, y = dataset.rows(idx)
     return grad_rows(problem, w, A, y)
 
@@ -356,37 +362,40 @@ def grad_rows(problem: Problem, w: np.ndarray, A: np.ndarray, y: np.ndarray) -> 
     return np.matmul(A.swapaxes(-1, -2), phi1[..., None])[..., 0] / nb + lam * w
 
 
-def _scale_rows(coef: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """coef[j] * X[j] for a vector X (nb,) or a block X (nb, k)."""
-    return coef.reshape(coef.shape + (1,) * (X.ndim - 1)) * X
-
-
 def hvp(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Mini-batch Hessian-vector product (1/b) sum_j H_j(w) v.
 
     ``v`` is a vector (dim,) or a block (dim, k); a block returns H V of the
-    same shape, column k equal to the product with ``v[:, k]``.
+    same shape, column k equal to the product with ``v[:, k]``.  A stack
+    ``w`` (K, dim) and ``batch`` (K, b) shares ``v`` and returns (K,) +
+    v.shape, entry k bit-equal to the product of w[k] on batch[k] alone:
+    each family has one expression for both, every stacked product a BLAS
+    call per member with the solo call's operands.
     """
-    w = np.asarray(w, dtype=float)
+    w, idx = _stack_args(w, batch, "hvp")
     v = np.asarray(v, dtype=float)
-    idx = np.asarray(batch, dtype=np.int64)
     A, y = dataset.rows(idx)
-    nb = len(idx)
+    nb = idx.shape[-1]
     lam = regularizer_weight(problem)
+    X = v.reshape(v.shape[0], -1)  # k columns; k = 1 for a vector
     if isinstance(problem, OneHiddenLayer):
         b, H, yhat, d1, d2 = _mlp_parts(problem, w, A)
-        m, d = problem.hidden, A.shape[1]
-        X = v.reshape(m * d, -1)  # k columns; k = 1 for a vector
-        V = (b[None, :] * d1(H))[:, :, None] * A[:, None, :]  # (nb, m, d)
-        V = V.reshape(nb, -1)
-        gauss = V.T @ (V @ X) / nb  # Gauss-Newton part (V V^T) X
-        T = A @ X.reshape(m, d, -1)  # (m, nb, k): a_j . u_r per column
-        c = (y - yhat)[:, None] * b[None, :] * d2(H)  # resid * b_r * f''(z_jr)
-        block = A.T @ (c.T[:, :, None] * T) / nb  # (m, d, k): resid-weighted curvature
-        return (gauss - block.reshape(m * d, -1) + lam * X).reshape(v.shape)
-    phi2 = _margin(problem)[2]
-    Av = A @ v if phi2 is None else _scale_rows(phi2(problem, A @ w, y), A @ v)
-    return A.T @ Av / nb + lam * v
+        m, d = problem.hidden, A.shape[-1]
+        V = (b * d1(H))[..., None] * A[..., None, :]  # (..., nb, m, d)
+        V = V.reshape(V.shape[:-2] + (m * d,))
+        gauss = V.swapaxes(-1, -2) @ (V @ X) / nb  # Gauss-Newton part (V V^T) X
+        A1 = A[..., None, :, :]  # rows shared by the m hidden units
+        T = A1 @ X.reshape(m, d, -1)  # (..., m, nb, k): a_j . u_r per column
+        c = (y - yhat)[..., None] * b * d2(H)  # resid * b_r * f''(z_jr)
+        block = A1.swapaxes(-1, -2) @ (c.swapaxes(-1, -2)[..., None] * T) / nb  # (..., m, d, k)
+        HX = gauss - block.reshape(gauss.shape) + lam * X
+    else:
+        phi2 = _margin(problem)[2]
+        AX = A @ X
+        if phi2 is not None:
+            AX = phi2(problem, np.matmul(A, w[..., None])[..., 0], y)[..., None] * AX
+        HX = A.swapaxes(-1, -2) @ AX / nb + lam * X
+    return HX.reshape(w.shape[:-1] + v.shape)
 
 
 def jacobian_apply(
@@ -395,14 +404,18 @@ def jacobian_apply(
 ) -> np.ndarray:
     """Apply the SGD-step Jacobian (I - eta * P * batch Hessian) to ``v``.
 
-    P is the preconditioner application ``solve`` (identity when None).
-    ``v`` may be a block (dim, k); ``v = np.eye(dim)`` gives the dense J.
+    P is the preconditioner application ``solve`` (identity when None),
+    given blocks (dim, k) or stacks of them.  ``v`` may be a block (dim, k);
+    ``v = np.eye(dim)`` gives the dense J.  A stack ``w`` (K, dim) and
+    ``batch`` (K, b) gives (K,) + v.shape, as in ``hvp``.
     """
+    w, idx = _stack_args(w, batch, "jacobian_apply")
     v = np.asarray(v, dtype=float)
     if eta == 0.0:
-        return v.copy()
-    h = hvp(problem, w, dataset, batch, v)
-    return v - eta * (h if solve is None else solve(h))
+        return np.broadcast_to(v, w.shape[:-1] + v.shape).copy()
+    X = v.reshape(v.shape[0], -1)  # a vector as a block, so that ``solve`` sees blocks only
+    h = hvp(problem, w, dataset, idx, X)
+    return (X - eta * (h if solve is None else solve(h))).reshape(w.shape[:-1] + v.shape)
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_problem_config
-from ifslab import complexity
+from ifslab import complexity, problems
 from ifslab.complexity import (
     ComplexityConfig,
     GeneralizationInputs,
@@ -30,7 +30,15 @@ from ifslab.errors import (
 )
 from ifslab.ifs import SampleCloud
 from ifslab.optimizers import partition_batches
-from ifslab.problems import Dataset, LeastSquares, mean_loss, param_dim
+from ifslab.problems import (
+    Dataset,
+    LeastSquares,
+    Logistic,
+    OneHiddenLayer,
+    jacobian_apply,
+    mean_loss,
+    param_dim,
+)
 from ifslab.rng import Xoshiro256PP, child_seed, draw_indices
 
 
@@ -298,6 +306,138 @@ def test_log_norm_table_rejects_bad_n_w_and_cloud(n_w, points, message):
     problem, data, scheme = quadratic_pair_setup()
     with pytest.raises(ConfigError, match=message):
         complexity.log_norm_table(problem, data, scheme.batches, 0.5, points, n_w, PowerIterConfig(), 0)
+
+
+def reference_log_norm_table(problem, data, batches, eta, points, n_w, solve=None):
+    """The exact table cell by cell: one ``jacobian_apply`` on the identity
+    and one ``stacked_spectral_norms`` per (point, batch)."""
+    W = points[(np.arange(n_w, dtype=np.int64) * points.shape[0]) // n_w]
+    eye = np.eye(W.shape[1])
+    table = np.empty((n_w, len(batches)))
+    for i in range(n_w):
+        for j, batch in enumerate(batches):
+            J = jacobian_apply(problem, W[i], data, batch, eta, eye, solve)
+            table[i, j] = np.log(complexity.stacked_spectral_norms(J[None], solve is None)[0])
+    return table
+
+
+def table_problem(kind, d):
+    rng = np.random.default_rng(7 * d)
+    if kind == "logistic":
+        data = Dataset(rng.normal(size=(24, d)), rng.choice([-1.0, 1.0], size=24))
+        return Logistic(lam=0.3), data
+    data = Dataset(rng.normal(size=(24, d)), rng.normal(size=24))
+    hidden = 64 // d if d > 8 else 3
+    return OneHiddenLayer(lam=0.01, out_weights=tuple(rng.uniform(-2, 2, hidden)), activation="tanh"), data
+
+
+def chunk_cap(problem, data, b, cells):
+    """A TABLE_CHUNK_BYTES that gives ``cells`` cells per chunk."""
+    dim = param_dim(problem, data)
+    hidden = problem.hidden if isinstance(problem, OneHiddenLayer) else 1
+    return cells * 8 * dim * max(dim, b * hidden)
+
+
+@pytest.mark.parametrize("kind, d", [("logistic", 2), ("logistic", 64), ("one_hidden", 3), ("one_hidden", 16)])
+@pytest.mark.parametrize("cells", [None, 1, 4, 7])
+def test_log_norm_table_is_bit_equal_to_the_per_cell_loop(monkeypatch, kind, d, cells):
+    """Every cell's bits match the per-cell loop, in one chunk (None) or in
+    chunks of 1, 4 or 7 cells, 4 and 7 not dividing the 5 x 6 table; each
+    chunk is one ``problems.hvp`` call.  d = 64 and d = 16 with 4 hidden
+    units are dim 64, the largest exact dimension."""
+    problem, data = table_problem(kind, d)
+    dim = param_dim(problem, data)
+    rng = np.random.default_rng(d)
+    batches = [rng.choice(24, size=4, replace=False) for _ in range(6)]
+    points = rng.normal(scale=0.5, size=(17, dim))
+    expected = reference_log_norm_table(problem, data, batches, 0.4, points, 5)
+    if cells is not None:
+        monkeypatch.setattr(complexity, "TABLE_CHUNK_BYTES", chunk_cap(problem, data, 4, cells))
+    calls = []
+    real = problems.hvp
+    monkeypatch.setattr(problems, "hvp", lambda *a: calls.append(a[1].shape[0]) or real(*a))
+    table, converged = complexity.log_norm_table(
+        problem, data, batches, 0.4, points, 5, PowerIterConfig(), 0
+    )
+    assert table.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    assert converged == 30
+    chunk = min(30, complexity.TABLE_CHUNK_BYTES // chunk_cap(problem, data, 4, 1))
+    assert chunk == (cells or (8 if dim == 64 else 30))
+    assert calls == [chunk] * (30 // chunk) + [30 % chunk] * (30 % chunk > 0)
+
+
+def test_preconditioned_log_norm_table_is_bit_equal_to_the_per_cell_loop(monkeypatch):
+    from ifslab.optimizers import PreconditionerSpec
+
+    problem, data = table_problem("logistic", 3)
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    spec = PreconditionerSpec(Q @ np.diag([1.0, 2.0, 3.0]) @ Q.T, (1.0 - 1e-9, 3.0 + 1e-9))
+    batches = [rng.choice(24, size=4, replace=False) for _ in range(6)]
+    points = rng.normal(size=(11, 3))
+    expected = reference_log_norm_table(problem, data, batches, 0.4, points, 5, spec.solve)
+    monkeypatch.setattr(complexity, "TABLE_CHUNK_BYTES", chunk_cap(problem, data, 4, 7))
+    table, _ = complexity.log_norm_table(
+        problem, data, batches, 0.4, points, 5, PowerIterConfig(), 0, spec.solve
+    )
+    assert table.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def rams_systems():
+    """Problem-backed systems and the mean log Jacobian ``rams_ratio`` gave
+    them with one ``jacobian_norms`` call per cloud point (n_w = 23)."""
+    from ifslab.optimizers import PreconditionerSpec, build_precond_sgd_ifs, build_sgd_ifs
+
+    rng = np.random.default_rng(41)
+    data = Dataset(rng.uniform(-1, 1, size=(12, 3)), rng.choice([-1.0, 1.0], size=12))
+    yield build_sgd_ifs(Logistic(lam=0.5), data, partition_batches(12, 3), 0.6), "-0x1.762263c9a4752p-2"
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    spec = PreconditionerSpec(Q @ np.diag([1.0, 2.0, 3.0]) @ Q.T, (1.0 - 1e-9, 3.0 + 1e-9))
+    yield (
+        build_precond_sgd_ifs(Logistic(lam=0.5), data, partition_batches(12, 3), 0.6, spec),
+        "-0x1.f1eb53a85f6d0p-4",
+    )
+    mlp = Dataset(rng.normal(size=(16, 3)), rng.normal(size=16))
+    problem = OneHiddenLayer(lam=0.5, out_weights=(0.8, -0.4, 0.3), activation="tanh")
+    yield build_sgd_ifs(problem, mlp, partition_batches(16, 4), 0.3), "-0x1.bdb4faac9cd83p-4"
+
+
+@pytest.mark.parametrize("cells", [None, 5])
+def test_rams_ratio_mean_log_jacobian_is_unchanged(monkeypatch, cells):
+    from ifslab.dimension import rams_ratio
+    from ifslab.ifs import sample_invariant
+
+    for system, expected in rams_systems():
+        m = system.maps[0]
+        if cells is not None:
+            monkeypatch.setattr(complexity, "TABLE_CHUNK_BYTES", chunk_cap(m.problem, m.dataset, m.batch.size, cells))
+        cloud = sample_invariant(system, np.zeros(system.dim), 50, 40, seed=5)
+        assert rams_ratio(system, cloud, n_w=23).mean_log_jacobian.hex() == expected
+
+
+def test_zero_cell_in_mid_chunk_is_named(monkeypatch):
+    """Logistic at w = 0 has curvature 1/4: a row of norm 2, lam = 0 and
+    eta = 1 give J = 0 exactly, at cloud point 0 only.  It is cell (row 2,
+    batch 1), flat cell 7, in the middle of the chunk of cells 5..9."""
+    data = Dataset([[1.0], [1.0], [2.0]], [1.0, -1.0, 1.0])
+    batches = [np.array([0]), np.array([2]), np.array([1])]
+    points = np.array([[1.0], [-1.0], [0.0], [0.5]])
+    monkeypatch.setattr(complexity, "TABLE_CHUNK_BYTES", chunk_cap(Logistic(lam=0.0), data, 1, 5))
+    with pytest.raises(ZeroOperator, match=r"cell \(row 2, batch 1\) is numerically zero \(norm 0\.000e\+00\)"):
+        complexity.log_norm_table(Logistic(lam=0.0), data, batches, 1.0, points, 4, PowerIterConfig(), 0)
+    points[2] = 0.25
+    table, _ = complexity.log_norm_table(Logistic(lam=0.0), data, batches, 1.0, points, 4, PowerIterConfig(), 0)
+    assert np.isfinite(table).all()
+
+
+def test_jacobian_norms_rejects_batches_of_two_lengths_and_points_of_another_dimension():
+    problem, data, _ = quadratic_pair_setup()
+    with pytest.raises(ConfigError, match=r"batches of one length, got lengths \[1, 2\]"):
+        complexity.jacobian_norms(
+            problem, data, [np.array([0]), np.array([0, 1])], 0.5, np.zeros(1), PowerIterConfig(), [0, 1]
+        )
+    with pytest.raises(ConfigError, match="point dimension 2 != parameter dimension 1"):
+        complexity.jacobian_norms(problem, data, [np.array([0])], 0.5, np.zeros((3, 2)), PowerIterConfig(), [0])
 
 
 def test_estimate_r_subset_mode():

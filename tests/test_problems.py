@@ -271,6 +271,94 @@ def test_stacked_grad_rejects_mismatched_leading_shapes():
             grad(problem, w, data, batch)
 
 
+HVP_FAMILIES = dict(
+    GLM_FAMILIES,
+    one_hidden_sigmoid=OneHiddenLayer(lam=0.01, out_weights=(1.5, -0.7), activation="sigmoid"),
+    one_hidden_tanh=OneHiddenLayer(lam=0.01, out_weights=(1.5, -0.7), activation="tanh"),
+)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def solo_hvp(problem, w, data, batch, v):
+    """The batch Hessian product as written for one point before ``hvp``
+    took stacks: the oracle of its bits."""
+    A, y = data.rows(batch)
+    nb, lam = len(batch), pr.regularizer_weight(problem)
+    if isinstance(problem, OneHiddenLayer):
+        b, H, yhat, d1, d2 = pr._mlp_parts(problem, w, A)
+        m, d = problem.hidden, A.shape[1]
+        X = v.reshape(m * d, -1)
+        V = ((b[None, :] * d1(H))[:, :, None] * A[:, None, :]).reshape(nb, -1)
+        gauss = V.T @ (V @ X) / nb
+        T = A @ X.reshape(m, d, -1)
+        c = (y - yhat)[:, None] * b[None, :] * d2(H)
+        block = A.T @ (c.T[:, :, None] * T) / nb
+        return (gauss - block.reshape(m * d, -1) + lam * X).reshape(v.shape)
+    phi2 = pr._margin(problem)[2]
+    Av = A @ v
+    if phi2 is not None:
+        coef = phi2(problem, A @ w, y)
+        Av = coef.reshape(coef.shape + (1,) * (v.ndim - 1)) * Av
+    return A.T @ Av / nb + lam * v
+
+
+@pytest.mark.parametrize("family", list(HVP_FAMILIES))
+@pytest.mark.parametrize("d", [1, 2, 3, 17])
+@pytest.mark.parametrize("b", [1, 2, 16, 32])
+def test_stacked_hvp_rows_equal_the_solo_bits(family, d, b):
+    """Entry k of a stacked ``hvp`` and ``jacobian_apply`` is bit-equal to the
+    solo call on w[k] and batch[k], and that to the one-point formula, for a
+    vector, a block and the identity, at eta = 0 and 0.3, with and without a
+    preconditioner."""
+    from ifslab.optimizers import PreconditionerSpec
+
+    problem = HVP_FAMILIES[family]
+    rng = np.random.default_rng(100 * d + b)
+    n = 40
+    y = rng.choice([-1.0, 1.0], size=n) if family in ("logistic", "svm") else rng.normal(size=n)
+    data = Dataset(rng.normal(size=(n, d)), y)
+    dim = param_dim(problem, data)
+    Q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    spec = PreconditionerSpec(Q @ np.diag(np.linspace(1.0, 3.0, dim)) @ Q.T, (1.0 - 1e-9, 3.0 + 1e-9))
+    K = 5
+    W = rng.normal(size=(K, dim))
+    idx = np.stack([rng.choice(n, size=b, replace=False) for _ in range(K)])
+    for v in (rng.normal(size=dim), rng.normal(size=(dim, 3)), np.eye(dim)):
+        H = hvp(problem, W, data, idx, v)
+        assert H.shape == (K,) + v.shape
+        for k in range(K):
+            assert same_bits(H[k], hvp(problem, W[k], data, idx[k], v))
+            assert same_bits(H[k], solo_hvp(problem, W[k], data, idx[k], v))
+        for eta in (0.0, 0.3):
+            for solve in (None, spec.solve):
+                J = jacobian_apply(problem, W, data, idx, eta, v, solve)
+                for k in range(K):
+                    assert same_bits(J[k], jacobian_apply(problem, W[k], data, idx[k], eta, v, solve))
+
+
+@pytest.mark.parametrize("family", ["logistic", "one_hidden_tanh"])
+def test_stacked_hvp_rejects_mismatched_stacks(family):
+    problem = HVP_FAMILIES[family]
+    data = Dataset(np.ones((6, 2)), np.ones(6))
+    dim = param_dim(problem, data)
+    batches = np.arange(6).reshape(3, 2)
+    v = np.eye(dim)
+    for w, batch in [
+        (np.zeros((2, dim)), batches),  # 2 points, 3 batches
+        (np.zeros(dim), batches),  # one point, a stack of batches
+        (np.zeros((3, dim)), batches[0]),  # a stack of points, one batch
+        (np.zeros((1, 3, dim)), batches[None]),  # a stack of stacks
+    ]:
+        with pytest.raises(ConfigError, match="stacked hvp needs"):
+            hvp(problem, w, data, batch, v)
+        for eta in (0.0, 0.3):  # eta = 0 skips the product but not the check
+            with pytest.raises(ConfigError, match="stacked jacobian_apply needs"):
+                jacobian_apply(problem, w, data, batch, eta, v)
+
+
 @pytest.mark.parametrize("kind", PROBLEM_KINDS)
 def test_regularizer_dominance_with_zero_features(kind):
     """With features zeroed the Hessian collapses to lambda*I exactly."""

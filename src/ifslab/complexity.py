@@ -223,6 +223,8 @@ class ComplexityConfig:
     def __post_init__(self):
         if self.n_w < 1 or self.n_u < 1:
             raise ConfigError("n_w and n_u must be positive integers")
+        if self.power_iter.seed != PowerIterConfig.seed:  # each cell's seed is a child of complexity.seed
+            raise ConfigError("complexity.power_iter.seed is never read; seed the R table with complexity.seed")
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .complexity import ComplexityConfig, estimate_R, generalization_gap
 from .dimension import BoxCountConfig, DimensionEstimate, analytic_bound, box_counting_dimension
 from .errors import (ComputeError, ConfigError, DegenerateVariance, IfslabError, NonFiniteState,
                      PreconditionViolation)
-from .fileio import atomic_write_bytes, atomic_write_text, fmt_float, write_json
+from .fileio import FLOAT, atomic_write_bytes, atomic_write_text, csv_text, write_json
 from .ifs import IfsSystem, SampleCloud, _diverged, _run_sgd, _step_rows, require_schedule, sample_invariant
 from .optimizers import BatchScheme, _require_eta, build_sgd_ifs, partition_batches
 from .rng import Xoshiro256PP, child_seed, draw_indices
@@ -94,10 +94,8 @@ HIST_RANGE = (-0.1, 1.1)
 
 def histogram_csv_text(samples: np.ndarray) -> str:
     counts, edges = np.histogram(samples, bins=HIST_BINS, range=HIST_RANGE)
-    lines = ["bin_left,bin_right,count"]
-    for i in range(HIST_BINS):
-        lines.append(f"{fmt_float(edges[i])},{fmt_float(edges[i + 1])},{counts[i]}")
-    return "\n".join(lines) + "\n"
+    rows = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
+    return csv_text(["bin_left", "bin_right", "count"], f"{FLOAT},{FLOAT},%d", rows)
 
 
 def density_grid(points: np.ndarray, resolution: int = 512) -> np.ndarray:
@@ -345,6 +343,7 @@ class SweepResult:
 
 
 SWEEP_COLUMNS = ("eta", "b", "R", "box_dim", "analytic_bound", "gen_gap", "error")
+SWEEP_ROW_FORMAT = f"{FLOAT},%d,{FLOAT},{FLOAT},{FLOAT},{FLOAT},%s"
 
 
 def _student_problem(config: SweepConfig) -> pr.OneHiddenLayer:
@@ -507,15 +506,8 @@ def run_sweep(config: SweepConfig, out_dir: str) -> SweepResult:
             warnings.append(f"{name}: correlation undefined ({exc})")
         stats[name] = {"pearson": p, "spearman": s}
 
-    lines = [",".join(SWEEP_COLUMNS)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [fmt_float(r.eta), str(r.b), fmt_float(r.R), fmt_float(r.box_dim),
-                 fmt_float(r.analytic_bound), fmt_float(r.gen_gap), r.error.replace(",", ";")]
-            )
-        )
-    atomic_write_text(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
+    cells = ((r.eta, r.b, r.R, r.box_dim, r.analytic_bound, r.gen_gap, r.error.replace(",", ";")) for r in rows)
+    atomic_write_text(os.path.join(out_dir, "sweep.csv"), csv_text(SWEEP_COLUMNS, SWEEP_ROW_FORMAT, cells))
     write_json(os.path.join(out_dir, "sweep_stats.json"), {"stats": stats, "warnings": warnings})
     return SweepResult(rows=rows, stats=stats, warnings=warnings)
 

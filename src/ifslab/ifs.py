@@ -43,7 +43,7 @@ import numpy as np
 
 from . import problems as pr
 from .errors import ConfigError, DegenerateProbe, NonFiniteState
-from .fileio import atomic_write_text, fmt_float
+from .fileio import FLOAT, atomic_write_text, csv_text, read_csv
 from .rng import Xoshiro256PP, draw_indices
 
 # --------------------------------------------------------------------------
@@ -185,47 +185,26 @@ class SampleCloud:
 
     def write_csv(self, path: str) -> None:
         d = self.points.shape[1]
-        header = "iter," + ",".join(f"w{i}" for i in range(d))
-        lines = [header]
-        iters = self.iterations
-        for k in range(self.points.shape[0]):
-            lines.append(str(int(iters[k])) + "," + ",".join(fmt_float(x) for x in self.points[k]))
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        header = ["iter"] + [f"w{i}" for i in range(d)]
+        rows = zip(self.iterations.tolist(), *self.points.T.tolist())
+        atomic_write_text(path, csv_text(header, ",".join(["%d"] + [FLOAT] * d), rows))
 
 
 def read_cloud_csv(path: str) -> SampleCloud:
-    """Inverse of SampleCloud.write_csv (burn_in/thin recovered from iters)."""
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot read sample-cloud file: {exc}") from None
-    with fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if len(header) < 2 or header[0] != "iter" or header[1:] != [f"w{i}" for i in range(len(header) - 1)]:
-            raise ConfigError(f"{path}: row 1: bad sample-cloud header {header!r}, expected iter,w0,...")
-        rows = []
-        iters = []
-        for rownum, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != len(header):
-                raise ConfigError(f"{path}: row {rownum}: wrong field count")
-            try:
-                iters.append(int(parts[0]))
-                rows.append([float(x) for x in parts[1:]])
-            except ValueError:
-                raise ConfigError(f"{path}: row {rownum}: non-numeric field") from None
-    if not rows:
-        raise ConfigError(f"{path}: no samples")
-    points = np.array(rows)
-    thin = iters[1] - iters[0] if len(iters) > 1 else 1
-    for j in range(1, len(iters)):  # data row j is file row j + 2
-        if thin <= 0 or iters[j] - iters[j - 1] != thin:
-            raise ConfigError(
-                f"{path}: row {j + 2}: iter {iters[j]} after {iters[j - 1]} breaks the increasing, "
-                f"evenly spaced iters"
-            )
-    burn_in = iters[0] - thin
-    return SampleCloud(points=points, burn_in=burn_in, thin=thin, seed=0)
+    """Inverse of SampleCloud.write_csv (burn_in/thin recovered from iters,
+    which must be integers, increasing and evenly spaced)."""
+    table = read_csv(path, "sample-cloud", lambda n: ["iter"] + [f"w{i}" for i in range(n - 1)] if n > 1 else None,
+                     int_columns=1)
+    iters = table[:, 0]
+    thin = int(iters[1] - iters[0]) if len(iters) > 1 else 1
+    bad = np.flatnonzero((np.diff(iters) != thin) | (thin <= 0))
+    if bad.size:
+        j = bad[0] + 1  # data row j is file row j + 2
+        raise ConfigError(
+            f"{path}: row {j + 2}: iter {int(iters[j])} after {int(iters[j - 1])} breaks the increasing, "
+            f"evenly spaced iters"
+        )
+    return SampleCloud(points=table[:, 1:].copy(), burn_in=int(iters[0]) - thin, thin=thin, seed=0)
 
 
 @dataclass(frozen=True)
@@ -550,7 +529,7 @@ def sample_invariant(
 ) -> SampleCloud:
     """Approximate the invariant measure: record iterates burn_in + j*thin,
     j = 1..n_samples.  Burn-in states are not kept, except for up to one
-    segment of them in an affine chain run in lockstep."""
+    segment of them in a chain run in lockstep segments (affine or plain SGD)."""
     require_schedule(burn_in, n_samples, thin)
     w0 = require_start(w0, system.dim)
     total = burn_in + n_samples * thin

@@ -17,7 +17,6 @@ integer index array into the dataset; batch quantities are averages
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
@@ -25,6 +24,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import ConfigError, PreconditionViolation
+from .fileio import read_csv
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .optimizers import BatchScheme
@@ -73,37 +73,9 @@ class Dataset:
 
 
 def load_dataset_csv(path: str) -> Dataset:
-    """Read a dataset CSV with header ``x0,...,x{d-1},y``.
-
-    Malformed rows abort with their 1-based row number in the message.
-    """
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot read dataset file: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty file") from None
-        expected = [f"x{i}" for i in range(len(header) - 1)] + ["y"]
-        if header != expected:
-            raise ConfigError(f"{path}: bad header {header!r}, expected {expected!r}")
-        d = len(header) - 1
-        feats, ys = [], []
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != d + 1:
-                raise ConfigError(f"{path}: row {rownum}: expected {d + 1} fields")
-            try:
-                vals = [float(v) for v in row]
-            except ValueError:
-                raise ConfigError(f"{path}: row {rownum}: non-numeric field") from None
-            feats.append(vals[:d])
-            ys.append(vals[d])
-    if not feats:
-        raise ConfigError(f"{path}: no data rows")
-    return Dataset(np.array(feats), np.array(ys))
+    """Read a dataset CSV with header ``x0,...,x{d-1},y``, d >= 1 (errors name the bad row)."""
+    table = read_csv(path, "dataset", lambda n: [f"x{i}" for i in range(n - 1)] + ["y"] if n > 1 else None)
+    return Dataset(table[:, :-1].copy(), table[:, -1].copy())
 
 
 def require_pm1_labels(dataset: Dataset, context: str) -> None:

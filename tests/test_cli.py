@@ -150,6 +150,18 @@ def test_simulate_missing_dataset_file(tmp_path, capsys):
     assert err.startswith("ifslab: config error: cannot read dataset file") and missing in err
 
 
+def test_simulate_rejects_a_dataset_without_features(tmp_path, capsys):
+    # such a dataset used to exit 0 with a samples.csv headed "iter," that
+    # `ifslab dimension` then rejected
+    path = tmp_path / "y.csv"
+    path.write_text("y\n1\n2\n3\n")
+    cfg = experiment_config(tmp_path, dataset={"kind": "csv", "path": str(path)})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ifslab: config error: ") and "row 1: bad dataset header ['y']" in err
+    assert not os.path.exists(tmp_path / "o" / "samples.csv")
+
+
 def test_divergent_simulate_is_numerical_failure(tmp_path, capsys):
     cfg = experiment_config(
         tmp_path, optimizer={"kind": "sgd", "eta": 80.0}, problem={"kind": "least_squares"}
@@ -337,6 +349,7 @@ def test_config_section_errors(parser, doc, message):
     ({"power_iter": None}, "complexity.power_iter must be a JSON object"),
     ({"power_iter": {"tol": "small"}}, "complexity.power_iter.tol must be a number"),
     ({"seed": None}, "complexity.seed must be an integer"),
+    ({"power_iter": {"seed": 4}}, "complexity.power_iter.seed is never read; seed the R table with complexity.seed"),
 ])
 def test_complexity_section_type_errors(tmp_path, capsys, complexity, message):
     cfg = experiment_config(tmp_path, complexity=complexity)

@@ -196,6 +196,14 @@ def test_estimate_r_two_batch_limit():
     assert est.inverse_R == pytest.approx(mix, rel=1e-12)
 
 
+def test_complexity_config_rejects_a_power_iteration_seed():
+    # each R-table cell seeds its power iteration from a child seed of
+    # ComplexityConfig.seed, so a power_iter seed would be silently ignored
+    with pytest.raises(ConfigError, match="complexity.power_iter.seed is never read.*complexity.seed"):
+        ComplexityConfig(power_iter=PowerIterConfig(seed=3))
+    assert ComplexityConfig(seed=3, power_iter=PowerIterConfig(tol=1e-8)).seed == 3
+
+
 def test_estimate_r_eta_scaling_linearity():
     data = Dataset([[1.0]], [0.0])
     scheme = partition_batches(1, 1)

@@ -670,6 +670,10 @@ def test_cloud_csv_round_trip(tmp_path):
         ("iter,w0\n5,0.1\n3,0.2\n4,0.3\n", "row 3"),  # was thin = -2, burn_in = 7
         ("iter,w0\n2,0.1\n4,0.2\n5,0.3\n", "row 4"),
         ("iter,w0\n2,0.1\n2,0.2\n", "row 3"),
+        ("iter,w0\n1,0.1\n1.5,0.2\n", "row 3"),  # iters are integer literals, not floats
+        ("iter,w0\n1000,0.1\n1e3,0.2\n", "row 3"),
+        ("iter,w0\n1,0.1\n2,0.2,0.3\n", "row 3"),
+        ("iter,w0\n", "no data rows"),
     ],
 )
 def test_cloud_csv_rejects_malformed_clouds(tmp_path, text, row):
@@ -677,6 +681,19 @@ def test_cloud_csv_rejects_malformed_clouds(tmp_path, text, row):
     path.write_text(text)
     with pytest.raises(ConfigError, match=row):
         read_cloud_csv(str(path))
+
+
+def test_cloud_csv_reads_crlf_line_endings(tmp_path):
+    # a CRLF file used to fail with "bad sample-cloud header ['iter', 'w0', 'w1\\r']"
+    cloud = sample_invariant(cantor_system(), np.array([0.2]), 10, 40, thin=3, seed=2)
+    cloud.points = np.column_stack([cloud.points, -cloud.points])
+    lf = tmp_path / "lf.csv"
+    cloud.write_csv(str(lf))
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    back = read_cloud_csv(str(crlf))
+    assert back.points.view(np.uint64).tolist() == cloud.points.view(np.uint64).tolist()
+    assert (back.burn_in, back.thin) == (10, 3)
 
 
 @settings(max_examples=25, deadline=None)

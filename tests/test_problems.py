@@ -630,6 +630,14 @@ def test_csv_loader_rejects_bad_header(tmp_path):
         load_dataset_csv(str(path))
 
 
+def test_csv_loader_reads_crlf_line_endings(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"x0,x1,y\r\n0.5,-0.25,1\r\n-1,0.125,-1\r\n")
+    data = load_dataset_csv(str(path))
+    np.testing.assert_array_equal(data.features, [[0.5, -0.25], [-1.0, 0.125]])
+    np.testing.assert_array_equal(data.targets, [1.0, -1.0])
+
+
 # ---------------------------------------------------------------------------
 # property sweeps
 

@@ -2,8 +2,14 @@
 
 The box counter snaps points to grids anchored at the cloud's coordinate-wise
 minimum at geometrically shrinking scales and fits log counts against
-log(1/delta).  The analytic bounds evaluate log(n/b)/log(1/Gamma) with each
-proposition's contraction factor Gamma, read from ``problems.PROPOSITIONS``.
+log(1/delta).  At the default scale ratio 0.5 every scale's cell index is the
+finest cell's index shifted right by the scale's number of halvings, exactly
+in float64; for 1- to 3-D clouds whose finest index fits in 62 // d bits per
+axis, the counts of every scale come from one sort of the finest cells'
+Morton codes (run lengths, merged scale by scale).  Any other grid floors and
+sorts the whole cloud again at each scale.  The analytic bounds evaluate
+log(n/b)/log(1/Gamma) with each proposition's contraction factor Gamma, read
+from ``problems.PROPOSITIONS``.
 The Rams ratio divides selection entropy by the mean log Jacobian norm under
 the sampled invariant measure: ``ifs.contractivity_report``'s for affine
 systems, else the mean of ``complexity.log_norm_table``, the table behind R.
@@ -14,6 +20,7 @@ All bounds are treated as upper bounds only; no tightness is claimed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -50,6 +57,10 @@ class BoxCountConfig:
             raise ConfigError("num_scales must be at least 4")
         if not 0.0 < self.scale_ratio < 1.0:
             raise ConfigError("scale_ratio must lie in (0, 1)")
+        if self.coarsest_scale is not None and not 0.0 < self.coarsest_scale < math.inf:
+            raise ConfigError(
+                f"coarsest_scale must be a finite number above 0, got {self.coarsest_scale}"
+            )
         if not 0.0 <= self.mass_truncation < 1.0:
             raise ConfigError("mass_truncation must lie in [0, 1)")
         if self.min_occupied < 1:
@@ -112,6 +123,93 @@ def _truncate(counts: np.ndarray, n_points: int, mass_truncation: float) -> int:
     return int(len(counts) - min(k_drop, len(counts) - 1))
 
 
+# (shift, mask) steps spreading an index's bits d apart: 31 bits in 2-D, 20 in 3-D
+_SPREAD = {
+    1: (),
+    2: ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F),
+        (2, 0x3333333333333333), (1, 0x5555555555555555)),
+    3: ((32, 0x001F00000000FFFF), (16, 0x001F0000FF0000FF), (8, 0x100F00F00F00F00F),
+        (4, 0x10C30C30C30C30C3), (2, 0x1249249249249249)),
+}
+
+
+def _run_starts(codes: np.ndarray) -> np.ndarray:
+    """Start of each run of equal values in a sorted array."""
+    new = np.empty(len(codes), dtype=bool)
+    new[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _one_sort_counts(
+    pts: np.ndarray, mins: np.ndarray, finest: float, num_scales: int, mass_truncation: float
+) -> list[int]:
+    """Truncated counts at finest * 2**k, k = num_scales-1 .. 0, from one sort.
+
+    Bit b of every axis's finest index sits at bits [d*b, d*b + d) of the
+    Morton code, so dropping the lowest d bits halves every axis: the sorted
+    codes shifted right stay sorted, and each scale's cells and counts are the
+    finer scale's runs merged.
+    """
+    n, d = pts.shape
+    codes = None
+    for axis in range(d):  # one column at a time: in 1-D the index itself is the code
+        idx = np.floor((pts[:, axis] - mins[axis]) / finest).astype(np.int64)
+        for shift, mask in _SPREAD[d]:
+            idx |= idx << shift
+            idx &= mask
+        if codes is None:
+            codes = idx
+        else:
+            idx <<= axis
+            codes |= idx
+    codes.sort()
+    starts = _run_starts(codes)
+    cell_counts = np.diff(starts, append=n)
+    cells = codes[starts]
+    counts = [_truncate(cell_counts, n, mass_truncation)]
+    for _ in range(num_scales - 1):
+        cells >>= d
+        starts = _run_starts(cells)
+        cell_counts = np.add.reduceat(cell_counts, starts)
+        cells = cells[starts]
+        counts.append(_truncate(cell_counts, n, mass_truncation))
+    return counts[::-1]
+
+
+def _scale_counts(
+    pts: np.ndarray, mins: np.ndarray, extent: np.ndarray, deltas: list[float],
+    scale_ratio: float, mass_truncation: float,
+) -> list[int]:
+    """Truncated occupied-cell counts at every delta, coarsest first.
+
+    At ratio 0.5 with a normal finest delta, on a float64 cloud (the
+    arithmetic the per-scale count does), delta_j is the finest delta
+    times 2**(J-j) exactly, so each quotient (p - min)/delta_j is the finest
+    quotient over 2**(J-j) exactly and its floor is the finest index shifted
+    right by J-j: one sort of Morton codes gives every scale.  That holds in
+    1-3 dimensions while the finest index fits in 62 // d bits per axis;
+    every other grid counts each scale on its own.
+    """
+    finest = deltas[-1]
+    per_axis = float(extent.max()) / finest if finest > 0.0 else math.inf
+    if not per_axis < 2.0**63:
+        raise ConfigError(
+            f"box-count grid too fine: the finest delta {finest:.6g} needs {per_axis + 1:.6g} "
+            "cells per axis, past the int64 index range; raise coarsest_scale or lower num_scales"
+        )
+    d = pts.shape[1]
+    if (
+        scale_ratio == 0.5
+        and d in _SPREAD
+        and pts.dtype == np.float64
+        and finest >= sys.float_info.min
+        and per_axis < 2.0 ** (62 // d)
+    ):
+        return _one_sort_counts(pts, mins, finest, len(deltas), mass_truncation)
+    return [_occupied_count(pts, mins, delta, mass_truncation) for delta in deltas]
+
+
 def box_counting_dimension(
     cloud: Union[SampleCloud, np.ndarray], config: BoxCountConfig = BoxCountConfig()
 ) -> DimensionEstimate:
@@ -123,21 +221,28 @@ def box_counting_dimension(
     are discarded as saturated (too few points per box for a measure
     estimate); the slope is fitted over ``fit_range`` intersected with the
     survivors, defaulting to the middle six surviving scales.
+
+    At the default ratio 0.5, a 1- to 3-D cloud whose finest cell index fits
+    in 62 // d bits per axis is floored once at the finest scale and sorted
+    once by Morton code; every coarser scale's counts are the run lengths of
+    the codes shifted right, bit-equal to counting each scale on its own.
+    Other ratios, other dimensions and finer grids count each scale on its
+    own.  A finest grid whose index would pass int64 is a ConfigError.
     """
     pts = _cloud_points(cloud)
     n_points, ambient = pts.shape
     mins = pts.min(axis=0)
-    diameter = float(np.linalg.norm(pts.max(axis=0) - mins))
+    with np.errstate(over="ignore"):
+        extent = pts.max(axis=0) - mins
+    if not np.isfinite(extent).all():
+        raise ConfigError("cloud's extent overflows float64; rescale the points")
+    diameter = float(np.linalg.norm(extent))
     if diameter == 0.0:
         raise InsufficientScales("cloud is a single point; no scales to fit")
     delta0 = config.coarsest_scale if config.coarsest_scale is not None else diameter / 4.0
-    if delta0 <= 0.0:
-        raise ConfigError("coarsest_scale must be positive")
 
     deltas = [delta0 * config.scale_ratio**j for j in range(config.num_scales)]
-    counts = [
-        _occupied_count(pts, mins, d, config.mass_truncation) for d in deltas
-    ]
+    counts = _scale_counts(pts, mins, extent, deltas, config.scale_ratio, config.mass_truncation)
     saturation = math.sqrt(n_points) * config.min_occupied
     surviving = [j for j in range(config.num_scales) if counts[j] <= saturation]
     if len(surviving) < 4:

@@ -239,6 +239,22 @@ def test_dimension_with_box_config(tmp_path, capsys):
     assert "unknown keys ['scales']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"coarsest_scale": 1e999}', "coarsest_scale must be a finite number above 0, got inf"),
+    ('{"coarsest_scale": 1e-300}', "box-count grid too fine: the finest delta 4.88281e-304 needs"),
+    ('{"num_scales": 2000}', "box-count grid too fine: the finest delta 0 needs inf cells per axis"),
+])
+def test_dimension_rejects_a_bad_grid(tmp_path, capsys, text, message):
+    """These used to end in a math domain error or np.ravel_multi_index traceback."""
+    samples = tmp_path / "cloud.csv"
+    samples.write_text("iter,w0,w1\n1,0,0\n2,1,0.5\n3,0.25,1\n")
+    box = tmp_path / "box.json"
+    box.write_text(text)
+    assert main(["dimension", "--samples", str(samples), "--config", str(box)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
 def test_complexity_estimate(tmp_path, capsys):
     cfg = experiment_config(
         tmp_path,
@@ -334,6 +350,9 @@ def test_config_omitted_keys_take_the_callee_defaults():
     ("parse_box_config", {"num_scales": True}, "box_count.num_scales must be an integer"),
     ("parse_problem", {"kind": "smooth_hinge_svm", "lam": 1.0},
      "problem: missing required key 'sigma_smooth'"),
+    ("parse_box_config", {"coarsest_scale": math.inf}, "coarsest_scale must be a finite number above 0, got inf"),
+    ("parse_box_config", {"coarsest_scale": math.nan}, "coarsest_scale must be a finite number above 0, got nan"),
+    ("parse_box_config", {"coarsest_scale": 0}, "coarsest_scale must be a finite number above 0, got 0.0"),
 ])
 def test_config_section_errors(parser, doc, message):
     from ifslab import config

@@ -357,6 +357,9 @@ def test_box_config_validation():
         BoxCountConfig(fit_range=(5, 3))
     with pytest.raises(ConfigError):
         BoxCountConfig(fit_range=(0, 13))
+    for bad in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ConfigError, match="coarsest_scale must be a finite number above 0"):
+            BoxCountConfig(coarsest_scale=bad)
 
 
 def test_box_uniform_interval():
@@ -413,6 +416,13 @@ def test_box_rejects_non_finite_points(bad):
     pts = np.linspace(0.0, 1.0, 2000)
     pts[7] = bad
     with pytest.raises(ConfigError, match="non-finite"):
+        box_counting_dimension(cloud_of(pts))
+
+
+def test_box_rejects_an_extent_past_float64():
+    """Such a cloud used to end in a math domain error traceback."""
+    pts = np.linspace(-1.0, 1.0, 2000) * 1.7e308
+    with pytest.raises(ConfigError, match="cloud's extent overflows float64"):
         box_counting_dimension(cloud_of(pts))
 
 
@@ -494,3 +504,151 @@ def test_empirical_dimension_below_analytic_bound():
     est = box_counting_dimension(cloud)
     bound = analytic_bound("lsq", n=2, b=1, eta=0.3, lam=0.1, radius=1.0)
     assert est.value <= min(1.0, bound) + 0.1
+
+
+# ---------------------------------------------------------------------------
+# one-sort box counting: bit-equal to counting each scale on its own
+
+
+def reference_occupied_count(pts, mins, delta, mass_truncation):
+    """The per-scale count as box counting did it before the one-sort path."""
+    idx = np.floor((pts - mins) / delta).astype(np.int64)
+    if idx.shape[1] == 1:
+        codes = idx[:, 0]
+    else:
+        dims = idx.max(axis=0) + 1
+        if float(np.prod(dims.astype(float))) < 2**62:
+            codes = np.ravel_multi_index(idx.T, dims)
+        else:
+            _, counts = np.unique(idx, axis=0, return_counts=True)
+            return reference_truncate(counts, pts.shape[0], mass_truncation)
+    _, counts = np.unique(codes, return_counts=True)
+    return reference_truncate(counts, pts.shape[0], mass_truncation)
+
+
+def reference_truncate(counts, n_points, mass_truncation):
+    if mass_truncation == 0.0:
+        return int(len(counts))
+    order = np.sort(counts)
+    cum = np.cumsum(order)
+    k_drop = int(np.searchsorted(cum, mass_truncation * n_points, side="right"))
+    return int(len(counts) - min(k_drop, len(counts) - 1))
+
+
+@pytest.fixture
+def per_scale_calls(monkeypatch):
+    """Records each call of the per-scale counter."""
+    from ifslab import dimension
+
+    calls = []
+    inner = dimension._occupied_count
+    monkeypatch.setattr(dimension, "_occupied_count", lambda *args: calls.append(1) or inner(*args))
+    return calls
+
+
+def all_scale_counts(pts, config):
+    """Counts at every scale, before the saturation filter, and their reference."""
+    from ifslab import dimension
+
+    mins = pts.min(axis=0)
+    extent = pts.max(axis=0) - mins
+    delta0 = config.coarsest_scale or float(np.linalg.norm(extent)) / 4.0
+    deltas = [delta0 * config.scale_ratio**j for j in range(config.num_scales)]
+    got = dimension._scale_counts(pts, mins, extent, deltas, config.scale_ratio, config.mass_truncation)
+    want = [reference_occupied_count(pts, mins, d, config.mass_truncation) for d in deltas]
+    return got, want
+
+
+def linreg2d_cloud(eta, n_samples):
+    from ifslab.experiments import UniformLinReg, generate_synthetic
+
+    data = generate_synthetic(UniformLinReg(n=5, d=2), 3)
+    system = build_sgd_ifs(LeastSquares(lam=0.0), data, partition_batches(data.n, 1), eta)
+    return sample_invariant(system, np.zeros(2), burn_in=2000, n_samples=n_samples, seed=3).points
+
+
+def dyadic_lattice(dim, bits):
+    axis = np.arange(2**bits) / 2**bits
+    return np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+
+
+def random_pattern_box(dim, n, seed):
+    """Doubles of random sign and mantissa with exponents 2^-30 .. 2^3."""
+    rng = np.random.default_rng(seed)
+    sign = rng.integers(0, 2, size=(n, dim), dtype=np.uint64) << np.uint64(63)
+    exponent = rng.integers(1023 - 30, 1023 + 4, size=(n, dim), dtype=np.uint64) << np.uint64(52)
+    mantissa = rng.integers(0, 2**52, size=(n, dim), dtype=np.uint64)
+    return (sign | exponent | mantissa).view(np.float64)
+
+
+def uniform_box(dim):
+    return np.random.default_rng(12 + dim).uniform(-1.0, 3.0, size=(20_000, dim))
+
+
+# name -> (cloud builder, coarsest_scale); None keeps the default diameter / 4
+ONE_SORT_CLOUDS = {
+    "cantor": (lambda: sample_invariant(
+        cantor_system(), np.array([0.0]), burn_in=1000, n_samples=60_000, seed=3).points, None),
+    **{f"linreg2d-{eta}": (lambda eta=eta: linreg2d_cloud(eta, 40_000), None)
+       for eta in (0.3, 0.5, 0.7, 0.9)},
+    **{f"lattice-{dim}d-{tag}": (lambda dim=dim, bits=bits: dyadic_lattice(dim, bits), coarsest)
+       for dim, bits in ((1, 14), (2, 7), (3, 5)) for tag, coarsest in (("dyadic", 0.25), ("default", None))},
+    **{f"patterns-{dim}d": (lambda dim=dim: random_pattern_box(dim, 20_000, dim), None) for dim in (1, 2, 3)},
+    # a coarsest scale far below the extent 4: 22-bit finest indices (19 in 3-D)
+    **{f"fine-coarsest-{dim}d": (lambda dim=dim: uniform_box(dim), 2e-3 if dim < 3 else 2e-2)
+       for dim in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_SORT_CLOUDS))
+def test_one_sort_counts_match_per_scale_counts(per_scale_calls, name):
+    build, coarsest = ONE_SORT_CLOUDS[name]
+    pts = build()
+    for mass_truncation in (0.0, 0.01):
+        config = BoxCountConfig(coarsest_scale=coarsest, mass_truncation=mass_truncation)
+        got, want = all_scale_counts(pts, config)
+        assert got == want
+    assert not per_scale_calls
+
+
+@pytest.mark.parametrize("mass_truncation", [0.0, 0.01])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("extra_bit", [0, 1])
+def test_one_sort_bit_budget_edge(per_scale_calls, dim, extra_bit, mass_truncation):
+    """A finest index of exactly 62 // d bits per axis takes the one-sort
+    path; one bit more counts each scale on its own, with equal counts."""
+    bits = 62 // dim + extra_bit
+    rng = np.random.default_rng(dim)
+    pts = np.vstack([np.zeros(dim), np.ones(dim), rng.uniform(0.0, 1.0, size=(5_000, dim))])
+    finest = 0.75 * 2.0 ** -(bits - 1)  # the unit extent spans 1.33 * 2^(bits-1) cells
+    config = BoxCountConfig(coarsest_scale=finest * 2.0**11, mass_truncation=mass_truncation)
+    assert int(1.0 / finest).bit_length() == bits
+    got, want = all_scale_counts(pts, config)
+    assert got == want
+    assert bool(per_scale_calls) == bool(extra_bit)
+
+
+@pytest.mark.parametrize("pts, config", [
+    (np.random.default_rng(13).uniform(size=(5_000, 2)), BoxCountConfig(scale_ratio=0.3)),
+    (np.random.default_rng(14).uniform(size=(5_000, 8)), BoxCountConfig()),
+    # a subnormal finest delta, 1e-306 / 2^11
+    (np.random.default_rng(16).uniform(size=(5_000, 1)) * 1e-300, BoxCountConfig(coarsest_scale=1e-306)),
+    (np.random.default_rng(17).uniform(size=(5_000, 2)).astype(np.float32), BoxCountConfig()),
+], ids=["ratio-0.3", "8d", "subnormal-finest", "float32"])
+def test_other_grids_count_each_scale(per_scale_calls, pts, config):
+    got, want = all_scale_counts(pts, config)
+    assert got == want
+    assert len(per_scale_calls) == config.num_scales
+
+
+@pytest.mark.parametrize("config", [
+    BoxCountConfig(coarsest_scale=1e-300),
+    BoxCountConfig(num_scales=2000),
+    BoxCountConfig(num_scales=100, scale_ratio=0.6),
+    BoxCountConfig(coarsest_scale=0.9 * 2.0 ** (11 - 63)),  # 1.1 * 2^63 finest cells per axis
+], ids=["tiny-coarsest", "underflow", "ratio-0.6", "just-past-int64"])
+def test_box_rejects_a_grid_past_int64(config):
+    """Such a grid used to end in a ValueError from np.ravel_multi_index."""
+    pts = np.vstack([np.zeros(2), np.ones(2), np.random.default_rng(15).uniform(size=(2_000, 2))])
+    with pytest.raises(ConfigError, match="box-count grid too fine: the finest delta .* cells per axis"):
+        box_counting_dimension(cloud_of(pts), config)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .complexity import PowerIterConfig, log_norm_table
 from .errors import ConfigError, InsufficientScales, NonContractiveEstimate
-from .ifs import IfsSystem, SampleCloud, contractivity_report
+from .ifs import IfsSystem, SampleCloud, contractivity_report, norm_rounding
 from .problems import (
     LAMBDA_POSITIVE,
     PROPOSITIONS,
@@ -234,9 +234,13 @@ def box_counting_dimension(
     mins = pts.min(axis=0)
     with np.errstate(over="ignore"):
         extent = pts.max(axis=0) - mins
-    if not np.isfinite(extent).all():
-        raise ConfigError("cloud's extent overflows float64; rescale the points")
-    diameter = float(np.linalg.norm(extent))
+        if not np.isfinite(extent).all():
+            raise ConfigError("cloud's extent overflows float64; rescale the points")
+        diameter = float(np.linalg.norm(extent))
+    if not (math.isfinite(diameter) and diameter >= sys.float_info.min):
+        # the norm squares the extent, which under- or overflows past about 1e±154
+        top = float(extent.max())
+        diameter = top * float(np.linalg.norm(extent / top)) if top > 0.0 else 0.0
     if diameter == 0.0:
         raise InsufficientScales("cloud is a single point; no scales to fit")
     delta0 = config.coarsest_scale if config.coarsest_scale is not None else diameter / 4.0
@@ -381,7 +385,9 @@ def rams_ratio(
     ``complexity.log_norm_table`` over ``n_w`` cloud points (default
     min(N, 128)), one column per map; above DENSE_ORACLE_MAX_DIM parameters
     cell (point i, map j) is seeded with child 1 + i*len(maps) + j of
-    ``power_config.seed``, as in ``estimate_R``.
+    ``power_config.seed``, as in ``estimate_R``.  A mean log norm within
+    the rounding bound ``ifs.norm_rounding`` of 0, as that of norm-neutral
+    maps such as linreg2d's I - eta a a^T, is a NonContractiveEstimate.
     ``neg_entropy_override`` substitutes log C(n,b) for Subset-mode systems.
     """
     probs = system.probs
@@ -391,17 +397,26 @@ def rams_ratio(
         neg_entropy = float(-(probs * np.log(probs)).sum())
 
     if system.is_affine:
-        mean_log = contractivity_report(system).mean_log
-        n_mc = 1
+        report = contractivity_report(system)
+        mean_log, n_mc = report.mean_log, 1
+        with np.errstate(divide="ignore"):
+            logs = np.log(report.lipschitz)
     else:
         m = system.maps[0]
         n_mc = min(cloud.points.shape[0], 128) if n_w is None else n_w
-        table, _ = log_norm_table(
+        logs, _ = log_norm_table(
             m.problem, m.dataset, [mp.batch for mp in system.maps], m.eta, cloud.points, n_mc,
             power_config, power_config.seed, m.solve,
         )
-        mean_log = float(probs @ table.mean(axis=0))
+        mean_log = float(probs @ logs.mean(axis=0))
 
+    bound = norm_rounding(system.dim)
+    if abs(mean_log) <= bound:
+        raise NonContractiveEstimate(
+            ("every map is norm-neutral: each Jacobian norm is 1" if (np.abs(logs) <= bound).all()
+             else "the mean log norm is 0")
+            + f" within rounding ({bound:.3g}), so mean log Jacobian norm {mean_log:.6g} shows no contraction"
+        )
     if mean_log >= 0.0:
         raise NonContractiveEstimate(
             f"mean log Jacobian norm {mean_log:.6g} >= 0; system is not contractive on average"

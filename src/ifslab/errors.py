@@ -49,7 +49,8 @@ class PreconditionViolation(ComputeError):
 
 
 class NonContractiveEstimate(ComputeError):
-    """Mean log Jacobian norm is >= 0 where a contractive system is required."""
+    """Mean log Jacobian norm is >= 0, or 0 within rounding, where a
+    contractive system is required."""
 
 
 class ZeroOperator(ComputeError):

@@ -13,10 +13,14 @@ the start it ran from equals its predecessor's end bit for bit.  Chains
 that contract on average forget their start, and in float64 two chains
 driven by one index stream become bit-equal (they coalesce), so two rounds
 usually settle every segment; chains that never coalesce finish in one
-serial lane.  Affine segments step through ``_lockstep`` and SGD ones
-through ``_run_sgd`` on stacked rows, and every record equals the serial
-loop bit for bit.  Every problem-backed chain is stepped by one SGD loop,
-``_run_sgd``, along a stream of per-step batch rows passed to
+serial lane.  Coalescence also ends a re-run early: from round 2 on, a
+segment whose state after a chunk of SETTLE_CHUNK steps equals its state
+there in the previous round has rejoined that run, and leaves the round, so
+round 2 of a fast-coalescing chain costs a chunk or a few, not a segment.
+Affine segments step through ``_lockstep`` and SGD ones through ``_run_sgd``
+on stacked rows, and every record equals the serial loop bit for bit.
+Every problem-backed chain is stepped by one SGD loop, ``_run_sgd``, along
+a stream of per-step batch rows passed to
 ``problems.grad_rows``: a system's index-drawn batches (one chain, or its
 segments in lockstep) or the sweep's K chains in lockstep
 (``experiments``), their rows gathered once per chunk of steps by
@@ -221,7 +225,7 @@ class SampledPairsProbe:
 class ContractivityReport:
     lipschitz: tuple[float, ...]
     mean_log: float
-    contractive: bool  # sum_i p_i log L_i < 0
+    contractive: bool  # sum_i p_i log L_i < -norm_rounding(dim)
     mode: str  # "analytic" | "sampled_pairs"
 
 
@@ -270,9 +274,10 @@ def _run_sgd(
     return out, np.isfinite(out).all(axis=(-2, -1)) & np.isfinite(w).all(axis=-1)
 
 
-# ``_step_rows`` gathers the batch rows of as many steps at once as fit this
-# many bytes (at least one step), so the gather costs a few numpy calls per
-# chunk and its memory does not grow with the batch size or the stack.
+# ``_step_rows`` gathers the batch rows, and ``_lockstep`` the affine maps, of
+# as many steps at once as fit this many bytes (at least one step), so the
+# gather costs a few numpy calls per chunk and its memory does not grow with
+# the batch size or the stack.
 ROW_CHUNK_BYTES = 1 << 16
 
 
@@ -295,7 +300,14 @@ def _step_rows(dataset: pr.Dataset, table: np.ndarray, idx: np.ndarray) -> Itera
 # lockstep (``_run_system``).  A lockstep step costs a few numpy calls however
 # many segments it carries, so fewer segments would not repay its two rounds;
 # scalar chains, whose serial step is Python float arithmetic, need more.
+# ``_settle`` steps its segments SETTLE_CHUNK steps at a time and drops those
+# that met their previous run after each chunk.  A smaller chunk drops them
+# sooner but pays a chunk's gathers and checks more often: over 15
+# interleaved runs of the benchmark's five preset chains (Cantor 3.1e5
+# steps, linreg2d 4 x 1.1e5, 2 CPUs), chunks of 16, 32, 64, 128 and 256
+# steps took 95, 87, 80, 85 and 93 ms of CPU at best.
 SEG = 2048
+SETTLE_CHUNK = 64
 MIN_SEGMENTS = 16
 MIN_SEGMENTS_SCALAR = 128
 
@@ -321,19 +333,26 @@ def _lockstep(M: np.ndarray, Q: np.ndarray, idx: np.ndarray, w: np.ndarray, rec:
     indices ``idx[k]`` (idx is (K, S)), w <- M[i] w + Q[i].
 
     The states of the last ``rec.shape[0]`` chains after each step land in
-    ``rec`` (shape (K', S, d)); the K end states are returned.  A step rounds
-    as ``M[i] @ w + Q[i]`` does: a batched matmul (gemv per chain) at d > 1;
-    at d = 1 that product is a dot, round(m*w) + 0.0, written out here.
+    ``rec`` (shape (K', S, d)); the K end states are returned.  The maps of
+    as many steps as fit ROW_CHUNK_BYTES (at least one) are gathered at
+    once, so each step makes one call on contiguous (K, d, d) matrices.  A
+    step rounds as ``M[i] @ w + Q[i]`` does: a batched matmul (gemv per
+    chain) at d > 1; at d = 1 that product is a dot, round(m*w) + 0.0,
+    written out here on the gathered slopes.
     """
-    off = w.shape[0] - rec.shape[0]
-    M1 = M[:, 0] if M.shape[1] == 1 else None
-    for k in range(idx.shape[1]):
-        col = idx[:, k]
-        if M1 is not None:
-            w = (M1[col] * w + 0.0) + Q[col]
-        else:
-            w = np.matmul(M[col], w[..., None])[..., 0] + Q[col]
-        rec[:, k] = w[off:]
+    K, d = w.shape
+    off = K - rec.shape[0]
+    if d == 1:
+        M = M[:, 0]  # the slopes, (n_maps, 1)
+    chunk = max(1, ROW_CHUNK_BYTES // (8 * K * (d * d + d)))
+    for a in range(0, idx.shape[1], chunk):
+        cols = idx[:, a : a + chunk].T
+        Ms, Qs = M.take(cols, axis=0), Q.take(cols, axis=0)
+        states = np.empty(Qs.shape)  # (steps, K, d)
+        for k in range(cols.shape[0]):
+            prod = Ms[k] * w + 0.0 if d == 1 else np.matmul(Ms[k], w[..., None])[..., 0]
+            w = np.add(prod, Qs[k], out=states[k])
+        rec[:, a : a + cols.shape[0]] = states[:, off:].swapaxes(0, 1)
     return w
 
 
@@ -366,8 +385,16 @@ def _settle(step: Callable, idx: np.ndarray, w0: np.ndarray, rec: np.ndarray) ->
     ``rec.shape[0]`` segments after each step to ``rec`` and returns the K
     end states.  Each round steps every segment from the first unsettled
     one on, each from its predecessor's current end (all from w0 in round
-    1).  A segment is settled once the start it last ran from equals, bit
-    for bit, its settled predecessor's end: by induction from segment 0 it
+    1), in chunks of SETTLE_CHUNK steps, and keeps each segment's state
+    after every chunk.  From round 2 on, a segment whose state after a
+    chunk equals, bit for bit, its state there in the previous round has
+    met its previous run: a step is a function of the state and the map
+    index alone, so its later states, records and end are those of that
+    run, and it leaves the round.  The recorded segments are a suffix of
+    the sorted active ones, so each chunk gathers their records once.
+
+    A segment is settled once the start it last ran from equals, bit for
+    bit, its settled predecessor's end: by induction from segment 0 it
     then holds the serial chain.  The segment a round starts at always
     settles; chains that contract on average also coalesce in float64 from
     different starts, so two rounds usually settle all, and slowly
@@ -377,19 +404,34 @@ def _settle(step: Callable, idx: np.ndarray, w0: np.ndarray, rec: np.ndarray) ->
     previous round's: a family that never coalesces, such as rotations,
     whose mismatches keep their norms.  The states of segments L - len(rec)
     on land in ``rec``.  Returns the chain's state after the last settled
-    segment and the count of settled segments.
+    segment, the count of settled segments and the count of rounds.
     """
-    L = idx.shape[0]
+    L, S = idx.shape
     j_lo = L - rec.shape[0]
+    cuts = list(range(0, S, SETTLE_CHUNK)) + [S]
+    snap = np.empty((L, len(cuts) - 1, w0.shape[0]))  # each segment's state after each chunk
+    snap_bits = snap.view(np.uint64)
     starts = np.tile(w0, (L, 1))
-    first, gap = 0, math.inf
+    first, gap, rounds = 0, math.inf, 0
     while True:
-        ends = step(idx[first:], starts[first:], rec[max(first - j_lo, 0):])
+        rounds += 1
+        act, w = np.arange(first, L), starts[first:]
+        for c, (a, b) in enumerate(zip(cuts, cuts[1:])):
+            r0 = int(np.count_nonzero(act < j_lo))  # act[r0:] are recorded
+            part = np.empty((act.size - r0, b - a, w.shape[1]))
+            w = step(idx[act, a:b], w, part)
+            rec[act[r0:] - j_lo, a:b] = part
+            going = slice(None) if rounds == 1 else (w.view(np.uint64) != snap_bits[act, c]).any(axis=1)
+            snap[act, c] = w
+            act, w = act[going], w[going]
+            if not act.size:
+                break
+        ends = snap[first:, -1]
         same = (starts[first + 1:].view(np.uint64) == ends[:-1].view(np.uint64)).all(axis=1)
         settled = first + 1 + int(np.logical_and.accumulate(same).sum())
         last_gap, gap = gap, float(np.linalg.norm(starts[first + 1:] - ends[:-1], axis=1).max())
         if L - settled <= 1 or (settled == first + 1 and not gap < 0.5 * last_gap):
-            return ends[settled - 1 - first], settled
+            return ends[settled - 1 - first].copy(), settled, rounds
         starts[first + 1:] = ends[:-1]
         first = settled
 
@@ -401,13 +443,14 @@ def _run_segments(
     """A chain of ``_run_system``, parallel in time.
 
     Its n steps split into L segments of S = n // L steps, which ``_settle``
-    brings to the serial chain in lockstep rounds of ``step``; the rest (the
-    tail of fewer than L steps, and the segments left unsettled) runs as one
-    serial ``lane(idx, w, rec)`` from there, which writes the states after
-    its last ``len(rec)`` steps to ``rec`` and returns its end state.  L = 1
-    runs the whole chain in the lane.  Every record is bit-equal to the
-    serial loop.  States are kept from the start of the first segment that
-    holds a recorded step.
+    brings to the serial chain in lockstep rounds of ``step``, each round in
+    chunks of steps after which the segments that rejoined their previous
+    run drop out; the rest (the tail of fewer than L steps, and the segments
+    left unsettled) runs as one serial ``lane(idx, w, rec)`` from there,
+    which writes the states after its last ``len(rec)`` steps to ``rec`` and
+    returns its end state.  L = 1 runs the whole chain in the lane.  Every
+    record is bit-equal to the serial loop.  States are kept from the start
+    of the first segment that holds a recorded step.
     """
     n, d = idx.shape[0], w0.shape[0]
     S = n // L
@@ -418,7 +461,7 @@ def _run_segments(
     # NonFiniteState below rather than as a numpy warning mid-loop
     with np.errstate(over="ignore", invalid="ignore"):
         if L > 1:
-            w, settled = _settle(step, idx[: L * S].reshape(L, S), w, buf[: L * S - lo].reshape(-1, S, d))
+            w, settled, _ = _settle(step, idx[: L * S].reshape(L, S), w, buf[: L * S - lo].reshape(-1, S, d))
             a = settled * S
         w = lane(idx[a:], w, buf[max(a - lo, 0):])
     rows = buf[record_from - lo + thin - 1 :: thin][:n_record]
@@ -543,11 +586,26 @@ def sample_invariant(
 # probes
 
 
+def norm_rounding(dim: int) -> float:
+    """dim * eps, the rounding bound of a computed map norm on R^dim.
+
+    A computed L_i is taken to be within a relative dim * eps of the true
+    norm: an SVD's (or a Jacobian table cell's) singular values are exact
+    for a matrix within a few eps * ||M|| per coordinate, and a pair
+    quotient rounds each of its dim coordinates.  So log L_i, and their
+    p-weighted mean, are known to within dim * eps, and a mean within it
+    of 0 is no contraction: the norm-neutral maps I - eta a a^T of
+    linreg2d (norm exactly 1) compute as 1 +- 1.5 eps at dim 2.
+    """
+    return dim * float(np.finfo(float).eps)
+
+
 def contractivity_report(
     system: IfsSystem, probe: Union[str, SampledPairsProbe] = "analytic"
 ) -> ContractivityReport:
     """Per-map Lipschitz constants and the average-contractivity criterion
-    sum_i p_i log L_i < 0.
+    sum_i p_i log L_i < 0, beyond the norms' rounding: a mean log within
+    ``norm_rounding(dim)`` of 0 is not contractive.
 
     Analytic mode (affine systems only) computes L_i = ||M_i||_2 exactly
     (see ``AffineMap.jacobian_norm``).  Sampled-pairs
@@ -598,7 +656,7 @@ def contractivity_report(
     logs = np.array([math.log(L) if L > 0.0 else -math.inf for L in lip])
     mean_log = float(np.dot(system.probs, logs))
     return ContractivityReport(
-        lipschitz=tuple(lip), mean_log=mean_log, contractive=mean_log < 0.0, mode=mode
+        lipschitz=tuple(lip), mean_log=mean_log, contractive=mean_log < -norm_rounding(system.dim), mode=mode
     )
 
 

@@ -1,6 +1,7 @@
 """Box-counting estimates, closed-form dimension bounds, and the Rams ratio."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from ifslab.errors import (
     NonContractiveEstimate,
     PreconditionViolation,
 )
-from ifslab.ifs import AffineMap, IfsSystem, SampleCloud, sample_invariant
+from ifslab.ifs import (AffineMap, IfsSystem, ProblemMap, SampleCloud, contractivity_report, norm_rounding,
+                        sample_invariant)
 from ifslab.optimizers import (
     PreconditionerSpec,
     build_precond_sgd_ifs,
@@ -248,6 +250,35 @@ def test_rams_noncontractive_raises():
         rams_ratio(system, cloud_of(np.zeros(5)))
 
 
+@pytest.mark.parametrize("eta", [0.3, 0.5, 0.7, 0.9])
+def test_rams_norm_neutral_maps_are_not_contractions(eta):
+    """linreg2d's maps I - eta a a^T have norm exactly 1; their computed mean
+    log norm is +-1e-16 of rounding, which used to read as a contraction at
+    eta = 0.3 and 0.7 (ratio 7.2e16) and as an expansion at 0.5 and 0.9.
+    The same steps as ProblemMaps, whose norms come from a Jacobian table,
+    used to give 7.2e16 at eta = 0.3, 0.5 and 0.7."""
+    from ifslab.experiments import UniformLinReg, generate_synthetic
+
+    data = generate_synthetic(UniformLinReg(n=5, d=2), 0)
+    scheme = partition_batches(5, 1)
+    system = build_sgd_ifs(LeastSquares(lam=0.0), data, scheme, eta)
+    report = contractivity_report(system)
+    assert abs(report.mean_log) <= norm_rounding(2) and not report.contractive
+    steps = IfsSystem(tuple(ProblemMap(LeastSquares(lam=0.0), data, np.asarray(b), eta) for b in scheme.batches),
+                      scheme.probs)
+    cloud = cloud_of(np.random.default_rng(0).normal(size=(20, 2)))
+    for system in (system, steps):
+        with pytest.raises(NonContractiveEstimate, match="every map is norm-neutral"):
+            rams_ratio(system, cloud)
+
+
+def test_rams_cantor_preset_is_unchanged_by_the_rounding_bound():
+    from ifslab.experiments import cantor_system as preset
+
+    bound = rams_ratio(preset(2.0 / 3.0), cloud_of(np.zeros(10)))
+    assert bound.ratio == pytest.approx(math.log(2.0) / math.log(3.0), rel=1e-12)
+
+
 def test_rams_entropy_override():
     system = IfsSystem((scalar_map(0.5), scalar_map(0.5, 0.5)), np.array([0.5, 0.5]))
     bound = rams_ratio(system, cloud_of(np.zeros(5)), neg_entropy_override=math.log(15.0))
@@ -424,6 +455,20 @@ def test_box_rejects_an_extent_past_float64():
     pts = np.linspace(-1.0, 1.0, 2000) * 1.7e308
     with pytest.raises(ConfigError, match="cloud's extent overflows float64"):
         box_counting_dimension(cloud_of(pts))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("factor", [1e-200, 1e200])
+def test_box_diameter_past_the_squared_range(d, factor):
+    """The squared extent under- or overflows: at 1e-200 the cloud used to
+    read as a single point, at 1e200 its diameter as inf.  The scaled norm
+    reads the unscaled cloud's dimension."""
+    pts = np.random.default_rng(17).uniform(0.0, 1.0, size=(5_000, d))
+    base = box_counting_dimension(cloud_of(pts)).value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scaled = box_counting_dimension(cloud_of(factor * pts)).value
+    assert scaled == pytest.approx(base, abs=1e-9)
 
 
 def test_box_saturation_can_exhaust_scales():

@@ -202,23 +202,42 @@ def rotation(theta):
     return np.array([[c, -s], [s, c]])
 
 
+def count_rounds(monkeypatch, calls):
+    """Adds each ``_settle`` call's rounds to ``calls["rounds"]``."""
+    settle = ifs._settle
+
+    def counted_settle(*args):
+        w, settled, rounds = settle(*args)
+        calls["rounds"] += rounds
+        return w, settled, rounds
+
+    monkeypatch.setattr(ifs, "_settle", counted_settle)
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts the lockstep rounds and the steps of the serial lane."""
-    calls = {"rounds": 0, "lane_steps": 0}
+    """Counts the settle rounds, the lockstep steps, the segments each
+    lockstep call carries and the steps of the serial lane."""
+    calls = {"rounds": 0, "lockstep_steps": 0, "widths": [], "lane_steps": 0}
     lockstep, lane = ifs._lockstep, ifs._lane
 
     def counted_lockstep(M, Q, idx, w, rec):
-        calls["rounds"] += 1
+        calls["lockstep_steps"] += idx.shape[1]
+        calls["widths"].append(idx.shape[0])
         return lockstep(M, Q, idx, w, rec)
 
     def counted_lane(M, Q, idx, w, rec):
         calls["lane_steps"] += idx.shape[0]
         return lane(M, Q, idx, w, rec)
 
+    count_rounds(monkeypatch, calls)
     monkeypatch.setattr(ifs, "_lockstep", counted_lockstep)
     monkeypatch.setattr(ifs, "_lane", counted_lane)
     return calls
+
+
+def rounds_and_lane(calls) -> tuple:
+    return calls["rounds"], calls["lane_steps"]
 
 
 @pytest.fixture
@@ -263,7 +282,7 @@ def test_affine_kernel_settles_contracting_chain_in_two_rounds(small_segments, d
     n = 64 * 20 + 7  # 20 segments of 64 steps and a tail of 7
     idx = np.random.default_rng(4).integers(0, 3, size=n)
     got = ifs._run_system(system, np.zeros(d), idx, burn_in, 1, n - burn_in)
-    assert small_segments == {"rounds": 2, "lane_steps": 7}
+    assert rounds_and_lane(small_segments) == (2, 7)
     assert same_bits(got, reference_chain(M, q, idx, np.zeros(d), burn_in, 1, n - burn_in))
 
 
@@ -307,7 +326,7 @@ def test_affine_kernel_rotation_family_falls_back_to_one_lane(small_segments):
     idx = np.random.default_rng(6).integers(0, 2, size=n)
     w0 = np.array([0.1, 0.2])
     got = ifs._run_system(system, w0, idx, 50, 1, n - 50)
-    assert small_segments == {"rounds": 2, "lane_steps": n - 2 * 64}
+    assert rounds_and_lane(small_segments) == (2, n - 2 * 64)
     assert same_bits(got, reference_chain(M, q, idx, w0, 50, 1, n - 50))
 
 
@@ -321,24 +340,29 @@ def test_affine_kernel_settles_slowly_coalescing_chain(kernel_calls):
     M = np.stack([m.matrix for m in system.maps])
     q = np.stack([m.offset for m in system.maps])
     got = ifs._run_system(system, np.zeros(1), idx, 0, 1, n)
-    assert kernel_calls == {"rounds": 4, "lane_steps": 5}
+    assert rounds_and_lane(kernel_calls) == (4, 5)
     assert same_bits(got, reference_chain(M, q, idx, np.zeros(1), 0, 1, n))
 
 
 def test_preset_chains_settle_in_two_rounds(kernel_calls):
     """The Cantor (eta = 2/3) and the four linreg2d chains at the sizes the
-    benchmark samples settle in two lockstep rounds."""
+    benchmark samples settle in two lockstep rounds, and round 2 stops each
+    segment once it meets its first run: Cantor's 151 segments of 2,052
+    steps take at most 2,300 lockstep steps, not 2 * 2,052, and each
+    linreg2d chain's 53 segments of 2,075 fewer than 2 * 2,075."""
     from ifslab.experiments import UniformLinReg, generate_synthetic
 
     data = generate_synthetic(UniformLinReg(n=5, d=2), 0)
-    chains = [(quadratic_pair_system(2.0 / 3.0), np.zeros(1), 300_000)] + [
-        (build_sgd_ifs(LeastSquares(lam=0.0), data, partition_batches(5, 1), eta), np.zeros(2), 100_000)
+    chains = [(quadratic_pair_system(2.0 / 3.0), np.zeros(1), 300_000, 2_300)] + [
+        (build_sgd_ifs(LeastSquares(lam=0.0), data, partition_batches(5, 1), eta), np.zeros(2), 100_000,
+         2 * 2_075 - 1)
         for eta in (0.3, 0.5, 0.7, 0.9)
     ]
-    for system, w0, n_samples in chains:
-        kernel_calls["rounds"] = 0
+    for system, w0, n_samples, max_steps in chains:
+        kernel_calls["rounds"] = kernel_calls["lockstep_steps"] = 0
         sample_invariant(system, w0, 10_000, n_samples, 1, 0)
         assert kernel_calls["rounds"] == 2
+        assert kernel_calls["lockstep_steps"] <= max_steps
 
 
 def test_affine_kernel_expanding_map_raises(small_segments):
@@ -358,6 +382,97 @@ def test_affine_kernel_default_segments_match_reference_loop():
     idx = draw_indices(Xoshiro256PP(seed), system.probs, burn_in + n_samples)
     expected = reference_chain(M, q, idx, np.array([0.5, -0.5]), burn_in, 1, n_samples)
     assert same_bits(cloud.points, expected)
+
+
+# ---------------------------------------------------------------------------
+# segments that leave a settle round once they meet their previous run
+
+
+@pytest.fixture
+def chunked_segments(small_segments, monkeypatch):
+    """Segments of 64 steps settled in chunks of 16, counted: a segment can
+    leave a round inside a segment, not only at its end."""
+    monkeypatch.setattr(ifs, "SETTLE_CHUNK", 16)
+    return small_segments
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("thin", [1, 3])
+@pytest.mark.parametrize("burn_in", [0, 200])
+@pytest.mark.parametrize("n", [64 * 20 + 7, 64 * 5 + 30])  # segments of 64 steps; of 70, not a multiple of 16
+def test_meeting_exit_matches_reference_loop(chunked_segments, d, thin, burn_in, n):
+    """Slope 0.4 coalesces in about 40 steps, so in round 2 each segment
+    meets its first run after a chunk or three and leaves the round.  With
+    burn_in = 200 the first segments are never recorded; the chain is still
+    bit-equal to the serial loop."""
+    M, q, system = random_affine(d, 0.4, seed=13)
+    idx = np.random.default_rng(n + d).integers(0, 3, size=n)
+    w0 = np.linspace(-0.5, 0.5, d)
+    n_record = (n - burn_in) // thin
+    got = ifs._run_system(system, w0, idx, burn_in, thin, n_record)
+    S = n // (n // 64)
+    assert chunked_segments["rounds"] == 2
+    assert S + 16 <= chunked_segments["lockstep_steps"] < 2 * S
+    assert same_bits(got, reference_chain(M, q, idx, w0, burn_in, thin, n_record))
+
+
+def test_meeting_exit_in_later_rounds(kernel_calls, monkeypatch):
+    """The slowly coalescing pair (slope 0.99) in chunks of 16: round 1 runs
+    its 128 segments in full and round 2 its 127 (none meets yet), round 3
+    drops segments one chunk after another, and round 4 drops all but one
+    after its first chunk.  Every record is still the serial loop's."""
+    monkeypatch.setattr(ifs, "SETTLE_CHUNK", 16)
+    system = quadratic_pair_system(0.01)
+    n = ifs.MIN_SEGMENTS_SCALAR * ifs.SEG + 5
+    idx = draw_indices(Xoshiro256PP(0), system.probs, n)
+    M = np.stack([m.matrix for m in system.maps])
+    q = np.stack([m.offset for m in system.maps])
+    got = ifs._run_system(system, np.zeros(1), idx, 0, 1, n)
+    assert rounds_and_lane(kernel_calls) == (4, 5)
+    widths = kernel_calls["widths"]
+    assert widths[:256] == [128] * 128 + [127] * 128
+    round_3 = widths[256:256 + 128]
+    assert round_3[0] == 126 and min(round_3) < 126 and widths[-1] == 1
+    assert same_bits(got, reference_chain(M, q, idx, np.zeros(1), 0, 1, n))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_meeting_exit_negative_zero_start(chunked_segments, d):
+    """The -0.0 start of ``test_affine_kernel_negative_zero_start``, in chunks."""
+    M = np.stack([0.5 * np.eye(d), 0.25 * np.eye(d)])
+    q = np.stack([np.zeros(d), np.full(d, -0.0)])
+    system = IfsSystem((AffineMap(M[0], q[0]), AffineMap(M[1], q[1])), np.array([0.5, 0.5]))
+    n = 64 * 6 + 1
+    idx = np.random.default_rng(5).integers(0, 2, size=n)
+    idx[0] = 1
+    w0 = np.full(d, -0.0)
+    got = ifs._run_system(system, w0, idx, 0, 1, n)
+    assert chunked_segments["lockstep_steps"] < 2 * 64
+    assert same_bits(got, reference_chain(M, q, idx, w0, 0, 1, n))
+
+
+def test_meeting_exit_rotation_family_never_meets(chunked_segments):
+    """Rotations never coalesce, so no segment leaves a round early: both
+    rounds run their 64 steps, and the rest runs in the serial lane."""
+    M = np.stack([rotation(0.3), rotation(1.1)])
+    q = np.array([[1.0, 0.0], [0.0, 0.5]])
+    system = IfsSystem((AffineMap(M[0], q[0]), AffineMap(M[1], q[1])), np.array([0.5, 0.5]))
+    n = 64 * 30 + 5
+    idx = np.random.default_rng(6).integers(0, 2, size=n)
+    w0 = np.array([0.1, 0.2])
+    got = ifs._run_system(system, w0, idx, 50, 1, n - 50)
+    assert rounds_and_lane(chunked_segments) == (2, n - 2 * 64)
+    assert chunked_segments["lockstep_steps"] == 2 * 64
+    assert same_bits(got, reference_chain(M, q, idx, w0, 50, 1, n - 50))
+
+
+def test_meeting_exit_expanding_map_raises(chunked_segments):
+    system = IfsSystem((AffineMap(2.0 * np.eye(2), np.array([1.0, -1.0])),), np.array([1.0]))
+    idx = np.zeros(64 * 40, dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflow is reported as NonFiniteState only
+        with pytest.raises(NonFiniteState):
+            ifs._run_system(system, np.ones(2), idx, 0, 1, idx.size)
 
 
 def test_sgd_stack_records_each_chain_as_sample_invariant():
@@ -474,17 +589,18 @@ def sgd_segments(monkeypatch):
     monkeypatch.setattr(ifs, "SGD_SEG", 64)
     monkeypatch.setattr(ifs, "SGD_MAX_SEGMENTS", 6)
     monkeypatch.setattr(ifs, "SGD_MAX_WORK", 10**9)
-    calls = {"rounds": 0, "lane_steps": 0}
+    calls = {"rounds": 0, "lockstep_steps": 0, "lane_steps": 0}
     lockstep, lane = ifs._sgd_lockstep, ifs._sgd_lane
 
     def counted_lockstep(m, table, idx, w, rec):
-        calls["rounds"] += 1
+        calls["lockstep_steps"] += idx.shape[1]
         return lockstep(m, table, idx, w, rec)
 
     def counted_lane(m, table, idx, w, rec):
         calls["lane_steps"] += idx.shape[0]
         return lane(m, table, idx, w, rec)
 
+    count_rounds(monkeypatch, calls)
     monkeypatch.setattr(ifs, "_sgd_lockstep", counted_lockstep)
     monkeypatch.setattr(ifs, "_sgd_lane", counted_lane)
     return calls
@@ -551,8 +667,26 @@ def test_coalescing_sgd_chain_settles_in_two_rounds(sgd_segments, burn_in):
     idx = draw_indices(Xoshiro256PP(4), system.probs, n)
     w0 = np.array([0.5, -0.5])
     got = ifs._run_system(system, w0, idx, burn_in, 1, n - burn_in)
-    assert sgd_segments == {"rounds": 2, "lane_steps": 5}
+    assert rounds_and_lane(sgd_segments) == (2, 5)
     assert same_bits(got, apply_loop(system.maps, idx, w0, burn_in, 1, n - burn_in))
+
+
+@pytest.mark.parametrize("thin", [1, 3])
+@pytest.mark.parametrize("burn_in", [0, 100])
+def test_meeting_exit_on_sgd_segments(sgd_segments, monkeypatch, thin, burn_in):
+    """The benchmark's logistic chain in chunks of 16: in round 2 each
+    segment leaves once it meets its first run, and the records are the
+    plain apply loop's."""
+    monkeypatch.setattr(ifs, "SETTLE_CHUNK", 16)
+    system = benchmark_logistic(3)
+    n = 6 * 64 + 5
+    idx = draw_indices(Xoshiro256PP(4), system.probs, n)
+    w0 = np.array([0.5, -0.5])
+    n_record = (n - burn_in) // thin
+    got = ifs._run_system(system, w0, idx, burn_in, thin, n_record)
+    assert rounds_and_lane(sgd_segments) == (2, 5)
+    assert sgd_segments["lockstep_steps"] < 2 * 64
+    assert same_bits(got, apply_loop(system.maps, idx, w0, burn_in, thin, n_record))
 
 
 def test_sgd_chain_that_never_coalesces_stops_by_the_rule(sgd_segments):
@@ -567,7 +701,7 @@ def test_sgd_chain_that_never_coalesces_stops_by_the_rule(sgd_segments):
     n = 6 * 64 + 5
     idx = draw_indices(Xoshiro256PP(6), system.probs, n)
     got = ifs._run_system(system, np.zeros(2), idx, 50, 1, n - 50)
-    assert sgd_segments == {"rounds": 3, "lane_steps": n - 3 * 64}
+    assert rounds_and_lane(sgd_segments) == (3, n - 3 * 64)
     assert same_bits(got, apply_loop(system.maps, idx, np.zeros(2), 50, 1, n - 50))
 
 
@@ -592,7 +726,7 @@ def test_preconditioned_sgd_chain_stays_serial(sgd_segments):
     n = 6 * 64 + 5
     idx = draw_indices(Xoshiro256PP(9), system.probs, n)
     got = ifs._run_system(system, np.full(2, 0.1), idx, 10, 2, 150)
-    assert sgd_segments == {"rounds": 0, "lane_steps": 0}
+    assert rounds_and_lane(sgd_segments) == (0, 0)
     assert same_bits(got, apply_loop(system.maps, idx, np.full(2, 0.1), 10, 2, 150))
 
 
@@ -623,13 +757,13 @@ def test_benchmark_logistic_chain_settles_at_the_default_segments(monkeypatch):
     system = benchmark_logistic(1)
     burn_in, n_samples = 1_000, 20_000
     assert burn_in + n_samples >= ifs.SGD_SEG * ifs.SGD_MAX_SEGMENTS
-    rounds, lockstep = [], ifs._sgd_lockstep
-    monkeypatch.setattr(ifs, "_sgd_lockstep", lambda *args: rounds.append(1) or lockstep(*args))
+    calls = {"rounds": 0}
+    count_rounds(monkeypatch, calls)
     cloud = sample_invariant(system, np.zeros(2), burn_in, n_samples, 1, 1)
-    assert len(rounds) == 2
+    assert calls["rounds"] == 2
     monkeypatch.setattr(ifs, "SGD_MAX_WORK", 0)  # the serial chain
     serial = sample_invariant(system, np.zeros(2), burn_in, n_samples, 1, 1)
-    assert len(rounds) == 2 and same_bits(cloud.points, serial.points)
+    assert calls["rounds"] == 2 and same_bits(cloud.points, serial.points)
 
 
 def test_sample_invariant_thinning_and_determinism():

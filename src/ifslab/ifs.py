@@ -225,7 +225,9 @@ class SampledPairsProbe:
 class ContractivityReport:
     lipschitz: tuple[float, ...]
     mean_log: float
-    contractive: bool  # sum_i p_i log L_i < -norm_rounding(dim)
+    # analytic mode: sum_i p_i log L_i < -norm_rounding(dim); always False in
+    # sampled-pairs mode, whose L_i are lower bounds and cannot certify it
+    contractive: bool
     mode: str  # "analytic" | "sampled_pairs"
 
 
@@ -610,7 +612,9 @@ def contractivity_report(
     Analytic mode (affine systems only) computes L_i = ||M_i||_2 exactly
     (see ``AffineMap.jacobian_norm``).  Sampled-pairs
     mode lower-bounds L_i by max ||h(x)-h(y)||/||x-y|| over pairs drawn
-    uniformly from a ball.
+    uniformly from a ball.  A mean of lower bounds can disprove contraction
+    but never certify it, so that mode always reports ``contractive=False``;
+    its ``mean_log`` is a lower bound on the true mean.
     Probe stream order: per map in system order, per pair: point x
     (dim gaussians + 1 radius uniform), then point y.
     """
@@ -655,9 +659,8 @@ def contractivity_report(
         mode = "sampled_pairs"
     logs = np.array([math.log(L) if L > 0.0 else -math.inf for L in lip])
     mean_log = float(np.dot(system.probs, logs))
-    return ContractivityReport(
-        lipschitz=tuple(lip), mean_log=mean_log, contractive=mean_log < -norm_rounding(system.dim), mode=mode
-    )
+    contractive = mode == "analytic" and mean_log < -norm_rounding(system.dim)
+    return ContractivityReport(lipschitz=tuple(lip), mean_log=mean_log, contractive=contractive, mode=mode)
 
 
 def lyapunov_exponent(system: IfsSystem, w0: np.ndarray, k: int, seed: int = 0) -> LyapunovEstimate:

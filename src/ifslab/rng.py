@@ -9,11 +9,14 @@ one machine and BLAS build.  Uniform doubles take the top 53 bits of each
 64-bit output; parallel/structured work derives child seeds with
 :func:`child_seed` instead of splitting generator state.
 
-Long uniform streams are drawn in lanes: the state update is linear over
-GF(2), so the state ``k`` draws ahead is ``q(T)·s`` with ``q = x^k mod P``
-and ``P`` the characteristic polynomial of the update ``T`` (Haramoto et al.,
-*Efficient jump ahead for F2-linear random number generators*, 2008).  Every
-lane draw is bit-equal to the scalar loop.
+Streams of 4,096 draws or more are drawn in 1024 lanes: the state update is
+linear over GF(2), so the state ``k`` draws ahead is ``q(T)·s`` with
+``q = x^k mod P`` and ``P`` the characteristic polynomial of the update ``T``
+(Haramoto et al., *Efficient jump ahead for F2-linear random number
+generators*, 2008).  Every lane's start state is one GF(2) product: the lane
+polynomials ``x^(j·m) mod P``, found by doubling, select XORs of the 256
+states ``T^i·s``, read from byte tables.  Every lane draw is bit-equal to the
+scalar loop.
 """
 
 from __future__ import annotations
@@ -33,10 +36,18 @@ _INV_2_53 = 1.0 / (1 << 53)
 # x^(2^128) and x^(2^192) mod P are the published JUMP and LONG_JUMP words).
 _CHARPOLY = 0x1_0003C03C_3F3ECB19_04B4EDCF_26259F85_0280002B_CEFD1A5E_9D116F2B_B0F0F001
 # Streams of _LANE_MIN_DRAWS or more draws run in _LANES lanes.  Building the
-# lanes takes log2(_LANES) jumps of 256 vector steps each; below the cut-over
-# that costs more than the scalar loop saves.
+# lane start states costs about 2.3 ms; the scalar loop about 0.7 us a draw.
+# Medians of 40 interleaved pairs (2 vCPUs, Python 3.11.7, numpy 2.4.6),
+# scalar -> lanes: 3,072 draws 2.36 -> 2.58 ms, 4,096 draws 2.92 -> 2.44 ms
+# (lanes faster in 92 % of pairs), 8,192 draws 5.65 -> 2.57 ms.  So the
+# cut-over is the first multiple of the lane count past break-even.
 _LANES = 1024
-_LANE_MIN_DRAWS = 40_000
+_LANE_MIN_DRAWS = 4_096
+# Rows per table gather in _gf2_product: each row reads 32 table rows of 32
+# bytes, so a block's gather is 128 KiB.  Gathering all 1024 lanes at once
+# took 1 MiB and raised a fresh process's peak RSS by 2.7 MiB, against
+# 0.5 MiB in blocks, at the same build time.
+_GATHER_ROWS = 128
 
 
 def splitmix64_stream(seed: int, n: int) -> list[int]:
@@ -175,33 +186,83 @@ def _advance(s: list[np.ndarray], t: np.ndarray) -> None:
     s3 |= t
 
 
-def _jump(s: list[np.ndarray], poly: int) -> list[np.ndarray]:
-    """Lane states ``poly(T)·s``: XOR of ``T^i·s`` over the set bits i of ``poly``."""
-    cur = [a.copy() for a in s]
-    acc = [np.zeros_like(a) for a in s]
-    t = np.empty_like(s[0])
-    while poly:
-        if poly & 1:
-            for a, c in zip(acc, cur):
-                a ^= c
-        poly >>= 1
-        if poly:
-            _advance(cur, t)
-    return acc
+def _pack(values: list[int]) -> np.ndarray:
+    """256-bit ints as a ``(len, 4)`` uint64 array, word w holding bits 64w..64w+63."""
+    raw = b"".join(v.to_bytes(32, "little") for v in values)
+    return np.frombuffer(raw, dtype="<u8").reshape(-1, 4).astype(np.uint64)
+
+
+def _gf2_product(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Row r of the result is the XOR of ``cols[i]`` over the set bits i of ``rows[r]``.
+
+    ``rows`` is ``(n, 4)`` uint64, 256 selector bits each; ``cols`` is
+    ``(256, 4)`` uint64.  Four Russians: for each of the 32 selector bytes a
+    table of all 256 XOR combinations of its 8 columns, so a row costs 32
+    table reads instead of up to 256 XORs.
+    """
+    tables = np.empty((256, 32, 4), dtype=np.uint64)  # [v, b]: XOR of cols[8b + t], bits t of v
+    tables[0] = 0
+    by_bit = cols.reshape(32, 8, 4).transpose(1, 0, 2)
+    for t in range(8):
+        h = 1 << t
+        np.bitwise_xor(tables[:h], by_bit[t], out=tables[h : 2 * h])
+    sel = rows.astype("<u8", copy=False).view(np.uint8)  # (n, 32): byte b holds bits 8b..8b+7
+    tables = tables.reshape(-1, 4)
+    offsets = np.arange(32)[:, None]
+    out = np.empty((len(rows), 4), dtype=np.uint64)
+    for lo in range(0, len(rows), _GATHER_ROWS):
+        flat = 32 * sel[lo : lo + _GATHER_ROWS].T.astype(np.intp) + offsets
+        np.bitwise_xor.reduce(tables.take(flat, axis=0), axis=0, out=out[lo : lo + _GATHER_ROWS])
+    return out
+
+
+def _lane_states(state: tuple[int, ...], n_lanes: int, m: int) -> np.ndarray:
+    """``(n_lanes, 4)`` uint64: row j is the state ``j·m`` draws after ``state``.
+
+    Row j is ``q_j(T)·s`` with ``q_j = x^(j·m) mod P``: the XOR of ``T^i·s``
+    over the set bits i of ``q_j``.  The ``q_j`` are found by doubling in
+    polynomial space (rows ``0..h-1`` times ``x^(h·m)`` are rows
+    ``h..2h-1``), each step one product with the 256 images ``x^i·x^(h·m)
+    mod P``; then one product with the 256 states ``T^i·s`` gives every lane.
+    """
+    powers = []  # T^i·s, i < 256
+    s0, s1, s2, s3 = state
+    for _ in range(256):
+        powers.append((s0, s1, s2, s3))
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) & _MASK64) | (s3 >> 19)
+    q = np.zeros((n_lanes, 4), dtype=np.uint64)
+    q[0, 0] = 1
+    step = _x_pow_mod(m)  # x^(h·m) mod P for the h rows filled so far
+    h = 1
+    while h < n_lanes:
+        images = []
+        a = step
+        for _ in range(256):
+            images.append(a)
+            a <<= 1
+            if a >> 256:
+                a ^= _CHARPOLY
+        take = min(h, n_lanes - h)
+        q[h : h + take] = _gf2_product(q[:take], _pack(images))
+        step = _gf2_mulmod(step, step)
+        h *= 2
+    return _gf2_product(q, np.array(powers, dtype=np.uint64))
 
 
 def _fill_lanes(state: tuple[int, ...], out: np.ndarray) -> tuple[int, ...]:
     """Fill ``out`` (L, m) row j with draws ``j·m .. j·m+m-1`` from ``state``.
 
-    Lane states are built by doubling: lanes ``0..2^i-1`` jumped by ``2^i·m``
-    become lanes ``2^i..2^(i+1)-1``.  Returns the state after ``L·m`` draws.
+    Lane start states come from :func:`_lane_states`.  Returns the state
+    after ``L·m`` draws.
     """
     n_lanes, m = out.shape
-    s = [np.array([v], dtype=np.uint64) for v in state]
-    poly = _x_pow_mod(m)
-    while len(s[0]) < n_lanes:
-        s = [np.concatenate(pair) for pair in zip(s, _jump(s, poly))]
-        poly = _gf2_mulmod(poly, poly)
+    s = [np.ascontiguousarray(w) for w in _lane_states(state, n_lanes, m).T]
     s0, s1, s2, s3 = s
     x, y, t = (np.empty(n_lanes, dtype=np.uint64) for _ in range(3))
     for i in range(m):

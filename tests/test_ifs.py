@@ -909,6 +909,20 @@ def test_sampled_pairs_probe_lower_bounds_analytic():
         assert 0.0 < L <= 1.0 - 0.1 * 0.5 + 0.1 * feat**2 / 4.0 + 1e-9
 
 
+def test_sampled_pairs_never_certify_contraction():
+    """Lower bounds on L_i can hide an expanding direction: pairs drawn in
+    d = 16 seldom line up with the one coordinate stretched by 1.2."""
+    m = np.diag([1.2] + [0.5] * 15)
+    system = IfsSystem((AffineMap(m, np.zeros(16)), AffineMap(m, np.ones(16))), np.array([0.5, 0.5]))
+    analytic = contractivity_report(system)
+    assert analytic.mean_log == pytest.approx(math.log(1.2), rel=1e-12)
+    assert not analytic.contractive
+    sampled = contractivity_report(system, SampledPairsProbe(n_pairs=200, radius=1.0, seed=0))
+    assert sampled.mean_log < 0.0  # the lower bounds alone would read as a contraction
+    assert sampled.mean_log <= analytic.mean_log
+    assert not sampled.contractive
+
+
 def test_degenerate_probe_raises():
     data = Dataset([[1.0]], [1.0])
     system = build_sgd_ifs(Logistic(lam=0.5), data, partition_batches(1, 1), 0.1)

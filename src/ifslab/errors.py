@@ -23,9 +23,8 @@ class ComputeError(IfslabError):
 class NonFiniteState(ComputeError):
     """An iterate overflowed or became NaN (diverging system)."""
 
-
-class DegenerateProbe(ComputeError):
-    """A sampled probe pair collapsed (distance below 1e-12)."""
+    def __init__(self, message: str = "iterate overflowed (system appears to diverge)"):
+        super().__init__(message)
 
 
 class IndivisibleBatch(ConfigError):

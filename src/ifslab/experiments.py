@@ -22,7 +22,7 @@ from .dimension import BoxCountConfig, DimensionEstimate, analytic_bound, box_co
 from .errors import (ComputeError, ConfigError, DegenerateVariance, IfslabError, NonFiniteState,
                      PreconditionViolation)
 from .fileio import FLOAT, atomic_write_bytes, atomic_write_text, csv_text, write_json
-from .ifs import IfsSystem, SampleCloud, _diverged, _run_sgd, _step_rows, require_schedule, sample_invariant
+from .ifs import IfsSystem, SampleCloud, require_schedule, run_sgd, sample_invariant
 from .optimizers import BatchScheme, _require_eta, build_sgd_ifs, partition_batches
 from .rng import Xoshiro256PP, child_seed, draw_indices
 
@@ -374,13 +374,12 @@ def _train_point(
     while live and steps < config.max_iters:
         block = min(config.check_every, config.max_iters - steps)
         etas = np.array([config.etas[k] for k in live])[:, None]
-        rows = _step_rows(train, table, idx[live, steps : steps + block])
-        ends, finite = _run_sgd(problem, etas, w, rows, block - 1, 1, 1)
+        ends, finite = run_sgd(problem, train, table, etas, w, idx[live, steps : steps + block], block - 1, 1, 1)
         steps += block
         keep = []
         for k, end, ok in zip(live, ends, finite):
             if not ok:
-                out[k] = _diverged()
+                out[k] = NonFiniteState()
                 continue
             with np.errstate(over="ignore", invalid="ignore"):  # as in the driver
                 loss = pr.mean_loss(problem, end[0], train)
@@ -450,12 +449,11 @@ def _sweep_group(
         total = config.burn_in + config.n_cloud * config.thin
         gens = [Xoshiro256PP(child_seed(seeds[k], 1)) for k in live]
         idx = np.stack([draw_indices(gen, scheme.probs, total) for gen in gens])
-        points, finite = _run_sgd(
-            problem, np.array([config.etas[k] for k in live])[:, None],
-            np.stack([trained[k] for k in live]), _step_rows(train, np.stack(scheme.batches), idx),
-            config.burn_in, config.thin, config.n_cloud,
+        points, finite = run_sgd(
+            problem, train, np.stack(scheme.batches), np.array([config.etas[k] for k in live])[:, None],
+            np.stack([trained[k] for k in live]), idx, config.burn_in, config.thin, config.n_cloud,
         )
-        clouds = {k: points[j] if finite[j] else _diverged() for j, k in enumerate(live)}
+        clouds = {k: points[j] if finite[j] else NonFiniteState() for j, k in enumerate(live)}
     rows = []
     for k, eta in enumerate(config.etas):
         points = clouds.get(k, trained[k])  # a chain that failed training has no cloud

@@ -1,4 +1,4 @@
-"""Iterated-function systems: iteration, invariant-measure sampling, probes.
+"""Iterated-function systems: iteration, invariant-measure sampling, contractivity.
 
 A system is a finite family of maps h_i with selection probabilities p_i;
 iterating w_k = h_{U_k}(w_{k-1}) with U_k ~ p approximates the stationary
@@ -17,20 +17,19 @@ serial lane.  Coalescence also ends a re-run early: from round 2 on, a
 segment whose state after a chunk of SETTLE_CHUNK steps equals its state
 there in the previous round has rejoined that run, and leaves the round, so
 round 2 of a fast-coalescing chain costs a chunk or a few, not a segment.
-Affine segments step through ``_lockstep`` and SGD ones through ``_run_sgd``
+Affine segments step through ``_lockstep`` and SGD ones through ``run_sgd``
 on stacked rows, and every record equals the serial loop bit for bit.
-Every problem-backed chain is stepped by one SGD loop, ``_run_sgd``, along
-a stream of per-step batch rows passed to
-``problems.grad_rows``: a system's index-drawn batches (one chain, or its
-segments in lockstep) or the sweep's K chains in lockstep
-(``experiments``), their rows gathered once per chunk of steps by
-``_step_rows``, or the lazy b-subsets of subset mode (``optimizers``),
-gathered per step.  A stack of K chains takes one ``grad_rows`` call per
-step, each chain bit-equal to its run alone.  Preconditioned chains, and
-those whose steps cost too much per extra segment (b * dim above
-SGD_MAX_WORK), run serially.  No other code steps a state:
-``lyapunov_exponent`` takes its states from these loops and only pushes a
-tangent vector through each step's Jacobian.
+Every problem-backed chain is stepped by one SGD loop, ``run_sgd``, along
+a table of batches and a stream of map indices into it, its rows gathered
+once per chunk of steps and passed to ``problems.grad_rows``: a system's
+index-drawn batches (one chain, or its segments in lockstep), the sweep's K
+chains in lockstep (``experiments``), or subset mode's b-subsets
+(``optimizers``), drawn up front into a table stepped in order.  A stack of
+K chains takes one ``grad_rows`` call per step, each chain bit-equal to its
+run alone.  Preconditioned chains, and those whose steps cost too much per
+extra segment (b * dim above SGD_MAX_WORK), run serially.  No other code
+steps a state: ``lyapunov_exponent`` takes its states from these loops and
+only pushes a tangent vector through each step's Jacobian.
 
 Geometric ergodicity of problem-backed systems is *not* certified here;
 stationarity is only spot-checked empirically (see the KS-distance test).
@@ -41,12 +40,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from . import problems as pr
-from .errors import ConfigError, DegenerateProbe, NonFiniteState
+from .errors import ConfigError, NonFiniteState
 from .fileio import FLOAT, atomic_write_text, csv_text, read_csv
 from .rng import Xoshiro256PP, draw_indices
 
@@ -211,24 +210,11 @@ def read_cloud_csv(path: str) -> SampleCloud:
     return SampleCloud(points=table[:, 1:].copy(), burn_in=int(iters[0]) - thin, thin=thin, seed=0)
 
 
-@dataclass(frozen=True)
-class SampledPairsProbe:
-    """Lipschitz probing by pair sampling from a ball (center defaults to 0)."""
-
-    n_pairs: int
-    radius: float
-    seed: int
-    center: Optional[np.ndarray] = None
-
-
 @dataclass
 class ContractivityReport:
     lipschitz: tuple[float, ...]
     mean_log: float
-    # analytic mode: sum_i p_i log L_i < -norm_rounding(dim); always False in
-    # sampled-pairs mode, whose L_i are lower bounds and cannot certify it
-    contractive: bool
-    mode: str  # "analytic" | "sampled_pairs"
+    contractive: bool  # sum_i p_i log L_i < -norm_rounding(dim)
 
 
 @dataclass
@@ -242,60 +228,51 @@ class LyapunovEstimate:
 # iteration cores
 
 
-def _diverged() -> NonFiniteState:
-    return NonFiniteState("iterate overflowed (system appears to diverge)")
-
-
-def _run_sgd(
-    problem: pr.Problem, eta: Union[float, np.ndarray], w0: np.ndarray, rows: Iterable,
-    record_from: int, thin: int, n_record: int, solve: Optional[Callable] = None,
-) -> tuple:
-    """The SGD chain loop: w_t = w_{t-1} - eta * P(grad_rows(problem, w_{t-1}, A_t, y_t)),
-    with P = ``solve`` (identity when None) and (A_t, y_t) the t-th of
-    ``rows``, the features and targets of step t's batch.
-
-    One chain has ``w0`` (dim,), a float ``eta`` and rows (b, d), (b,); K
-    plain-SGD chains in lockstep have ``w0`` (K, dim), ``eta`` (K, 1) and rows
-    (K, b, d), (K, b).  Returns the states after steps record_from + j*thin,
-    j = 1..n_record, as (n_record, dim) or (K, n_record, dim), and whether
-    each chain's records and final state are finite (a bool, or one per chain).
-    """
-    w = np.asarray(w0, dtype=float)
-    out = np.empty(w.shape[:-1] + (n_record, w.shape[-1]))
-    r = 0
-    # overflow to inf/nan is an anticipated outcome here, reported through
-    # the finite flags rather than as a numpy warning mid-loop
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, (A, y) in enumerate(rows, start=1):
-            g = pr.grad_rows(problem, w, A, y)
-            w = w - eta * (g if solve is None else solve(g))
-            if t > record_from and (t - record_from) % thin == 0 and r < n_record:
-                out[..., r, :] = w
-                r += 1
-    out = out[..., :r, :]
-    return out, np.isfinite(out).all(axis=(-2, -1)) & np.isfinite(w).all(axis=-1)
-
-
-# ``_step_rows`` gathers the batch rows, and ``_lockstep`` the affine maps, of
+# ``run_sgd`` gathers the batch rows, and ``_lockstep`` the affine maps, of
 # as many steps at once as fit this many bytes (at least one step), so the
 # gather costs a few numpy calls per chunk and its memory does not grow with
 # the batch size or the stack.
 ROW_CHUNK_BYTES = 1 << 16
 
 
-def _step_rows(dataset: pr.Dataset, table: np.ndarray, idx: np.ndarray) -> Iterator[tuple]:
-    """The rows (A, y) of each step's batch: step t's are those of the
-    batches ``table[idx[..., t]]``, table (n_maps, b) holding data indices.
+def run_sgd(
+    problem: pr.Problem, dataset: pr.Dataset, table: np.ndarray, eta: Union[float, np.ndarray],
+    w0: np.ndarray, idx: np.ndarray, record_from: int, thin: int, n_record: int,
+    solve: Optional[Callable] = None,
+) -> tuple:
+    """The SGD chain loop: w_t = w_{t-1} - eta * P(grad_rows(problem, w_{t-1}, A_t, y_t)),
+    with P = ``solve`` (identity when None) and (A_t, y_t) the rows of
+    ``dataset`` in step t's batch ``table[idx[..., t]]``, table (n_maps, b)
+    holding data indices.
 
-    ``idx`` is one chain's map indices (T,), giving rows (b, d) and (b,), or
-    K chains' (K, T), giving (K, b, d) and (K, b).  Each chunk of steps takes
-    one gather of features and one of targets; a step's rows are C-contiguous
-    views, laid out as ``problems.grad`` lays out its own gather.
+    One chain has ``w0`` (dim,), a float ``eta`` and map indices ``idx``
+    (T,); K plain-SGD chains in lockstep have ``w0`` (K, dim), ``eta`` (K, 1)
+    and ``idx`` (K, T), and take one ``grad_rows`` call per step on rows
+    (K, b, d), (K, b).  Each chunk of steps takes one gather of features and
+    one of targets; a step's rows are C-contiguous views, laid out as
+    ``problems.grad`` lays out its own gather.  Returns the states after
+    steps record_from + j*thin, j = 1..n_record, as (n_record, dim) or
+    (K, n_record, dim), and whether each chain's records and final state are
+    finite (a bool, or one per chain).
     """
+    w = np.asarray(w0, dtype=float)
+    out = np.empty(w.shape[:-1] + (n_record, w.shape[-1]))
     lanes = 1 if idx.ndim == 1 else idx.shape[0]
     chunk = max(1, ROW_CHUNK_BYTES // (8 * (dataset.d + 1) * table.shape[1] * lanes))
-    for a in range(0, idx.shape[-1], chunk):
-        yield from zip(*dataset.rows(table.take(idx[..., a : a + chunk].T, axis=0)))
+    r = 0
+    # overflow to inf/nan is an anticipated outcome here, reported through
+    # the finite flags rather than as a numpy warning mid-loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, idx.shape[-1], chunk):
+            rows = zip(*dataset.rows(table.take(idx[..., a : a + chunk].T, axis=0)))
+            for t, (A, y) in enumerate(rows, start=a + 1):
+                g = pr.grad_rows(problem, w, A, y)
+                w = w - eta * (g if solve is None else solve(g))
+                if t > record_from and (t - record_from) % thin == 0 and r < n_record:
+                    out[..., r, :] = w
+                    r += 1
+    out = out[..., :r, :]
+    return out, np.isfinite(out).all(axis=(-2, -1)) & np.isfinite(w).all(axis=-1)
 
 
 # Affine chains of at least MIN_SEGMENTS segments of about SEG steps run in
@@ -468,28 +445,27 @@ def _run_segments(
         w = lane(idx[a:], w, buf[max(a - lo, 0):])
     rows = buf[record_from - lo + thin - 1 :: thin][:n_record]
     if not (np.isfinite(rows).all() and np.isfinite(w).all()):
-        raise _diverged()
+        raise NonFiniteState()
     return rows if thin == 1 else rows.copy()
 
 
 def _sgd_lockstep(m: ProblemMap, table: np.ndarray, idx: np.ndarray, w: np.ndarray, rec: np.ndarray) -> np.ndarray:
     """``_lockstep`` for plain-SGD chains: K chains of the maps' problem and
     eta, chain k from ``w[k]`` along the map indices ``idx[k]`` into the
-    batch table ``table``, stepped as one stack by ``_run_sgd``."""
+    batch table ``table``, stepped as one stack by ``run_sgd``."""
     S = idx.shape[1]
     keep = S if rec.shape[0] else 1  # every state for ``rec``, else the ends
-    out, _ = _run_sgd(m.problem, m.eta, w, _step_rows(m.dataset, table, idx), S - keep, 1, keep)
+    out, _ = run_sgd(m.problem, m.dataset, table, m.eta, w, idx, S - keep, 1, keep)
     if rec.shape[0]:
         rec[...] = out[w.shape[0] - rec.shape[0]:]
     return out[:, -1]
 
 
 def _sgd_lane(m: ProblemMap, table: np.ndarray, idx: np.ndarray, w: np.ndarray, rec: np.ndarray) -> np.ndarray:
-    """``_lane`` for one plain-SGD chain: a solo ``_run_sgd``."""
+    """``_lane`` for one plain-SGD chain: a solo ``run_sgd``."""
     if not len(rec):
         return w  # the lane has no steps: every state is in ``rec``
-    rec[...], _ = _run_sgd(m.problem, m.eta, w, _step_rows(m.dataset, table, idx),
-                           len(idx) - len(rec), 1, len(rec))
+    rec[...], _ = run_sgd(m.problem, m.dataset, table, m.eta, w, idx, len(idx) - len(rec), 1, len(rec))
     return rec[-1]
 
 
@@ -503,9 +479,9 @@ def _run_system(
     MIN_SEGMENTS of them (MIN_SEGMENTS_SCALAR at d = 1), stepped by
     ``_lockstep``; SGD ones with b * dim <= SGD_MAX_WORK in L = n // SGD_SEG
     segments, at most SGD_MAX_SEGMENTS, when there are at least two, stepped
-    by ``_run_sgd`` on stacked rows.  The other problem-backed chains
+    by ``run_sgd`` on stacked rows.  The other problem-backed chains
     (preconditioned, wider or shorter ones) run serially through
-    ``_run_sgd``.  All return the same records, bit for bit.
+    ``run_sgd``.  All return the same records, bit for bit.
     """
     w0 = np.asarray(w0, dtype=float)
     n = idx.shape[0]
@@ -522,10 +498,9 @@ def _run_system(
     if m.solve is None and L >= 2 and table.shape[1] * system.dim <= SGD_MAX_WORK:
         return _run_segments(functools.partial(_sgd_lockstep, m, table), functools.partial(_sgd_lane, m, table),
                              L, w0, idx, record_from, thin, n_record)
-    rows, finite = _run_sgd(m.problem, m.eta, w0, _step_rows(m.dataset, table, idx),
-                            record_from, thin, n_record, m.solve)
+    rows, finite = run_sgd(m.problem, m.dataset, table, m.eta, w0, idx, record_from, thin, n_record, m.solve)
     if not finite:
-        raise _diverged()
+        raise NonFiniteState()
     return rows
 
 
@@ -585,7 +560,7 @@ def sample_invariant(
 
 
 # --------------------------------------------------------------------------
-# probes
+# contractivity and Lyapunov exponents
 
 
 def norm_rounding(dim: int) -> float:
@@ -593,8 +568,7 @@ def norm_rounding(dim: int) -> float:
 
     A computed L_i is taken to be within a relative dim * eps of the true
     norm: an SVD's (or a Jacobian table cell's) singular values are exact
-    for a matrix within a few eps * ||M|| per coordinate, and a pair
-    quotient rounds each of its dim coordinates.  So log L_i, and their
+    for a matrix within a few eps * ||M|| per coordinate.  So log L_i, and their
     p-weighted mean, are known to within dim * eps, and a mean within it
     of 0 is no contraction: the norm-neutral maps I - eta a a^T of
     linreg2d (norm exactly 1) compute as 1 +- 1.5 eps at dim 2.
@@ -602,65 +576,26 @@ def norm_rounding(dim: int) -> float:
     return dim * float(np.finfo(float).eps)
 
 
-def contractivity_report(
-    system: IfsSystem, probe: Union[str, SampledPairsProbe] = "analytic"
-) -> ContractivityReport:
-    """Per-map Lipschitz constants and the average-contractivity criterion
-    sum_i p_i log L_i < 0, beyond the norms' rounding: a mean log within
-    ``norm_rounding(dim)`` of 0 is not contractive.
+def contractivity_report(system: IfsSystem) -> ContractivityReport:
+    """Per-map Lipschitz constants L_i = ||M_i||_2 of an affine system, exact
+    (see ``AffineMap.jacobian_norm``), and the average-contractivity
+    criterion sum_i p_i log L_i < 0, beyond the norms' rounding: a mean log
+    within ``norm_rounding(dim)`` of 0 is not contractive.
 
-    Analytic mode (affine systems only) computes L_i = ||M_i||_2 exactly
-    (see ``AffineMap.jacobian_norm``).  Sampled-pairs
-    mode lower-bounds L_i by max ||h(x)-h(y)||/||x-y|| over pairs drawn
-    uniformly from a ball.  A mean of lower bounds can disprove contraction
-    but never certify it, so that mode always reports ``contractive=False``;
-    its ``mean_log`` is a lower bound on the true mean.
-    Probe stream order: per map in system order, per pair: point x
-    (dim gaussians + 1 radius uniform), then point y.
+    Problem-backed systems are rejected: their mean log Jacobian norm over a
+    cloud is ``complexity.log_norm_table``'s, as ``dimension.rams_ratio``
+    reads it.
     """
-    if isinstance(probe, str):
-        if probe != "analytic":
-            raise ConfigError(f"unknown probe mode {probe!r}")
-        if not system.is_affine:
-            raise ConfigError("analytic contractivity needs affine maps; use SampledPairsProbe")
-        lip = [m.jacobian_norm() for m in system.maps]
-        mode = "analytic"
-    else:
-        # a NaN pair quotient would lose every max() below and read as a contraction
-        if probe.n_pairs <= 0 or not 0.0 < probe.radius < math.inf:
-            raise ConfigError("probe needs n_pairs > 0 and a finite radius > 0")
-        gen = Xoshiro256PP(probe.seed)
-        d = system.dim
-        center = np.zeros(d) if probe.center is None else np.asarray(probe.center, dtype=float)
-        if center.shape != (d,) or not np.isfinite(center).all():
-            got = np.array2string(center, threshold=8)
-            raise ConfigError(f"probe center must be {d} finite values, got {got}")
-
-        def ball_point() -> np.ndarray:
-            g = gen.normals(d)
-            ng = float(np.linalg.norm(g))
-            while ng == 0.0:  # pragma: no cover - probability ~0
-                g = gen.normals(d)
-                ng = float(np.linalg.norm(g))
-            r = probe.radius * gen.uniform() ** (1.0 / d)
-            return center + r * g / ng
-
-        lip = []
-        for m in system.maps:
-            worst = 0.0
-            for _ in range(probe.n_pairs):
-                x = ball_point()
-                y = ball_point()
-                dxy = float(np.linalg.norm(x - y))
-                if dxy < 1e-12:
-                    raise DegenerateProbe("sampled pair collapsed (distance < 1e-12)")
-                worst = max(worst, float(np.linalg.norm(m.apply(x) - m.apply(y))) / dxy)
-            lip.append(worst)
-        mode = "sampled_pairs"
+    if not system.is_affine:
+        raise ConfigError(
+            "contractivity_report needs affine maps; for SGD steps use dimension.rams_ratio "
+            "or complexity.log_norm_table on a sampled cloud"
+        )
+    lip = [m.jacobian_norm() for m in system.maps]
     logs = np.array([math.log(L) if L > 0.0 else -math.inf for L in lip])
     mean_log = float(np.dot(system.probs, logs))
-    contractive = mode == "analytic" and mean_log < -norm_rounding(system.dim)
-    return ContractivityReport(lipschitz=tuple(lip), mean_log=mean_log, contractive=contractive, mode=mode)
+    contractive = mean_log < -norm_rounding(system.dim)
+    return ContractivityReport(lipschitz=tuple(lip), mean_log=mean_log, contractive=contractive)
 
 
 def lyapunov_exponent(system: IfsSystem, w0: np.ndarray, k: int, seed: int = 0) -> LyapunovEstimate:
@@ -699,5 +634,5 @@ def lyapunov_exponent(system: IfsSystem, w0: np.ndarray, k: int, seed: int = 0) 
                     v /= nv
             a, block = a + len(ids), min(2 * block, SEG * MIN_SEGMENTS)
     if not math.isfinite(total):
-        raise _diverged()
+        raise NonFiniteState()
     return LyapunovEstimate(rho=total / k, chain_length=k, seed=seed)

@@ -2,8 +2,9 @@
 
 Partition mode splits {0..n-1} into contiguous blocks of size b (seeded
 shuffle optional) and enumerates one map per block.  Subset mode (the
-without-replacement C(n,b) family) is never enumerated: its batches are
-drawn lazily during iteration, and operations needing the map count use
+without-replacement C(n,b) family) is never enumerated: a chain of T steps
+draws its T batches up front into a (T, b) table (T * b * 8 bytes), which
+``ifs.run_sgd`` steps in order, and operations needing the map count use
 m_b = C(n,b) as a plain number.
 """
 
@@ -19,11 +20,11 @@ from . import problems as pr
 from .errors import (
     ConfigError,
     IndivisibleBatch,
+    NonFiniteState,
     NotPositiveDefinite,
     SingularBatchHessian,
 )
-from .ifs import (AffineMap, IfsSystem, ProblemMap, SampleCloud, Trajectory, _diverged, _run_sgd,
-                  require_schedule, require_start)
+from .ifs import AffineMap, IfsSystem, ProblemMap, SampleCloud, Trajectory, require_schedule, require_start, run_sgd
 from .rng import Xoshiro256PP
 
 # --------------------------------------------------------------------------
@@ -114,7 +115,7 @@ class PreconditionerSpec:
 
 def _require_enumerated(scheme: BatchScheme, op: str) -> None:
     if scheme.batches is None:
-        raise ConfigError(f"{op} needs an enumerated Partition scheme; Subset mode is iterated lazily")
+        raise ConfigError(f"{op} needs an enumerated Partition scheme; Subset mode is not enumerated")
 
 
 def _require_eta(eta: float) -> None:
@@ -231,33 +232,37 @@ def build_stoch_newton_ifs(
 
 
 # --------------------------------------------------------------------------
-# subset-mode (lazy) iteration
+# subset-mode iteration
 
 
 def _run_subset(
     problem: pr.Problem, dataset: pr.Dataset, b: int, eta: float, w0: np.ndarray, seed: int,
     record_from: int, thin: int, n_record: int,
 ) -> np.ndarray:
-    """Subset-mode SGD from ``w0``: each step draws a fresh b-subset from
-    Xoshiro256PP(seed), one draw per step in step order, and gathers its
-    rows.  The inputs are checked before any step; records as ``ifs._run_sgd``."""
+    """Subset-mode SGD from ``w0``: step t's batch is the t-th b-subset drawn
+    from Xoshiro256PP(seed), one draw per step in step order, all drawn
+    before the first step into a (T, b) table that ``ifs.run_sgd`` steps
+    along in order.  The inputs are checked before any draw; records as
+    ``ifs.run_sgd``."""
     _validate_labels(problem, dataset)
     partition_batches(dataset.n, b, "subset")  # rejects b outside 1..n
     _require_eta(eta)
     w0 = require_start(w0, pr.param_dim(problem, dataset))
     gen = Xoshiro256PP(seed)
     total = record_from + n_record * thin
-    steps = (dataset.rows(gen.subset_without_replacement(dataset.n, b)) for _ in range(total))
-    rows, finite = _run_sgd(problem, eta, w0, steps, record_from, thin, n_record)
+    table = np.empty((total, b), dtype=np.int64)
+    for t in range(total):
+        table[t] = gen.subset_without_replacement(dataset.n, b)
+    rows, finite = run_sgd(problem, dataset, table, eta, w0, np.arange(total), record_from, thin, n_record)
     if not finite:
-        raise _diverged()
+        raise NonFiniteState()
     return rows
 
 
 def iterate_subset_sgd(
     problem: pr.Problem, dataset: pr.Dataset, b: int, eta: float, w0: np.ndarray, k: int, seed: int
 ) -> Trajectory:
-    """SGD with a fresh without-replacement b-subset each step, drawn lazily.
+    """SGD with a fresh without-replacement b-subset each step.
 
     Stream order: one b-subset draw per step.  Map indices are not recorded
     (the family is combinatorially large); Trajectory.indices stays empty.

@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifslab import ifs
-from ifslab.errors import ConfigError, DegenerateProbe, NonFiniteState
+from ifslab.errors import ConfigError, NonFiniteState
 from ifslab.ifs import (
     AffineMap,
     IfsSystem,
     ProblemMap,
-    SampledPairsProbe,
     contractivity_report,
     iterate,
     lyapunov_exponent,
@@ -476,7 +475,7 @@ def test_meeting_exit_expanding_map_raises(chunked_segments):
 
 
 def test_sgd_stack_records_each_chain_as_sample_invariant():
-    """Three one-hidden-layer chains stepped in lockstep by ``_run_sgd``
+    """Three one-hidden-layer chains stepped in lockstep by ``run_sgd``
     record, each, what ``sample_invariant`` records for it alone, bit for
     bit.  The divergent middle chain is flagged not finite, which
     ``sample_invariant`` reports as NonFiniteState, and leaves the others
@@ -491,9 +490,8 @@ def test_sgd_stack_records_each_chain_as_sample_invariant():
     idx = np.stack([draw_indices(Xoshiro256PP(s), scheme.probs, burn_in + n_samples * thin) for s in seeds])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # overflow is reported as NonFiniteState only
-        batches = np.stack(scheme.batches)
-        rows = (data.rows(batches.take(col, axis=0)) for col in idx.T)
-        got, finite = ifs._run_sgd(problem, np.array(etas)[:, None], w0, rows, burn_in, thin, n_samples)
+        got, finite = ifs.run_sgd(problem, data, np.stack(scheme.batches), np.array(etas)[:, None], w0, idx,
+                                  burn_in, thin, n_samples)
     assert finite.tolist() == [True, False, True]
     for k in (0, 2):
         system = build_sgd_ifs(problem, data, scheme, etas[k])
@@ -515,7 +513,7 @@ def apply_loop(maps, idx, w0, record_from, thin, n_record):
 
 
 def chunk_steps(data, b, lanes):
-    """The steps per row-gather chunk of ``ifs._step_rows``."""
+    """The steps per row-gather chunk of ``ifs.run_sgd``."""
     return max(1, ifs.ROW_CHUNK_BYTES // (8 * (data.d + 1) * b * lanes))
 
 
@@ -554,8 +552,8 @@ def stack_across_chunks(data, scheme, T, record_from, n_record):
     etas = (0.05, 0.1, 0.2)
     w0 = np.random.default_rng(12).normal(size=(3, 6))
     idx = np.stack([draw_indices(Xoshiro256PP(s), scheme.probs, T) for s in (1, 2, 3)])
-    rows = ifs._step_rows(data, np.stack(scheme.batches), idx)
-    got, finite = ifs._run_sgd(problem, np.array(etas)[:, None], w0, rows, record_from, 2, n_record)
+    got, finite = ifs.run_sgd(problem, data, np.stack(scheme.batches), np.array(etas)[:, None], w0, idx,
+                              record_from, 2, n_record)
     assert finite.all()
     for k, eta in enumerate(etas):
         maps = build_sgd_ifs(problem, data, scheme, eta).maps
@@ -854,7 +852,6 @@ def test_box_invariance_property(slopes, mix, seed):
 
 def test_cantor_contractivity_analytic():
     report = contractivity_report(cantor_system())
-    assert report.mode == "analytic"
     assert report.lipschitz == pytest.approx((1.0 / 3.0, 1.0 / 3.0), rel=1e-9)
     assert report.mean_log == pytest.approx(math.log(1.0 / 3.0), rel=1e-9)
     assert report.contractive
@@ -869,17 +866,6 @@ def test_average_contractivity_with_one_expanding_map():
     assert report.lipschitz == pytest.approx((2.0, 0.1), rel=1e-9)
     assert report.mean_log == pytest.approx(0.5 * (math.log(2.0) + math.log(0.1)), rel=1e-9)
     assert report.contractive
-
-
-def test_least_squares_lipschitz_equals_one_minus_eta_lam():
-    """b=1 rank-one Hessians leave flat directions: L_i = 1 - eta*lam (d >= 2)."""
-    rng = np.random.default_rng(0)
-    data = Dataset(rng.uniform(-1.0, 1.0, size=(4, 2)), rng.uniform(-1.0, 1.0, size=4))
-    lam, eta = 1.0, 0.2  # eta < 1/(R^2 + lam)
-    system = build_sgd_ifs(LeastSquares(lam=lam), data, partition_batches(4, 1), eta)
-    report = contractivity_report(system)
-    # tolerance reflects the power iteration's relative-change stopping rule
-    assert report.lipschitz == pytest.approx((1.0 - eta * lam,) * 4, rel=1e-5)
 
 
 def test_least_squares_lipschitz_is_exact():
@@ -898,53 +884,21 @@ def test_affine_norm_exact_above_dense_cap():
     assert m.jacobian_norm() == pytest.approx(0.9, rel=1e-12)
 
 
-def test_sampled_pairs_probe_lower_bounds_analytic():
-    data = Dataset([[0.8], [-0.5]], [1.0, -1.0])
-    system = build_sgd_ifs(Logistic(lam=0.5), data, partition_batches(2, 1), 0.1)
-    probe = SampledPairsProbe(n_pairs=200, radius=1.0, seed=11)
-    report = contractivity_report(system, probe)
-    assert report.mode == "sampled_pairs"
-    # Gamma_i = 1 - eta*lam + eta*R_i^2/4 bounds every difference quotient
-    for L, feat in zip(report.lipschitz, (0.8, -0.5)):
-        assert 0.0 < L <= 1.0 - 0.1 * 0.5 + 0.1 * feat**2 / 4.0 + 1e-9
-
-
-def test_sampled_pairs_never_certify_contraction():
-    """Lower bounds on L_i can hide an expanding direction: pairs drawn in
-    d = 16 seldom line up with the one coordinate stretched by 1.2."""
+def test_contractivity_report_sees_one_expanding_direction():
+    """diag(1.2, 0.5 x 15) stretches one coordinate of 16: its exact norm is
+    1.2, so the mean log is log 1.2 and the system is not contractive."""
     m = np.diag([1.2] + [0.5] * 15)
     system = IfsSystem((AffineMap(m, np.zeros(16)), AffineMap(m, np.ones(16))), np.array([0.5, 0.5]))
-    analytic = contractivity_report(system)
-    assert analytic.mean_log == pytest.approx(math.log(1.2), rel=1e-12)
-    assert not analytic.contractive
-    sampled = contractivity_report(system, SampledPairsProbe(n_pairs=200, radius=1.0, seed=0))
-    assert sampled.mean_log < 0.0  # the lower bounds alone would read as a contraction
-    assert sampled.mean_log <= analytic.mean_log
-    assert not sampled.contractive
+    report = contractivity_report(system)
+    assert report.mean_log == pytest.approx(math.log(1.2), rel=1e-12)
+    assert not report.contractive
 
 
-def test_degenerate_probe_raises():
-    data = Dataset([[1.0]], [1.0])
-    system = build_sgd_ifs(Logistic(lam=0.5), data, partition_batches(1, 1), 0.1)
-    with pytest.raises(ConfigError):
-        contractivity_report(system, SampledPairsProbe(n_pairs=5, radius=0.0, seed=0))
-    with pytest.raises(DegenerateProbe):
-        contractivity_report(system, SampledPairsProbe(n_pairs=5, radius=1e-14, seed=0))
-
-
-@pytest.mark.parametrize("radius, center, message", [
-    (1.0, np.zeros(3), "probe center must be 2 finite values"),  # was a numpy broadcasting error
-    # these made every pair quotient NaN, reported as L_i = 0 and a contractive system
-    (1.0, np.array([math.nan, 0.0]), "probe center must be 2 finite values"),
-    (math.nan, None, "finite radius > 0"),
-    (math.inf, None, "finite radius > 0"),
-])
-def test_probe_center_and_radius_are_checked(radius, center, message):
-    data = Dataset([[0.8, 0.1], [-0.5, 0.3]], [1.0, -1.0])
+def test_contractivity_report_rejects_problem_backed_systems():
+    data = Dataset([[0.8], [-0.5]], [1.0, -1.0])
     system = build_sgd_ifs(Logistic(lam=0.5), data, partition_batches(2, 1), 0.1)
-    probe = SampledPairsProbe(n_pairs=5, radius=radius, seed=0, center=center)
-    with pytest.raises(ConfigError, match=message):
-        contractivity_report(system, probe)
+    with pytest.raises(ConfigError, match="rams_ratio or complexity.log_norm_table"):
+        contractivity_report(system)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import PROBLEM_KINDS, make_problem_config
 from ifslab.complexity import PowerIterConfig, jacobian_norms
 from ifslab.errors import ConfigError, IndivisibleBatch, NotPositiveDefinite
+from ifslab import ifs
 from ifslab.ifs import AffineMap, iterate, lyapunov_exponent, sample_invariant
 from ifslab.optimizers import (
     PreconditionerSpec,
@@ -346,7 +347,7 @@ def test_subset_sampling_matches_partition_when_b_equals_n():
 
 
 def test_subset_sampling_matches_reference_loop():
-    """b < n: the lazily drawn subset maps reproduce w - eta * grad(...) bit for bit."""
+    """b < n: the drawn subset maps reproduce w - eta * grad(...) bit for bit."""
     rng = np.random.default_rng(18)
     data = Dataset(rng.uniform(-1, 1, size=(7, 3)), np.where(rng.uniform(size=7) < 0.5, -1.0, 1.0))
     problem, b, eta = Logistic(lam=0.1), 3, 0.3
@@ -362,6 +363,40 @@ def test_subset_sampling_matches_reference_loop():
         if t > burn_in and (t - burn_in) % thin == 0:
             expected.append(w)
     assert np.array_equal(cloud.points, np.array(expected))
+
+
+def subset_grad_loop(problem, data, b, eta, w0, seed, record_from, thin, n_record):
+    """What a plain ``grad`` loop records on subset mode's draws, one per step."""
+    gen = Xoshiro256PP(seed)
+    w, out = w0, []
+    for t in range(1, record_from + n_record * thin + 1):
+        w = w - eta * grad(problem, w, data, gen.subset_without_replacement(data.n, b))
+        if t > record_from and (t - record_from) % thin == 0:
+            out.append(w)
+    return np.array(out)
+
+
+# the steps in one default row-gather chunk of the subset chains below (d = 2, b = 3)
+SUBSET_CHUNK = ifs.ROW_CHUNK_BYTES // (8 * 3 * 3)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, ifs.ROW_CHUNK_BYTES])
+def test_subset_mode_across_row_chunks_matches_the_grad_loop(monkeypatch, chunk_bytes):
+    """Subset chains of T steps past one default row chunk, their rows gathered
+    one step a chunk (ROW_CHUNK_BYTES = 1) or in default chunks, record the
+    plain ``grad`` loop on the same draws bit for bit: every state, and every
+    2nd one from 5 steps before the first default chunk boundary on."""
+    monkeypatch.setattr(ifs, "ROW_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(21)
+    data = Dataset(rng.uniform(-1, 1, size=(9, 2)), np.where(rng.uniform(size=9) < 0.5, -1.0, 1.0))
+    problem, b, eta, seed, w0 = Logistic(lam=0.1), 3, 0.3, 22, np.array([0.2, -0.4])
+    T = SUBSET_CHUNK + 7
+    traj = iterate_subset_sgd(problem, data, b, eta, w0, T, seed)
+    assert np.array_equal(traj.states[1:], subset_grad_loop(problem, data, b, eta, w0, seed, 0, 1, T))
+    burn_in = SUBSET_CHUNK - 5
+    cloud = sample_invariant_subset(problem, data, b, eta, w0, burn_in, 6, 2, seed)
+    expected = subset_grad_loop(problem, data, b, eta, w0, seed, burn_in, 2, 6)
+    assert cloud.points.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 NAN_START = np.array([math.nan, 0.0])

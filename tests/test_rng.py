@@ -1,8 +1,9 @@
 """Bit-exactness tests for the xoshiro256++ / splitmix64 stack.
 
-The oracle is an independent reimplementation on numpy uint64 scalars
-(wrapping arithmetic for free), written against the published algorithm
-rather than sharing any code with ifslab.rng.
+The oracle is an independent reimplementation written against the published
+algorithm rather than sharing any code with ifslab.rng: splitmix64 on numpy
+uint64 scalars (wrapping arithmetic for free), xoshiro256++ on Python ints
+masked to 64 bits.
 """
 
 from __future__ import annotations
@@ -33,53 +34,34 @@ def _oracle_splitmix(seed, n):
     return out
 
 
-def _oracle_rotl(x, k):
-    return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
+_MASK = (1 << 64) - 1
 
 
 def _oracle_run(seed, n, keep=()):
-    """First ``n`` outputs as uint64, and the state after k draws for each k in ``keep``."""
-    s = [np.uint64(v) for v in _oracle_splitmix(seed, 4)]
-    out = np.empty(n, dtype=np.uint64)
-    states = {}
-    with np.errstate(over="ignore"):
-        for i in range(n + 1):
-            if i in keep:
-                states[i] = tuple(int(v) for v in s)
-            if i == n:
-                break
-            out[i] = _oracle_rotl(s[0] + s[3], 23) + s[0]
-            t = s[1] << np.uint64(17)
-            s[2] ^= s[0]
-            s[3] ^= s[1]
-            s[1] ^= s[2]
-            s[0] ^= s[3]
-            s[2] ^= t
-            s[3] = _oracle_rotl(s[3], 45)
-    return out, states
-
-
-def _oracle_xoshiro(seed, n):
-    return [int(v) for v in _oracle_run(seed, n)[0]]
-
-
-def _oracle_states(seed, ks):
-    """States after k draws for each k in ``ks``: the state update alone, on
-    Python ints, about 7x faster than ``_oracle_run`` for the long lane jumps."""
-    mask = (1 << 64) - 1
+    """First ``n`` outputs as uint64, and the state after k draws for each k
+    in ``keep`` (which may pass ``n``; the steps beyond ``n`` update the state
+    alone)."""
     s0, s1, s2, s3 = _oracle_splitmix(seed, 4)
+    out = []
     states = {}
-    for i in range(max(ks) + 1):
-        if i in ks:
+    for i in range(max(n, max(keep, default=0)) + 1):
+        if i in keep:
             states[i] = (s0, s1, s2, s3)
-        t = (s1 << 17) & mask
+        if i < n:
+            x = (s0 + s3) & _MASK
+            out.append((((x << 23) & _MASK | x >> 41) + s0) & _MASK)
+        t = (s1 << 17) & _MASK
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = ((s3 << 45) & mask) | (s3 >> 19)
-    return states
+        s3 = (s3 << 45) & _MASK | s3 >> 19
+    return np.array(out, dtype=np.uint64), states
+
+
+def _oracle_xoshiro(seed, n):
+    return [int(v) for v in _oracle_run(seed, n)[0]]
 
 
 def _words(values):
@@ -239,7 +221,7 @@ _LANE_JS = (0, 1, 2, 511, 1023)
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=400))
 @settings(max_examples=12, deadline=None)
 def test_lane_start_states_match_oracle(seed, m):
-    states = _oracle_states(seed, frozenset(j * m for j in _LANE_JS))
+    _, states = _oracle_run(seed, 0, keep=frozenset(j * m for j in _LANE_JS))
     lanes = rng._lane_states(tuple(_oracle_splitmix(seed, 4)), 1024, m)
     assert lanes.shape == (1024, 4) and lanes.dtype == np.uint64
     for j in _LANE_JS:

@@ -421,7 +421,8 @@ def _point_row(
             pass
     bound = math.nan
     try:
-        c_const = pr.compute_one_layer_C(problem, train, cloud.points)
+        # C >= lam settles the failed hypothesis C < lam; the scan stops there
+        c_const = pr.compute_one_layer_C(problem, train, cloud.points, stop_at=config.lam)
         bound = analytic_bound(
             "one_hidden", n=train.n, b=b, eta=eta, lam=config.lam, c_const=c_const
         )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -161,6 +162,13 @@ class OneHiddenLayer:
     def hidden(self) -> int:
         return len(self.out_weights)
 
+    @cached_property
+    def out_array(self) -> np.ndarray:
+        """``out_weights`` as a read-only float array, built on first use."""
+        b = np.array(self.out_weights, dtype=float)
+        b.flags.writeable = False
+        return b
+
 
 def alternating_out_weights(hidden: int, scale: float) -> tuple[float, ...]:
     """Frozen output weights +scale, -scale, +scale, ... for ``hidden`` units."""
@@ -257,7 +265,7 @@ def _mlp_parts(problem: OneHiddenLayer, w: np.ndarray, A: np.ndarray):
     axis of length c to ``H`` and ``yhat``.  ``A`` is (nb, d) rows shared by
     the stack, or (c, nb, d) rows for each member.
     """
-    b = np.asarray(problem.out_weights, dtype=float)
+    b = problem.out_array
     m = problem.hidden
     d = A.shape[-1]
     W = w.reshape(w.shape[:-1] + (m, d))
@@ -564,7 +572,9 @@ def norm_envelopes(
 _C_CHUNK_BYTES = 1 << 17
 
 
-def compute_one_layer_C(problem: OneHiddenLayer, dataset: Dataset, cloud_points: np.ndarray) -> float:
+def compute_one_layer_C(
+    problem: OneHiddenLayer, dataset: Dataset, cloud_points: np.ndarray, *, stop_at: float = math.inf
+) -> float:
     """Curvature-deviation constant C for the one-hidden-layer contraction.
 
     C = M_y * ||b||_inf * sup|act''| * R^2 + (max_j ||v_j||_inf)^2, with
@@ -572,16 +582,37 @@ def compute_one_layer_C(problem: OneHiddenLayer, dataset: Dataset, cloud_points:
     Note the second term uses the entrywise max norm of v_j, following the
     source convention (exact only when v has a single entry; a loose
     surrogate for ||v||_2^2 otherwise).
+
+    The cloud is scanned in chunks, in cloud order, as a running max; after
+    each chunk the running C is formed with the expression above.  The scan
+    stops at the first chunk where that value is >= ``stop_at``: the result
+    is then a lower bound of C that is >= ``stop_at``, which is all that
+    the hypothesis C < lambda needs to fail (pass ``stop_at=lam``).  Without
+    an early stop the result is the exact C, independent of ``stop_at``.
+
+    ``cloud_points`` is (N, m*d), or one point (m*d,); any other shape, an
+    empty cloud or a non-finite point is a ConfigError.
     """
     pts = np.asarray(cloud_points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
+    dim = param_dim(problem, dataset)
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ConfigError(
+            f"compute_one_layer_C needs cloud points of shape (N, {dim}) for m={problem.hidden}, "
+            f"d={dataset.d}; got shape {np.shape(cloud_points)}"
+        )
     if pts.shape[0] == 0:
         raise ConfigError("compute_one_layer_C needs a nonempty cloud")
-    b = np.asarray(problem.out_weights, dtype=float)
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise ConfigError(f"compute_one_layer_C needs a finite cloud; point {first} is not finite")
     sup2 = _ACTIVATIONS[problem.activation][3]
     A = dataset.features
     row_inf = np.abs(A).max(axis=1)
+    R = dataset.radius()
+    binf = float(np.abs(problem.out_array).max())
     # cloud points per chunk: each (chunk, n, m) temporary stays near 128 KiB.
     # Half a dozen coexist; at 1 MiB each the sweep's peak RSS rose by 4 MiB.
     chunk = max(1, _C_CHUNK_BYTES // (8 * A.shape[0] * problem.hidden))
@@ -592,6 +623,7 @@ def compute_one_layer_C(problem: OneHiddenLayer, dataset: Dataset, cloud_points:
         m_y = max(m_y, float(np.abs(dataset.targets - yhat).max()))
         # ||v_j||_inf = max_r |b_r f'(z_jr)| * ||a_j||_inf; one flat max over (point, j, r)
         v_sup = max(v_sup, float((np.abs(bvec * d1(H)) * row_inf[:, None]).max()))
-    R = dataset.radius()
-    binf = float(np.abs(b).max()) if b.size else 0.0
-    return m_y * binf * sup2 * R**2 + v_sup**2
+        c = m_y * binf * sup2 * R**2 + v_sup**2
+        if c >= stop_at:
+            break
+    return c

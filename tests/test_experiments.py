@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ifslab import experiments
+from ifslab import problems as pr
 from ifslab.errors import ComputeError, ConfigError, DegenerateVariance, IndivisibleBatch, NonFiniteState
 from ifslab.experiments import (
     MlpRegression,
@@ -337,6 +339,52 @@ def test_sweep_csv_layout_and_determinism(tmp_path):
         assert row.error == ""
         assert math.isfinite(row.R) and math.isfinite(row.gen_gap)
         assert row.gen_gap >= 0.0
+
+
+@pytest.mark.parametrize("overrides, bound_finite", [
+    ({}, False),  # C >= lam: the whole 300-point cloud is one chunk
+    ({"n_cloud": 1000}, False),  # C >= lam, and the scan stops after the first of three chunks
+    ({"n_cloud": 1000, "out_scale": 1e-3, "lam": 1.0}, True),  # C < lam and eta < 1/(2 lam)
+])
+def test_sweep_c_stop_keeps_csv_bytes(tmp_path, monkeypatch, overrides, bound_finite):
+    """The sweep's C scan stops once C >= lam; a full scan writes the same sweep.csv."""
+    cfg = tiny_sweep_config(**overrides)
+    stopped = run_sweep(cfg, str(tmp_path / "stopped"))
+    full_c = pr.compute_one_layer_C
+    monkeypatch.setattr(experiments.pr, "compute_one_layer_C",
+                        lambda problem, data, points, stop_at: full_c(problem, data, points))
+    run_sweep(cfg, str(tmp_path / "full"))
+    csv = [open(tmp_path / out / "sweep.csv", "rb").read() for out in ("stopped", "full")]
+    assert csv[0] == csv[1]
+    (row,) = stopped.rows
+    assert row.error == "" and math.isfinite(row.analytic_bound) == bound_finite
+
+
+def test_reference_sweep_c_scan_reads_one_chunk(tmp_path, monkeypatch):
+    """On the reference sweep's student (n = 256, m = 8: 8 points a chunk),
+    the first chunk of a trained cloud already gives C >= lam."""
+    cfg = dataclasses.replace(
+        reference_sweep_config(etas=(0.07,), batch_sizes=(16,)), max_iters=1000, n_cloud=200, n_w=8, n_u=4,
+    )
+    chunks, scans = [], []
+    parts, compute_c = pr._mlp_parts, pr.compute_one_layer_C
+
+    def spy_parts(problem, w, A):
+        chunks.append(len(w))
+        return parts(problem, w, A)
+
+    def spy_c(problem, data, points, stop_at):
+        chunks.clear()
+        c = compute_c(problem, data, points, stop_at=stop_at)
+        scans.append((list(chunks), c, stop_at))
+        return c
+
+    monkeypatch.setattr(pr, "_mlp_parts", spy_parts)
+    monkeypatch.setattr(experiments.pr, "compute_one_layer_C", spy_c)
+    result = run_sweep(cfg, str(tmp_path / "ref"))
+    assert result.rows[0].error == "" and math.isnan(result.rows[0].analytic_bound)
+    ((read, c, stop_at),) = scans
+    assert read == [8] and stop_at == cfg.lam and c >= cfg.lam
 
 
 def reference_training(problem, train, scheme, eta, cfg, seed):

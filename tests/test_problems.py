@@ -1,6 +1,7 @@
 """Loss families: exact values, derivative oracles, envelopes, CSV loading."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -547,12 +548,17 @@ def test_one_layer_c_monotone_in_cloud():
     assert c_full >= c_small
 
 
-def test_one_layer_c_chunks_match_point_loop():
-    """Chunked evaluation equals the per-point loop it replaced (1e-12 rel)."""
+def chunked_c_case():
+    """n = 256 rows and m = 8 units: the C scan takes 8 cloud points a chunk."""
     rng = np.random.default_rng(21)
     dataset = Dataset(rng.uniform(-1, 1, size=(256, 4)), rng.uniform(-1, 1, size=256))
     problem = OneHiddenLayer(lam=0.01, out_weights=(3.0, -3.0) * 4, activation="tanh")
-    cloud = rng.normal(scale=0.5, size=(300, 32))  # many chunks of 8 points
+    return problem, dataset, rng.normal(scale=0.5, size=(300, 32))
+
+
+def test_one_layer_c_chunks_match_point_loop():
+    """Chunked evaluation equals the per-point loop it replaced (1e-12 rel)."""
+    problem, dataset, cloud = chunked_c_case()
     b = np.asarray(problem.out_weights)
     A = dataset.features
     m_y = v_sup = 0.0
@@ -564,6 +570,65 @@ def test_one_layer_c_chunks_match_point_loop():
     sup2 = 4.0 / (3.0 * math.sqrt(3.0))
     expected = m_y * 3.0 * sup2 * dataset.radius() ** 2 + v_sup**2
     assert compute_one_layer_C(problem, dataset, cloud) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.5, 0.99999])
+def test_one_layer_c_stop_below_c_is_the_scanned_prefix(monkeypatch, fraction):
+    problem, dataset, cloud = chunked_c_case()
+    full = compute_one_layer_C(problem, dataset, cloud)
+    first = compute_one_layer_C(problem, dataset, cloud[:8])
+    stop = first + fraction * (full - first)
+    assert stop < full
+    counts, parts = [], pr._mlp_parts  # the point count of each chunk read
+    monkeypatch.setattr(pr, "_mlp_parts", lambda problem, w, A: counts.append(len(w)) or parts(problem, w, A))
+    early = compute_one_layer_C(problem, dataset, cloud, stop_at=stop)
+    scanned = sum(counts)
+    assert set(counts) == {8} and scanned < len(cloud)
+    assert stop <= early <= full
+    assert early == compute_one_layer_C(problem, dataset, cloud[:scanned])
+    if scanned > 8:  # the scan stopped at the first chunk that met stop_at
+        assert compute_one_layer_C(problem, dataset, cloud[: scanned - 8]) < stop
+
+
+def test_one_layer_c_stop_at_or_above_c_is_c():
+    problem, dataset, cloud = chunked_c_case()
+    full = compute_one_layer_C(problem, dataset, cloud)
+    for stop in (full, math.nextafter(full, math.inf), 2.0 * full, math.nan):
+        assert compute_one_layer_C(problem, dataset, cloud, stop_at=stop) == full
+
+
+def test_one_layer_c_single_point_is_one_row():
+    problem, dataset, cloud = chunked_c_case()
+    assert compute_one_layer_C(problem, dataset, cloud[3]) == compute_one_layer_C(problem, dataset, cloud[3:4])
+
+
+@pytest.mark.parametrize("rows, message", [
+    (slice(None), "point 0 is not finite"),  # a running max from 0.0 would read C = 0
+    (slice(13, 20), "point 13 is not finite"),  # and would skip a NaN chunk, reading C low
+])
+def test_one_layer_c_rejects_non_finite_cloud(rows, message):
+    problem, dataset, cloud = chunked_c_case()
+    cloud[rows] = math.nan
+    cloud[250, 0] = math.inf
+    with pytest.raises(ConfigError, match=message):
+        compute_one_layer_C(problem, dataset, cloud)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 4), (3, 5), (5,), (0,)])
+def test_one_layer_c_rejects_cloud_shape(shape):
+    data = Dataset([[1.0, 0.5], [-0.5, 1.0]], [1.0, -1.0])
+    problem = OneHiddenLayer(lam=0.1, out_weights=(1.0, -1.0), activation="tanh")  # points of width 4
+    with pytest.raises(ConfigError, match=rf"shape \(N, 4\).*got shape {re.escape(str(shape))}"):
+        compute_one_layer_C(problem, data, np.full(shape, 0.1))
+
+
+def test_one_layer_out_array_built_once_read_only():
+    problem = OneHiddenLayer(lam=0.1, out_weights=(1.0, -0.5, 2.0))
+    b = problem.out_array
+    assert b is problem.out_array and not b.flags.writeable
+    assert b.dtype == np.float64 and b.tolist() == [1.0, -0.5, 2.0]
+    twin = OneHiddenLayer(lam=0.1, out_weights=(1.0, -0.5, 2.0))
+    assert twin == problem and hash(twin) == hash(problem)
 
 
 # ---------------------------------------------------------------------------

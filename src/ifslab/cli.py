@@ -65,7 +65,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         {
             "optimizer": setup.optimizer_kind,
             "eta": setup.eta,
-            "n_maps": len(system.maps),
+            "n_maps": len(system.probs),
             "n_samples": setup.n_samples,
             "burn_in": setup.burn_in,
             "thin": setup.thin,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .complexity import PowerIterConfig, log_norm_table
 from .errors import ConfigError, InsufficientScales, NonContractiveEstimate
-from .ifs import IfsSystem, SampleCloud, contractivity_report, norm_rounding
+from .ifs import AffineSystem, IfsSystem, SampleCloud, contractivity_report, norm_rounding
 from .problems import (
     LAMBDA_POSITIVE,
     PROPOSITIONS,
@@ -106,7 +106,8 @@ def _occupied_count(pts: np.ndarray, mins: np.ndarray, delta: float, mass_trunca
         dims = idx.max(axis=0) + 1
         if float(np.prod(dims.astype(float))) < 2**62:
             codes = np.ravel_multi_index(idx.T, dims)
-        else:  # pragma: no cover - astronomically fine grids
+        else:  # 2^62 cells or more, as at the fine scales of clouds of about 6-D and up
+            # (an 8-D cloud of 2,000 uniform points: 4 of the 12 default scales; 32-D: 9)
             _, counts = np.unique(idx, axis=0, return_counts=True)
             return _truncate(counts, pts.shape[0], mass_truncation)
     _, counts = np.unique(codes, return_counts=True)
@@ -375,38 +376,33 @@ def rams_ratio(
     cloud: SampleCloud,
     power_config: PowerIterConfig = PowerIterConfig(),
     n_w: Optional[int] = None,
-    neg_entropy_override: Optional[float] = None,
 ) -> RamsBound:
     """Entropy-to-contraction dimension bound for contractive-on-average IFS.
 
     Affine maps have position-free Jacobians: the mean log norm is
-    ``contractivity_report``'s (-inf, ratio 0, when a map is zero).
-    Problem-backed maps weight by p_i the column means of a
+    ``contractivity_report``'s (-inf, ratio 0, when a map is zero).  An
+    SgdSystem weights by p_i the column means of a
     ``complexity.log_norm_table`` over ``n_w`` cloud points (default
-    min(N, 128)), one column per map; above DENSE_ORACLE_MAX_DIM parameters
-    cell (point i, map j) is seeded with child 1 + i*len(maps) + j of
-    ``power_config.seed``, as in ``estimate_R``.  A mean log norm within
-    the rounding bound ``ifs.norm_rounding`` of 0, as that of norm-neutral
-    maps such as linreg2d's I - eta a a^T, is a NonContractiveEstimate.
-    ``neg_entropy_override`` substitutes log C(n,b) for Subset-mode systems.
+    min(N, 128)), one column per batch; above DENSE_ORACLE_MAX_DIM
+    parameters cell (point i, batch j) is seeded with child
+    1 + i*n_maps + j of ``power_config.seed``, as in ``estimate_R``.  A
+    mean log norm within the rounding bound ``ifs.norm_rounding`` of 0, as
+    that of norm-neutral maps such as linreg2d's I - eta a a^T, is a
+    NonContractiveEstimate.
     """
     probs = system.probs
-    if neg_entropy_override is not None:
-        neg_entropy = float(neg_entropy_override)
-    else:
-        neg_entropy = float(-(probs * np.log(probs)).sum())
+    neg_entropy = float(-(probs * np.log(probs)).sum())
 
-    if system.is_affine:
+    if isinstance(system, AffineSystem):
         report = contractivity_report(system)
         mean_log, n_mc = report.mean_log, 1
         with np.errstate(divide="ignore"):
             logs = np.log(report.lipschitz)
     else:
-        m = system.maps[0]
         n_mc = min(cloud.points.shape[0], 128) if n_w is None else n_w
         logs, _ = log_norm_table(
-            m.problem, m.dataset, [mp.batch for mp in system.maps], m.eta, cloud.points, n_mc,
-            power_config, power_config.seed, m.solve,
+            system.problem, system.dataset, system.batches, system.eta, cloud.points, n_mc,
+            power_config, power_config.seed, system.solve,
         )
         mean_log = float(probs @ logs.mean(axis=0))
 

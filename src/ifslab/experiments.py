@@ -22,8 +22,8 @@ from .dimension import BoxCountConfig, DimensionEstimate, analytic_bound, box_co
 from .errors import (ComputeError, ConfigError, DegenerateVariance, IfslabError, NonFiniteState,
                      PreconditionViolation)
 from .fileio import FLOAT, atomic_write_bytes, atomic_write_text, csv_text, write_json
-from .ifs import IfsSystem, SampleCloud, require_schedule, run_sgd, sample_invariant
-from .optimizers import BatchScheme, _require_eta, build_sgd_ifs, partition_batches
+from .ifs import IfsSystem, SampleCloud, require_eta, require_schedule, run_sgd, sample_invariant
+from .optimizers import BatchScheme, build_sgd_ifs, partition_batches
 from .rng import Xoshiro256PP, child_seed, draw_indices
 
 # --------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def run_linreg2d(
     aborting the remaining etas.
     """
     for eta in etas:
-        _require_eta(eta)
+        require_eta(eta)
     data = generate_synthetic(UniformLinReg(n=5, d=2), seed)
     scheme = partition_batches(data.n, 1)
     problem = pr.LeastSquares(lam=0.0)
@@ -312,7 +312,7 @@ class SweepConfig:
         if not self.etas or not self.batch_sizes:
             raise ConfigError("sweep grid must be nonempty")
         for e in self.etas:
-            _require_eta(e)
+            require_eta(e)
         if self.n_test is not None and self.n_test < 1:
             raise ConfigError(f"n_test must be >= 1, got {self.n_test}")
         if self.check_every < 1:

@@ -2,9 +2,12 @@
 
 A system is a finite family of maps h_i with selection probabilities p_i;
 iterating w_k = h_{U_k}(w_{k-1}) with U_k ~ p approximates the stationary
-(invariant) measure after burn-in.  Maps are either explicit affine maps
-M w + q or SGD steps backed by a problem/dataset/batch triple.  Jacobian
-norms of SGD steps live in ``complexity``, a system's batches at once.
+(invariant) measure after burn-in.  A system holds its maps as one table:
+an ``AffineSystem`` stacks the matrices M_i and offsets q_i of its affine
+maps M_i w + q_i, and an ``SgdSystem`` holds one problem, dataset, eta and
+preconditioner and a (n_maps, b) table of batches, map i being the SGD step
+on batch i.  Jacobian norms of SGD steps live in ``complexity``, a system's
+batches at once.
 
 Affine chains and plain-SGD problem-backed chains run parallel in time
 through one settle loop, ``_settle``: the index stream is cut into segments
@@ -50,115 +53,114 @@ from .fileio import FLOAT, atomic_write_text, csv_text, read_csv
 from .rng import Xoshiro256PP, draw_indices
 
 # --------------------------------------------------------------------------
-# map descriptors
+# systems
+
+
+def _require_probs(probs: np.ndarray, n_maps: int) -> np.ndarray:
+    """``probs`` as floats: n_maps positive numbers summing to one (so n_maps >= 1)."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape != (n_maps,):
+        raise ConfigError(f"probs has shape {probs.shape}, but the system has {n_maps} maps")
+    if np.any(probs <= 0.0) or abs(float(probs.sum()) - 1.0) > 1e-12:
+        raise ConfigError("probs must be positive and sum to 1 within 1e-12")
+    return probs
+
+
+def _batch_table(batches, n_rows: int) -> np.ndarray:
+    """``batches`` as a C-contiguous (n_maps, b) int64 table of row indices
+    into a dataset of ``n_rows`` rows.  A ragged, non-integer or
+    out-of-range table is a ConfigError that names the bad batch or entry."""
+    rows = [np.asarray(batch) for batch in batches]
+    for i, row in enumerate(rows):
+        if row.ndim != 1 or not row.size or row.size != rows[0].size:
+            raise ConfigError(
+                f"an SgdSystem needs nonempty batches of one length, got lengths "
+                f"{sorted({r.size for r in rows})}: batch {i} has shape {row.shape}"
+            )
+    table = np.stack(rows)
+    if table.dtype.kind not in "iu":
+        off = np.argwhere(table != np.round(table)) if table.dtype.kind == "f" else ()
+        i, j = off[0] if len(off) else (0, 0)
+        raise ConfigError(
+            f"batch {i}, entry {j} is {table[i, j].item()!r}: a batch holds integer row indices, not {table.dtype}"
+        )
+    bad = np.argwhere((table < 0) | (table >= n_rows))
+    if bad.size:
+        i, j = bad[0]
+        raise ConfigError(f"batch {i}, entry {j} is row {table[i, j]}, but the dataset has rows 0..{n_rows - 1}")
+    return np.ascontiguousarray(table, dtype=np.int64)
 
 
 @dataclass(frozen=True)
-class AffineMap:
-    """h(w) = matrix @ w + offset; its Jacobian is the constant matrix."""
+class AffineSystem:
+    """Affine maps h_i(w) = M_i w + q_i, chosen with probabilities p_i:
+    ``matrices`` (n_maps, d, d), ``offsets`` (n_maps, d) and ``probs``
+    (n_maps,), positive and summing to one.  Map i's Jacobian is the
+    constant M_i."""
 
-    matrix: np.ndarray
-    offset: np.ndarray
+    matrices: np.ndarray
+    offsets: np.ndarray
+    probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
-        object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float))
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ConfigError("AffineMap matrix must be square")
-        if self.offset.shape != (self.matrix.shape[0],):
-            raise ConfigError("AffineMap offset shape mismatch")
+        M = np.ascontiguousarray(self.matrices, dtype=float)
+        q = np.ascontiguousarray(self.offsets, dtype=float)
+        if M.ndim != 3 or M.shape[1] != M.shape[2] or q.shape != M.shape[:2]:
+            raise ConfigError(f"an AffineSystem needs matrices (n_maps, d, d) and offsets (n_maps, d), "
+                              f"got {M.shape} and {q.shape}")
+        object.__setattr__(self, "matrices", M)
+        object.__setattr__(self, "offsets", q)
+        object.__setattr__(self, "probs", _require_probs(self.probs, M.shape[0]))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrices.shape[1]
 
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        return self.matrix @ w + self.offset
+    def apply(self, i: int, w: np.ndarray) -> np.ndarray:
+        return self.matrices[i] @ w + self.offsets[i]
 
-    def jacobian_matvec(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
-
-    def jacobian_norm(self) -> float:
-        """||M||_2, exact at every dim since M is held explicitly."""
-        return float(np.linalg.norm(self.matrix, 2))
+    def jacobian_matvec(self, i: int, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.matrices[i] @ v
 
 
 @dataclass(frozen=True)
-class ProblemMap:
-    """One SGD step h(w) = w - eta * P(grad of the batch risk at w).
+class SgdSystem:
+    """SGD steps h_i(w) = w - eta * P(grad of the batch risk at w), chosen
+    with probabilities p_i, that differ only in their batch: row i of
+    ``batches`` (n_maps, b) holds batch i's row indices into ``dataset``.
 
     ``solve`` is the preconditioner application P (identity when None); it
     must accept a block (dim, k) as well as a vector.  The Jacobian
-    I - eta * P H(w) is ``problems.jacobian_apply``; its log norms, for all
-    a system's batches at once, are ``complexity.log_norm_table``.
+    I - eta * P H_i(w) is ``problems.jacobian_apply``; its log norms, for
+    all batches at once, are ``complexity.log_norm_table``.
     """
 
     problem: pr.Problem
     dataset: pr.Dataset
-    batch: np.ndarray
+    batches: np.ndarray
     eta: float
+    probs: np.ndarray
     solve: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "probs", _require_probs(self.probs, len(self.batches)))
+        object.__setattr__(self, "batches", _batch_table(self.batches, self.dataset.n))
 
     @property
     def dim(self) -> int:
         return pr.param_dim(self.problem, self.dataset)
 
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        g = pr.grad(self.problem, w, self.dataset, self.batch)
+    def apply(self, i: int, w: np.ndarray) -> np.ndarray:
+        g = pr.grad(self.problem, w, self.dataset, self.batches[i])
         if self.solve is not None:
             g = self.solve(g)
         return w - self.eta * g
 
-    def jacobian_matvec(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return pr.jacobian_apply(self.problem, w, self.dataset, self.batch, self.eta, v, self.solve)
+    def jacobian_matvec(self, i: int, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return pr.jacobian_apply(self.problem, w, self.dataset, self.batches[i], self.eta, v, self.solve)
 
 
-MapDescriptor = Union[AffineMap, ProblemMap]
-
-
-@dataclass(frozen=True)
-class IfsSystem:
-    """Finite map family with selection probabilities summing to one: all affine
-    maps, or SGD steps that differ only in their batch."""
-
-    maps: tuple[MapDescriptor, ...]
-    probs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "maps", tuple(self.maps))
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
-        if len(self.maps) == 0:
-            raise ConfigError("IfsSystem needs at least one map")
-        if self.probs.shape != (len(self.maps),):
-            raise ConfigError("probs length must match maps")
-        if np.any(self.probs <= 0.0) or abs(float(self.probs.sum()) - 1.0) > 1e-12:
-            raise ConfigError("probs must be positive and sum to 1 within 1e-12")
-        m0 = self.maps[0]
-        if isinstance(m0, AffineMap):
-            ok = all(isinstance(m, AffineMap) and m.dim == m0.dim for m in self.maps)
-        else:
-            ok = all(
-                isinstance(m, ProblemMap) and m.dataset is m0.dataset
-                and (m.problem, m.eta, m.solve) == (m0.problem, m0.eta, m0.solve)
-                for m in self.maps
-            )
-        if not ok:
-            raise ConfigError(
-                "an IfsSystem needs affine maps of one dimension, or SGD steps that share "
-                "one problem, dataset, eta and solve"
-            )
-        if not self.is_affine and len(lengths := sorted({len(m.batch) for m in self.maps})) > 1:
-            raise ConfigError(
-                f"the SGD steps of an IfsSystem need batches of one length, got lengths {lengths}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.maps[0].dim
-
-    @property
-    def is_affine(self) -> bool:
-        return isinstance(self.maps[0], AffineMap)
+IfsSystem = Union[AffineSystem, SgdSystem]
 
 
 # --------------------------------------------------------------------------
@@ -449,23 +451,23 @@ def _run_segments(
     return rows if thin == 1 else rows.copy()
 
 
-def _sgd_lockstep(m: ProblemMap, table: np.ndarray, idx: np.ndarray, w: np.ndarray, rec: np.ndarray) -> np.ndarray:
-    """``_lockstep`` for plain-SGD chains: K chains of the maps' problem and
-    eta, chain k from ``w[k]`` along the map indices ``idx[k]`` into the
-    batch table ``table``, stepped as one stack by ``run_sgd``."""
+def _sgd_lockstep(s: SgdSystem, idx: np.ndarray, w: np.ndarray, rec: np.ndarray) -> np.ndarray:
+    """``_lockstep`` for plain-SGD chains: K chains of the system ``s``,
+    chain k from ``w[k]`` along the map indices ``idx[k]``, stepped as one
+    stack by ``run_sgd``."""
     S = idx.shape[1]
     keep = S if rec.shape[0] else 1  # every state for ``rec``, else the ends
-    out, _ = run_sgd(m.problem, m.dataset, table, m.eta, w, idx, S - keep, 1, keep)
+    out, _ = run_sgd(s.problem, s.dataset, s.batches, s.eta, w, idx, S - keep, 1, keep)
     if rec.shape[0]:
         rec[...] = out[w.shape[0] - rec.shape[0]:]
     return out[:, -1]
 
 
-def _sgd_lane(m: ProblemMap, table: np.ndarray, idx: np.ndarray, w: np.ndarray, rec: np.ndarray) -> np.ndarray:
+def _sgd_lane(s: SgdSystem, idx: np.ndarray, w: np.ndarray, rec: np.ndarray) -> np.ndarray:
     """``_lane`` for one plain-SGD chain: a solo ``run_sgd``."""
     if not len(rec):
         return w  # the lane has no steps: every state is in ``rec``
-    rec[...], _ = run_sgd(m.problem, m.dataset, table, m.eta, w, idx, len(idx) - len(rec), 1, len(rec))
+    rec[...], _ = run_sgd(s.problem, s.dataset, s.batches, s.eta, w, idx, len(idx) - len(rec), 1, len(rec))
     return rec[-1]
 
 
@@ -485,23 +487,28 @@ def _run_system(
     """
     w0 = np.asarray(w0, dtype=float)
     n = idx.shape[0]
-    if system.is_affine:
-        M = np.stack([m.matrix for m in system.maps])
-        Q = np.stack([m.offset for m in system.maps])
+    if isinstance(system, AffineSystem):
+        M, Q = system.matrices, system.offsets
         L = n // SEG
         if L < (MIN_SEGMENTS_SCALAR if system.dim == 1 else MIN_SEGMENTS):
             L = 1
         return _run_segments(functools.partial(_lockstep, M, Q), functools.partial(_lane, M, Q), L,
                              w0, idx, record_from, thin, n_record)
-    m, table = system.maps[0], np.array([mp.batch for mp in system.maps], dtype=np.int64)
     L = min(n // SGD_SEG, SGD_MAX_SEGMENTS)
-    if m.solve is None and L >= 2 and table.shape[1] * system.dim <= SGD_MAX_WORK:
-        return _run_segments(functools.partial(_sgd_lockstep, m, table), functools.partial(_sgd_lane, m, table),
+    if system.solve is None and L >= 2 and system.batches.shape[1] * system.dim <= SGD_MAX_WORK:
+        return _run_segments(functools.partial(_sgd_lockstep, system), functools.partial(_sgd_lane, system),
                              L, w0, idx, record_from, thin, n_record)
-    rows, finite = run_sgd(m.problem, m.dataset, table, m.eta, w0, idx, record_from, thin, n_record, m.solve)
+    rows, finite = run_sgd(system.problem, system.dataset, system.batches, system.eta, w0, idx,
+                           record_from, thin, n_record, system.solve)
     if not finite:
         raise NonFiniteState()
     return rows
+
+
+def require_eta(eta: float) -> None:
+    """Reject a step size that is not positive (nan included)."""
+    if not eta > 0.0:
+        raise ConfigError(f"eta must be positive, got {eta}")
 
 
 def require_start(w0: np.ndarray, dim: int) -> np.ndarray:
@@ -578,7 +585,7 @@ def norm_rounding(dim: int) -> float:
 
 def contractivity_report(system: IfsSystem) -> ContractivityReport:
     """Per-map Lipschitz constants L_i = ||M_i||_2 of an affine system, exact
-    (see ``AffineMap.jacobian_norm``), and the average-contractivity
+    at every dim (an SVD of each M_i), and the average-contractivity
     criterion sum_i p_i log L_i < 0, beyond the norms' rounding: a mean log
     within ``norm_rounding(dim)`` of 0 is not contractive.
 
@@ -586,12 +593,12 @@ def contractivity_report(system: IfsSystem) -> ContractivityReport:
     cloud is ``complexity.log_norm_table``'s, as ``dimension.rams_ratio``
     reads it.
     """
-    if not system.is_affine:
+    if not isinstance(system, AffineSystem):
         raise ConfigError(
             "contractivity_report needs affine maps; for SGD steps use dimension.rams_ratio "
             "or complexity.log_norm_table on a sampled cloud"
         )
-    lip = [m.jacobian_norm() for m in system.maps]
+    lip = np.linalg.norm(system.matrices, 2, axis=(-2, -1)).tolist()
     logs = np.array([math.log(L) if L > 0.0 else -math.inf for L in lip])
     mean_log = float(np.dot(system.probs, logs))
     contractive = mean_log < -norm_rounding(system.dim)
@@ -624,7 +631,7 @@ def lyapunov_exponent(system: IfsSystem, w0: np.ndarray, k: int, seed: int = 0) 
             ids = idx[a : a + block]
             states = _run_system(system, w, ids, record_from=0, thin=1, n_record=len(ids))
             for t, (i, w_next) in enumerate(zip(ids.tolist(), states), start=a + 1):
-                v = system.maps[i].jacobian_matvec(w, v)
+                v = system.jacobian_matvec(i, w, v)
                 w = w_next
                 if t % RENORM_INTERVAL == 0 or t == k:
                     nv = float(np.linalg.norm(v))

@@ -24,7 +24,8 @@ from .errors import (
     NotPositiveDefinite,
     SingularBatchHessian,
 )
-from .ifs import AffineMap, IfsSystem, ProblemMap, SampleCloud, Trajectory, require_schedule, require_start, run_sgd
+from .ifs import (AffineSystem, IfsSystem, SampleCloud, SgdSystem, Trajectory, require_eta, require_schedule,
+                  require_start, run_sgd)
 from .rng import Xoshiro256PP
 
 # --------------------------------------------------------------------------
@@ -118,11 +119,6 @@ def _require_enumerated(scheme: BatchScheme, op: str) -> None:
         raise ConfigError(f"{op} needs an enumerated Partition scheme; Subset mode is not enumerated")
 
 
-def _require_eta(eta: float) -> None:
-    if not eta > 0.0:
-        raise ConfigError(f"eta must be positive, got {eta}")
-
-
 def _validate_labels(problem: pr.Problem, dataset: pr.Dataset) -> None:
     if isinstance(problem, (pr.Logistic, pr.SmoothHingeSVM)):
         pr.require_pm1_labels(dataset, type(problem).__name__)
@@ -130,20 +126,20 @@ def _validate_labels(problem: pr.Problem, dataset: pr.Dataset) -> None:
 
 def _affine_system(
     dataset: pr.Dataset, scheme: BatchScheme, step: Callable[[np.ndarray, np.ndarray, int], tuple]
-) -> IfsSystem:
-    """One AffineMap per batch of ``scheme``, its (M, q) = ``step(A, y, b)``
+) -> AffineSystem:
+    """One affine map per batch of ``scheme``, its (M, q) = ``step(A, y, b)``
     from the batch's feature rows A, targets y and size b.  A failed linear
     solve in ``step`` (Newton's batch Hessian) raises SingularBatchHessian."""
-    maps = []
-    for batch in scheme.batches:
+    d = dataset.d
+    M, q = np.empty((scheme.m_b, d, d)), np.empty((scheme.m_b, d))
+    for i, batch in enumerate(scheme.batches):
         try:
-            M, q = step(dataset.features[batch], dataset.targets[batch], len(batch))
+            M[i], q[i] = step(dataset.features[batch], dataset.targets[batch], len(batch))
         except np.linalg.LinAlgError:
             raise SingularBatchHessian(
                 f"batch Hessian solve failed for batch starting at index {int(batch[0])}"
             ) from None
-        maps.append(AffineMap(M, q))
-    return IfsSystem(tuple(maps), scheme.probs)
+    return AffineSystem(M, q, scheme.probs)
 
 
 def build_sgd_ifs(
@@ -156,11 +152,11 @@ def build_sgd_ifs(
 
     Least squares yields explicit affine maps
     M_i = (1 - eta lam) I - (eta/b) A_i^T A_i,  q_i = (eta/b) A_i^T y_i;
-    other kinds yield problem-backed maps.
+    other kinds yield an SgdSystem on the scheme's batches.
     """
     _require_enumerated(scheme, "build_sgd_ifs")
     _validate_labels(problem, dataset)
-    _require_eta(eta)
+    require_eta(eta)
     if isinstance(problem, pr.LeastSquares):
         eye = np.eye(dataset.d)
 
@@ -168,10 +164,7 @@ def build_sgd_ifs(
             return (1.0 - eta * problem.lam) * eye - (eta / b) * (A.T @ A), (eta / b) * (A.T @ y)
 
         return _affine_system(dataset, scheme, step)
-    maps = tuple(
-        ProblemMap(problem, dataset, np.asarray(b_, dtype=np.int64), eta) for b_ in scheme.batches
-    )
-    return IfsSystem(maps, scheme.probs)
+    return SgdSystem(problem, dataset, scheme.batches, eta, scheme.probs)
 
 
 def build_precond_sgd_ifs(
@@ -188,7 +181,7 @@ def build_precond_sgd_ifs(
     """
     _require_enumerated(scheme, "build_precond_sgd_ifs")
     _validate_labels(problem, dataset)
-    _require_eta(eta)
+    require_eta(eta)
     if np.array_equal(precond.matrix, np.eye(dataset.d)):
         # exact identity: skip the solves so trajectories match plain SGD bit-for-bit
         return build_sgd_ifs(problem, dataset, scheme, eta)
@@ -200,11 +193,7 @@ def build_precond_sgd_ifs(
             return M, (eta / b) * precond.solve(A.T @ y)
 
         return _affine_system(dataset, scheme, step)
-    maps = tuple(
-        ProblemMap(problem, dataset, np.asarray(b_, dtype=np.int64), eta, solve=precond.solve)
-        for b_ in scheme.batches
-    )
-    return IfsSystem(maps, scheme.probs)
+    return SgdSystem(problem, dataset, scheme.batches, eta, scheme.probs, precond.solve)
 
 
 def build_stoch_newton_ifs(
@@ -221,7 +210,7 @@ def build_stoch_newton_ifs(
         raise ConfigError("stochastic Newton is defined for least squares only")
     if problem.lam <= 0.0:
         raise ConfigError("stochastic Newton needs lam > 0")
-    _require_eta(eta)
+    require_eta(eta)
     eye = np.eye(dataset.d)
 
     def step(A: np.ndarray, y: np.ndarray, b: int) -> tuple:
@@ -246,7 +235,7 @@ def _run_subset(
     ``ifs.run_sgd``."""
     _validate_labels(problem, dataset)
     partition_batches(dataset.n, b, "subset")  # rejects b outside 1..n
-    _require_eta(eta)
+    require_eta(eta)
     w0 = require_start(w0, pr.param_dim(problem, dataset))
     gen = Xoshiro256PP(seed)
     total = record_from + n_record * thin

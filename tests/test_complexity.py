@@ -416,9 +416,9 @@ def test_rams_ratio_mean_log_jacobian_is_unchanged(monkeypatch, cells):
     from ifslab.ifs import sample_invariant
 
     for system, expected in rams_systems():
-        m = system.maps[0]
         if cells is not None:
-            monkeypatch.setattr(complexity, "TABLE_CHUNK_BYTES", chunk_cap(m.problem, m.dataset, m.batch.size, cells))
+            b = system.batches.shape[1]
+            monkeypatch.setattr(complexity, "TABLE_CHUNK_BYTES", chunk_cap(system.problem, system.dataset, b, cells))
         cloud = sample_invariant(system, np.zeros(system.dim), 50, 40, seed=5)
         assert rams_ratio(system, cloud, n_w=23).mean_log_jacobian.hex() == expected
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ifslab.errors import (
     NonContractiveEstimate,
     PreconditionViolation,
 )
-from ifslab.ifs import (AffineMap, IfsSystem, ProblemMap, SampleCloud, contractivity_report, norm_rounding,
+from ifslab.ifs import (AffineSystem, SampleCloud, SgdSystem, contractivity_report, norm_rounding,
                         sample_invariant)
 from ifslab.optimizers import (
     PreconditionerSpec,
@@ -35,8 +36,9 @@ from ifslab.optimizers import (
 from ifslab.problems import Dataset, LeastSquares, Logistic, hvp
 
 
-def scalar_map(slope, offset=0.0):
-    return AffineMap(np.array([[slope]]), np.array([offset]))
+def scalar_system(slopes, offsets, probs):
+    """The scalar affine maps w -> slopes[i] * w + offsets[i]."""
+    return AffineSystem(np.reshape(slopes, (-1, 1, 1)), np.reshape(offsets, (-1, 1)), probs)
 
 
 def cloud_of(points):
@@ -237,7 +239,7 @@ def test_rams_cantor_exact():
 
 
 def test_rams_two_slope_hand_value():
-    system = IfsSystem((scalar_map(0.9), scalar_map(0.8, 0.1)), np.array([0.5, 0.5]))
+    system = scalar_system([0.9, 0.8], [0.0, 0.1], np.array([0.5, 0.5]))
     bound = rams_ratio(system, cloud_of(np.zeros(5)))
     expected = math.log(2.0) / abs((math.log(0.9) + math.log(0.8)) / 2.0)
     assert bound.ratio == pytest.approx(expected, rel=1e-9)
@@ -245,7 +247,7 @@ def test_rams_two_slope_hand_value():
 
 
 def test_rams_noncontractive_raises():
-    system = IfsSystem((scalar_map(1.5), scalar_map(1.2, 0.1)), np.array([0.5, 0.5]))
+    system = scalar_system([1.5, 1.2], [0.0, 0.1], np.array([0.5, 0.5]))
     with pytest.raises(NonContractiveEstimate):
         rams_ratio(system, cloud_of(np.zeros(5)))
 
@@ -255,7 +257,7 @@ def test_rams_norm_neutral_maps_are_not_contractions(eta):
     """linreg2d's maps I - eta a a^T have norm exactly 1; their computed mean
     log norm is +-1e-16 of rounding, which used to read as a contraction at
     eta = 0.3 and 0.7 (ratio 7.2e16) and as an expansion at 0.5 and 0.9.
-    The same steps as ProblemMaps, whose norms come from a Jacobian table,
+    The same steps as an SgdSystem, whose norms come from a Jacobian table,
     used to give 7.2e16 at eta = 0.3, 0.5 and 0.7."""
     from ifslab.experiments import UniformLinReg, generate_synthetic
 
@@ -264,8 +266,7 @@ def test_rams_norm_neutral_maps_are_not_contractions(eta):
     system = build_sgd_ifs(LeastSquares(lam=0.0), data, scheme, eta)
     report = contractivity_report(system)
     assert abs(report.mean_log) <= norm_rounding(2) and not report.contractive
-    steps = IfsSystem(tuple(ProblemMap(LeastSquares(lam=0.0), data, np.asarray(b), eta) for b in scheme.batches),
-                      scheme.probs)
+    steps = SgdSystem(LeastSquares(lam=0.0), data, scheme.batches, eta, scheme.probs)
     cloud = cloud_of(np.random.default_rng(0).normal(size=(20, 2)))
     for system in (system, steps):
         with pytest.raises(NonContractiveEstimate, match="every map is norm-neutral"):
@@ -279,13 +280,6 @@ def test_rams_cantor_preset_is_unchanged_by_the_rounding_bound():
     assert bound.ratio == pytest.approx(math.log(2.0) / math.log(3.0), rel=1e-12)
 
 
-def test_rams_entropy_override():
-    system = IfsSystem((scalar_map(0.5), scalar_map(0.5, 0.5)), np.array([0.5, 0.5]))
-    bound = rams_ratio(system, cloud_of(np.zeros(5)), neg_entropy_override=math.log(15.0))
-    assert bound.neg_entropy == pytest.approx(math.log(15.0), rel=1e-12)
-    assert bound.ratio == pytest.approx(math.log(15.0) / math.log(2.0), rel=1e-9)
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     m=st.integers(2, 8),
@@ -294,8 +288,7 @@ def test_rams_entropy_override():
 )
 def test_rams_similitudes_ignore_cloud(m, c, seed):
     rng = np.random.default_rng(seed)
-    maps = tuple(scalar_map(c, float(rng.uniform(-1, 1))) for _ in range(m))
-    system = IfsSystem(maps, np.full(m, 1.0 / m))
+    system = scalar_system([c] * m, [float(rng.uniform(-1, 1)) for _ in range(m)], np.full(m, 1.0 / m))
     cloud = cloud_of(rng.normal(size=17))
     bound = rams_ratio(system, cloud)
     assert bound.ratio == pytest.approx(math.log(m) / math.log(1.0 / c), abs=1e-6)
@@ -346,10 +339,10 @@ def test_rams_problem_backed_matches_dense_average(precond):
     cloud = sample_invariant(system, np.zeros(3), 100, 17, seed=2)
     points = cloud.points[[0, 3, 6, 10, 13]]
     mean_log = 0.0
-    for p, m in zip(system.probs, system.maps):
+    for p, batch in zip(system.probs, system.batches):
         logs = []
         for w in points:
-            H = hvp(m.problem, w, m.dataset, m.batch, np.eye(3))
+            H = hvp(system.problem, w, system.dataset, batch, np.eye(3))
             if P is None:
                 logs.append(math.log(np.abs(np.linalg.eigvalsh(np.eye(3) - 0.6 * H)).max()))
             else:
@@ -571,6 +564,14 @@ def reference_occupied_count(pts, mins, delta, mass_truncation):
     return reference_truncate(counts, pts.shape[0], mass_truncation)
 
 
+def distinct_tuple_count(pts, mins, delta, mass_truncation):
+    """The per-scale count from the distinct cell index tuples themselves,
+    counted by a Counter: no cell codes and no ``np.unique``."""
+    idx = np.floor((pts - mins) / delta).astype(np.int64)
+    counts = np.array(list(Counter(map(tuple, idx.tolist())).values()))
+    return reference_truncate(counts, pts.shape[0], mass_truncation)
+
+
 def reference_truncate(counts, n_points, mass_truncation):
     if mass_truncation == 0.0:
         return int(len(counts))
@@ -591,14 +592,19 @@ def per_scale_calls(monkeypatch):
     return calls
 
 
+def scale_deltas(pts, config):
+    extent = pts.max(axis=0) - pts.min(axis=0)
+    delta0 = config.coarsest_scale or float(np.linalg.norm(extent)) / 4.0
+    return [delta0 * config.scale_ratio**j for j in range(config.num_scales)]
+
+
 def all_scale_counts(pts, config):
     """Counts at every scale, before the saturation filter, and their reference."""
     from ifslab import dimension
 
     mins = pts.min(axis=0)
     extent = pts.max(axis=0) - mins
-    delta0 = config.coarsest_scale or float(np.linalg.norm(extent)) / 4.0
-    deltas = [delta0 * config.scale_ratio**j for j in range(config.num_scales)]
+    deltas = scale_deltas(pts, config)
     got = dimension._scale_counts(pts, mins, extent, deltas, config.scale_ratio, config.mass_truncation)
     want = [reference_occupied_count(pts, mins, d, config.mass_truncation) for d in deltas]
     return got, want
@@ -681,9 +687,14 @@ def test_one_sort_bit_budget_edge(per_scale_calls, dim, extra_bit, mass_truncati
     (np.random.default_rng(17).uniform(size=(5_000, 2)).astype(np.float32), BoxCountConfig()),
 ], ids=["ratio-0.3", "8d", "subnormal-finest", "float32"])
 def test_other_grids_count_each_scale(per_scale_calls, pts, config):
+    """Each scale's count is also the number of distinct index tuples.  The
+    8-D cloud is past 2^62 cells at its 4 finest scales, where the counter
+    takes ``np.unique`` over index rows."""
     got, want = all_scale_counts(pts, config)
     assert got == want
     assert len(per_scale_calls) == config.num_scales
+    mins = pts.min(axis=0)
+    assert got == [distinct_tuple_count(pts, mins, d, config.mass_truncation) for d in scale_deltas(pts, config)]
 
 
 @pytest.mark.parametrize("config", [

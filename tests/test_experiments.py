@@ -267,9 +267,9 @@ def test_run_linreg2d_heatmap_is_valid_pgm(tmp_path):
 
 def test_cantor_system_maps():
     system = cantor_system(2.0 / 3.0)
-    assert len(system.maps) == 2
-    for m in system.maps:
-        assert m.matrix[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert len(system.probs) == 2
+    for m in system.matrices:
+        assert m[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

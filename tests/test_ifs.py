@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from ifslab import ifs
 from ifslab.errors import ConfigError, NonFiniteState
 from ifslab.ifs import (
-    AffineMap,
+    AffineSystem,
     IfsSystem,
-    ProblemMap,
+    SgdSystem,
     contractivity_report,
     iterate,
     lyapunov_exponent,
@@ -27,13 +27,13 @@ from ifslab.problems import (Dataset, LeastSquares, Logistic, OneHiddenLayer, Ro
 from ifslab.rng import Xoshiro256PP, draw_indices
 
 
-def affine_1d(slope: float, offset: float) -> AffineMap:
-    return AffineMap(np.array([[slope]]), np.array([offset]))
+def scalar_system(slopes, offsets, probs) -> AffineSystem:
+    """The scalar affine maps w -> slopes[i] * w + offsets[i]."""
+    return AffineSystem(np.reshape(slopes, (-1, 1, 1)), np.reshape(offsets, (-1, 1)), probs)
 
 
-def cantor_system() -> IfsSystem:
-    return IfsSystem((affine_1d(1.0 / 3.0, 0.0), affine_1d(1.0 / 3.0, 2.0 / 3.0)),
-                     np.array([0.5, 0.5]))
+def cantor_system() -> AffineSystem:
+    return scalar_system([1.0 / 3.0, 1.0 / 3.0], [0.0, 2.0 / 3.0], [0.5, 0.5])
 
 
 def quadratic_pair_system(eta: float) -> IfsSystem:
@@ -47,7 +47,7 @@ def quadratic_pair_system(eta: float) -> IfsSystem:
 
 
 def test_single_contraction_trajectory():
-    system = IfsSystem((affine_1d(0.5, 0.0),), np.array([1.0]))
+    system = scalar_system([0.5], [0.0], [1.0])
     traj = iterate(system, np.array([1.0]), 3, seed=9)
     np.testing.assert_allclose(traj.states[:, 0], [1.0, 0.5, 0.25, 0.125], rtol=1e-15)
     assert traj.indices.shape == (3,)
@@ -59,8 +59,7 @@ def test_trajectory_shape_and_replay():
     traj = iterate(system, np.array([0.0]), 50, seed=4)
     assert traj.states.shape == (51, 1)
     for j, idx in enumerate(traj.indices):
-        m = system.maps[idx]
-        expected = m.matrix @ traj.states[j] + m.offset
+        expected = system.matrices[idx] @ traj.states[j] + system.offsets[idx]
         np.testing.assert_array_equal(traj.states[j + 1], expected)
 
 
@@ -72,10 +71,10 @@ def test_cantor_iterates_stay_in_unit_interval():
 
 def test_quadratic_pair_at_two_thirds_matches_cantor_maps():
     system = quadratic_pair_system(2.0 / 3.0)
-    for m, offset in zip(system.maps, (0.0, 2.0 / 3.0)):
-        assert isinstance(m, AffineMap)
-        assert m.matrix[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-15)
-        assert m.offset[0] == pytest.approx(offset, abs=1e-15)
+    assert isinstance(system, AffineSystem)
+    for matrix, q, offset in zip(system.matrices, system.offsets, (0.0, 2.0 / 3.0)):
+        assert matrix[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert q[0] == pytest.approx(offset, abs=1e-15)
 
 
 def test_iterate_determinism():
@@ -87,43 +86,46 @@ def test_iterate_determinism():
 
 
 def test_iterate_divergence_raises():
-    system = IfsSystem((affine_1d(3.0, 0.0),), np.array([1.0]))
+    system = scalar_system([3.0], [0.0], [1.0])
     with pytest.raises(NonFiniteState):
         iterate(system, np.array([1.0]), 5000, seed=0)
 
 
 def test_system_validation():
     with pytest.raises(ConfigError):
-        IfsSystem((), np.array([]))
+        scalar_system([], [], np.array([]))
     with pytest.raises(ConfigError):
-        IfsSystem((affine_1d(0.5, 0.0),), np.array([0.7]))  # probs must sum to 1
+        scalar_system([0.5], [0.0], [0.7])  # probs must sum to 1
     with pytest.raises(ConfigError):
-        IfsSystem((affine_1d(0.5, 0.0), affine_1d(0.5, 0.0)), np.array([1.0, 0.0]))
+        scalar_system([0.5, 0.5], [0.0, 0.0], [1.0, 0.0])
 
 
-def test_system_rejects_mixed_or_unshared_maps():
-    """A problem-backed system is stepped with its first map's problem,
-    dataset, eta and solve, so maps that differ in any of them, or a mix of
-    affine and problem-backed maps, are rejected."""
-    data = Dataset([[1.0, 0.5], [-0.5, 1.0]], [1.0, -1.0])
-    scheme = partition_batches(2, 1)
-    slow, fast = (build_sgd_ifs(Logistic(lam=0.1), data, scheme, eta).maps for eta in (0.1, 0.2))
-    probs = np.array([0.5, 0.5])
-    IfsSystem((slow[0], slow[1]), probs)
-    with pytest.raises(ConfigError, match="share one problem, dataset, eta and solve"):
-        IfsSystem((slow[0], fast[1]), probs)
-    for maps in ((AffineMap(np.eye(2), np.zeros(2)), slow[1]), (slow[0], AffineMap(np.eye(2), np.zeros(2)))):
-        with pytest.raises(ConfigError, match="affine maps of one dimension"):
-            IfsSystem(maps, probs)
+def three_rows() -> Dataset:
+    return Dataset([[1.0, 0.5], [-0.5, 1.0], [0.2, 0.3]], [1.0, -1.0, 1.0])
 
 
 def test_system_rejects_batches_of_different_lengths():
     """The SGD loop steps on the rows of a (maps, b) batch table, so the
     system names the lengths instead of failing later in the gather."""
-    data = Dataset([[1.0, 0.5], [-0.5, 1.0], [0.2, 0.3]], [1.0, -1.0, 1.0])
-    pair, single = (ProblemMap(Logistic(lam=0.1), data, np.array(batch), 0.5) for batch in ([0, 1], [2]))
+    batches = [np.array([0, 1]), np.array([2])]
     with pytest.raises(ConfigError, match=r"batches of one length, got lengths \[1, 2\]"):
-        IfsSystem((pair, single), np.array([0.5, 0.5]))
+        SgdSystem(Logistic(lam=0.1), three_rows(), batches, 0.5, np.array([0.5, 0.5]))
+
+
+def test_system_rejects_a_batch_row_outside_the_dataset():
+    """Row 5 of 3 used to end the chain in a bare IndexError mid-run."""
+    with pytest.raises(ConfigError, match=r"batch 0, entry 1 is row 5, but the dataset has rows 0\.\.2"):
+        SgdSystem(Logistic(lam=0.1), three_rows(), [[0, 5]], 0.5, np.array([1.0]))
+    with pytest.raises(ConfigError, match="batch 1, entry 0 is row -1"):
+        SgdSystem(Logistic(lam=0.1), three_rows(), [[0], [-1]], 0.5, np.array([0.5, 0.5]))
+
+
+def test_system_rejects_non_integer_batch_entries():
+    """A batch [0.5, 1.2] used to be truncated to rows [0, 1] without a word."""
+    with pytest.raises(ConfigError, match="batch 0, entry 0 is 0.5: a batch holds integer row indices"):
+        SgdSystem(Logistic(lam=0.1), three_rows(), [[0.5, 1.2]], 0.5, np.array([1.0]))
+    with pytest.raises(ConfigError, match="batch 1, entry 1 is 1.5"):
+        SgdSystem(Logistic(lam=0.1), three_rows(), [[0.0, 1.0], [2.0, 1.5]], 0.5, np.array([0.5, 0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +133,7 @@ def test_system_rejects_batches_of_different_lengths():
 
 
 def test_fixed_point_collapse():
-    system = IfsSystem((affine_1d(0.5, 0.0),), np.array([1.0]))
+    system = scalar_system([0.5], [0.0], [1.0])
     cloud = sample_invariant(system, np.array([1.0]), burn_in=200, n_samples=50, seed=1)
     assert np.abs(cloud.points).max() < 1e-30
 
@@ -162,7 +164,7 @@ def test_affine_2d_sample_invariant_matches_reference_loop():
     M = 0.6 * rng.uniform(-1.0, 1.0, size=(3, 2, 2))
     q = rng.uniform(-1.0, 1.0, size=(3, 2))
     probs = np.array([0.2, 0.3, 0.5])
-    system = IfsSystem(tuple(AffineMap(M[i], q[i]) for i in range(3)), probs)
+    system = AffineSystem(M, q, probs)
     burn_in, n_samples, thin, seed = 50, 400, 3, 22
     cloud = sample_invariant(system, np.array([0.5, -0.5]), burn_in, n_samples, thin, seed)
 
@@ -252,8 +254,7 @@ def random_affine(d, scale, seed, n_maps=3):
     rng = np.random.default_rng(seed)
     M = scale * rng.uniform(-1.0, 1.0, size=(n_maps, d, d)) / math.sqrt(d)
     q = rng.uniform(-1.0, 1.0, size=(n_maps, d))
-    return M, q, IfsSystem(tuple(AffineMap(M[i], q[i]) for i in range(n_maps)),
-                           np.full(n_maps, 1.0 / n_maps))
+    return M, q, AffineSystem(M, q, np.full(n_maps, 1.0 / n_maps))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -293,7 +294,7 @@ def test_affine_kernel_settles_only_behind_a_settled_segment(small_segments, d):
     them apart.  A segment settles only behind a settled one."""
     M = np.stack([0.9 * np.eye(d), 0.9 * np.eye(d)])
     q = np.stack([np.zeros(d), np.ones(d)])
-    system = IfsSystem((AffineMap(M[0], q[0]), AffineMap(M[1], q[1])), np.array([0.5, 0.5]))
+    system = AffineSystem(M, q, np.array([0.5, 0.5]))
     idx = np.zeros(64 * 6, dtype=np.int64)
     idx[10] = 1
     got = ifs._run_system(system, np.zeros(d), idx, 0, 1, idx.size)
@@ -307,7 +308,7 @@ def test_affine_kernel_negative_zero_start(small_segments, d, n):
     reference loop's matmul turns m * (-0.0) into +0.0 before adding q."""
     M = np.stack([0.5 * np.eye(d), 0.25 * np.eye(d)])
     q = np.stack([np.zeros(d), np.full(d, -0.0)])
-    system = IfsSystem((AffineMap(M[0], q[0]), AffineMap(M[1], q[1])), np.array([0.5, 0.5]))
+    system = AffineSystem(M, q, np.array([0.5, 0.5]))
     idx = np.random.default_rng(5).integers(0, 2, size=n)
     idx[0] = 1
     w0 = np.full(d, -0.0)
@@ -320,7 +321,7 @@ def test_affine_kernel_rotation_family_falls_back_to_one_lane(small_segments):
     segment, the rest runs serially, still bit-equal to the loop."""
     M = np.stack([rotation(0.3), rotation(1.1)])
     q = np.array([[1.0, 0.0], [0.0, 0.5]])
-    system = IfsSystem((AffineMap(M[0], q[0]), AffineMap(M[1], q[1])), np.array([0.5, 0.5]))
+    system = AffineSystem(M, q, np.array([0.5, 0.5]))
     n = 64 * 30 + 5
     idx = np.random.default_rng(6).integers(0, 2, size=n)
     w0 = np.array([0.1, 0.2])
@@ -336,8 +337,7 @@ def test_affine_kernel_settles_slowly_coalescing_chain(kernel_calls):
     system = quadratic_pair_system(0.01)
     n = ifs.MIN_SEGMENTS_SCALAR * ifs.SEG + 5
     idx = draw_indices(Xoshiro256PP(0), system.probs, n)
-    M = np.stack([m.matrix for m in system.maps])
-    q = np.stack([m.offset for m in system.maps])
+    M, q = system.matrices, system.offsets
     got = ifs._run_system(system, np.zeros(1), idx, 0, 1, n)
     assert rounds_and_lane(kernel_calls) == (4, 5)
     assert same_bits(got, reference_chain(M, q, idx, np.zeros(1), 0, 1, n))
@@ -365,7 +365,7 @@ def test_preset_chains_settle_in_two_rounds(kernel_calls):
 
 
 def test_affine_kernel_expanding_map_raises(small_segments):
-    system = IfsSystem((AffineMap(2.0 * np.eye(2), np.array([1.0, -1.0])),), np.array([1.0]))
+    system = AffineSystem([2.0 * np.eye(2)], [[1.0, -1.0]], np.array([1.0]))
     idx = np.zeros(64 * 40, dtype=np.int64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # overflow is reported as NonFiniteState only
@@ -424,8 +424,7 @@ def test_meeting_exit_in_later_rounds(kernel_calls, monkeypatch):
     system = quadratic_pair_system(0.01)
     n = ifs.MIN_SEGMENTS_SCALAR * ifs.SEG + 5
     idx = draw_indices(Xoshiro256PP(0), system.probs, n)
-    M = np.stack([m.matrix for m in system.maps])
-    q = np.stack([m.offset for m in system.maps])
+    M, q = system.matrices, system.offsets
     got = ifs._run_system(system, np.zeros(1), idx, 0, 1, n)
     assert rounds_and_lane(kernel_calls) == (4, 5)
     widths = kernel_calls["widths"]
@@ -440,7 +439,7 @@ def test_meeting_exit_negative_zero_start(chunked_segments, d):
     """The -0.0 start of ``test_affine_kernel_negative_zero_start``, in chunks."""
     M = np.stack([0.5 * np.eye(d), 0.25 * np.eye(d)])
     q = np.stack([np.zeros(d), np.full(d, -0.0)])
-    system = IfsSystem((AffineMap(M[0], q[0]), AffineMap(M[1], q[1])), np.array([0.5, 0.5]))
+    system = AffineSystem(M, q, np.array([0.5, 0.5]))
     n = 64 * 6 + 1
     idx = np.random.default_rng(5).integers(0, 2, size=n)
     idx[0] = 1
@@ -455,7 +454,7 @@ def test_meeting_exit_rotation_family_never_meets(chunked_segments):
     rounds run their 64 steps, and the rest runs in the serial lane."""
     M = np.stack([rotation(0.3), rotation(1.1)])
     q = np.array([[1.0, 0.0], [0.0, 0.5]])
-    system = IfsSystem((AffineMap(M[0], q[0]), AffineMap(M[1], q[1])), np.array([0.5, 0.5]))
+    system = AffineSystem(M, q, np.array([0.5, 0.5]))
     n = 64 * 30 + 5
     idx = np.random.default_rng(6).integers(0, 2, size=n)
     w0 = np.array([0.1, 0.2])
@@ -466,7 +465,7 @@ def test_meeting_exit_rotation_family_never_meets(chunked_segments):
 
 
 def test_meeting_exit_expanding_map_raises(chunked_segments):
-    system = IfsSystem((AffineMap(2.0 * np.eye(2), np.array([1.0, -1.0])),), np.array([1.0]))
+    system = AffineSystem([2.0 * np.eye(2)], [[1.0, -1.0]], np.array([1.0]))
     idx = np.zeros(64 * 40, dtype=np.int64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # overflow is reported as NonFiniteState only
@@ -502,11 +501,11 @@ def test_sgd_stack_records_each_chain_as_sample_invariant():
         sample_invariant(system, w0[1], burn_in, n_samples, thin, seeds[1])
 
 
-def apply_loop(maps, idx, w0, record_from, thin, n_record):
-    """What a plain ``ProblemMap.apply`` loop records along the map indices ``idx``."""
+def apply_loop(system, idx, w0, record_from, thin, n_record):
+    """What a plain ``SgdSystem.apply`` loop records along the map indices ``idx``."""
     w, out = np.asarray(w0, dtype=float), []
     for t, i in enumerate(idx.tolist(), start=1):
-        w = maps[i].apply(w)
+        w = system.apply(i, w)
         if t > record_from and (t - record_from) % thin == 0 and len(out) < n_record:
             out.append(w)
     return np.array(out)
@@ -535,7 +534,7 @@ def solo_across_chunks(data, scheme, T, record_from, n_record):
     system = build_sgd_ifs(Logistic(lam=0.1), data, scheme, 0.5)
     idx = draw_indices(Xoshiro256PP(3), system.probs, T)
     got = ifs._run_system(system, np.array([0.3, -0.2]), idx, record_from, 2, n_record)
-    return got, apply_loop(system.maps, idx, [0.3, -0.2], record_from, 2, n_record)
+    return got, apply_loop(system, idx, [0.3, -0.2], record_from, 2, n_record)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -556,8 +555,8 @@ def stack_across_chunks(data, scheme, T, record_from, n_record):
                               record_from, 2, n_record)
     assert finite.all()
     for k, eta in enumerate(etas):
-        maps = build_sgd_ifs(problem, data, scheme, eta).maps
-        yield got[k], apply_loop(maps, idx[k], w0[k], record_from, 2, n_record)
+        system = build_sgd_ifs(problem, data, scheme, eta)
+        yield got[k], apply_loop(system, idx[k], w0[k], record_from, 2, n_record)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -590,13 +589,13 @@ def sgd_segments(monkeypatch):
     calls = {"rounds": 0, "lockstep_steps": 0, "lane_steps": 0}
     lockstep, lane = ifs._sgd_lockstep, ifs._sgd_lane
 
-    def counted_lockstep(m, table, idx, w, rec):
+    def counted_lockstep(system, idx, w, rec):
         calls["lockstep_steps"] += idx.shape[1]
-        return lockstep(m, table, idx, w, rec)
+        return lockstep(system, idx, w, rec)
 
-    def counted_lane(m, table, idx, w, rec):
+    def counted_lane(system, idx, w, rec):
         calls["lane_steps"] += idx.shape[0]
-        return lane(m, table, idx, w, rec)
+        return lane(system, idx, w, rec)
 
     count_rounds(monkeypatch, calls)
     monkeypatch.setattr(ifs, "_sgd_lockstep", counted_lockstep)
@@ -604,9 +603,9 @@ def sgd_segments(monkeypatch):
     return calls
 
 
-def sgd_system(family: str, eta: float = 0.3) -> IfsSystem:
-    """A problem-backed system of each GLM family (least squares as
-    ProblemMaps, which ``build_sgd_ifs`` would make affine) or a
+def sgd_system(family: str, eta: float = 0.3) -> SgdSystem:
+    """A problem-backed system of each GLM family (least squares as an
+    SgdSystem, which ``build_sgd_ifs`` would make affine) or a
     one-hidden-layer net, on 12 rows in batches of 3."""
     rng = np.random.default_rng(21)
     A = rng.uniform(-1.0, 1.0, size=(12, 2))
@@ -620,8 +619,7 @@ def sgd_system(family: str, eta: float = 0.3) -> IfsSystem:
         "one_hidden": (OneHiddenLayer(lam=0.1, out_weights=(1.0, -1.0), activation="tanh"), A @ [1.0, -0.5]),
     }[family]
     data, scheme = Dataset(A, y), partition_batches(12, 3)
-    maps = tuple(ProblemMap(problem, data, np.asarray(b, dtype=np.int64), eta) for b in scheme.batches)
-    return IfsSystem(maps, scheme.probs)
+    return SgdSystem(problem, data, scheme.batches, eta, scheme.probs)
 
 
 SGD_FAMILIES = ["logistic", "svm", "exp_squared", "tukey", "least_squares", "one_hidden"]
@@ -642,7 +640,7 @@ def test_sgd_segments_record_the_apply_loop(sgd_segments, family, thin, cut):
     got = ifs._run_system(system, w0, idx, record_from, thin, n_record)
     assert sgd_segments["rounds"] >= 1
     assert got.shape == (n_record, system.dim)
-    assert same_bits(got, apply_loop(system.maps, idx, w0, record_from, thin, n_record))
+    assert same_bits(got, apply_loop(system, idx, w0, record_from, thin, n_record))
 
 
 def benchmark_logistic(seed: int, lam: float = 1.0) -> IfsSystem:
@@ -666,7 +664,7 @@ def test_coalescing_sgd_chain_settles_in_two_rounds(sgd_segments, burn_in):
     w0 = np.array([0.5, -0.5])
     got = ifs._run_system(system, w0, idx, burn_in, 1, n - burn_in)
     assert rounds_and_lane(sgd_segments) == (2, 5)
-    assert same_bits(got, apply_loop(system.maps, idx, w0, burn_in, 1, n - burn_in))
+    assert same_bits(got, apply_loop(system, idx, w0, burn_in, 1, n - burn_in))
 
 
 @pytest.mark.parametrize("thin", [1, 3])
@@ -684,7 +682,7 @@ def test_meeting_exit_on_sgd_segments(sgd_segments, monkeypatch, thin, burn_in):
     got = ifs._run_system(system, w0, idx, burn_in, thin, n_record)
     assert rounds_and_lane(sgd_segments) == (2, 5)
     assert sgd_segments["lockstep_steps"] < 2 * 64
-    assert same_bits(got, apply_loop(system.maps, idx, w0, burn_in, thin, n_record))
+    assert same_bits(got, apply_loop(system, idx, w0, burn_in, thin, n_record))
 
 
 def test_sgd_chain_that_never_coalesces_stops_by_the_rule(sgd_segments):
@@ -700,7 +698,7 @@ def test_sgd_chain_that_never_coalesces_stops_by_the_rule(sgd_segments):
     idx = draw_indices(Xoshiro256PP(6), system.probs, n)
     got = ifs._run_system(system, np.zeros(2), idx, 50, 1, n - 50)
     assert rounds_and_lane(sgd_segments) == (3, n - 3 * 64)
-    assert same_bits(got, apply_loop(system.maps, idx, np.zeros(2), 50, 1, n - 50))
+    assert same_bits(got, apply_loop(system, idx, np.zeros(2), 50, 1, n - 50))
 
 
 def test_divergent_sgd_segments_raise_non_finite_state(sgd_segments):
@@ -725,7 +723,7 @@ def test_preconditioned_sgd_chain_stays_serial(sgd_segments):
     idx = draw_indices(Xoshiro256PP(9), system.probs, n)
     got = ifs._run_system(system, np.full(2, 0.1), idx, 10, 2, 150)
     assert rounds_and_lane(sgd_segments) == (0, 0)
-    assert same_bits(got, apply_loop(system.maps, idx, np.full(2, 0.1), 10, 2, 150))
+    assert same_bits(got, apply_loop(system, idx, np.full(2, 0.1), 10, 2, 150))
 
 
 @pytest.mark.parametrize("kind", ["logistic", "one_hidden"])
@@ -746,7 +744,7 @@ def test_wide_sgd_steps_stay_serial(monkeypatch):
     monkeypatch.setattr(ifs, "SGD_MAX_WORK", 11)
     idx = draw_indices(Xoshiro256PP(10), system.probs, 4 * ifs.SGD_SEG)
     got = ifs._run_system(system, np.full(4, 0.1), idx, 0, 1, idx.size)
-    assert calls == [] and same_bits(got, apply_loop(system.maps, idx, np.full(4, 0.1), 0, 1, idx.size))
+    assert calls == [] and same_bits(got, apply_loop(system, idx, np.full(4, 0.1), 0, 1, idx.size))
 
 
 def test_benchmark_logistic_chain_settles_at_the_default_segments(monkeypatch):
@@ -837,10 +835,7 @@ def test_cloud_csv_reads_crlf_line_endings(tmp_path):
 def test_box_invariance_property(slopes, mix, seed):
     """Maps sending [0,1] into itself keep every post-burn-in sample inside."""
     s1, s2 = slopes
-    system = IfsSystem(
-        (affine_1d(s1, 0.0), affine_1d(s2, 1.0 - s2)),
-        np.array([mix, 1.0 - mix]),
-    )
+    system = scalar_system([s1, s2], [0.0, 1.0 - s2], [mix, 1.0 - mix])
     cloud = sample_invariant(system, np.array([0.5]), 50, 500, seed=seed)
     assert cloud.points.min() >= 0.0
     assert cloud.points.max() <= 1.0
@@ -858,10 +853,7 @@ def test_cantor_contractivity_analytic():
 
 
 def test_average_contractivity_with_one_expanding_map():
-    system = IfsSystem(
-        (AffineMap(2.0 * np.eye(2), np.zeros(2)), AffineMap(0.1 * np.eye(2), np.zeros(2))),
-        np.array([0.5, 0.5]),
-    )
+    system = AffineSystem([2.0 * np.eye(2), 0.1 * np.eye(2)], np.zeros((2, 2)), np.array([0.5, 0.5]))
     report = contractivity_report(system)
     assert report.lipschitz == pytest.approx((2.0, 0.1), rel=1e-9)
     assert report.mean_log == pytest.approx(0.5 * (math.log(2.0) + math.log(0.1)), rel=1e-9)
@@ -880,15 +872,15 @@ def test_least_squares_lipschitz_is_exact():
 
 def test_affine_norm_exact_above_dense_cap():
     diag = np.linspace(-0.9, 0.5, 65)
-    m = AffineMap(np.diag(diag), np.zeros(65))
-    assert m.jacobian_norm() == pytest.approx(0.9, rel=1e-12)
+    report = contractivity_report(AffineSystem([np.diag(diag)], np.zeros((1, 65)), np.array([1.0])))
+    assert report.lipschitz[0] == pytest.approx(0.9, rel=1e-12)
 
 
 def test_contractivity_report_sees_one_expanding_direction():
     """diag(1.2, 0.5 x 15) stretches one coordinate of 16: its exact norm is
     1.2, so the mean log is log 1.2 and the system is not contractive."""
     m = np.diag([1.2] + [0.5] * 15)
-    system = IfsSystem((AffineMap(m, np.zeros(16)), AffineMap(m, np.ones(16))), np.array([0.5, 0.5]))
+    system = AffineSystem([m, m], [np.zeros(16), np.ones(16)], np.array([0.5, 0.5]))
     report = contractivity_report(system)
     assert report.mean_log == pytest.approx(math.log(1.2), rel=1e-12)
     assert not report.contractive
@@ -911,13 +903,13 @@ def test_lyapunov_cantor_constant_jacobian():
 
 
 def test_lyapunov_identity_map_is_zero():
-    system = IfsSystem((AffineMap(np.eye(2), np.zeros(2)),), np.array([1.0]))
+    system = AffineSystem([np.eye(2)], np.zeros((1, 2)), np.array([1.0]))
     est = lyapunov_exponent(system, np.zeros(2), 1500, seed=2)
     assert est.rho == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lyapunov_dominant_direction_of_diagonal_map():
-    system = IfsSystem((AffineMap(np.diag([0.9, 0.5]), np.zeros(2)),), np.array([1.0]))
+    system = AffineSystem([np.diag([0.9, 0.5])], np.zeros((1, 2)), np.array([1.0]))
     est = lyapunov_exponent(system, np.zeros(2), 100_000, seed=3)
     assert est.rho == pytest.approx(math.log(0.9), abs=1e-2)
 
@@ -935,7 +927,7 @@ def test_lyapunov_requires_long_chain():
 
 
 def reference_lyapunov(system: IfsSystem, w0: np.ndarray, k: int, seed: int) -> float:
-    """The serial loop: each map's ``apply`` steps the state, renormalizing the
+    """The serial loop: the system's ``apply`` steps the state, renormalizing the
     tangent every 16 steps and measuring it once more after the last."""
     w = np.asarray(w0, dtype=float)
     gen = Xoshiro256PP(seed)
@@ -944,9 +936,8 @@ def reference_lyapunov(system: IfsSystem, w0: np.ndarray, k: int, seed: int) -> 
     idx = draw_indices(gen, system.probs, k)
     total = 0.0
     for t in range(k):
-        m = system.maps[idx[t]]
-        v = m.jacobian_matvec(w, v)
-        w = m.apply(w)
+        v = system.jacobian_matvec(idx[t], w, v)
+        w = system.apply(idx[t], w)
         if (t + 1) % 16 == 0:
             nv = float(np.linalg.norm(v))
             if nv == 0.0:
@@ -977,8 +968,9 @@ def lyapunov_case(kind: str) -> tuple:
     if kind == "one_hidden":
         net = OneHiddenLayer(lam=0.01, out_weights=(1.0, -1.0), activation="tanh")
         return build_sgd_ifs(net, Dataset(A, A @ [0.5, -1.0]), scheme, 0.2), np.full(4, 0.3), 1017
-    maps = (AffineMap([[0.6, 0.2], [-0.1, 0.5]], [1.0, 0.0]), AffineMap([[0.4, -0.3], [0.2, 0.7]], [0.0, -1.0]))
-    return IfsSystem(maps, np.array([0.3, 0.7])), np.zeros(2), 2 * ifs.SEG * ifs.MIN_SEGMENTS + 4465
+    system = AffineSystem([[[0.6, 0.2], [-0.1, 0.5]], [[0.4, -0.3], [0.2, 0.7]]], [[1.0, 0.0], [0.0, -1.0]],
+                          np.array([0.3, 0.7]))
+    return system, np.zeros(2), 2 * ifs.SEG * ifs.MIN_SEGMENTS + 4465
 
 
 @pytest.mark.parametrize("kind", ["logistic", "precond_logistic", "one_hidden", "affine_2d"])
@@ -1037,7 +1029,7 @@ def test_lyapunov_zero_jacobian_stops_within_the_first_block(monkeypatch):
     (1e30, [0.0]),  # the state stays at 0; only the tangent overflows
 ])
 def test_lyapunov_divergence_is_typed_without_numpy_warnings(slope, w0):
-    system = IfsSystem((affine_1d(slope, 0.0),), np.array([1.0]))
+    system = scalar_system([slope], [0.0], [1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFiniteState, match="system appears to diverge"):

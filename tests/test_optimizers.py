@@ -11,7 +11,7 @@ from conftest import PROBLEM_KINDS, make_problem_config
 from ifslab.complexity import PowerIterConfig, jacobian_norms
 from ifslab.errors import ConfigError, IndivisibleBatch, NotPositiveDefinite
 from ifslab import ifs
-from ifslab.ifs import AffineMap, iterate, lyapunov_exponent, sample_invariant
+from ifslab.ifs import contractivity_report, iterate, lyapunov_exponent, sample_invariant
 from ifslab.optimizers import (
     PreconditionerSpec,
     build_precond_sgd_ifs,
@@ -77,19 +77,19 @@ def test_subset_scheme_counts_maps():
 def test_quadratic_pair_maps_are_exact():
     data = Dataset([[1.0], [1.0]], [0.0, 1.0])
     system = build_sgd_ifs(LeastSquares(lam=0.0), data, partition_batches(2, 1), 2.0 / 3.0)
-    m1, m2 = system.maps
-    assert m1.matrix[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert m1.offset[0] == 0.0
-    assert m2.matrix[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert m2.offset[0] == pytest.approx(2.0 / 3.0, rel=1e-15)
+    (m1, m2), (q1, q2) = system.matrices, system.offsets
+    assert m1[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert q1[0] == 0.0
+    assert m2[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert q2[0] == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
 def test_full_batch_gd_fixed_point():
     data = Dataset([[1.0]], [1.0])
     system = build_sgd_ifs(LeastSquares(lam=0.0), data, partition_batches(1, 1), 0.5)
-    (m,) = system.maps
-    assert m.matrix[0, 0] == pytest.approx(0.5, rel=1e-15)
-    assert m.offset[0] == pytest.approx(0.5, rel=1e-15)
+    (m,), (q,) = system.matrices, system.offsets
+    assert m[0, 0] == pytest.approx(0.5, rel=1e-15)
+    assert q[0] == pytest.approx(0.5, rel=1e-15)
     traj = iterate(system, np.array([0.0]), 60, seed=0)
     assert traj.states[-1, 0] == pytest.approx(1.0, rel=1e-12)
 
@@ -101,9 +101,9 @@ def test_one_step_equivalence(kind):
     scheme = partition_batches(dataset.n, 1)
     eta = 0.05
     system = build_sgd_ifs(problem, dataset, scheme, eta)
-    for i, m in enumerate(system.maps):
-        expected = w - eta * grad(problem, w, dataset, scheme.batches[i])
-        np.testing.assert_allclose(m.apply(w), expected, atol=1e-12)
+    for i, batch in enumerate(scheme.batches):
+        expected = w - eta * grad(problem, w, dataset, batch)
+        np.testing.assert_allclose(system.apply(i, w), expected, atol=1e-12)
 
 
 def test_affine_fidelity_on_many_points():
@@ -116,7 +116,7 @@ def test_affine_fidelity_on_many_points():
         w = rng.normal(size=3)
         i = int(rng.integers(0, scheme.m_b))
         direct = w - 0.1 * grad(problem, w, data, scheme.batches[i])
-        np.testing.assert_allclose(system.maps[i].apply(w), direct, atol=1e-12)
+        np.testing.assert_allclose(system.apply(i, w), direct, atol=1e-12)
 
 
 def test_sgd_builder_validates_eta_and_labels():
@@ -175,9 +175,8 @@ def test_scalar_preconditioner_halves_the_step():
     spec = PreconditionerSpec(2.0 * np.eye(2), (2.0, 2.0))
     halved = build_sgd_ifs(problem, data, scheme, 0.1)
     precond = build_precond_sgd_ifs(problem, data, scheme, 0.2, spec)
-    for m_half, m_pre in zip(halved.maps, precond.maps):
-        np.testing.assert_allclose(m_pre.matrix, m_half.matrix, atol=1e-14)
-        np.testing.assert_allclose(m_pre.offset, m_half.offset, atol=1e-14)
+    np.testing.assert_allclose(precond.matrices, halved.matrices, atol=1e-14)
+    np.testing.assert_allclose(precond.offsets, halved.offsets, atol=1e-14)
 
 
 def test_preconditioned_map_hand_value():
@@ -188,7 +187,7 @@ def test_preconditioned_map_hand_value():
     system = build_precond_sgd_ifs(
         LeastSquares(lam=1.0), data, partition_batches(1, 1), 0.1, spec
     )
-    np.testing.assert_allclose(system.maps[0].matrix, np.diag([0.8, 0.975]), atol=1e-12)
+    np.testing.assert_allclose(system.matrices[0], np.diag([0.8, 0.975]), atol=1e-12)
 
 
 def test_preconditioned_logistic_chain_matches_reference_loop():
@@ -224,15 +223,15 @@ def test_preconditioned_problem_map_norm_matches_dense_svd():
     spec = PreconditionerSpec(P, (1.0, 4.0))
     problem = Logistic(lam=0.5)
     system = build_precond_sgd_ifs(problem, data, partition_batches(6, 2), 0.8, spec)
-    for m in system.maps:
-        assert m.solve is not None
+    assert system.solve is not None
+    for batch in system.batches:
         for _ in range(3):
             w = rng.normal(size=d)
-            H = np.column_stack([hvp(problem, w, data, m.batch, e) for e in np.eye(d)])
+            H = np.column_stack([hvp(problem, w, data, batch, e) for e in np.eye(d)])
             J = np.eye(d) - 0.8 * np.linalg.solve(P, H)
             assert not np.allclose(J, J.T)
             dense = np.linalg.svd(J, compute_uv=False)[0]
-            (norm,), _ = jacobian_norms(problem, data, [m.batch], 0.8, w, PowerIterConfig(), [0], m.solve)
+            (norm,), _ = jacobian_norms(problem, data, [batch], 0.8, w, PowerIterConfig(), [0], system.solve)
             assert norm == pytest.approx(dense, rel=1e-12)
 
 
@@ -246,13 +245,13 @@ def test_preconditioned_problem_map_norm_above_dense_cap_matches_svd():
     spec = PreconditionerSpec(0.5 * (P + P.T), (1.0, 4.0))
     problem = Logistic(lam=0.5)
     system = build_precond_sgd_ifs(problem, data, partition_batches(8, 4), 0.8, spec)
-    for s, m in enumerate(system.maps):
+    for s, batch in enumerate(system.batches):
         w = rng.normal(size=d)
-        H = hvp(problem, w, data, m.batch, np.eye(d))
+        H = hvp(problem, w, data, batch, np.eye(d))
         J = np.eye(d) - 0.8 * np.linalg.solve(spec.matrix, H)
         dense = np.linalg.svd(J, compute_uv=False)[0]
         (norm,), _ = jacobian_norms(
-            problem, data, [m.batch], 0.8, w, PowerIterConfig(1e-12, 20_000), [s], m.solve
+            problem, data, [batch], 0.8, w, PowerIterConfig(1e-12, 20_000), [s], system.solve
         )
         assert norm == pytest.approx(dense, rel=1e-8)
 
@@ -271,10 +270,10 @@ def test_preconditioner_spec_rejects_bound_below_a_near_tied_top_eigenvalue():
 def test_newton_scalar_map():
     data = Dataset([[1.0]], [2.0])
     system = build_stoch_newton_ifs(LeastSquares(lam=1.0), data, partition_batches(1, 1), 0.5)
-    (m,) = system.maps
-    assert m.matrix[0, 0] == pytest.approx(0.5, rel=1e-15)
+    (m,), (q,) = system.matrices, system.offsets
+    assert m[0, 0] == pytest.approx(0.5, rel=1e-15)
     # q = eta * (a^2 + lam)^{-1} a y = 0.5 * (2)^{-1} * 2 = 0.5
-    assert m.offset[0] == pytest.approx(0.5, rel=1e-15)
+    assert q[0] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_newton_eta_one_jumps_to_batch_minimizer():
@@ -282,20 +281,20 @@ def test_newton_eta_one_jumps_to_batch_minimizer():
     data = Dataset(rng.uniform(-1, 1, size=(4, 2)), rng.uniform(-1, 1, size=4))
     scheme = partition_batches(4, 2)
     system = build_stoch_newton_ifs(LeastSquares(lam=0.7), data, scheme, 1.0)
-    for i, m in enumerate(system.maps):
-        np.testing.assert_allclose(m.matrix, np.zeros((2, 2)), atol=1e-15)
+    for i, (m, q) in enumerate(zip(system.matrices, system.offsets)):
+        np.testing.assert_allclose(m, np.zeros((2, 2)), atol=1e-15)
         A = data.features[scheme.batches[i]]
         y = data.targets[scheme.batches[i]]
         H = A.T @ A / 2 + 0.7 * np.eye(2)
-        np.testing.assert_allclose(m.offset, np.linalg.solve(H, A.T @ y / 2), atol=1e-12)
+        np.testing.assert_allclose(q, np.linalg.solve(H, A.T @ y / 2), atol=1e-12)
 
 
 def test_newton_jacobian_norm_is_one_minus_eta():
     rng = np.random.default_rng(9)
     data = Dataset(rng.uniform(-1, 1, size=(6, 2)), rng.uniform(-1, 1, size=6))
     system = build_stoch_newton_ifs(LeastSquares(lam=0.2), data, partition_batches(6, 2), 0.25)
-    for m in system.maps:
-        assert m.jacobian_norm() == pytest.approx(0.75, rel=1e-9)
+    for lipschitz in contractivity_report(system).lipschitz:
+        assert lipschitz == pytest.approx(0.75, rel=1e-9)
 
 
 def test_newton_requires_least_squares_and_positive_lam():
@@ -477,6 +476,6 @@ def test_sgd_maps_agree_with_gradient_step(seed):
     b = divisors[seed % len(divisors)]
     scheme = partition_batches(dataset.n, b)
     system = build_sgd_ifs(problem, dataset, scheme, 0.05)
-    for i, m in enumerate(system.maps):
-        step = w - 0.05 * grad(problem, w, dataset, scheme.batches[i])
-        np.testing.assert_allclose(m.apply(w), step, atol=1e-12)
+    for i, batch in enumerate(scheme.batches):
+        step = w - 0.05 * grad(problem, w, dataset, batch)
+        np.testing.assert_allclose(system.apply(i, w), step, atol=1e-12)

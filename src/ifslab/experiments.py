@@ -352,9 +352,11 @@ def _student_problem(config: SweepConfig) -> pr.OneHiddenLayer:
 
 
 def _train_point(
-    problem: pr.OneHiddenLayer, train: pr.Dataset, scheme: BatchScheme, config: SweepConfig, seeds: list[int]
+    problem: pr.OneHiddenLayer, train: pr.Dataset, scheme: BatchScheme, table: np.ndarray, config: SweepConfig,
+    seeds: list[int],
 ) -> list:
-    """Constant-step SGD of one batch size's chains, stepped in lockstep.
+    """Constant-step SGD of one batch size's chains, stepped in lockstep
+    along ``table``, the scheme's batches stacked (n_maps, b).
 
     Chain k (step size config.etas[k]) starts from 0.5 * normals of
     Xoshiro256PP(seeds[k]) and then draws its max_iters map indices from that
@@ -367,7 +369,6 @@ def _train_point(
     dim = pr.param_dim(problem, train)
     w = np.stack([0.5 * gen.normals(dim) for gen in gens])
     idx = np.stack([draw_indices(gen, scheme.probs, config.max_iters) for gen in gens])
-    table = np.stack(scheme.batches)
     out: list = [None] * len(seeds)
     live = list(range(len(seeds)))  # the chains in the stack, in stack order
     steps = 0
@@ -443,7 +444,8 @@ def _sweep_group(
     """
     problem = _student_problem(config)
     scheme = partition_batches(train.n, b)
-    trained = _train_point(problem, train, scheme, config, seeds)
+    table = np.stack(scheme.batches)  # one table for training and the clouds
+    trained = _train_point(problem, train, scheme, table, config, seeds)
     live = [k for k, w in enumerate(trained) if not isinstance(w, IfslabError)]
     clouds: dict = {}
     if live:
@@ -451,7 +453,7 @@ def _sweep_group(
         gens = [Xoshiro256PP(child_seed(seeds[k], 1)) for k in live]
         idx = np.stack([draw_indices(gen, scheme.probs, total) for gen in gens])
         points, finite = run_sgd(
-            problem, train, np.stack(scheme.batches), np.array([config.etas[k] for k in live])[:, None],
+            problem, train, table, np.array([config.etas[k] for k in live])[:, None],
             np.stack([trained[k] for k in live]), idx, config.burn_in, config.thin, config.n_cloud,
         )
         clouds = {k: points[j] if finite[j] else NonFiniteState() for j, k in enumerate(live)}

@@ -7,7 +7,8 @@ an ``AffineSystem`` stacks the matrices M_i and offsets q_i of its affine
 maps M_i w + q_i, and an ``SgdSystem`` holds one problem, dataset, eta and
 preconditioner and a (n_maps, b) table of batches, map i being the SGD step
 on batch i.  Jacobian norms of SGD steps live in ``complexity``, a system's
-batches at once.
+batches at once.  Systems compare and hash by identity, since their tables
+are arrays.
 
 Affine chains and plain-SGD problem-backed chains run parallel in time
 through one settle loop, ``_settle``: the index stream is cut into segments
@@ -24,11 +25,12 @@ Affine segments step through ``_lockstep`` and SGD ones through ``run_sgd``
 on stacked rows, and every record equals the serial loop bit for bit.
 Every problem-backed chain is stepped by one SGD loop, ``run_sgd``, along
 a table of batches and a stream of map indices into it, its rows gathered
-once per chunk of steps and passed to ``problems.grad_rows``: a system's
+once per chunk of steps and passed to the gradient kernel of
+``problems.grad_rows``, whose buffers it allocates once per call: a system's
 index-drawn batches (one chain, or its segments in lockstep), the sweep's K
 chains in lockstep (``experiments``), or subset mode's b-subsets
 (``optimizers``), drawn up front into a table stepped in order.  A stack of
-K chains takes one ``grad_rows`` call per step, each chain bit-equal to its
+K chains takes one kernel call per step, each chain bit-equal to its
 run alone.  Preconditioned chains, and those whose steps cost too much per
 extra segment (b * dim above SGD_MAX_WORK), run serially.  No other code
 steps a state: ``lyapunov_exponent`` takes its states from these loops and
@@ -91,7 +93,7 @@ def _batch_table(batches, n_rows: int) -> np.ndarray:
     return np.ascontiguousarray(table, dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineSystem:
     """Affine maps h_i(w) = M_i w + q_i, chosen with probabilities p_i:
     ``matrices`` (n_maps, d, d), ``offsets`` (n_maps, d) and ``probs``
@@ -123,7 +125,7 @@ class AffineSystem:
         return self.matrices[i] @ v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SgdSystem:
     """SGD steps h_i(w) = w - eta * P(grad of the batch risk at w), chosen
     with probabilities p_i, that differ only in their batch: row i of
@@ -249,15 +251,22 @@ def run_sgd(
 
     One chain has ``w0`` (dim,), a float ``eta`` and map indices ``idx``
     (T,); K plain-SGD chains in lockstep have ``w0`` (K, dim), ``eta`` (K, 1)
-    and ``idx`` (K, T), and take one ``grad_rows`` call per step on rows
-    (K, b, d), (K, b).  Each chunk of steps takes one gather of features and
-    one of targets; a step's rows are C-contiguous views, laid out as
-    ``problems.grad`` lays out its own gather.  Returns the states after
+    and ``idx`` (K, T), and take one gradient per step on rows (K, b, d),
+    (K, b).  Each chunk of steps takes one gather of features and one of
+    targets; a step's rows are C-contiguous views, laid out as
+    ``problems.grad`` lays out its own gather.  The call builds one
+    ``problems.GradWorkspace`` (the kernel of ``grad_rows``), copies ``w0``
+    into its state buffer once and steps that buffer in place; ``w0`` itself
+    is never written.  A step writes the gradient and eta * P(gradient) into
+    the workspace's gradient buffer, so it allocates nothing beyond what
+    ``solve`` and a GLM margin derivative return.  Returns the states after
     steps record_from + j*thin, j = 1..n_record, as (n_record, dim) or
     (K, n_record, dim), and whether each chain's records and final state are
     finite (a bool, or one per chain).
     """
-    w = np.asarray(w0, dtype=float)
+    ws = pr.GradWorkspace(problem, np.shape(w0), table.shape[1], dataset.d)
+    w, g = ws.w, ws.g
+    w[...] = w0
     out = np.empty(w.shape[:-1] + (n_record, w.shape[-1]))
     lanes = 1 if idx.ndim == 1 else idx.shape[0]
     chunk = max(1, ROW_CHUNK_BYTES // (8 * (dataset.d + 1) * table.shape[1] * lanes))
@@ -268,8 +277,8 @@ def run_sgd(
         for a in range(0, idx.shape[-1], chunk):
             rows = zip(*dataset.rows(table.take(idx[..., a : a + chunk].T, axis=0)))
             for t, (A, y) in enumerate(rows, start=a + 1):
-                g = pr.grad_rows(problem, w, A, y)
-                w = w - eta * (g if solve is None else solve(g))
+                ws.grad(A, y)
+                np.subtract(w, np.multiply(eta, g if solve is None else solve(g), out=g), out=w)
                 if t > record_from and (t - record_from) % thin == 0 and r < n_record:
                     out[..., r, :] = w
                     r += 1
@@ -298,8 +307,10 @@ MIN_SEGMENTS_SCALAR = 128
 # segment that grows with b * dim, and a chain that never coalesces wastes
 # two or three rounds before the settle loop gives up.  Up to b * dim = 32
 # that share is at most about 3 % of a solo step, so such a chain runs under
-# 10 % slower than serially; the sweep's student (b = 16, dim 32) ran 23-26 %
-# slower at any width from 16 to 64.
+# 10 % slower than serially; the sweep's student (b = 16, dim 32, eta 0.17;
+# 1,000 + 20,000 steps through ``sample_invariant``, CPU time, median over
+# 24 processes on 2 shared vCPUs) ran 24, 23 and 25 % slower in lockstep
+# at widths 16, 32 and 64 than serially.
 SGD_SEG = 256
 SGD_MAX_SEGMENTS = 64
 SGD_MAX_WORK = 32

@@ -6,7 +6,8 @@ and per-batch norm envelopes (gamma_i, Gamma_i) bounding ||J|| under the
 step-size hypotheses of the corresponding contraction propositions.  The four
 GLM families are margin losses phi(a.w, y): each one's phi, phi' and phi'' is
 one entry of ``_MARGIN``, which ``batch_losses``, ``grad`` and ``hvp`` read
-beside their one-hidden-layer branch.  Each
+beside their one-hidden-layer branch (``grad`` through its one kernel,
+``GradWorkspace``).  Each
 proposition is one record of ``PROPOSITIONS``, which ``check_step_size``,
 ``norm_envelopes`` and ``dimension.analytic_bound`` all read.
 
@@ -203,11 +204,23 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-# (act, act' and act'' as functions of the activation value a = act(x), sup|act''|)
+def _sigmoid_prime(s, out=None):
+    """s (1 - s), written into ``out`` when given."""
+    out = np.subtract(1.0, s, out=out)
+    return np.multiply(s, out, out=out)
+
+
+def _tanh_prime(t, out=None):
+    """1 - t^2, written into ``out`` when given."""
+    out = np.square(t, out=out)
+    return np.subtract(1.0, out, out=out)
+
+
+# (act, act' and act'' as functions of the activation value a = act(x), sup|act''|);
+# act' also writes into a given ``out``, for the gradient kernel's buffer
 _ACTIVATIONS = {
-    "sigmoid": (_sigmoid, lambda s: s * (1.0 - s), lambda s: s * (1.0 - s) * (1.0 - 2.0 * s),
-                SIGMOID_SECOND_SUP),
-    "tanh": (np.tanh, lambda t: 1.0 - t**2, lambda t: -2.0 * t * (1.0 - t**2), TANH_SECOND_SUP),
+    "sigmoid": (_sigmoid, _sigmoid_prime, lambda s: s * (1.0 - s) * (1.0 - 2.0 * s), SIGMOID_SECOND_SUP),
+    "tanh": (np.tanh, _tanh_prime, lambda t: -2.0 * t * (1.0 - t**2), TANH_SECOND_SUP),
 }
 
 
@@ -327,19 +340,70 @@ def grad(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray) -
 
 def grad_rows(problem: Problem, w: np.ndarray, A: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``grad`` on gathered rows: features ``A`` (b, d) and targets ``y`` (b,),
-    or for a stack w (K, dim), A (K, b, d) and y (K, b).  One expression
-    serves both, each stacked product a BLAS call per member with the solo
-    call's operands, so row k is bit-equal to the solo gradient.  The
-    arguments are not checked; the SGD chain loop calls this per step."""
-    nb = y.shape[-1]
-    lam = regularizer_weight(problem)
-    if isinstance(problem, OneHiddenLayer):
-        b, H, yhat, d1, _ = _mlp_parts(problem, w, A)
-        # V[j] = flatten_r(b_r f'(z_jr) a_j); grad = -(1/b) sum resid_j V_j + lam w
-        coef = (yhat - y)[..., None] * (b * d1(H))  # (..., nb, m)
-        return (coef.swapaxes(-1, -2) @ A).reshape(w.shape) / nb + lam * w
-    phi1 = _margin(problem)[1](problem, np.matmul(A, w[..., None])[..., 0], y)
-    return np.matmul(A.swapaxes(-1, -2), phi1[..., None])[..., 0] / nb + lam * w
+    or for a stack w (K, dim), A (K, b, d) and y (K, b).  This is the
+    ``GradWorkspace`` kernel run once on a fresh workspace, so it returns a
+    new array and leaves ``w`` as it was.  The arguments are not checked."""
+    ws = GradWorkspace(problem, w.shape, y.shape[-1], A.shape[-1])
+    ws.w[...] = w
+    return ws.grad(A, y)
+
+
+class GradWorkspace:
+    """The batch-gradient kernel of ``problem``: one expression per family,
+    each step of it written into a buffer allocated here, and the problem's
+    constants, read here once.
+
+    Built for a state of shape ``shape``, one point (dim,) or a stack
+    (K, dim), and batches of ``nb`` rows of ``d`` features.  ``grad(A, y)``
+    writes the gradient at the state buffer ``w`` on rows A (nb, d) and
+    y (nb,), or A (K, nb, d) and y (K, nb) for a stack, into the buffer
+    ``g`` and returns ``g``.  Every step has the operands and the order of
+    the plain expression, each stacked product a BLAS call per member with
+    the solo call's operands, so the result is bit-equal to the plain
+    expression and row k of a stack to the solo gradient.  The next call
+    overwrites ``g``.  ``grad_rows`` runs the kernel on a fresh workspace;
+    ``ifs.run_sgd`` builds one per call and steps ``w`` in place.
+    """
+
+    def __init__(self, problem: Problem, shape: tuple, nb: int, d: int):
+        lead = shape[:-1]
+        self.w, self.g, self._reg = np.empty(shape), np.empty(shape), np.empty(shape)
+        self._problem, self._lam, self._nb = problem, regularizer_weight(problem), float(nb)
+        self._mlp = isinstance(problem, OneHiddenLayer)
+        if self._mlp:
+            m = problem.hidden
+            self._out = problem.out_array
+            self._act, self._act1 = _ACTIVATIONS[problem.activation][:2]
+            self._act_in_place = isinstance(self._act, np.ufunc)
+            self._wt = self.w.reshape(lead + (m, d)).swapaxes(-1, -2)  # W^T of the (m, d) layer, a view of w
+            self._z = np.empty(lead + (nb, m))
+            self._resid = np.empty(lead + (nb,))
+            self._coef = np.empty(lead + (nb, m))
+            self._resid_col, self._coef_t = self._resid[..., None], self._coef.swapaxes(-1, -2)
+            self._g_out = self.g.reshape(lead + (m, d))
+        else:
+            self._phi1 = _margin(problem)[1]
+            self._w_col, self._g_out = self.w[..., None], self.g[..., None]
+            self._z_col = np.empty(lead + (nb, 1))
+            self._z = self._z_col[..., 0]
+
+    def grad(self, A: np.ndarray, y: np.ndarray) -> np.ndarray:
+        if self._mlp:
+            # V[j] = flatten_r(b_r f'(z_jr) a_j); grad = -(1/b) sum resid_j V_j + lam w
+            z, resid, coef = self._z, self._resid, self._coef
+            np.matmul(A, self._wt, out=z)
+            H = self._act(z, out=z) if self._act_in_place else self._act(z)  # (..., nb, m)
+            np.subtract(np.matmul(H, self._out, out=resid), y, out=resid)  # yhat - y
+            np.multiply(self._out, self._act1(H, out=coef), out=coef)
+            np.multiply(self._resid_col, coef, out=coef)
+            np.matmul(self._coef_t, A, out=self._g_out)
+        else:
+            # grad = A^T phi'(A w, y) / b + lam w
+            np.matmul(A, self._w_col, out=self._z_col)
+            phi1 = self._phi1(self._problem, self._z, y)
+            np.matmul(A.swapaxes(-1, -2), phi1[..., None], out=self._g_out)
+        np.divide(self.g, self._nb, out=self.g)
+        return np.add(self.g, np.multiply(self._lam, self.w, out=self._reg), out=self.g)
 
 
 def hvp(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray, v: np.ndarray) -> np.ndarray:

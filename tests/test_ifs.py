@@ -128,6 +128,15 @@ def test_system_rejects_non_integer_batch_entries():
         SgdSystem(Logistic(lam=0.1), three_rows(), [[0.0, 1.0], [2.0, 1.5]], 0.5, np.array([0.5, 0.5]))
 
 
+def test_systems_compare_and_hash_by_identity():
+    """Two systems built from equal tables are distinct systems: comparing
+    them does not reach numpy's ambiguous truth value, and both hash."""
+    for make in (lambda: AffineSystem(np.eye(2)[None], np.zeros((1, 2)), [1.0]), lambda: sgd_system("logistic")):
+        a, b = make(), make()
+        assert a == a and a != b and not (a == b)
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
 # ---------------------------------------------------------------------------
 # sample_invariant
 
@@ -617,12 +626,69 @@ def sgd_system(family: str, eta: float = 0.3) -> SgdSystem:
         "tukey": (RobustRegression(lam_r=0.2, t0=1.0, rho="tukey"), A @ [1.0, -0.5]),
         "least_squares": (LeastSquares(lam=0.2), A @ [1.0, -0.5]),
         "one_hidden": (OneHiddenLayer(lam=0.1, out_weights=(1.0, -1.0), activation="tanh"), A @ [1.0, -0.5]),
+        "one_hidden_sigmoid": (OneHiddenLayer(lam=0.1, out_weights=(1.0, -1.0)), A @ [1.0, -0.5]),
     }[family]
     data, scheme = Dataset(A, y), partition_batches(12, 3)
     return SgdSystem(problem, data, scheme.batches, eta, scheme.probs)
 
 
 SGD_FAMILIES = ["logistic", "svm", "exp_squared", "tukey", "least_squares", "one_hidden"]
+
+
+def run_sgd_case(family, K, precond=False):
+    """``ifs.run_sgd`` on a system of ``sgd_system``: one chain (K None) or a
+    stack of K, chain k at its own step size and map indices, and each
+    chain's system.  ``precond`` adds a preconditioner to a solo chain."""
+    system = sgd_system(family)
+    solve = None
+    if precond:
+        Q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(system.dim, system.dim)))
+        solve = PreconditionerSpec(Q @ np.diag(np.linspace(1.0, 2.0, system.dim)) @ Q.T, (0.99, 2.01)).solve
+    n = 1 if K is None else K
+    etas = np.linspace(0.2, 0.4, n)
+    systems = [SgdSystem(system.problem, system.dataset, system.batches, eta, system.probs, solve) for eta in etas]
+    idx = np.stack([draw_indices(Xoshiro256PP(s), system.probs, 150) for s in range(n)])
+    w0 = np.random.default_rng(5).uniform(-1.0, 1.0, size=(n, system.dim))
+    if K is None:
+        idx, w0, eta = idx[0], w0[0], float(etas[0])
+    else:
+        eta = etas[:, None]
+    return system, solve, eta, w0, idx, systems
+
+
+@pytest.mark.parametrize("family", SGD_FAMILIES + ["one_hidden_sigmoid"])
+@pytest.mark.parametrize("K", [None, 1, 2, 6])
+def test_run_sgd_records_the_apply_loop(family, K):
+    """``run_sgd`` steps its state in place through one gradient workspace;
+    each chain, solo or in a stack of 1, 2 or 6, records what a plain
+    ``SgdSystem.apply`` loop records, bit for bit."""
+    system, _, eta, w0, idx, systems = run_sgd_case(family, K)
+    got, finite = ifs.run_sgd(system.problem, system.dataset, system.batches, eta, w0, idx, 20, 3, 40)
+    assert np.all(finite)
+    for k, chain in enumerate(systems):
+        want = apply_loop(chain, idx if K is None else idx[k], w0 if K is None else w0[k], 20, 3, 40)
+        assert same_bits(got if K is None else got[k], want)
+
+
+@pytest.mark.parametrize("family", SGD_FAMILIES + ["one_hidden_sigmoid"])
+def test_preconditioned_run_sgd_records_the_apply_loop(family):
+    system, solve, eta, w0, idx, (chain,) = run_sgd_case(family, None, precond=True)
+    got, finite = ifs.run_sgd(system.problem, system.dataset, system.batches, eta, w0, idx, 20, 3, 40, solve)
+    assert finite and same_bits(got, apply_loop(chain, idx, w0, 20, 3, 40))
+
+
+@pytest.mark.parametrize("K, precond", [(None, False), (None, True), (3, False), (3, True)])
+def test_run_sgd_leaves_w0_unchanged(K, precond):
+    """The chain copies its start once and steps the copy: the caller's w0
+    keeps its bytes, solo or stacked, with or without a preconditioner (a
+    scalar one for the stack)."""
+    system, solve, eta, w0, idx, _ = run_sgd_case("one_hidden", K, precond=precond and K is None)
+    if precond and K is not None:
+        solve = lambda g: 0.5 * g  # noqa: E731
+    before = w0.tobytes()
+    got, _ = ifs.run_sgd(system.problem, system.dataset, system.batches, eta, w0, idx, 0, 1, idx.shape[-1], solve)
+    assert w0.tobytes() == before
+    assert not np.shares_memory(got, w0) and not (got[..., -1, :] == w0).all()
 
 
 @pytest.mark.parametrize("family", SGD_FAMILIES)

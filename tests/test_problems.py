@@ -283,6 +283,29 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+@pytest.mark.parametrize("family", list(GLM_FAMILIES) + ["one_hidden_tanh", "one_hidden_sigmoid"])
+def test_consecutive_gradients_share_no_memory(family):
+    """Each ``grad`` and ``grad_rows`` call returns its own array: a second
+    call, solo or stacked, leaves the first result as it was."""
+    problem = HVP_FAMILIES[family]
+    rng = np.random.default_rng(23)
+    data = Dataset(rng.normal(size=(20, 3)), rng.choice([-1.0, 1.0], size=20))
+    dim = param_dim(problem, data)
+    W, batches = rng.normal(size=(2, dim)), np.array([[0, 3, 5], [7, 9, 11]])
+    A, y = data.rows(batches)
+    for first, second in [
+        (lambda: grad(problem, W[0], data, batches[0]), lambda: grad(problem, W[1], data, batches[1])),
+        (lambda: grad(problem, W, data, batches), lambda: grad(problem, -W, data, batches)),
+        (lambda: pr.grad_rows(problem, W[0], A[0], y[0]), lambda: pr.grad_rows(problem, W[1], A[1], y[1])),
+        (lambda: pr.grad_rows(problem, W, A, y), lambda: pr.grad_rows(problem, -W, A, y)),
+    ]:
+        g1 = first()
+        kept = g1.copy()
+        g2 = second()
+        assert not np.shares_memory(g1, g2)
+        assert same_bits(g1, kept) and not same_bits(g2, kept)
+
+
 def solo_hvp(problem, w, data, batch, v):
     """The batch Hessian product as written for one point before ``hvp``
     took stacks: the oracle of its bits."""

@@ -28,6 +28,7 @@ from .errors import (
     ZeroMeanLogNorm,
     ZeroOperator,
 )
+from .ifs import norm_rounding
 from .rng import Xoshiro256PP, child_seed, draw_indices
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -289,7 +290,9 @@ def estimate_R(
     take their seeds from ``config.seed``; ``converged_fraction`` is the share
     of cells that met the tolerance.  Accumulation is a row-major pairwise sum
     over the full (n_w, n_u) table, and a numerically zero Jacobian raises
-    ZeroOperator.
+    ZeroOperator.  A mean within ``ifs.norm_rounding(dim)`` of 0, the bound
+    ``dimension.rams_ratio`` and ``ifs.contractivity_report`` apply, raises
+    ZeroMeanLogNorm.
     """
     batch_gen = Xoshiro256PP(child_seed(config.seed, 0))
     if scheme.batches is not None:
@@ -304,8 +307,12 @@ def estimate_R(
         problem, dataset, batches, eta, cloud.points, config.n_w, config.power_iter, config.seed
     )
     inverse_r = float(lognorms.sum() / lognorms.size)
-    if abs(inverse_r) < 1e-12:
-        raise ZeroMeanLogNorm(f"mean log norm {inverse_r:.3e} is numerically zero; R undefined")
+    bound = norm_rounding(pr.param_dim(problem, dataset))
+    if abs(inverse_r) <= bound:
+        raise ZeroMeanLogNorm(
+            f"mean log norm {inverse_r:.3e} is 0 within the norms' rounding bound dim * eps "
+            f"({bound:.3g}); R undefined"
+        )
     return ComplexityEstimate(
         R=1.0 / inverse_r,
         inverse_R=inverse_r,

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import problems as pr
 from .complexity import ComplexityConfig, estimate_R, generalization_gap
-from .dimension import BoxCountConfig, DimensionEstimate, analytic_bound, box_counting_dimension
+from .dimension import (BoxCountConfig, DimensionEstimate, analytic_bound, box_counting_dimension,
+                        cloud_extents)
 from .errors import (ComputeError, ConfigError, DegenerateVariance, IfslabError, NonFiniteState,
                      PreconditionViolation)
 from .fileio import FLOAT, atomic_write_bytes, atomic_write_text, csv_text, write_json
@@ -99,29 +100,49 @@ def histogram_csv_text(samples: np.ndarray) -> str:
 
 
 def density_grid(points: np.ndarray, resolution: int = 512) -> np.ndarray:
-    """Occupancy counts of a 2-D cloud on a resolution^2 grid over its bbox."""
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ConfigError("density grid needs an (N, 2) cloud")
-    mins = points.min(axis=0)
-    spans = points.max(axis=0) - mins
+    """Occupancy counts of a 2-D cloud on a resolution^2 grid over its bbox.
+
+    Row iy, column ix counts the points with floor((p - min) / span *
+    resolution) = (ix, iy), the top edge clamped into the last bin; a
+    constant axis puts every point in bin 0.  The bbox comes from
+    ``dimension.cloud_extents`` and the counts from one ``np.bincount`` of
+    the flat cell index iy * resolution + ix.  An empty or non-2-D cloud,
+    a non-finite point or an extent past float64 is a ConfigError.
+    """
+    if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] == 0:
+        raise ConfigError("density grid needs a nonempty (N, 2) cloud")
+    mins, maxs = cloud_extents(points)
+    if not (np.isfinite(mins).all() and np.isfinite(maxs).all()):  # min and max propagate nan
+        raise ConfigError("density grid: cloud has non-finite points (nan or inf)")
+    with np.errstate(over="ignore"):
+        spans = maxs - mins
+    if not np.isfinite(spans).all():
+        raise ConfigError("density grid: cloud's extent overflows float64; rescale the points")
     spans[spans == 0.0] = 1.0  # degenerate axis: everything lands in bin 0
     ix = np.minimum((points[:, 0] - mins[0]) / spans[0] * resolution, resolution - 1).astype(np.int64)
     iy = np.minimum((points[:, 1] - mins[1]) / spans[1] * resolution, resolution - 1).astype(np.int64)
-    grid = np.zeros((resolution, resolution), dtype=np.int64)
-    np.add.at(grid, (iy, ix), 1)
-    return grid
+    counts = np.bincount(iy * resolution + ix, minlength=resolution * resolution)
+    return counts.reshape(resolution, resolution)
 
 
 def pgm_bytes(grid: np.ndarray) -> bytes:
     """Binary PGM (P5, maxval 255), log-scaled: round(255*log(1+c)/log(1+c_max)).
 
     Row 0 of the image is the top of the plot (largest second coordinate), so
-    the picture reads like a conventional x-right / y-up scatter plot.
+    the picture reads like a conventional x-right / y-up scatter plot.  The
+    formula is evaluated once per count 0..c_max and the grid indexes that
+    uint8 table.  A grid that is not 2-D non-negative integer counts is a
+    ConfigError, an all-zero grid a ComputeError.
     """
+    if grid.ndim != 2 or not np.issubdtype(grid.dtype, np.integer) or grid.size == 0:
+        raise ConfigError("pgm needs a nonempty 2-D grid of integer counts")
+    if grid.min() < 0:
+        raise ConfigError(f"pgm needs non-negative counts, got {int(grid.min())}")
     c_max = int(grid.max())
     if c_max <= 0:
         raise ComputeError("cannot render an empty density grid")
-    scaled = np.round(255.0 * np.log1p(grid) / math.log1p(c_max)).astype(np.uint8)
+    table = np.round(255.0 * np.log1p(np.arange(c_max + 1)) / math.log1p(c_max)).astype(np.uint8)
+    scaled = table[grid]
     h, w = scaled.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
     return header + scaled[::-1, :].tobytes()

@@ -28,7 +28,7 @@ from ifslab.errors import (
     ZeroMeanLogNorm,
     ZeroOperator,
 )
-from ifslab.ifs import SampleCloud
+from ifslab.ifs import SampleCloud, norm_rounding
 from ifslab.optimizers import partition_batches
 from ifslab.problems import (
     Dataset,
@@ -284,18 +284,37 @@ def test_estimate_r_determinism_and_json():
 
 
 def test_estimate_r_zero_mean_lognorm():
-    # |1 - eta * 2| = 1 at eta = 1: every factor has unit norm
-    data = Dataset([[math.sqrt(2.0)]], [0.0])
+    # |1 - eta * 4| = 1 exactly at eta = 0.5: every factor has unit norm
+    data = Dataset([[2.0]], [0.0])
     scheme = partition_batches(1, 1)
-    with pytest.raises(ZeroMeanLogNorm):
+    with pytest.raises(ZeroMeanLogNorm, match=r"rounding bound dim \* eps \(2\.22e-16\)"):
         estimate_R(
             LeastSquares(lam=0.0),
             data,
             scheme,
-            1.0,
+            0.5,
             cloud_of(np.zeros(8)),
             ComplexityConfig(n_w=2, n_u=2),
         )
+
+
+def test_estimate_r_zero_test_is_the_norm_rounding_bound():
+    """A mean log norm of 2 eps, between the rounding bound eps at dim 1 and
+    the 1e-12 that estimate_R used to apply, is an R, as in rams_ratio."""
+    # float(sqrt(2))**2 = 2 + 2 eps: |1 - 1.0 * a^2| = 1 + 2 eps, log 2 eps
+    data = Dataset([[math.sqrt(2.0)]], [0.0])
+    est = estimate_R(
+        LeastSquares(lam=0.0),
+        data,
+        partition_batches(1, 1),
+        1.0,
+        cloud_of(np.zeros(8)),
+        ComplexityConfig(n_w=2, n_u=2),
+    )
+    eps = np.finfo(float).eps
+    assert norm_rounding(1) == eps
+    assert est.inverse_R == pytest.approx(2 * eps, rel=1e-12)
+    assert est.R == 1.0 / est.inverse_R
 
 
 def test_estimate_r_cloud_too_small():

@@ -15,6 +15,7 @@ from ifslab.dimension import (
     RamsBound,
     analytic_bound,
     box_counting_dimension,
+    cloud_extents,
     rams_ratio,
     subset_map_count,
 )
@@ -598,10 +599,23 @@ def scale_deltas(pts, config):
     return [delta0 * config.scale_ratio**j for j in range(config.num_scales)]
 
 
+def bits(a):
+    return a.view(f"u{a.itemsize}")
+
+
+def assert_extents_match_axis_reductions(pts):
+    """cloud_extents is bit-equal to the axis-0 reductions, dtype included."""
+    mins, maxs = cloud_extents(pts)
+    for got, want in ((mins, pts.min(axis=0)), (maxs, pts.max(axis=0))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+
 def all_scale_counts(pts, config):
     """Counts at every scale, before the saturation filter, and their reference."""
     from ifslab import dimension
 
+    assert_extents_match_axis_reductions(pts)
     mins = pts.min(axis=0)
     extent = pts.max(axis=0) - mins
     deltas = scale_deltas(pts, config)
@@ -695,6 +709,39 @@ def test_other_grids_count_each_scale(per_scale_calls, pts, config):
     assert len(per_scale_calls) == config.num_scales
     mins = pts.min(axis=0)
     assert got == [distinct_tuple_count(pts, mins, d, config.mass_truncation) for d in scale_deltas(pts, config)]
+
+
+def signed_zero_columns():
+    """Columns of +0 and -0 in both orders, alone and beside other values."""
+    z, n = 0.0, -0.0
+    cols = [[z, n, z, n], [n, z, n, z], [n, n, n, n], [z, z, z, z], [1.0, n, z, -1.0], [n, 2.0, z, 3.0]]
+    pts = np.array(cols).T
+    return np.vstack([pts, pts[::-1]] * 20)
+
+
+def nan_columns(dim):
+    pts = np.random.default_rng(dim).normal(size=(1_000, dim))
+    pts[17, 0] = np.nan
+    pts[:, -1] = np.nan
+    pts[3, dim // 2] = -np.nan
+    return pts
+
+
+@pytest.mark.parametrize("pts", [
+    *[np.random.default_rng(dim).normal(size=(3_001, dim)) for dim in (1, 2, 3, 32)],
+    np.random.default_rng(9).normal(size=(2_000, 2)).astype(np.float32),
+    np.random.default_rng(9).integers(-5, 1 << 40, size=(2_000, 3)),
+    signed_zero_columns(),
+    np.array([[0.0, -0.0], [-0.0, 0.0]]),
+    *[nan_columns(dim) for dim in (1, 2, 3, 32)],
+    np.array([[np.inf, -np.inf], [1.0, 2.0]]),
+    np.ones((1, 5)),
+], ids=["1d", "2d", "3d", "32d", "float32", "int64", "signed-zeros", "two-signed-zeros",
+        "nan-1d", "nan-2d", "nan-3d", "nan-32d", "infs", "one-row"])
+def test_cloud_extents_match_axis_reductions(pts):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_extents_match_axis_reductions(pts)
 
 
 @pytest.mark.parametrize("config", [

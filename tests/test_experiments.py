@@ -32,7 +32,8 @@ from ifslab.experiments import (
     run_linreg2d,
     run_sweep,
 )
-from ifslab.optimizers import partition_batches
+from ifslab.ifs import sample_invariant
+from ifslab.optimizers import build_sgd_ifs, partition_batches
 from ifslab.problems import grad, mean_loss, param_dim
 from ifslab.rng import Xoshiro256PP, draw_indices
 
@@ -174,6 +175,72 @@ def test_density_grid_degenerate_axis():
 def test_density_grid_rejects_non_planar():
     with pytest.raises(ConfigError):
         density_grid(np.zeros((10, 3)))
+    with pytest.raises(ConfigError, match="nonempty"):
+        density_grid(np.zeros((0, 2)))
+
+
+def reference_density_grid(points, resolution):
+    """The scatter-add grid over the axis-0 extents, as drawn before bincount."""
+    mins = points.min(axis=0)
+    spans = points.max(axis=0) - mins
+    spans[spans == 0.0] = 1.0
+    ix = np.minimum((points[:, 0] - mins[0]) / spans[0] * resolution, resolution - 1).astype(np.int64)
+    iy = np.minimum((points[:, 1] - mins[1]) / spans[1] * resolution, resolution - 1).astype(np.int64)
+    grid = np.zeros((resolution, resolution), dtype=np.int64)
+    np.add.at(grid, (iy, ix), 1)
+    return grid
+
+
+def max_edge_cloud():
+    """Points on every bbox edge and corner, the top ones clamped into the last bin."""
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-2.0, 3.0, size=(3_000, 2))
+    pts[:40, 0] = pts[:, 0].max()
+    pts[40:80, 1] = pts[:, 1].max()
+    pts[80:90] = pts.max(axis=0)
+    pts[90:100] = pts.min(axis=0)
+    return pts
+
+
+DENSITY_CLOUDS = {
+    "uniform": lambda: np.random.default_rng(0).uniform(0.0, 1.0, size=(20_000, 2)),
+    "normal-skewed": lambda: np.random.default_rng(1).normal(size=(20_000, 2)) * [1e-3, 50.0] + [7.0, -3.0],
+    "clustered": lambda: np.round(np.random.default_rng(2).normal(size=(20_000, 2)), 1),
+    "degenerate-x": lambda: np.column_stack([np.full(500, -0.25), np.linspace(0, 1, 500)]),
+    "degenerate-y": lambda: np.column_stack([np.linspace(0, 1, 100), np.full(100, 0.5)]),
+    "single-point": lambda: np.full((7, 2), 3.5),
+    "max-edge": max_edge_cloud,
+    "signed-zeros": lambda: np.array([[0.0, -0.0], [-0.0, 0.0], [1.0, -1.0], [-0.0, 2.0]]),
+}
+
+
+@pytest.mark.parametrize("resolution", [1, 2, 7, 512])
+@pytest.mark.parametrize("name", list(DENSITY_CLOUDS))
+def test_density_grid_matches_the_scatter_add(name, resolution):
+    pts = DENSITY_CLOUDS[name]()
+    grid = density_grid(pts, resolution=resolution)
+    want = reference_density_grid(pts, resolution)
+    assert grid.dtype == want.dtype == np.int64
+    assert grid.shape == (resolution, resolution)
+    np.testing.assert_array_equal(grid, want)
+    assert grid.sum() == len(pts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (17, 1)])
+def test_density_grid_rejects_a_non_finite_cloud(bad, where):
+    """Used to end in RuntimeWarnings and an IndexError from the scatter-add."""
+    pts = np.random.default_rng(3).uniform(size=(50, 2))
+    pts[where] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"non-finite points \(nan or inf\)"):
+            density_grid(pts)
+
+
+def test_density_grid_rejects_an_extent_past_float64():
+    with pytest.raises(ConfigError, match="extent overflows float64"):
+        density_grid(np.array([[-1e308, 0.0], [1e308, 1.0]]))
 
 
 def test_pgm_bytes_format():
@@ -200,6 +267,59 @@ def test_pgm_flips_rows_for_y_up():
 def test_pgm_rejects_empty_grid():
     with pytest.raises(ComputeError):
         pgm_bytes(np.zeros((4, 4), dtype=np.int64))
+
+
+def reference_pgm_bytes(grid):
+    """The log scale evaluated over every grid cell, as rendered before the lookup table."""
+    c_max = int(grid.max())
+    scaled = np.round(255.0 * np.log1p(grid) / math.log1p(c_max)).astype(np.uint8)
+    h, w = scaled.shape
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + scaled[::-1, :].tobytes()
+
+
+def count_grid(c_max, shape, seed):
+    """Random counts 0..c_max with c_max present and, room allowing, every count up to 1000."""
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(0, c_max + 1, size=shape, dtype=np.int64)
+    flat = grid.reshape(-1)
+    low = np.arange(min(c_max, 1000, flat.size - 1) + 1)
+    flat[: len(low)] = low
+    flat[-1] = c_max
+    return grid
+
+
+@pytest.mark.parametrize("c_max", [1, 2, 255, 100_000])
+@pytest.mark.parametrize("shape", [(512, 512), (4, 3), (1, 1)])
+def test_pgm_bytes_match_the_per_cell_formula(c_max, shape):
+    """The small grids hold counts far past their cell count, so the table
+    outgrows the grid there."""
+    grid = count_grid(c_max, shape, c_max)
+    assert pgm_bytes(grid) == reference_pgm_bytes(grid)
+
+
+def linreg2d_cloud(eta):
+    data = generate_synthetic(UniformLinReg(n=5, d=2), 0)
+    system = build_sgd_ifs(pr.LeastSquares(lam=0.0), data, partition_batches(data.n, 1), eta)
+    return sample_invariant(system, np.zeros(2), burn_in=1_000, n_samples=30_000, seed=0).points
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.9])
+def test_pgm_bytes_of_a_preset_density_grid(eta):
+    cloud = linreg2d_cloud(eta)
+    assert pgm_bytes(density_grid(cloud)) == reference_pgm_bytes(reference_density_grid(cloud, 512))
+
+
+@pytest.mark.parametrize("grid, match", [
+    (np.array([[1, -1], [0, 2]]), "non-negative counts, got -1"),
+    (np.array([[0.0, 1.0], [0.5, 2.0]]), "integer counts"),
+    (np.ones((2, 2), dtype=bool), "integer counts"),
+    (np.ones(4, dtype=np.int64), "2-D grid"),
+    (np.ones((0, 3), dtype=np.int64), "nonempty"),
+])
+def test_pgm_rejects_a_grid_of_non_counts(grid, match):
+    """A -1 count used to render as silently wrong bytes after two RuntimeWarnings."""
+    with pytest.raises(ConfigError, match=match):
+        pgm_bytes(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +383,34 @@ def test_run_linreg2d_heatmap_is_valid_pgm(tmp_path):
     blob = open(os.path.join(out, "heatmap_00.pgm"), "rb").read()
     assert blob.startswith(b"P5\n512 512\n255\n")
     assert len(blob) == 262159
+
+
+# digests of every artifact of the reference-eta presets at 20,000 samples,
+# seed 0, file contents concatenated in file-name order, so no change to
+# sampling, box counting or the emitters can move a byte (x86-64, numpy 2.4)
+CANTOR_SHA256 = "c1cd9814d0c851bdbdcf7609480ee70994f5d1e57047c8d27311607b4136d17a"
+LINREG2D_SHA256 = "2d5a534e0de5bc4ff3a9d2e52c5a801d276cf21bc429dde973f09f65462afd0b"
+
+
+def artifacts_sha256(out):
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
+
+def test_preset_artifacts_are_pinned(tmp_path):
+    cantor, linreg2d = str(tmp_path / "cantor"), str(tmp_path / "linreg2d")
+    records = run_cantor(list(experiments.CANTOR_REFERENCE["etas"]), cantor,
+                         n_samples=20_000, burn_in=1_000, seed=0)
+    records += run_linreg2d(list(experiments.LINREG2D_REFERENCE["etas"]), 0, linreg2d,
+                            n_samples=20_000, burn_in=1_000)
+    assert [r.error for r in records] == [""] * 7
+    assert sorted(os.listdir(linreg2d)) == [f"dim_0{i}.json" for i in range(4)] + [
+        f"heatmap_0{i}.pgm" for i in range(4)] + ["summary.json"]
+    assert artifacts_sha256(cantor) == CANTOR_SHA256
+    assert artifacts_sha256(linreg2d) == LINREG2D_SHA256
 
 
 def test_cantor_system_maps():

@@ -52,20 +52,18 @@ import numpy as np
 from . import problems as pr
 from .errors import ConfigError, NonFiniteState
 from .fileio import FLOAT, atomic_write_text, csv_text, read_csv
-from .rng import Xoshiro256PP, draw_indices
+from .rng import Xoshiro256PP, draw_indices, require_probs
 
 # --------------------------------------------------------------------------
 # systems
 
 
 def _require_probs(probs: np.ndarray, n_maps: int) -> np.ndarray:
-    """``probs`` as floats: n_maps positive numbers summing to one (so n_maps >= 1)."""
+    """``probs`` as floats: one entry per map, passing :func:`rng.require_probs`."""
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (n_maps,):
         raise ConfigError(f"probs has shape {probs.shape}, but the system has {n_maps} maps")
-    if np.any(probs <= 0.0) or abs(float(probs.sum()) - 1.0) > 1e-12:
-        raise ConfigError("probs must be positive and sum to 1 within 1e-12")
-    return probs
+    return require_probs(probs)
 
 
 def _batch_table(batches, n_rows: int) -> np.ndarray:

@@ -15,12 +15,16 @@ linear over GF(2), so the state ``k`` draws ahead is ``q(T)·s`` with
 (Haramoto et al., *Efficient jump ahead for F2-linear random number
 generators*, 2008).  Every lane's start state is one GF(2) product: the lane
 polynomials ``x^(j·m) mod P``, found by doubling, select XORs of the 256
-states ``T^i·s``, read from byte tables.  Every lane draw is bit-equal to the
+states ``T^i·s``, read from byte tables.  The lane polynomials depend only on
+the lane count and the draws per lane ``m``, never on the state, so their
+table is built once per ``(lanes, m)`` and cached; a stream then pays only
+for its 256 states and the one product.  Every lane draw is bit-equal to the
 scalar loop.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -35,12 +39,15 @@ _INV_2_53 = 1.0 / (1 << 53)
 # the coefficient of x^i (Berlekamp-Massey on 512 bits of the state sequence;
 # x^(2^128) and x^(2^192) mod P are the published JUMP and LONG_JUMP words).
 _CHARPOLY = 0x1_0003C03C_3F3ECB19_04B4EDCF_26259F85_0280002B_CEFD1A5E_9D116F2B_B0F0F001
-# Streams of _LANE_MIN_DRAWS or more draws run in _LANES lanes.  Building the
-# lane start states costs about 2.3 ms; the scalar loop about 0.7 us a draw.
-# Medians of 40 interleaved pairs (2 vCPUs, Python 3.11.7, numpy 2.4.6),
-# scalar -> lanes: 3,072 draws 2.36 -> 2.58 ms, 4,096 draws 2.92 -> 2.44 ms
-# (lanes faster in 92 % of pairs), 8,192 draws 5.65 -> 2.57 ms.  So the
-# cut-over is the first multiple of the lane count past break-even.
+# Streams of _LANE_MIN_DRAWS or more draws run in _LANES lanes.  A lane build
+# costs about 3.3 ms when its jump table is new (cold) and 0.5 ms when it is
+# cached (warm); the scalar loop about 1.1 us a draw.  Medians of 40
+# interleaved triples (2 vCPUs, Python 3.11.7, numpy 2.4.6), scalar / cold
+# lanes / warm lanes: 2,048 draws 2.24 / 3.38 / 0.73 ms, 3,072 draws 3.39 /
+# 3.45 / 0.75 ms, 4,096 draws 4.88 / 3.82 / 0.83 ms (cold lanes faster in 39
+# of 40), 8,192 draws 9.58 / 4.17 / 0.92 ms.  The cut-over is the first
+# multiple of the lane count past the cold break-even, so a stream with a new
+# length never pays more than the scalar loop would.
 _LANES = 1024
 _LANE_MIN_DRAWS = 4_096
 # Rows per table gather in _gf2_product: each row reads 32 table rows of 32
@@ -48,6 +55,17 @@ _LANE_MIN_DRAWS = 4_096
 # took 1 MiB and raised a fresh process's peak RSS by 2.7 MiB, against
 # 0.5 MiB in blocks, at the same build time.
 _GATHER_ROWS = 128
+# Jump tables kept by _jump_table, 32 KiB each at 1024 lanes.  A `clouds`
+# benchmark round draws lane streams of two lengths, `cli_logistic` of one.
+_JUMP_TABLES = 8
+# draw_indices counts edges up to this many maps, and binary-searches past it.
+# Best of 21, searchsorted -> edge counts: at 110,000 draws 2 maps 1.21 ->
+# 0.08 ms, 5 maps 1.87 -> 0.14 ms, 32 maps 4.41 -> 0.70 ms and 128 maps
+# 5.96 -> 2.31 ms; at 4,000 draws 32 maps 0.116 -> 0.062 ms and 128 maps
+# 0.253 -> 0.243 ms; at 2,000 draws 32 maps 0.037 -> 0.049 ms.  Each edge is
+# one pass over the draws plus about 1 us of call overhead, so many edges
+# lose on short streams.
+_EDGE_MAX_MAPS = 32
 
 
 def splitmix64_stream(seed: int, n: int) -> list[int]:
@@ -136,6 +154,8 @@ class Xoshiro256PP:
 
     def subset_without_replacement(self, n: int, b: int) -> np.ndarray:
         """Sorted ``b``-subset of {0..n-1} by partial Fisher-Yates selection."""
+        if not 0 <= b <= n:
+            raise ConfigError(f"a subset of {{0..n-1}} needs 0 <= b <= n, got n={n}, b={b}")
         pool = list(range(n))
         for i in range(b):
             j = i + int(self.uniform() * (n - i))
@@ -216,26 +236,15 @@ def _gf2_product(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lane_states(state: tuple[int, ...], n_lanes: int, m: int) -> np.ndarray:
-    """``(n_lanes, 4)`` uint64: row j is the state ``j·m`` draws after ``state``.
+@functools.lru_cache(maxsize=_JUMP_TABLES)
+def _jump_table(n_lanes: int, m: int) -> np.ndarray:
+    """``(n_lanes, 4)`` uint64, read-only: row j is ``q_j = x^(j·m) mod P``.
 
-    Row j is ``q_j(T)·s`` with ``q_j = x^(j·m) mod P``: the XOR of ``T^i·s``
-    over the set bits i of ``q_j``.  The ``q_j`` are found by doubling in
-    polynomial space (rows ``0..h-1`` times ``x^(h·m)`` are rows
-    ``h..2h-1``), each step one product with the 256 images ``x^i·x^(h·m)
-    mod P``; then one product with the 256 states ``T^i·s`` gives every lane.
+    The ``q_j`` are found by doubling in polynomial space (rows ``0..h-1``
+    times ``x^(h·m)`` are rows ``h..2h-1``), each step one product with the
+    256 images ``x^i·x^(h·m) mod P``.  They depend on ``(n_lanes, m)`` alone,
+    never on a generator state, so each table is built once and shared.
     """
-    powers = []  # T^i·s, i < 256
-    s0, s1, s2, s3 = state
-    for _ in range(256):
-        powers.append((s0, s1, s2, s3))
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) & _MASK64) | (s3 >> 19)
     q = np.zeros((n_lanes, 4), dtype=np.uint64)
     q[0, 0] = 1
     step = _x_pow_mod(m)  # x^(h·m) mod P for the h rows filled so far
@@ -252,7 +261,29 @@ def _lane_states(state: tuple[int, ...], n_lanes: int, m: int) -> np.ndarray:
         q[h : h + take] = _gf2_product(q[:take], _pack(images))
         step = _gf2_mulmod(step, step)
         h *= 2
-    return _gf2_product(q, np.array(powers, dtype=np.uint64))
+    q.flags.writeable = False
+    return q
+
+
+def _lane_states(state: tuple[int, ...], n_lanes: int, m: int) -> np.ndarray:
+    """``(n_lanes, 4)`` uint64: row j is the state ``j·m`` draws after ``state``.
+
+    Row j is ``q_j(T)·s``: the XOR of ``T^i·s`` over the set bits i of the
+    jump polynomial ``q_j`` from :func:`_jump_table`, so one product with
+    the 256 states ``T^i·s`` gives every lane.
+    """
+    powers = []  # T^i·s, i < 256
+    s0, s1, s2, s3 = state
+    for _ in range(256):
+        powers.append((s0, s1, s2, s3))
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) & _MASK64) | (s3 >> 19)
+    return _gf2_product(_jump_table(n_lanes, m), np.array(powers, dtype=np.uint64))
 
 
 def _fill_lanes(state: tuple[int, ...], out: np.ndarray) -> tuple[int, ...]:
@@ -277,9 +308,44 @@ def _fill_lanes(state: tuple[int, ...], out: np.ndarray) -> tuple[int, ...]:
     return tuple(int(a[-1]) for a in s)
 
 
+def require_probs(probs) -> np.ndarray:
+    """``probs`` as floats: a nonempty 1-D table of finite positive numbers
+    summing to 1 within 1e-12, so its cumulative sums rise to 1 up to
+    rounding.  Anything else is a ConfigError."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 1 or not probs.size:
+        raise ConfigError(f"probs must be a nonempty 1-D table, got shape {probs.shape}")
+    bad = np.flatnonzero(~(np.isfinite(probs) & (probs > 0.0)))
+    if bad.size:
+        raise ConfigError(f"probs must be finite and positive, but entry {bad[0]} is {probs[bad[0]]}")
+    total = float(probs.sum())
+    if abs(total - 1.0) > 1e-12:
+        raise ConfigError(f"probs must sum to 1 within 1e-12, but they sum to {total!r}")
+    return probs
+
+
 def draw_indices(gen: Xoshiro256PP, probs: np.ndarray, n: int) -> np.ndarray:
-    """``n`` i.i.d. category draws from ``probs``: smallest i with u < cumsum[i]."""
-    cum = np.cumsum(probs)
+    """``n`` i.i.d. category draws from ``probs``: smallest i with u < cumsum[i].
+
+    ``probs`` must pass :func:`require_probs`.  Up to ``_EDGE_MAX_MAPS``
+    maps, each draw is the number of edges ``cumsum[k] <= u`` among the first
+    ``len(probs) - 1``: one vector compare per edge, counted in uint8.  On
+    the sorted table that is exactly ``searchsorted(side="right")``, ties
+    included; the last edge is set to 1.0, which no uniform reaches.  A
+    binary search per draw costs several times more at a few maps, but each
+    edge is a pass of its own, so past 32 maps short streams would lose and
+    the search is kept.
+    """
+    cum = np.cumsum(require_probs(probs))
     cum[-1] = 1.0  # guard the last edge against accumulated rounding
     u = gen.uniforms(n)
-    return np.searchsorted(cum, u, side="right").astype(np.int64, copy=False)
+    if len(cum) > _EDGE_MAX_MAPS:
+        return np.searchsorted(cum, u, side="right").astype(np.int64, copy=False)
+    counts = np.zeros(n, dtype=np.uint8)
+    above = np.empty(n, dtype=bool)
+    for edge in cum[:-1]:
+        np.greater_equal(u, edge, out=above)
+        counts += above.view(np.uint8)
+    idx = u.view(np.int64)  # the uniforms are spent: their buffer holds the indices
+    idx[:] = counts
+    return idx

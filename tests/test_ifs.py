@@ -98,6 +98,10 @@ def test_system_validation():
         scalar_system([0.5], [0.0], [0.7])  # probs must sum to 1
     with pytest.raises(ConfigError):
         scalar_system([0.5, 0.5], [0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(ConfigError, match="entry 1 is nan"):
+        scalar_system([0.5, 0.5], [0.0, 0.0], [1.0, np.nan])  # NaN used to pass the sum test
+    with pytest.raises(ConfigError, match="the system has 2 maps"):
+        scalar_system([0.5, 0.5], [0.0, 0.0], [1.0])
 
 
 def three_rows() -> Dataset:

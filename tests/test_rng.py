@@ -207,6 +207,161 @@ def test_lane_path_normals_and_indices_match_oracle(long_oracle):
     assert np.array_equal(idx, np.searchsorted([0.2, 0.5, 1.0], u[:n], side="right"))
 
 
+class _PlantedUniforms:
+    """Stands in for a generator: ``uniforms`` hands back a fresh copy of
+    fixed values (draw_indices writes its indices into that buffer)."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def uniforms(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+
+def _search_indices(probs, u):
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    return np.searchsorted(cum, u, side="right")
+
+
+_EDGE_MAP_COUNTS = (1, 2, 5, 31, 32, 33, 64)
+
+
+@pytest.mark.parametrize("n_maps", _EDGE_MAP_COUNTS)
+@pytest.mark.parametrize("n", (rng._LANE_MIN_DRAWS - 1, rng._LANE_MIN_DRAWS + 5))
+def test_edge_counts_equal_the_binary_search(n_maps, n):
+    """Edge counting up to _EDGE_MAX_MAPS maps and searchsorted past it give
+    the indices of searchsorted(side="right"), on both sides of the lane
+    cut-over and on uniforms planted exactly on, just below and just above
+    every edge."""
+    gen = np.random.default_rng(n_maps)
+    probs = gen.uniform(0.05, 1.0, n_maps)
+    probs /= probs.sum()
+    seed = 1000 + n_maps
+    idx = draw_indices(Xoshiro256PP(seed), probs, n)
+    assert idx.dtype == np.int64
+    assert np.array_equal(idx, _search_indices(probs, Xoshiro256PP(seed).uniforms(n)))
+    edges = np.cumsum(probs)[:-1]
+    planted = np.concatenate(
+        [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), [0.0, np.nextafter(1.0, 0.0)]]
+    )
+    planted = np.resize(planted, n)  # repeated up to the stream length
+    idx = draw_indices(_PlantedUniforms(planted), probs, n)
+    assert np.array_equal(idx, _search_indices(probs, planted))
+    assert np.array_equal(idx[: n_maps - 1], np.arange(1, n_maps))  # u == cum[k] draws map k + 1
+
+
+def test_edge_counts_count_tied_edges():
+    """A map too light to move the cumulative sum ties two edges; a uniform
+    on the tie skips both, as searchsorted(side="right") does."""
+    probs = np.array([0.5, 1e-17, 0.25, 0.25])
+    assert np.cumsum(probs)[0] == np.cumsum(probs)[1]
+    u = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, 0.75, np.nextafter(1.0, 0.0)])
+    idx = draw_indices(_PlantedUniforms(u), probs, len(u))
+    assert np.array_equal(idx, [0, 0, 2, 3, 3])
+    assert np.array_equal(idx, _search_indices(probs, u))
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ([0.3, 0.3], r"sum to 1 within 1e-12, but they sum to 0\.6"),
+        ([0.5, 0.5 + 2e-12], "sum to 1 within 1e-12"),
+        ([np.nan, 1.0], "finite and positive, but entry 0 is nan"),
+        ([0.5, np.nan, 0.5], "entry 1 is nan"),
+        ([np.inf, 0.5], "entry 0 is inf"),
+        ([1.0, 0.0], "entry 1 is 0.0"),
+        ([1.5, -0.5], "entry 1 is -0.5"),
+        ([], r"nonempty 1-D table, got shape \(0,\)"),
+        ([[0.5, 0.5]], r"got shape \(1, 2\)"),
+    ],
+)
+def test_draw_indices_rejects_a_bad_probability_table(probs, message):
+    gen = Xoshiro256PP(4)
+    with pytest.raises(ConfigError, match=message):
+        draw_indices(gen, np.array(probs), 10)
+    assert gen._s == Xoshiro256PP(4)._s  # rejected before any draw
+
+
+def test_draw_indices_accepts_a_sum_within_the_tolerance():
+    probs = np.array([0.5, 0.5 + 5e-13])
+    u = Xoshiro256PP(4).uniforms(20)
+    assert np.array_equal(draw_indices(Xoshiro256PP(4), probs, 20), _search_indices(probs, u))
+
+
+@pytest.mark.parametrize("n, b", [(3, -1), (3, 4), (3, 5), (0, 1)])
+def test_subset_without_replacement_rejects_a_size_outside_0_to_n(n, b):
+    gen = Xoshiro256PP(5)
+    with pytest.raises(ConfigError, match=rf"0 <= b <= n, got n={n}, b={b}"):
+        gen.subset_without_replacement(n, b)
+    assert gen._s == Xoshiro256PP(5)._s
+
+
+def test_subset_without_replacement_takes_the_ends_of_the_range():
+    gen = Xoshiro256PP(5)
+    assert np.array_equal(gen.subset_without_replacement(3, 3), [0, 1, 2])
+    assert gen.subset_without_replacement(3, 0).size == 0
+    assert gen.subset_without_replacement(0, 0).size == 0
+
+
+_SHARED_M = 107
+
+
+def test_lane_states_are_the_same_from_a_cold_and_a_warm_jump_table():
+    """Several states share one draws-per-lane m: each gets its own lanes,
+    bit-equal whether its jump table was cached or rebuilt."""
+    states = [Xoshiro256PP(seed)._s for seed in (0, 1, 2, 2**63 + 5)]
+    cold = []
+    for state in states:
+        rng._jump_table.cache_clear()
+        cold.append(rng._lane_states(state, rng._LANES, _SHARED_M))
+    rng._jump_table.cache_clear()
+    warm = [rng._lane_states(state, rng._LANES, _SHARED_M) for state in states]
+    assert rng._jump_table.cache_info().misses == 1
+    for c, w, state in zip(cold, warm, states):
+        assert np.array_equal(c, w)
+        assert tuple(int(v) for v in w[0]) == state
+    assert len({w[1].tobytes() for w in warm}) == len(states)
+    g = Xoshiro256PP(2)
+    g.uniforms(_SHARED_M)
+    assert tuple(int(v) for v in warm[2][1]) == g._s
+
+
+def test_jump_table_is_read_only():
+    table = rng._jump_table(rng._LANES, _SHARED_M)
+    with pytest.raises(ValueError, match="read-only"):
+        table[1, 0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        table ^= table
+    rng._jump_table.cache_clear()
+    assert np.array_equal(rng._jump_table(rng._LANES, _SHARED_M), table)
+
+
+def test_jump_table_cache_is_bounded():
+    rng._jump_table.cache_clear()
+    assert rng._jump_table.cache_info().maxsize == rng._JUMP_TABLES
+    for m in range(1, rng._JUMP_TABLES + 4):
+        rng._jump_table(2, m)
+    info = rng._jump_table.cache_info()
+    assert info.misses == rng._JUMP_TABLES + 3
+    assert info.currsize == rng._JUMP_TABLES
+
+
+def test_linreg2d_eta_streams_build_one_jump_table(tmp_path):
+    """The four etas of a linreg2d run draw streams of one length, so the
+    first builds the jump table and the other three reuse it."""
+    from ifslab.experiments import run_linreg2d
+
+    n_samples, burn_in = 6_000, 1_000
+    assert burn_in + n_samples >= rng._LANE_MIN_DRAWS
+    rng._jump_table.cache_clear()
+    records = run_linreg2d([0.3, 0.5, 0.7, 0.9], 0, str(tmp_path), n_samples, burn_in)
+    assert not any(r.error for r in records)
+    info = rng._jump_table.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
 @pytest.mark.parametrize("k", _JUMPS)
 def test_jump_equals_k_scalar_steps(k, long_oracle):
     _, states = long_oracle

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -28,12 +28,12 @@ from .errors import (
     ZeroMeanLogNorm,
     ZeroOperator,
 )
-from .ifs import norm_rounding
-from .rng import Xoshiro256PP, child_seed, draw_indices
+from .ifs import norm_rounding, require_batch_table
+from .rng import Xoshiro256PP, child_seed
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ifs import SampleCloud
-    from .optimizers import BatchScheme
+    from .optimizers import BatchScheme, SubsetScheme
 
 # --------------------------------------------------------------------------
 # power iteration
@@ -129,7 +129,7 @@ def stacked_spectral_norms(
 def jacobian_norms(
     problem: pr.Problem,
     dataset: pr.Dataset,
-    batches: Sequence[np.ndarray],
+    batches: np.ndarray,
     eta: float,
     w: np.ndarray,
     power_iter: PowerIterConfig,
@@ -138,30 +138,28 @@ def jacobian_norms(
 ) -> tuple[np.ndarray, int]:
     """||J_B|| = ||I - eta * P * H_B(w)||_2 for each batch B, and how many converged.
 
-    P is the preconditioner ``solve`` (identity when None).  ``w`` is one
-    point (dim,), giving (len(batches),) norms, or rows (n_w, dim), giving
-    the (n_w, len(batches)) table; cell (i, j) is flat cell i*len(batches) + j.
-    The batches must have one length.  Up to DENSE_ORACLE_MAX_DIM parameters
-    the norms are exact and all count as converged: the cells go in chunks
-    of at most TABLE_CHUNK_BYTES of temporaries, each chunk one stacked
-    ``jacobian_apply`` on the identity block and one
-    ``stacked_spectral_norms``.  Above that, power iteration per cell on J,
-    or on J^T J when preconditioned, with the tolerance and cap of
-    ``power_iter`` and the cell's entry of ``seeds``, which only this path
-    reads.
+    P is the preconditioner ``solve`` (identity when None).  ``batches`` is
+    an (n_u, b) table of row indices, checked by ``ifs.require_batch_table``.
+    ``w`` is one point (dim,), giving (n_u,) norms, or rows (n_w, dim),
+    giving the (n_w, n_u) table; cell (i, j) is flat cell i*n_u + j.  Up to
+    DENSE_ORACLE_MAX_DIM parameters the norms are exact and all count as
+    converged: the cells go in chunks of at most TABLE_CHUNK_BYTES of
+    temporaries, each chunk one stacked ``jacobian_apply`` on the identity
+    block and one ``stacked_spectral_norms``.  Above that, power iteration
+    per cell on J, or on J^T J when preconditioned, with the tolerance and
+    cap of ``power_iter`` and the cell's entry of ``seeds``, which only this
+    path reads.
     """
     dim = pr.param_dim(problem, dataset)
     w = np.asarray(w, dtype=float)
     if w.shape[-1] != dim:
         raise ConfigError(f"point dimension {w.shape[-1]} != parameter dimension {dim}")
     rows = w.reshape(-1, dim)
-    n_u = len(batches)
-    if len(lengths := sorted({len(batch) for batch in batches})) > 1:
-        raise ConfigError(f"Jacobian norms need batches of one length, got lengths {lengths}")
+    idx = require_batch_table(batches, dataset.n)
+    n_u = idx.shape[0]
     n_cells = rows.shape[0] * n_u
     norms = np.empty(n_cells)
     if dim <= DENSE_ORACLE_MAX_DIM:
-        idx = np.array(batches, dtype=np.int64).reshape(n_u, -1)
         hidden = problem.hidden if isinstance(problem, pr.OneHiddenLayer) else 1
         chunk = max(1, TABLE_CHUNK_BYTES // (8 * dim * max(dim, idx.shape[1] * hidden)))
         eye = np.eye(dim)
@@ -174,7 +172,7 @@ def jacobian_norms(
         return norms.reshape(w.shape[:-1] + (n_u,)), n_cells
     converged = 0
     for c, seed in zip(range(n_cells), seeds, strict=True):
-        w_c, batch = rows[c // n_u], batches[c % n_u]
+        w_c, batch = rows[c // n_u], idx[c % n_u]
 
         def op(v: np.ndarray) -> np.ndarray:  # J v, or J^T J v with J^T = I - eta * H P
             u = pr.jacobian_apply(problem, w_c, dataset, batch, eta, v, solve)
@@ -249,17 +247,18 @@ class ComplexityEstimate:
 
 
 def log_norm_table(
-    problem: pr.Problem, dataset: pr.Dataset, batches: Sequence[np.ndarray], eta: float,
+    problem: pr.Problem, dataset: pr.Dataset, batches: np.ndarray, eta: float,
     points: np.ndarray, n_w: int, power_iter: PowerIterConfig, seed: int,
     solve: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> tuple[np.ndarray, int]:
-    """The (n_w, len(batches)) table of log ||J_{B_j}(W_i)||, and how many cells converged.
+    """The (n_w, n_u) table of log ||J_{B_j}(W_i)||, and how many cells converged.
 
-    W_i are the rows floor(i*N/n_w), i < n_w, of the (N, dim) cloud ``points``.
-    The whole table is one ``jacobian_norms`` call on the rows W (exact cells
-    count as converged); above DENSE_ORACLE_MAX_DIM parameters cell (i, j) is
-    a power iteration seeded with child 1 + i*len(batches) + j of ``seed``, so
-    the cells parallelize without changing results.
+    B_j is row j of the (n_u, b) batch table ``batches``, W_i row
+    floor(i*N/n_w), i < n_w, of the (N, dim) cloud ``points``.  The whole
+    table is one ``jacobian_norms`` call on the rows W (exact cells count as
+    converged); above DENSE_ORACLE_MAX_DIM parameters cell (i, j) is a power
+    iteration seeded with child 1 + i*n_u + j of ``seed``, so the cells
+    parallelize without changing results.
     """
     if n_w < 1:
         raise ConfigError(f"n_w must be a positive integer, got {n_w}")
@@ -277,32 +276,24 @@ def log_norm_table(
 def estimate_R(
     problem: pr.Problem,
     dataset: pr.Dataset,
-    scheme: "BatchScheme",
+    scheme: "BatchScheme | SubsetScheme",
     eta: float,
     cloud: "SampleCloud",
     config: ComplexityConfig = ComplexityConfig(),
 ) -> ComplexityEstimate:
     """1/R = mean over (W_i, U_j) of log ||I - eta * Hessian_{U_j}(W_i)||.
 
-    U_j are ``n_u`` batch draws (i.i.d. from the Partition probabilities, or
-    without-replacement subsets in Subset mode) from the stream of child seed
-    0, W_i the ``n_w`` strided cloud points of ``log_norm_table``, whose cells
-    take their seeds from ``config.seed``; ``converged_fraction`` is the share
-    of cells that met the tolerance.  Accumulation is a row-major pairwise sum
-    over the full (n_w, n_u) table, and a numerically zero Jacobian raises
-    ZeroOperator.  A mean within ``ifs.norm_rounding(dim)`` of 0, the bound
-    ``dimension.rams_ratio`` and ``ifs.contractivity_report`` apply, raises
-    ZeroMeanLogNorm.
+    U_j are the rows of ``scheme.draw``'s (n_u, b) table (i.i.d. draws from a
+    partition's probabilities, or without-replacement b-subsets) off the
+    stream of child seed 0, W_i the ``n_w`` strided cloud points of
+    ``log_norm_table``, whose cells take their seeds from ``config.seed``;
+    ``converged_fraction`` is the share of cells that met the tolerance.
+    Accumulation is a row-major pairwise sum over the full (n_w, n_u) table,
+    and a numerically zero Jacobian raises ZeroOperator.  A mean within
+    ``ifs.norm_rounding(dim)`` of 0, the bound ``dimension.rams_ratio`` and
+    ``ifs.contractivity_report`` apply, raises ZeroMeanLogNorm.
     """
-    batch_gen = Xoshiro256PP(child_seed(config.seed, 0))
-    if scheme.batches is not None:
-        draws = draw_indices(batch_gen, scheme.probs, config.n_u)
-        batches = [scheme.batches[k] for k in draws]
-    else:
-        batches = [
-            batch_gen.subset_without_replacement(scheme.n, scheme.batch_size)
-            for _ in range(config.n_u)
-        ]
+    batches = scheme.draw(Xoshiro256PP(child_seed(config.seed, 0)), config.n_u)
     lognorms, converged = log_norm_table(
         problem, dataset, batches, eta, cloud.points, config.n_w, config.power_iter, config.seed
     )

@@ -373,11 +373,10 @@ def _student_problem(config: SweepConfig) -> pr.OneHiddenLayer:
 
 
 def _train_point(
-    problem: pr.OneHiddenLayer, train: pr.Dataset, scheme: BatchScheme, table: np.ndarray, config: SweepConfig,
-    seeds: list[int],
+    problem: pr.OneHiddenLayer, train: pr.Dataset, scheme: BatchScheme, config: SweepConfig, seeds: list[int],
 ) -> list:
     """Constant-step SGD of one batch size's chains, stepped in lockstep
-    along ``table``, the scheme's batches stacked (n_maps, b).
+    along the scheme's batch table.
 
     Chain k (step size config.etas[k]) starts from 0.5 * normals of
     Xoshiro256PP(seeds[k]) and then draws its max_iters map indices from that
@@ -396,7 +395,9 @@ def _train_point(
     while live and steps < config.max_iters:
         block = min(config.check_every, config.max_iters - steps)
         etas = np.array([config.etas[k] for k in live])[:, None]
-        ends, finite = run_sgd(problem, train, table, etas, w, idx[live, steps : steps + block], block - 1, 1, 1)
+        ends, finite = run_sgd(
+            problem, train, scheme.batches, etas, w, idx[live, steps : steps + block], block - 1, 1, 1
+        )
         steps += block
         keep = []
         for k, end, ok in zip(live, ends, finite):
@@ -427,7 +428,7 @@ def _point_row(
     scheme: BatchScheme, eta: float, w_trained: np.ndarray, cloud: SampleCloud, point_seed: int,
 ) -> SweepRow:
     """R, box dimension, analytic bound and gap of one trained point and its cloud."""
-    b = scheme.batch_size
+    b = scheme.batches.shape[1]
     gap = generalization_gap(problem, train, test, w_trained)
     est = estimate_R(
         problem, train, scheme, eta, cloud,
@@ -465,8 +466,7 @@ def _sweep_group(
     """
     problem = _student_problem(config)
     scheme = partition_batches(train.n, b)
-    table = np.stack(scheme.batches)  # one table for training and the clouds
-    trained = _train_point(problem, train, scheme, table, config, seeds)
+    trained = _train_point(problem, train, scheme, config, seeds)
     live = [k for k, w in enumerate(trained) if not isinstance(w, IfslabError)]
     clouds: dict = {}
     if live:
@@ -474,7 +474,7 @@ def _sweep_group(
         gens = [Xoshiro256PP(child_seed(seeds[k], 1)) for k in live]
         idx = np.stack([draw_indices(gen, scheme.probs, total) for gen in gens])
         points, finite = run_sgd(
-            problem, train, table, np.array([config.etas[k] for k in live])[:, None],
+            problem, train, scheme.batches, np.array([config.etas[k] for k in live])[:, None],
             np.stack([trained[k] for k in live]), idx, config.burn_in, config.thin, config.n_cloud,
         )
         clouds = {k: points[j] if finite[j] else NonFiniteState() for j, k in enumerate(live)}

@@ -66,15 +66,18 @@ def _require_probs(probs: np.ndarray, n_maps: int) -> np.ndarray:
     return require_probs(probs)
 
 
-def _batch_table(batches, n_rows: int) -> np.ndarray:
-    """``batches`` as a C-contiguous (n_maps, b) int64 table of row indices
-    into a dataset of ``n_rows`` rows.  A ragged, non-integer or
-    out-of-range table is a ConfigError that names the bad batch or entry."""
+def require_batch_table(batches, n_rows: int) -> np.ndarray:
+    """``batches``, a 2-D array or a sequence of batches, as a C-contiguous
+    (n_batches, b) int64 table of row indices into a dataset of ``n_rows``
+    rows.  An empty, ragged, non-integer or out-of-range table is a
+    ConfigError that names the bad batch or entry."""
     rows = [np.asarray(batch) for batch in batches]
+    if not rows:
+        raise ConfigError("a batch table needs at least one batch")
     for i, row in enumerate(rows):
         if row.ndim != 1 or not row.size or row.size != rows[0].size:
             raise ConfigError(
-                f"an SgdSystem needs nonempty batches of one length, got lengths "
+                f"a batch table needs nonempty batches of one length, got lengths "
                 f"{sorted({r.size for r in rows})}: batch {i} has shape {row.shape}"
             )
     table = np.stack(rows)
@@ -144,7 +147,7 @@ class SgdSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _require_probs(self.probs, len(self.batches)))
-        object.__setattr__(self, "batches", _batch_table(self.batches, self.dataset.n))
+        object.__setattr__(self, "batches", require_batch_table(self.batches, self.dataset.n))
 
     @property
     def dim(self) -> int:

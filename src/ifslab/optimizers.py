@@ -1,18 +1,18 @@
 """Mini-batch schemes and the SGD-variant -> IFS builders.
 
-Partition mode splits {0..n-1} into contiguous blocks of size b (seeded
-shuffle optional) and enumerates one map per block.  Subset mode (the
-without-replacement C(n,b) family) is never enumerated: a chain of T steps
-draws its T batches up front into a (T, b) table (T * b * 8 bytes), which
-``ifs.run_sgd`` steps in order, and operations needing the map count use
-m_b = C(n,b) as a plain number.
+``partition_batches`` splits {0..n-1} into blocks of size b (seeded shuffle
+optional): a ``BatchScheme``, one (n/b, b) int64 table with a map per row.
+``SubsetScheme`` is the without-replacement family of all C(n, b) b-subsets,
+never enumerated (its map count is m_b = C(n, b) as a plain number).  Each
+scheme's ``draw(gen, count)`` draws a (count, b) table of batches: a subset
+chain's T steps up front, stepped in order by ``ifs.run_sgd``, and the batch
+draws of ``complexity.estimate_R``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -26,49 +26,64 @@ from .errors import (
 )
 from .ifs import (AffineSystem, IfsSystem, SampleCloud, SgdSystem, Trajectory, require_eta, require_schedule,
                   require_start, run_sgd)
-from .rng import Xoshiro256PP
+from .rng import Xoshiro256PP, draw_indices
 
 # --------------------------------------------------------------------------
 # batch schemes
 
 
-@dataclass(frozen=True)
-class BatchScheme:
-    mode: str  # "partition" | "subset"
-    n: int
-    batch_size: int
-    batches: Optional[tuple[np.ndarray, ...]]  # None in subset mode
-    probs: Optional[np.ndarray]  # None in subset mode (implicitly uniform)
-    m_b: int  # number of maps: n/b, or C(n,b) in subset mode
-
-
-def partition_batches(
-    n: int, b: int, mode: str = "partition", seed: int = 0, shuffle: bool = False
-) -> BatchScheme:
-    """Build the batching scheme.
-
-    Partition: contiguous blocks ({0..b-1}, {b..2b-1}, ...) with uniform
-    probabilities p_i = b/n; ``shuffle`` permutes the indices first with the
-    seeded generator.  Subset: stores only (n, b) and m_b = C(n, b).
-    """
-    if n <= 0 or b <= 0 or b > n:
+def _require_batch_size(n: int, b: int) -> None:
+    if not 0 < b <= n:
         raise ConfigError(f"need 0 < b <= n, got n={n}, b={b}")
-    if mode == "partition":
-        if n % b != 0:
-            raise IndivisibleBatch(f"batch size {b} does not divide n={n}")
-        order = np.arange(n, dtype=np.int64)
-        if shuffle:
-            gen = Xoshiro256PP(seed)
-            for i in range(n - 1):  # Fisher-Yates with the mandated stream
-                j = i + min(int(gen.uniform() * (n - i)), n - i - 1)
-                order[i], order[j] = order[j], order[i]
-        m = n // b
-        batches = tuple(order[i * b : (i + 1) * b].copy() for i in range(m))
-        probs = np.full(m, 1.0 / m)
-        return BatchScheme("partition", n, b, batches, probs, m)
-    if mode == "subset":
-        return BatchScheme("subset", n, b, None, None, math.comb(n, b))
-    raise ConfigError(f"unknown batch mode {mode!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class BatchScheme:
+    """Row i of the C-contiguous (m, b) int64 table ``batches`` is batch i,
+    drawn with probability ``probs[i]``."""
+
+    batches: np.ndarray
+    probs: np.ndarray
+
+    def draw(self, gen: Xoshiro256PP, count: int) -> np.ndarray:
+        """``count`` rows of ``batches`` drawn i.i.d. from ``probs`` off ``gen``."""
+        return self.batches[draw_indices(gen, self.probs, count)]
+
+
+@dataclass(frozen=True)
+class SubsetScheme:
+    """Every b-subset of {0..n-1}, C(n, b) maps, drawn uniformly."""
+
+    n: int
+    b: int
+
+    def __post_init__(self):
+        _require_batch_size(self.n, self.b)
+
+    def draw(self, gen: Xoshiro256PP, count: int) -> np.ndarray:
+        """A (count, b) int64 table of sorted b-subsets drawn off ``gen`` in row order."""
+        table = np.empty((count, self.b), dtype=np.int64)
+        for t in range(count):
+            table[t] = gen.subset_without_replacement(self.n, self.b)
+        return table
+
+
+def partition_batches(n: int, b: int, seed: int = 0, shuffle: bool = False) -> BatchScheme:
+    """The partition scheme: contiguous blocks {0..b-1}, {b..2b-1}, ... of
+    ``order``, the table ``order.reshape(n // b, b)``, with uniform
+    probabilities b/n.  ``order`` is 0..n-1, or its Fisher-Yates shuffle
+    off Xoshiro256PP(seed) when ``shuffle``."""
+    _require_batch_size(n, b)
+    if n % b != 0:
+        raise IndivisibleBatch(f"batch size {b} does not divide n={n}")
+    order = np.arange(n, dtype=np.int64)
+    if shuffle:
+        gen = Xoshiro256PP(seed)
+        for i in range(n - 1):  # Fisher-Yates with the mandated stream
+            j = i + min(int(gen.uniform() * (n - i)), n - i - 1)
+            order[i], order[j] = order[j], order[i]
+    m = n // b
+    return BatchScheme(order.reshape(m, b), np.full(m, 1.0 / m))
 
 
 # --------------------------------------------------------------------------
@@ -111,12 +126,7 @@ class PreconditionerSpec:
 
 
 # --------------------------------------------------------------------------
-# builders (Partition schemes only; Subset systems are iterated directly)
-
-
-def _require_enumerated(scheme: BatchScheme, op: str) -> None:
-    if scheme.batches is None:
-        raise ConfigError(f"{op} needs an enumerated Partition scheme; Subset mode is not enumerated")
+# builders (partition schemes; subset chains are iterated directly)
 
 
 def _validate_labels(problem: pr.Problem, dataset: pr.Dataset) -> None:
@@ -131,7 +141,7 @@ def _affine_system(
     from the batch's feature rows A, targets y and size b.  A failed linear
     solve in ``step`` (Newton's batch Hessian) raises SingularBatchHessian."""
     d = dataset.d
-    M, q = np.empty((scheme.m_b, d, d)), np.empty((scheme.m_b, d))
+    M, q = np.empty((len(scheme.batches), d, d)), np.empty((len(scheme.batches), d))
     for i, batch in enumerate(scheme.batches):
         try:
             M[i], q[i] = step(dataset.features[batch], dataset.targets[batch], len(batch))
@@ -154,7 +164,6 @@ def build_sgd_ifs(
     M_i = (1 - eta lam) I - (eta/b) A_i^T A_i,  q_i = (eta/b) A_i^T y_i;
     other kinds yield an SgdSystem on the scheme's batches.
     """
-    _require_enumerated(scheme, "build_sgd_ifs")
     _validate_labels(problem, dataset)
     require_eta(eta)
     if isinstance(problem, pr.LeastSquares):
@@ -179,7 +188,6 @@ def build_precond_sgd_ifs(
     Least squares again reduces to affine maps
     M_i = I - eta H^{-1}(lam I + (1/b) A_i^T A_i),  q_i = (eta/b) H^{-1} A_i^T y_i.
     """
-    _require_enumerated(scheme, "build_precond_sgd_ifs")
     _validate_labels(problem, dataset)
     require_eta(eta)
     if np.array_equal(precond.matrix, np.eye(dataset.d)):
@@ -205,7 +213,6 @@ def build_stoch_newton_ifs(
     Htilde_i = (1/b) A_i^T A_i + lam I and c_i = (1/b) A_i^T y_i, so every
     Jacobian is the constant (1-eta) I.
     """
-    _require_enumerated(scheme, "build_stoch_newton_ifs")
     if not isinstance(problem, pr.LeastSquares):
         raise ConfigError("stochastic Newton is defined for least squares only")
     if problem.lam <= 0.0:
@@ -229,19 +236,15 @@ def _run_subset(
     record_from: int, thin: int, n_record: int,
 ) -> np.ndarray:
     """Subset-mode SGD from ``w0``: step t's batch is the t-th b-subset drawn
-    from Xoshiro256PP(seed), one draw per step in step order, all drawn
-    before the first step into a (T, b) table that ``ifs.run_sgd`` steps
-    along in order.  The inputs are checked before any draw; records as
-    ``ifs.run_sgd``."""
+    from Xoshiro256PP(seed) by ``SubsetScheme.draw``, all drawn before the
+    first step into a (T, b) table that ``ifs.run_sgd`` steps along in order.
+    The inputs are checked before any draw; records as ``ifs.run_sgd``."""
     _validate_labels(problem, dataset)
-    partition_batches(dataset.n, b, "subset")  # rejects b outside 1..n
+    scheme = SubsetScheme(dataset.n, b)
     require_eta(eta)
     w0 = require_start(w0, pr.param_dim(problem, dataset))
-    gen = Xoshiro256PP(seed)
     total = record_from + n_record * thin
-    table = np.empty((total, b), dtype=np.int64)
-    for t in range(total):
-        table[t] = gen.subset_without_replacement(dataset.n, b)
+    table = scheme.draw(Xoshiro256PP(seed), total)
     rows, finite = run_sgd(problem, dataset, table, eta, w0, np.arange(total), record_from, thin, n_record)
     if not finite:
         raise NonFiniteState()

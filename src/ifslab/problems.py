@@ -623,8 +623,6 @@ def norm_envelopes(
     matching their proofs; the one-hidden-layer pair is batch-independent
     and needs the cloud constant ``c_const``.
     """
-    if scheme.batches is None:
-        raise ConfigError("norm_envelopes needs an enumerated (Partition) scheme")
     prop, args = _checked_proposition(problem, dataset.radius(), eta, c_const)
     out = []
     for batch in scheme.batches:

@@ -311,7 +311,7 @@ def test_config_sections_fill_their_dataclasses(tmp_path):
 
 
 def test_config_omitted_keys_take_the_callee_defaults():
-    """Scheme mode/shuffle/seed and simulation thin/seed default to the
+    """Scheme shuffle/seed and simulation thin/seed default to the
     parameters of ``partition_batches`` and ``sample_invariant``."""
     import inspect
 
@@ -328,15 +328,15 @@ def test_config_omitted_keys_take_the_callee_defaults():
         "simulation": {},
     })
     scheme = partition_batches(6, 2)
-    assert (setup.scheme.mode, setup.scheme.m_b) == (scheme.mode, scheme.m_b)
-    assert all(np.array_equal(a, b) for a, b in zip(setup.scheme.batches, scheme.batches))
+    assert np.array_equal(setup.scheme.batches, scheme.batches)
+    assert np.array_equal(setup.scheme.probs, scheme.probs)
     params = inspect.signature(sample_invariant).parameters
     assert (setup.thin, setup.seed) == (params["thin"].default, params["seed"].default)
     shuffled = parse_scheme({"b": 2, "shuffle": True, "seed": 5}, 6)
     expected = partition_batches(6, 2, seed=5, shuffle=True)
-    assert all(np.array_equal(a, b) for a, b in zip(shuffled.batches, expected.batches))
+    assert np.array_equal(shuffled.batches, expected.batches)
     for doc, message in [({"b": 2, "shuffle": 1}, "scheme.shuffle must be a boolean"),
-                         ({"b": 2, "mode": 3}, "scheme.mode must be a string"),
+                         ({"b": 2, "mode": "partition"}, "scheme: unknown keys ['mode']"),
                          ({}, "scheme: missing required key 'b'"),
                          ({"b": 2, "n": 4}, "scheme: unknown keys ['n']")]:
         with pytest.raises(ConfigError, match=re.escape(message)):

@@ -1,6 +1,7 @@
 """Power iteration, the R estimator, and the generalization bounds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from ifslab.errors import (
     ZeroOperator,
 )
 from ifslab.ifs import SampleCloud, norm_rounding
-from ifslab.optimizers import partition_batches
+from ifslab.optimizers import SubsetScheme, partition_batches
 from ifslab.problems import (
     Dataset,
     LeastSquares,
@@ -467,16 +468,47 @@ def test_jacobian_norms_rejects_batches_of_two_lengths_and_points_of_another_dim
         complexity.jacobian_norms(problem, data, [np.array([0])], 0.5, np.zeros((3, 2)), PowerIterConfig(), [0])
 
 
-def test_estimate_r_subset_mode():
+def subset_mode_setup():
     rng = np.random.default_rng(13)
     data = Dataset(rng.uniform(-1, 1, size=(6, 2)), rng.uniform(-1, 1, size=6))
-    scheme = partition_batches(6, 2, mode="subset")
-    cloud = cloud_of(rng.normal(size=(30, 2)))
+    return data, cloud_of(rng.normal(size=(30, 2)))
+
+
+def test_estimate_r_subset_mode():
+    data, cloud = subset_mode_setup()
     est = estimate_R(
-        LeastSquares(lam=0.5), data, scheme, 0.1, cloud, ComplexityConfig(n_w=4, n_u=8)
+        LeastSquares(lam=0.5), data, SubsetScheme(6, 2), 0.1, cloud, ComplexityConfig(n_w=4, n_u=8)
     )
     assert np.isfinite(est.R)
     assert est.inverse_R < 0.0  # small eta: contractive on average
+
+
+@pytest.mark.parametrize("scheme, pinned", [
+    (SubsetScheme(6, 2), "-0x1.1f6d5b46edba6p-4"),
+    (partition_batches(6, 2, seed=5, shuffle=True), "-0x1.2fcf852d3fc4ep-4"),
+])
+def test_estimate_r_is_pinned(scheme, pinned):
+    """1/R bit for bit as estimated from a list of per-draw batch arrays."""
+    data, cloud = subset_mode_setup()
+    est = estimate_R(LeastSquares(lam=0.5), data, scheme, 0.1, cloud, ComplexityConfig(n_w=4, n_u=8))
+    assert est.inverse_R.hex() == pinned
+
+
+@pytest.mark.parametrize("batches, message", [
+    ([[-1]], "batch 0, entry 0 is row -1, but the dataset has rows 0..1"),
+    ([[0], [0.5]], "batch 1, entry 0 is 0.5: a batch holds integer row indices"),
+    (np.array([[1], [5]]), "batch 1, entry 0 is row 5, but the dataset has rows 0..1"),
+    ([], "a batch table needs at least one batch"),
+])
+def test_jacobian_norms_rejects_bad_batch_entries(batches, message):
+    """On rows [1], [2] a batch [-1] read row 1 (norm 0.6), [0.5] was cut to
+    row 0 (0.9) and [5] ended in a bare IndexError."""
+    data = Dataset([[1.0], [2.0]], [0.0, 0.0])
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        complexity.jacobian_norms(LeastSquares(lam=0.0), data, batches, 0.1, np.zeros(1), PowerIterConfig(), [0])
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        complexity.log_norm_table(LeastSquares(lam=0.0), data, batches, 0.1, np.zeros((4, 1)), 2,
+                                  PowerIterConfig(), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -560,7 +560,7 @@ def train_group(cfg, etas, seeds, b=4):
     train = generate_synthetic(cfg.data, cfg.seed)
     problem = _student_problem(cfg)
     scheme = partition_batches(train.n, b)
-    trained = _train_point(problem, train, scheme, np.stack(scheme.batches), cfg, seeds)
+    trained = _train_point(problem, train, scheme, cfg, seeds)
     return trained, lambda eta, seed, c=cfg: reference_training(problem, train, scheme, eta, c, seed)
 
 

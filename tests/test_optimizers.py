@@ -1,5 +1,6 @@
 """Batch schemes and the SGD / preconditioned / Newton map builders."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import PROBLEM_KINDS, make_problem_config
 from ifslab.complexity import PowerIterConfig, jacobian_norms
+from ifslab.dimension import subset_map_count
 from ifslab.errors import ConfigError, IndivisibleBatch, NotPositiveDefinite
 from ifslab import ifs
 from ifslab.ifs import contractivity_report, iterate, lyapunov_exponent, sample_invariant
 from ifslab.optimizers import (
     PreconditionerSpec,
+    SubsetScheme,
     build_precond_sgd_ifs,
     build_sgd_ifs,
     build_stoch_newton_ifs,
@@ -31,7 +34,7 @@ from ifslab.rng import Xoshiro256PP, draw_indices
 
 def test_partition_contiguous_blocks():
     scheme = partition_batches(6, 2)
-    assert scheme.m_b == 3
+    assert scheme.batches.shape == (3, 2)
     np.testing.assert_array_equal(scheme.batches[0], [0, 1])
     np.testing.assert_array_equal(scheme.batches[1], [2, 3])
     np.testing.assert_array_equal(scheme.batches[2], [4, 5])
@@ -45,8 +48,7 @@ def test_partition_indivisible():
 
 def test_partition_singletons():
     scheme = partition_batches(5, 1)
-    assert scheme.m_b == 5
-    assert all(len(b) == 1 for b in scheme.batches)
+    assert scheme.batches.shape == (5, 1)
     np.testing.assert_allclose(scheme.probs, np.full(5, 0.2), rtol=1e-15)
 
 
@@ -64,10 +66,43 @@ def test_partition_shuffle_is_a_permutation():
     assert not np.array_equal(flat, np.arange(12))  # seed 9 actually shuffles
 
 
+def test_partition_shuffled_table_is_pinned():
+    """The shuffled table, bit for bit, as the tuple-of-batches scheme built it."""
+    scheme = partition_batches(10, 2, seed=3, shuffle=True)
+    assert np.array_equal(scheme.batches, [[0, 6], [8, 2], [7, 5], [1, 3], [9, 4]])
+
+
+def test_partition_scheme_is_one_table():
+    scheme = partition_batches(12, 3, shuffle=True, seed=9)
+    assert scheme.batches.dtype == np.int64 and scheme.batches.flags.c_contiguous
+    assert scheme.batches.shape == scheme.probs.shape + (3,)
+
+
+def test_partition_draw_takes_table_rows_at_the_drawn_indices():
+    scheme = partition_batches(12, 3, shuffle=True, seed=9)
+    got = scheme.draw(Xoshiro256PP(4), 50)
+    assert got.dtype == np.int64 and got.shape == (50, 3)
+    assert np.array_equal(got, scheme.batches[draw_indices(Xoshiro256PP(4), scheme.probs, 50)])
+
+
 def test_subset_scheme_counts_maps():
-    scheme = partition_batches(6, 2, mode="subset")
-    assert scheme.batches is None
-    assert scheme.m_b == math.comb(6, 2)
+    scheme = SubsetScheme(6, 2)
+    assert subset_map_count(scheme.n, scheme.b) == math.comb(6, 2)
+
+
+def test_subset_draw_takes_one_subset_per_row_in_stream_order():
+    got = SubsetScheme(7, 3).draw(Xoshiro256PP(8), 40)
+    gen = Xoshiro256PP(8)
+    expected = [gen.subset_without_replacement(7, 3) for _ in range(40)]
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    assert np.array_equal(got, expected)
+    assert SubsetScheme(7, 3).draw(Xoshiro256PP(8), 0).shape == (0, 3)
+
+
+@pytest.mark.parametrize("n, b", [(6, 0), (6, 7), (0, 0), (3, -1)])
+def test_subset_scheme_rejects_a_size_outside_1_to_n(n, b):
+    with pytest.raises(ConfigError, match=f"need 0 < b <= n, got n={n}, b={b}"):
+        SubsetScheme(n, b)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +149,7 @@ def test_affine_fidelity_on_many_points():
     system = build_sgd_ifs(problem, data, scheme, 0.1)
     for _ in range(1000):
         w = rng.normal(size=3)
-        i = int(rng.integers(0, scheme.m_b))
+        i = int(rng.integers(0, len(scheme.batches)))
         direct = w - 0.1 * grad(problem, w, data, scheme.batches[i])
         np.testing.assert_allclose(system.apply(i, w), direct, atol=1e-12)
 
@@ -447,6 +482,10 @@ def test_subset_invariant_cloud():
     )
     assert cloud.points.shape == (400, 3)
     assert np.isfinite(cloud.points).all()
+    # the bytes of the cloud the per-step subset draw loop sampled
+    assert hashlib.sha256(cloud.points.tobytes()).hexdigest() == (
+        "d18f4c95b621f9f1271a3a0a68f0c632d5cc908dbe981fc9a861d44b9d811ad5"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .errors import (
     ZeroMeanLogNorm,
     ZeroOperator,
 )
-from .ifs import norm_rounding, require_batch_table
+from .ifs import norm_rounding
 from .rng import Xoshiro256PP, child_seed
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -139,7 +139,7 @@ def jacobian_norms(
     """||J_B|| = ||I - eta * P * H_B(w)||_2 for each batch B, and how many converged.
 
     P is the preconditioner ``solve`` (identity when None).  ``batches`` is
-    an (n_u, b) table of row indices, checked by ``ifs.require_batch_table``.
+    an (n_u, b) table of row indices, checked by ``problems.require_batch_table``.
     ``w`` is one point (dim,), giving (n_u,) norms, or rows (n_w, dim),
     giving the (n_w, n_u) table; cell (i, j) is flat cell i*n_u + j.  Up to
     DENSE_ORACLE_MAX_DIM parameters the norms are exact and all count as
@@ -155,7 +155,7 @@ def jacobian_norms(
     if w.shape[-1] != dim:
         raise ConfigError(f"point dimension {w.shape[-1]} != parameter dimension {dim}")
     rows = w.reshape(-1, dim)
-    idx = require_batch_table(batches, dataset.n)
+    idx = pr.require_batch_table(batches, dataset.n)
     n_u = idx.shape[0]
     n_cells = rows.shape[0] * n_u
     norms = np.empty(n_cells)

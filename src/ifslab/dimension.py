@@ -29,6 +29,7 @@ import numpy as np
 from .complexity import PowerIterConfig, log_norm_table
 from .errors import ConfigError, InsufficientScales, NonContractiveEstimate
 from .ifs import AffineSystem, IfsSystem, SampleCloud, contractivity_report, norm_rounding
+from .optimizers import require_batch_size
 from .problems import (
     LAMBDA_POSITIVE,
     PROPOSITIONS,
@@ -332,8 +333,7 @@ def analytic_bound(
     naming it; violated step-size/radius hypotheses raise
     PreconditionViolation naming the inequality and its margin.
     """
-    if n <= 0 or b <= 0 or b > n:
-        raise ConfigError(f"need 0 < b <= n, got n={n}, b={b}")
+    require_batch_size(n, b)
     reals = dict(eta=eta, lam=lam, radius=radius, t0=t0, sigma_smooth=sigma_smooth,
                  c_const=c_const, m_low=m_low, m_high=m_high)
     for name, value in reals.items():

@@ -395,23 +395,22 @@ def _train_point(
     while live and steps < config.max_iters:
         block = min(config.check_every, config.max_iters - steps)
         etas = np.array([config.etas[k] for k in live])[:, None]
-        ends, finite = run_sgd(
-            problem, train, scheme.batches, etas, w, idx[live, steps : steps + block], block - 1, 1, 1
-        )
+        ends = run_sgd(problem, train, scheme.batches, etas, idx[live, steps : steps + block], w,
+                       np.empty((len(live), 0, dim)))
         steps += block
         keep = []
-        for k, end, ok in zip(live, ends, finite):
-            if not ok:
+        for k, end in zip(live, ends):
+            if not np.isfinite(end).all():
                 out[k] = NonFiniteState()
                 continue
             with np.errstate(over="ignore", invalid="ignore"):  # as in the driver
-                loss = pr.mean_loss(problem, end[0], train)
+                loss = pr.mean_loss(problem, end, train)
             if not math.isfinite(loss):
                 out[k] = NonFiniteState(f"training loss is {loss} (system appears to diverge)")
             elif loss < config.loss_tol:
-                out[k] = end[0]
+                out[k] = end
             else:
-                keep.append((k, end[0]))
+                keep.append((k, end))
         live = [k for k, _ in keep]
         w = np.stack([wk for _, wk in keep]) if keep else w
     for k, wk in zip(live, w):
@@ -473,10 +472,11 @@ def _sweep_group(
         total = config.burn_in + config.n_cloud * config.thin
         gens = [Xoshiro256PP(child_seed(seeds[k], 1)) for k in live]
         idx = np.stack([draw_indices(gen, scheme.probs, total) for gen in gens])
-        points, finite = run_sgd(
-            problem, train, scheme.batches, np.array([config.etas[k] for k in live])[:, None],
-            np.stack([trained[k] for k in live]), idx, config.burn_in, config.thin, config.n_cloud,
-        )
+        rec = np.empty((len(live), config.n_cloud * config.thin, pr.param_dim(problem, train)))
+        ends = run_sgd(problem, train, scheme.batches, np.array([config.etas[k] for k in live])[:, None], idx,
+                       np.stack([trained[k] for k in live]), rec)
+        points = np.ascontiguousarray(rec[:, config.thin - 1 :: config.thin])
+        finite = np.isfinite(points).all(axis=(1, 2)) & np.isfinite(ends).all(axis=1)
         clouds = {k: points[j] if finite[j] else NonFiniteState() for j, k in enumerate(live)}
     rows = []
     for k, eta in enumerate(config.etas):

@@ -10,6 +10,20 @@ on batch i.  Jacobian norms of SGD steps live in ``complexity``, a system's
 batches at once.  Systems compare and hash by identity, since their tables
 are arrays.
 
+Every chain is stepped by a stepper of one protocol, ``step(idx, w0, rec)
+-> end``: it steps one chain (``idx`` (T,), ``w0`` (dim,)) or K in lockstep
+(``idx`` (K, T), ``w0`` (K, dim)), writes the states after the last R steps
+to ``rec`` ((R, dim), or (K', R, dim) for the last K' of K chains), never
+writes ``w0`` and returns the end state(s).  Affine chains step through
+``_lockstep`` (K at once) and ``_lane`` (one), problem-backed ones through
+``run_sgd`` (either).  One runner, ``run_chain``, applies a recording
+schedule (burn-in, thinning, count) to a system's or a subset-mode chain
+of either kind: it keeps every state from the first recorded segment on,
+slices the schedule out of them and raises NonFiniteState unless the
+records and the end are finite.  Only the sweep's stacks of K chains
+(``experiments``) step ``run_sgd`` directly and check each chain's end and
+records themselves.
+
 Affine chains and plain-SGD problem-backed chains run parallel in time
 through one settle loop, ``_settle``: the index stream is cut into segments
 that are stepped in lockstep from guessed starts, and a segment is kept once
@@ -21,20 +35,18 @@ serial lane.  Coalescence also ends a re-run early: from round 2 on, a
 segment whose state after a chunk of SETTLE_CHUNK steps equals its state
 there in the previous round has rejoined that run, and leaves the round, so
 round 2 of a fast-coalescing chain costs a chunk or a few, not a segment.
-Affine segments step through ``_lockstep`` and SGD ones through ``run_sgd``
-on stacked rows, and every record equals the serial loop bit for bit.
-Every problem-backed chain is stepped by one SGD loop, ``run_sgd``, along
-a table of batches and a stream of map indices into it, its rows gathered
-once per chunk of steps and passed to the gradient kernel of
-``problems.grad_rows``, whose buffers it allocates once per call: a system's
-index-drawn batches (one chain, or its segments in lockstep), the sweep's K
-chains in lockstep (``experiments``), or subset mode's b-subsets
-(``optimizers``), drawn up front into a table stepped in order.  A stack of
-K chains takes one kernel call per step, each chain bit-equal to its
-run alone.  Preconditioned chains, and those whose steps cost too much per
-extra segment (b * dim above SGD_MAX_WORK), run serially.  No other code
-steps a state: ``lyapunov_exponent`` takes its states from these loops and
-only pushes a tangent vector through each step's Jacobian.
+Every record equals the serial loop bit for bit.  ``run_sgd`` gathers its
+batch rows once per chunk of steps and passes them to the gradient kernel
+of ``problems.grad_rows``, whose buffers it allocates once per call; it
+steps a system's index-drawn batches (one chain, or its segments in
+lockstep), the sweep's K chains in lockstep (``experiments``), and subset
+mode's b-subsets (``optimizers``), drawn up front into a table stepped in
+order.  A stack of K chains takes one kernel call per step, each chain
+bit-equal to its run alone.  Preconditioned chains, and those whose steps
+cost too much per extra segment (b * dim above SGD_MAX_WORK), run in one
+serial lane.  No other code steps a state: ``lyapunov_exponent`` takes its
+states from these loops and only pushes a tangent vector through each
+step's Jacobian.
 
 Geometric ergodicity of problem-backed systems is *not* certified here;
 stationarity is only spot-checked empirically (see the KS-distance test).
@@ -64,34 +76,6 @@ def _require_probs(probs: np.ndarray, n_maps: int) -> np.ndarray:
     if probs.shape != (n_maps,):
         raise ConfigError(f"probs has shape {probs.shape}, but the system has {n_maps} maps")
     return require_probs(probs)
-
-
-def require_batch_table(batches, n_rows: int) -> np.ndarray:
-    """``batches``, a 2-D array or a sequence of batches, as a C-contiguous
-    (n_batches, b) int64 table of row indices into a dataset of ``n_rows``
-    rows.  An empty, ragged, non-integer or out-of-range table is a
-    ConfigError that names the bad batch or entry."""
-    rows = [np.asarray(batch) for batch in batches]
-    if not rows:
-        raise ConfigError("a batch table needs at least one batch")
-    for i, row in enumerate(rows):
-        if row.ndim != 1 or not row.size or row.size != rows[0].size:
-            raise ConfigError(
-                f"a batch table needs nonempty batches of one length, got lengths "
-                f"{sorted({r.size for r in rows})}: batch {i} has shape {row.shape}"
-            )
-    table = np.stack(rows)
-    if table.dtype.kind not in "iu":
-        off = np.argwhere(table != np.round(table)) if table.dtype.kind == "f" else ()
-        i, j = off[0] if len(off) else (0, 0)
-        raise ConfigError(
-            f"batch {i}, entry {j} is {table[i, j].item()!r}: a batch holds integer row indices, not {table.dtype}"
-        )
-    bad = np.argwhere((table < 0) | (table >= n_rows))
-    if bad.size:
-        i, j = bad[0]
-        raise ConfigError(f"batch {i}, entry {j} is row {table[i, j]}, but the dataset has rows 0..{n_rows - 1}")
-    return np.ascontiguousarray(table, dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +131,7 @@ class SgdSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _require_probs(self.probs, len(self.batches)))
-        object.__setattr__(self, "batches", require_batch_table(self.batches, self.dataset.n))
+        object.__setattr__(self, "batches", pr.require_batch_table(self.batches, self.dataset.n))
 
     @property
     def dim(self) -> int:
@@ -242,49 +226,49 @@ ROW_CHUNK_BYTES = 1 << 16
 
 def run_sgd(
     problem: pr.Problem, dataset: pr.Dataset, table: np.ndarray, eta: Union[float, np.ndarray],
-    w0: np.ndarray, idx: np.ndarray, record_from: int, thin: int, n_record: int,
-    solve: Optional[Callable] = None,
-) -> tuple:
+    idx: np.ndarray, w0: np.ndarray, rec: np.ndarray, solve: Optional[Callable] = None,
+) -> np.ndarray:
     """The SGD chain loop: w_t = w_{t-1} - eta * P(grad_rows(problem, w_{t-1}, A_t, y_t)),
     with P = ``solve`` (identity when None) and (A_t, y_t) the rows of
     ``dataset`` in step t's batch ``table[idx[..., t]]``, table (n_maps, b)
-    holding data indices.
+    holding data indices.  It steps as ``_lockstep`` and ``_lane`` do.
 
     One chain has ``w0`` (dim,), a float ``eta`` and map indices ``idx``
-    (T,); K plain-SGD chains in lockstep have ``w0`` (K, dim), ``eta`` (K, 1)
-    and ``idx`` (K, T), and take one gradient per step on rows (K, b, d),
-    (K, b).  Each chunk of steps takes one gather of features and one of
-    targets; a step's rows are C-contiguous views, laid out as
-    ``problems.grad`` lays out its own gather.  The call builds one
-    ``problems.GradWorkspace`` (the kernel of ``grad_rows``), copies ``w0``
-    into its state buffer once and steps that buffer in place; ``w0`` itself
-    is never written.  A step writes the gradient and eta * P(gradient) into
-    the workspace's gradient buffer, so it allocates nothing beyond what
-    ``solve`` and a GLM margin derivative return.  Returns the states after
-    steps record_from + j*thin, j = 1..n_record, as (n_record, dim) or
-    (K, n_record, dim), and whether each chain's records and final state are
-    finite (a bool, or one per chain).
+    (T,), and its states after the last R steps land in ``rec`` (R, dim);
+    K plain-SGD chains in lockstep have ``w0`` (K, dim), ``eta`` (K, 1) and
+    ``idx`` (K, T), take one gradient per step on rows (K, b, d), (K, b),
+    and the states of the last K' chains after the last R steps land in
+    ``rec`` (K', R, dim).  R may be 0.  Returns the end state(s), (dim,) or
+    (K, dim); overflow to inf or nan is not checked here.  Each chunk of
+    steps takes one gather of features and one of targets; a step's rows
+    are C-contiguous views, laid out as ``problems.grad`` lays out its own
+    gather.  The call builds one ``problems.GradWorkspace`` (the kernel of
+    ``grad_rows``), copies ``w0`` into its state buffer once and steps that
+    buffer in place; ``w0`` itself is never written.  A step writes the
+    gradient and eta * P(gradient) into the workspace's gradient buffer, so
+    it allocates nothing beyond what ``solve`` and a GLM margin derivative
+    return.
     """
     ws = pr.GradWorkspace(problem, np.shape(w0), table.shape[1], dataset.d)
     w, g = ws.w, ws.g
     w[...] = w0
-    out = np.empty(w.shape[:-1] + (n_record, w.shape[-1]))
-    lanes = 1 if idx.ndim == 1 else idx.shape[0]
+    skip = idx.shape[-1] - rec.shape[-2]  # the steps before the first recorded one
+    if idx.ndim == 1:
+        lanes, recs, kept = 1, rec, w
+    else:
+        lanes, recs, kept = idx.shape[0], rec.swapaxes(0, 1), w[w.shape[0] - rec.shape[0]:]
     chunk = max(1, ROW_CHUNK_BYTES // (8 * (dataset.d + 1) * table.shape[1] * lanes))
-    r = 0
-    # overflow to inf/nan is an anticipated outcome here, reported through
-    # the finite flags rather than as a numpy warning mid-loop
+    # overflow to inf/nan is an anticipated outcome here, which the caller
+    # checks on the records and the end, not a numpy warning mid-loop
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, idx.shape[-1], chunk):
             rows = zip(*dataset.rows(table.take(idx[..., a : a + chunk].T, axis=0)))
-            for t, (A, y) in enumerate(rows, start=a + 1):
+            for t, (A, y) in enumerate(rows, start=a - skip):
                 ws.grad(A, y)
                 np.subtract(w, np.multiply(eta, g if solve is None else solve(g), out=g), out=w)
-                if t > record_from and (t - record_from) % thin == 0 and r < n_record:
-                    out[..., r, :] = w
-                    r += 1
-    out = out[..., :r, :]
-    return out, np.isfinite(out).all(axis=(-2, -1)) & np.isfinite(w).all(axis=-1)
+                if t >= 0:
+                    recs[t] = kept
+    return w
 
 
 # Affine chains of at least MIN_SEGMENTS segments of about SEG steps run in
@@ -325,16 +309,16 @@ def _lockstep(M: np.ndarray, Q: np.ndarray, idx: np.ndarray, w: np.ndarray, rec:
     """Step K affine chains at once: chain k runs from ``w[k]`` along the map
     indices ``idx[k]`` (idx is (K, S)), w <- M[i] w + Q[i].
 
-    The states of the last ``rec.shape[0]`` chains after each step land in
-    ``rec`` (shape (K', S, d)); the K end states are returned.  The maps of
-    as many steps as fit ROW_CHUNK_BYTES (at least one) are gathered at
-    once, so each step makes one call on contiguous (K, d, d) matrices.  A
-    step rounds as ``M[i] @ w + Q[i]`` does: a batched matmul (gemv per
-    chain) at d > 1; at d = 1 that product is a dot, round(m*w) + 0.0,
-    written out here on the gathered slopes.
+    The states of the last K' chains after the last R steps land in ``rec``
+    (shape (K', R, d)); the K end states are returned and ``w`` is never
+    written.  The maps of as many steps as fit ROW_CHUNK_BYTES (at least
+    one) are gathered at once, so each step makes one call on contiguous
+    (K, d, d) matrices.  A step rounds as ``M[i] @ w + Q[i]`` does: a
+    batched matmul (gemv per chain) at d > 1; at d = 1 that product is a
+    dot, round(m*w) + 0.0, written out here on the gathered slopes.
     """
     K, d = w.shape
-    off = K - rec.shape[0]
+    off, skip = K - rec.shape[0], idx.shape[1] - rec.shape[1]
     if d == 1:
         M = M[:, 0]  # the slopes, (n_maps, 1)
     chunk = max(1, ROW_CHUNK_BYTES // (8 * K * (d * d + d)))
@@ -345,7 +329,9 @@ def _lockstep(M: np.ndarray, Q: np.ndarray, idx: np.ndarray, w: np.ndarray, rec:
         for k in range(cols.shape[0]):
             prod = Ms[k] * w + 0.0 if d == 1 else np.matmul(Ms[k], w[..., None])[..., 0]
             w = np.add(prod, Qs[k], out=states[k])
-        rec[:, a : a + cols.shape[0]] = states[:, off:].swapaxes(0, 1)
+        b = a + cols.shape[0]
+        if b > skip:
+            rec[:, max(a - skip, 0) : b - skip] = states[max(skip - a, 0):, off:].swapaxes(0, 1)
     return w
 
 
@@ -372,14 +358,15 @@ def _lane(M: np.ndarray, Q: np.ndarray, idx: np.ndarray, w: np.ndarray, rec: np.
 def _settle(step: Callable, idx: np.ndarray, w0: np.ndarray, rec: np.ndarray) -> tuple:
     """Lockstep rounds over the L segments ``idx`` (L, S) of one chain from w0.
 
-    ``step(idx, w, rec)`` steps K segments at once, segment k from ``w[k]``
-    along ``idx[k]``, as ``_lockstep`` steps affine chains and
-    ``_sgd_lockstep`` plain-SGD ones: it writes the states of the last
-    ``rec.shape[0]`` segments after each step to ``rec`` and returns the K
-    end states.  Each round steps every segment from the first unsettled
-    one on, each from its predecessor's current end (all from w0 in round
-    1), in chunks of SETTLE_CHUNK steps, and keeps each segment's state
-    after every chunk.  From round 2 on, a segment whose state after a
+    ``step(idx, w, rec)`` is a stepper of the module's protocol
+    (``_lockstep`` for affine chains, ``run_sgd`` for plain-SGD ones),
+    called here on K segments at once, segment k from ``w[k]`` along
+    ``idx[k]``, with ``rec`` (K', steps, d) for the last K' of them: it
+    writes their states after each step and returns the K end states.
+    Each round steps every segment from the first unsettled one on, each
+    from its predecessor's current end (all from w0 in round 1), in chunks
+    of SETTLE_CHUNK steps, and keeps each segment's state after every
+    chunk.  From round 2 on, a segment whose state after a
     chunk equals, bit for bit, its state there in the previous round has
     met its previous run: a step is a function of the state and the map
     index alone, so its later states, records and end are those of that
@@ -429,21 +416,25 @@ def _settle(step: Callable, idx: np.ndarray, w0: np.ndarray, rec: np.ndarray) ->
         first = settled
 
 
-def _run_segments(
+def run_chain(
     step: Callable, lane: Callable, L: int, w0: np.ndarray, idx: np.ndarray,
     record_from: int, thin: int, n_record: int,
 ) -> np.ndarray:
-    """A chain of ``_run_system``, parallel in time.
+    """One chain from ``w0`` along the map indices ``idx``: its states after
+    steps record_from + j*thin, j = 1..n_record, as (n_record, dim).
 
-    Its n steps split into L segments of S = n // L steps, which ``_settle``
-    brings to the serial chain in lockstep rounds of ``step``, each round in
-    chunks of steps after which the segments that rejoined their previous
-    run drop out; the rest (the tail of fewer than L steps, and the segments
-    left unsettled) runs as one serial ``lane(idx, w, rec)`` from there,
-    which writes the states after its last ``len(rec)`` steps to ``rec`` and
-    returns its end state.  L = 1 runs the whole chain in the lane.  Every
-    record is bit-equal to the serial loop.  States are kept from the start
-    of the first segment that holds a recorded step.
+    ``step(idx, w, rec)`` steps K chains at once and ``lane(idx, w, rec)``
+    one, by the module's stepper protocol (``_lockstep``/``_lane``, or
+    ``run_sgd`` as both): each writes the states after its last R steps to
+    ``rec``, R being the length of its step axis, and returns the end.
+    The n steps split into L segments of S = n // L steps, which ``_settle``
+    brings to the serial chain in lockstep rounds of ``step``; the rest (the
+    tail of fewer than L steps, and the segments left unsettled) runs as one
+    serial ``lane`` from there.  L = 1 runs the whole chain in the lane.
+    Every state is kept from the start of the first segment that holds a
+    recorded step (from step record_from on at L = 1), then the schedule is
+    sliced out of them, so every record is bit-equal to the serial loop.
+    NonFiniteState unless the records and the end state are finite.
     """
     n, d = idx.shape[0], w0.shape[0]
     S = n // L
@@ -463,58 +454,34 @@ def _run_segments(
     return rows if thin == 1 else rows.copy()
 
 
-def _sgd_lockstep(s: SgdSystem, idx: np.ndarray, w: np.ndarray, rec: np.ndarray) -> np.ndarray:
-    """``_lockstep`` for plain-SGD chains: K chains of the system ``s``,
-    chain k from ``w[k]`` along the map indices ``idx[k]``, stepped as one
-    stack by ``run_sgd``."""
-    S = idx.shape[1]
-    keep = S if rec.shape[0] else 1  # every state for ``rec``, else the ends
-    out, _ = run_sgd(s.problem, s.dataset, s.batches, s.eta, w, idx, S - keep, 1, keep)
-    if rec.shape[0]:
-        rec[...] = out[w.shape[0] - rec.shape[0]:]
-    return out[:, -1]
-
-
-def _sgd_lane(s: SgdSystem, idx: np.ndarray, w: np.ndarray, rec: np.ndarray) -> np.ndarray:
-    """``_lane`` for one plain-SGD chain: a solo ``run_sgd``."""
-    if not len(rec):
-        return w  # the lane has no steps: every state is in ``rec``
-    rec[...], _ = run_sgd(s.problem, s.dataset, s.batches, s.eta, w, idx, len(idx) - len(rec), 1, len(rec))
-    return rec[-1]
-
-
 def _run_system(
     system: IfsSystem, w0: np.ndarray, idx: np.ndarray, record_from: int, thin: int, n_record: int
 ) -> np.ndarray:
-    """Step ``system`` along the map indices ``idx``.
+    """Step ``system`` along the map indices ``idx``: one ``run_chain`` call.
 
-    Affine chains and plain-SGD ones run parallel in time (``_run_segments``):
-    affine ones in L = n // SEG segments when there are at least
-    MIN_SEGMENTS of them (MIN_SEGMENTS_SCALAR at d = 1), stepped by
-    ``_lockstep``; SGD ones with b * dim <= SGD_MAX_WORK in L = n // SGD_SEG
-    segments, at most SGD_MAX_SEGMENTS, when there are at least two, stepped
-    by ``run_sgd`` on stacked rows.  The other problem-backed chains
-    (preconditioned, wider or shorter ones) run serially through
-    ``run_sgd``.  All return the same records, bit for bit.
+    Affine chains step through ``_lockstep``/``_lane``, in L = n // SEG
+    segments when there are at least MIN_SEGMENTS of them
+    (MIN_SEGMENTS_SCALAR at d = 1).  Problem-backed chains step through
+    ``run_sgd``, in L = n // SGD_SEG segments, at most SGD_MAX_SEGMENTS, when
+    there are at least two and the chain is plain SGD with b * dim <=
+    SGD_MAX_WORK; preconditioned, wider or shorter ones run in one serial
+    lane (L = 1).  All return the same records, bit for bit.
     """
     w0 = np.asarray(w0, dtype=float)
     n = idx.shape[0]
     if isinstance(system, AffineSystem):
         M, Q = system.matrices, system.offsets
+        step, lane = functools.partial(_lockstep, M, Q), functools.partial(_lane, M, Q)
         L = n // SEG
         if L < (MIN_SEGMENTS_SCALAR if system.dim == 1 else MIN_SEGMENTS):
             L = 1
-        return _run_segments(functools.partial(_lockstep, M, Q), functools.partial(_lane, M, Q), L,
-                             w0, idx, record_from, thin, n_record)
-    L = min(n // SGD_SEG, SGD_MAX_SEGMENTS)
-    if system.solve is None and L >= 2 and system.batches.shape[1] * system.dim <= SGD_MAX_WORK:
-        return _run_segments(functools.partial(_sgd_lockstep, system), functools.partial(_sgd_lane, system),
-                             L, w0, idx, record_from, thin, n_record)
-    rows, finite = run_sgd(system.problem, system.dataset, system.batches, system.eta, w0, idx,
-                           record_from, thin, n_record, system.solve)
-    if not finite:
-        raise NonFiniteState()
-    return rows
+    else:
+        step = lane = functools.partial(run_sgd, system.problem, system.dataset, system.batches, system.eta,
+                                        solve=system.solve)
+        L = min(n // SGD_SEG, SGD_MAX_SEGMENTS)
+        if system.solve is not None or L < 2 or system.batches.shape[1] * system.dim > SGD_MAX_WORK:
+            L = 1
+    return run_chain(step, lane, L, w0, idx, record_from, thin, n_record)
 
 
 def require_eta(eta: float) -> None:
@@ -567,8 +534,11 @@ def sample_invariant(
     seed: int = 0,
 ) -> SampleCloud:
     """Approximate the invariant measure: record iterates burn_in + j*thin,
-    j = 1..n_samples.  Burn-in states are not kept, except for up to one
-    segment of them in a chain run in lockstep segments (affine or plain SGD)."""
+    j = 1..n_samples, through ``run_chain``.  Burn-in states are not kept,
+    except for up to one segment of them in a chain run in lockstep segments
+    (affine or plain SGD).  Every post-burn-in state is kept before the
+    thinned records are sliced out, so at thin > 1 the chain holds thin
+    times the records' memory (n_samples * thin * dim floats) while it runs."""
     require_schedule(burn_in, n_samples, thin)
     w0 = require_start(w0, system.dim)
     total = burn_in + n_samples * thin

@@ -11,28 +11,24 @@ draws of ``complexity.estimate_R``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import problems as pr
-from .errors import (
-    ConfigError,
-    IndivisibleBatch,
-    NonFiniteState,
-    NotPositiveDefinite,
-    SingularBatchHessian,
-)
+from .errors import ConfigError, IndivisibleBatch, NotPositiveDefinite, SingularBatchHessian
 from .ifs import (AffineSystem, IfsSystem, SampleCloud, SgdSystem, Trajectory, require_eta, require_schedule,
-                  require_start, run_sgd)
+                  require_start, run_chain, run_sgd)
 from .rng import Xoshiro256PP, draw_indices
 
 # --------------------------------------------------------------------------
 # batch schemes
 
 
-def _require_batch_size(n: int, b: int) -> None:
+def require_batch_size(n: int, b: int) -> None:
+    """Reject a batch size b outside 1..n for n data rows."""
     if not 0 < b <= n:
         raise ConfigError(f"need 0 < b <= n, got n={n}, b={b}")
 
@@ -58,7 +54,7 @@ class SubsetScheme:
     b: int
 
     def __post_init__(self):
-        _require_batch_size(self.n, self.b)
+        require_batch_size(self.n, self.b)
 
     def draw(self, gen: Xoshiro256PP, count: int) -> np.ndarray:
         """A (count, b) int64 table of sorted b-subsets drawn off ``gen`` in row order."""
@@ -73,7 +69,7 @@ def partition_batches(n: int, b: int, seed: int = 0, shuffle: bool = False) -> B
     ``order``, the table ``order.reshape(n // b, b)``, with uniform
     probabilities b/n.  ``order`` is 0..n-1, or its Fisher-Yates shuffle
     off Xoshiro256PP(seed) when ``shuffle``."""
-    _require_batch_size(n, b)
+    require_batch_size(n, b)
     if n % b != 0:
         raise IndivisibleBatch(f"batch size {b} does not divide n={n}")
     order = np.arange(n, dtype=np.int64)
@@ -138,11 +134,13 @@ def _affine_system(
     dataset: pr.Dataset, scheme: BatchScheme, step: Callable[[np.ndarray, np.ndarray, int], tuple]
 ) -> AffineSystem:
     """One affine map per batch of ``scheme``, its (M, q) = ``step(A, y, b)``
-    from the batch's feature rows A, targets y and size b.  A failed linear
+    from the batch's feature rows A, targets y and size b.  The batch table
+    is checked by ``problems.require_batch_table`` first.  A failed linear
     solve in ``step`` (Newton's batch Hessian) raises SingularBatchHessian."""
+    batches = pr.require_batch_table(scheme.batches, dataset.n)
     d = dataset.d
-    M, q = np.empty((len(scheme.batches), d, d)), np.empty((len(scheme.batches), d))
-    for i, batch in enumerate(scheme.batches):
+    M, q = np.empty((len(batches), d, d)), np.empty((len(batches), d))
+    for i, batch in enumerate(batches):
         try:
             M[i], q[i] = step(dataset.features[batch], dataset.targets[batch], len(batch))
         except np.linalg.LinAlgError:
@@ -237,18 +235,17 @@ def _run_subset(
 ) -> np.ndarray:
     """Subset-mode SGD from ``w0``: step t's batch is the t-th b-subset drawn
     from Xoshiro256PP(seed) by ``SubsetScheme.draw``, all drawn before the
-    first step into a (T, b) table that ``ifs.run_sgd`` steps along in order.
-    The inputs are checked before any draw; records as ``ifs.run_sgd``."""
+    first step into a (T, b) table that ``ifs.run_sgd`` steps along in order,
+    one serial ``ifs.run_chain`` lane.  The inputs are checked before any
+    draw; records and NonFiniteState as ``ifs.run_chain``."""
     _validate_labels(problem, dataset)
     scheme = SubsetScheme(dataset.n, b)
     require_eta(eta)
     w0 = require_start(w0, pr.param_dim(problem, dataset))
     total = record_from + n_record * thin
     table = scheme.draw(Xoshiro256PP(seed), total)
-    rows, finite = run_sgd(problem, dataset, table, eta, w0, np.arange(total), record_from, thin, n_record)
-    if not finite:
-        raise NonFiniteState()
-    return rows
+    lane = functools.partial(run_sgd, problem, dataset, table, eta)
+    return run_chain(lane, lane, 1, w0, np.arange(total), record_from, thin, n_record)
 
 
 def iterate_subset_sgd(

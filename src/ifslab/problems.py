@@ -86,6 +86,34 @@ def require_pm1_labels(dataset: Dataset, context: str) -> None:
         raise ConfigError(f"{context}: targets must be +/-1")
 
 
+def require_batch_table(batches, n_rows: int) -> np.ndarray:
+    """``batches``, a 2-D array or a sequence of batches, as a C-contiguous
+    (n_batches, b) int64 table of row indices into a dataset of ``n_rows``
+    rows.  An empty, ragged, non-integer or out-of-range table is a
+    ConfigError that names the bad batch or entry."""
+    rows = [np.asarray(batch) for batch in batches]
+    if not rows:
+        raise ConfigError("a batch table needs at least one batch")
+    for i, row in enumerate(rows):
+        if row.ndim != 1 or not row.size or row.size != rows[0].size:
+            raise ConfigError(
+                f"a batch table needs nonempty batches of one length, got lengths "
+                f"{sorted({r.size for r in rows})}: batch {i} has shape {row.shape}"
+            )
+    table = np.stack(rows)
+    if table.dtype.kind not in "iu":
+        off = np.argwhere(table != np.round(table)) if table.dtype.kind == "f" else ()
+        i, j = off[0] if len(off) else (0, 0)
+        raise ConfigError(
+            f"batch {i}, entry {j} is {table[i, j].item()!r}: a batch holds integer row indices, not {table.dtype}"
+        )
+    bad = np.argwhere((table < 0) | (table >= n_rows))
+    if bad.size:
+        i, j = bad[0]
+        raise ConfigError(f"batch {i}, entry {j} is row {table[i, j]}, but the dataset has rows 0..{n_rows - 1}")
+    return np.ascontiguousarray(table, dtype=np.int64)
+
+
 # --------------------------------------------------------------------------
 # problem kinds
 
@@ -623,9 +651,10 @@ def norm_envelopes(
     matching their proofs; the one-hidden-layer pair is batch-independent
     and needs the cloud constant ``c_const``.
     """
+    batches = require_batch_table(scheme.batches, dataset.n)
     prop, args = _checked_proposition(problem, dataset.radius(), eta, c_const)
     out = []
-    for batch in scheme.batches:
+    for batch in batches:
         at = args._replace(R=dataset.batch_radius(batch)) if prop.batch_radius else args
         out.append((prop.lower(at), prop.gamma(at)))
     return out

@@ -35,7 +35,7 @@ from ifslab.experiments import (
 from ifslab.ifs import sample_invariant
 from ifslab.optimizers import build_sgd_ifs, partition_batches
 from ifslab.problems import grad, mean_loss, param_dim
-from ifslab.rng import Xoshiro256PP, draw_indices
+from ifslab.rng import Xoshiro256PP, child_seed, draw_indices
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +606,28 @@ def test_train_point_divergent_chain_between_sane_ones(check_every, message):
     assert isinstance(trained[1], NonFiniteState) and str(trained[1]) == message
     for k in (0, 2):
         assert same_bits(trained[k], reference(etas[k], seeds[k])[0])
+
+
+def test_sweep_group_thinned_pin(monkeypatch):
+    """One batch size's trained points and their clouds, recorded every 2nd
+    step in lockstep, pinned to their bytes."""
+    cfg = dataclasses.replace(reference_sweep_config((0.07, 0.17), (16,), 3),
+                              max_iters=600, n_cloud=150, burn_in=100, thin=2, n_w=4, n_u=2)
+    train = generate_synthetic(cfg.data, cfg.seed)
+    test = generate_synthetic(cfg.data, child_seed(cfg.seed, 2))
+    seen, point_row = [], experiments._point_row
+
+    def capture(config, problem, train, test, scheme, eta, w_trained, cloud, point_seed):
+        seen.extend([w_trained, cloud.points])
+        return point_row(config, problem, train, test, scheme, eta, w_trained, cloud, point_seed)
+
+    monkeypatch.setattr(experiments, "_point_row", capture)
+    rows = experiments._sweep_group(cfg, train, test, 16, [child_seed(cfg.seed, 10 + k) for k in range(2)])
+    assert [r.error for r in rows] == ["", ""] and seen[1].shape == (150, param_dim(_student_problem(cfg), train))
+    digest = hashlib.sha256()
+    for a in seen:
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == "24e34d51822d5b7302b72d9695ff7767317aa53c62b61473f282f48d52b6e8db"
 
 
 def test_sweep_records_typed_training_divergence(tmp_path):

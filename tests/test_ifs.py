@@ -1,5 +1,7 @@
 """IFS iteration, invariant sampling, contractivity, Lyapunov exponents."""
 
+import functools
+import hashlib
 import math
 import warnings
 
@@ -489,8 +491,9 @@ def test_meeting_exit_expanding_map_raises(chunked_segments):
 def test_sgd_stack_records_each_chain_as_sample_invariant():
     """Three one-hidden-layer chains stepped in lockstep by ``run_sgd``
     record, each, what ``sample_invariant`` records for it alone, bit for
-    bit.  The divergent middle chain is flagged not finite, which
-    ``sample_invariant`` reports as NonFiniteState, and leaves the others
+    bit, every thin-th of their post-burn-in states taken as the sweep takes
+    them.  Only the divergent middle chain's records are not finite, which
+    ``sample_invariant`` reports as NonFiniteState; it leaves the others
     alone."""
     rng = np.random.default_rng(9)
     data = Dataset(rng.uniform(-1.0, 1.0, size=(12, 2)), rng.uniform(-1.0, 1.0, size=12))
@@ -502,8 +505,10 @@ def test_sgd_stack_records_each_chain_as_sample_invariant():
     idx = np.stack([draw_indices(Xoshiro256PP(s), scheme.probs, burn_in + n_samples * thin) for s in seeds])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # overflow is reported as NonFiniteState only
-        got, finite = ifs.run_sgd(problem, data, np.stack(scheme.batches), np.array(etas)[:, None], w0, idx,
-                                  burn_in, thin, n_samples)
+        rec = np.empty((3, n_samples * thin, 6))
+        ends = ifs.run_sgd(problem, data, scheme.batches, np.array(etas)[:, None], idx, w0, rec)
+    got = rec[:, thin - 1 :: thin]
+    finite = np.isfinite(got).all(axis=(1, 2)) & np.isfinite(ends).all(axis=1)
     assert finite.tolist() == [True, False, True]
     for k in (0, 2):
         system = build_sgd_ifs(problem, data, scheme, etas[k])
@@ -564,9 +569,10 @@ def stack_across_chunks(data, scheme, T, record_from, n_record):
     etas = (0.05, 0.1, 0.2)
     w0 = np.random.default_rng(12).normal(size=(3, 6))
     idx = np.stack([draw_indices(Xoshiro256PP(s), scheme.probs, T) for s in (1, 2, 3)])
-    got, finite = ifs.run_sgd(problem, data, np.stack(scheme.batches), np.array(etas)[:, None], w0, idx,
-                              record_from, 2, n_record)
-    assert finite.all()
+    rec = np.empty((3, T - record_from, 6))  # every state from record_from on, thinned below
+    ends = ifs.run_sgd(problem, data, scheme.batches, np.array(etas)[:, None], idx, w0, rec)
+    got = rec[:, 1::2][:, :n_record]
+    assert np.isfinite(got).all() and np.isfinite(ends).all()
     for k, eta in enumerate(etas):
         system = build_sgd_ifs(problem, data, scheme, eta)
         yield got[k], apply_loop(system, idx[k], w0[k], record_from, 2, n_record)
@@ -595,24 +601,20 @@ def test_one_step_row_chunks_record_the_apply_loop(monkeypatch):
 @pytest.fixture
 def sgd_segments(monkeypatch):
     """SGD segments of 64 steps, at most 6 at once, at any b * dim; counts
-    the lockstep rounds and the steps of the serial lane."""
+    the lockstep rounds, the steps ``run_sgd`` takes on stacked segments
+    (2-D map indices) and those of the serial lane (1-D map indices)."""
     monkeypatch.setattr(ifs, "SGD_SEG", 64)
     monkeypatch.setattr(ifs, "SGD_MAX_SEGMENTS", 6)
     monkeypatch.setattr(ifs, "SGD_MAX_WORK", 10**9)
     calls = {"rounds": 0, "lockstep_steps": 0, "lane_steps": 0}
-    lockstep, lane = ifs._sgd_lockstep, ifs._sgd_lane
+    run_sgd = ifs.run_sgd
 
-    def counted_lockstep(system, idx, w, rec):
-        calls["lockstep_steps"] += idx.shape[1]
-        return lockstep(system, idx, w, rec)
-
-    def counted_lane(system, idx, w, rec):
-        calls["lane_steps"] += idx.shape[0]
-        return lane(system, idx, w, rec)
+    def counted(problem, dataset, table, eta, idx, w0, rec, solve=None):
+        calls["lockstep_steps" if idx.ndim == 2 else "lane_steps"] += idx.shape[-1]
+        return run_sgd(problem, dataset, table, eta, idx, w0, rec, solve)
 
     count_rounds(monkeypatch, calls)
-    monkeypatch.setattr(ifs, "_sgd_lockstep", counted_lockstep)
-    monkeypatch.setattr(ifs, "_sgd_lane", counted_lane)
+    monkeypatch.setattr(ifs, "run_sgd", counted)
     return calls
 
 
@@ -660,25 +662,37 @@ def run_sgd_case(family, K, precond=False):
     return system, solve, eta, w0, idx, systems
 
 
+def sgd_lane(system, eta, solve=None):
+    """``run_sgd`` on ``system``'s problem, data and batches at ``eta``, as a stepper."""
+    return functools.partial(ifs.run_sgd, system.problem, system.dataset, system.batches, eta, solve=solve)
+
+
 @pytest.mark.parametrize("family", SGD_FAMILIES + ["one_hidden_sigmoid"])
 @pytest.mark.parametrize("K", [None, 1, 2, 6])
 def test_run_sgd_records_the_apply_loop(family, K):
     """``run_sgd`` steps its state in place through one gradient workspace;
-    each chain, solo or in a stack of 1, 2 or 6, records what a plain
-    ``SgdSystem.apply`` loop records, bit for bit."""
+    each chain, solo or in a stack of 1, 2 or 6, records and ends where a
+    plain ``SgdSystem.apply`` loop does, bit for bit: its post-burn-in
+    states thinned by 3, and through ``run_chain`` for one chain."""
     system, _, eta, w0, idx, systems = run_sgd_case(family, K)
-    got, finite = ifs.run_sgd(system.problem, system.dataset, system.batches, eta, w0, idx, 20, 3, 40)
-    assert np.all(finite)
+    rec = np.empty(w0.shape[:-1] + (130, system.dim))  # the states after steps 21..150
+    ends = ifs.run_sgd(system.problem, system.dataset, system.batches, eta, idx, w0, rec)
+    assert np.isfinite(rec).all()
     for k, chain in enumerate(systems):
-        want = apply_loop(chain, idx if K is None else idx[k], w0 if K is None else w0[k], 20, 3, 40)
-        assert same_bits(got if K is None else got[k], want)
+        ids, start = (idx, w0) if K is None else (idx[k], w0[k])
+        got, end = (rec, ends) if K is None else (rec[k], ends[k])
+        assert same_bits(got[2::3][:40], apply_loop(chain, ids, start, 20, 3, 40))
+        assert same_bits(end, apply_loop(chain, ids, start, 149, 1, 1)[0])
+    if K is None:
+        lane = sgd_lane(system, eta)
+        assert same_bits(ifs.run_chain(lane, lane, 1, w0, idx, 20, 3, 40), apply_loop(systems[0], idx, w0, 20, 3, 40))
 
 
 @pytest.mark.parametrize("family", SGD_FAMILIES + ["one_hidden_sigmoid"])
 def test_preconditioned_run_sgd_records_the_apply_loop(family):
     system, solve, eta, w0, idx, (chain,) = run_sgd_case(family, None, precond=True)
-    got, finite = ifs.run_sgd(system.problem, system.dataset, system.batches, eta, w0, idx, 20, 3, 40, solve)
-    assert finite and same_bits(got, apply_loop(chain, idx, w0, 20, 3, 40))
+    lane = sgd_lane(system, eta, solve)
+    assert same_bits(ifs.run_chain(lane, lane, 1, w0, idx, 20, 3, 40), apply_loop(chain, idx, w0, 20, 3, 40))
 
 
 @pytest.mark.parametrize("K, precond", [(None, False), (None, True), (3, False), (3, True)])
@@ -690,9 +704,58 @@ def test_run_sgd_leaves_w0_unchanged(K, precond):
     if precond and K is not None:
         solve = lambda g: 0.5 * g  # noqa: E731
     before = w0.tobytes()
-    got, _ = ifs.run_sgd(system.problem, system.dataset, system.batches, eta, w0, idx, 0, 1, idx.shape[-1], solve)
+    rec = np.empty(w0.shape[:-1] + (idx.shape[-1], system.dim))
+    end = ifs.run_sgd(system.problem, system.dataset, system.batches, eta, idx, w0, rec, solve)
     assert w0.tobytes() == before
-    assert not np.shares_memory(got, w0) and not (got[..., -1, :] == w0).all()
+    assert not np.shares_memory(end, w0) and not np.shares_memory(rec, w0)
+    assert same_bits(end, rec[..., -1, :]) and not (end == w0).all()
+
+
+def protocol_case(kind):
+    """A stepper of the one protocol, the systems whose ``apply`` loops its
+    chains must equal, its starts and 150 map indices each: one chain
+    (``_lane``, solo ``run_sgd``) or a stack of 3 (``_lockstep``, stacked
+    ``run_sgd``); affine maps at d = 1 and 2, logistic SGD steps."""
+    if kind.startswith("run_sgd"):
+        system, _, eta, w0, idx, systems = run_sgd_case("logistic", None if kind == "run_sgd" else 3)
+        return sgd_lane(system, eta), systems, w0, idx
+    d = int(kind[-1])
+    M, q, system = random_affine(d, 0.9, seed=31)
+    rng = np.random.default_rng(32)
+    if kind.startswith("_lane"):
+        return functools.partial(ifs._lane, M, q), [system], rng.uniform(-1.0, 1.0, d), rng.integers(0, 3, 150)
+    w0, idx = rng.uniform(-1.0, 1.0, (3, d)), rng.integers(0, 3, (3, 150))
+    return functools.partial(ifs._lockstep, M, q), [system] * 3, w0, idx
+
+
+def apply_states(system, idx, w0):
+    """w0 and the states after each step of a plain ``apply`` loop, (T + 1, dim)."""
+    states = [np.asarray(w0, dtype=float)]
+    for i in idx.tolist():
+        states.append(system.apply(i, states[-1]))
+    return np.array(states)
+
+
+@pytest.mark.parametrize("kind", ["_lane_d1", "_lane_d2", "_lockstep_d1", "_lockstep_d2", "run_sgd",
+                                  "run_sgd_stack"])
+@pytest.mark.parametrize("T, R", [(150, 0), (150, 9), (150, 150), (0, 0)])
+def test_steppers_share_one_protocol(kind, T, R):
+    """``_lockstep``, ``_lane`` and ``run_sgd`` step alike: ``step(idx, w0,
+    rec)`` writes the states after the last R of T steps to ``rec`` (of the
+    last 2 chains of a stack of 3), bit-equal to the apply loop, returns the
+    end state, and never writes w0.  R = 0, all steps and no steps."""
+    step, systems, w0, idx = protocol_case(kind)
+    idx = idx[..., :T]
+    stack = idx.ndim == 2
+    rec = np.full(((2,) if stack else ()) + (R, w0.shape[-1]), np.nan)
+    before = w0.tobytes()
+    end = step(idx, w0, rec)
+    assert w0.tobytes() == before
+    for k, system in enumerate(systems):
+        states = apply_states(system, idx[k], w0[k]) if stack else apply_states(system, idx, w0)
+        assert same_bits(end[k] if stack else end, states[-1])
+        if not stack or k >= 1:
+            assert same_bits(rec[k - 1] if stack else rec, states[T + 1 - R:])
 
 
 @pytest.mark.parametrize("family", SGD_FAMILIES)
@@ -792,7 +855,7 @@ def test_preconditioned_sgd_chain_stays_serial(sgd_segments):
     n = 6 * 64 + 5
     idx = draw_indices(Xoshiro256PP(9), system.probs, n)
     got = ifs._run_system(system, np.full(2, 0.1), idx, 10, 2, 150)
-    assert rounds_and_lane(sgd_segments) == (0, 0)
+    assert rounds_and_lane(sgd_segments) == (0, n)
     assert same_bits(got, apply_loop(system, idx, np.full(2, 0.1), 10, 2, 150))
 
 
@@ -805,16 +868,15 @@ def test_lyapunov_is_bit_equal_on_sgd_segments(sgd_segments, kind):
     assert float.hex(est.rho) == float.hex(reference_lyapunov(system, w0, k, seed=7))
 
 
-def test_wide_sgd_steps_stay_serial(monkeypatch):
+def test_wide_sgd_steps_stay_serial(sgd_segments, monkeypatch):
     """A chain with b * dim above SGD_MAX_WORK (here 12 against 11) runs
     serially, as the sweep's student (16 * 32) does at the module's value."""
-    calls = []
-    monkeypatch.setattr(ifs, "_sgd_lockstep", lambda *args: calls.append(args))
     system = sgd_system("one_hidden")  # b * dim = 3 * 4
     monkeypatch.setattr(ifs, "SGD_MAX_WORK", 11)
     idx = draw_indices(Xoshiro256PP(10), system.probs, 4 * ifs.SGD_SEG)
     got = ifs._run_system(system, np.full(4, 0.1), idx, 0, 1, idx.size)
-    assert calls == [] and same_bits(got, apply_loop(system, idx, np.full(4, 0.1), 0, 1, idx.size))
+    assert rounds_and_lane(sgd_segments) == (0, idx.size) and sgd_segments["lockstep_steps"] == 0
+    assert same_bits(got, apply_loop(system, idx, np.full(4, 0.1), 0, 1, idx.size))
 
 
 def test_benchmark_logistic_chain_settles_at_the_default_segments(monkeypatch):
@@ -830,6 +892,43 @@ def test_benchmark_logistic_chain_settles_at_the_default_segments(monkeypatch):
     monkeypatch.setattr(ifs, "SGD_MAX_WORK", 0)  # the serial chain
     serial = sample_invariant(system, np.zeros(2), burn_in, n_samples, 1, 1)
     assert calls["rounds"] == 2 and same_bits(cloud.points, serial.points)
+
+
+def points_sha256(*arrays) -> str:
+    """The SHA-256 of the float64 bytes of ``arrays``, in order."""
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+def test_benchmark_logistic_cloud_pin():
+    """The cloud of a chain shaped as ``perfbench``'s ``cli_logistic`` one
+    (lockstep segments at the module's constants), pinned to its bytes."""
+    cloud = sample_invariant(benchmark_logistic(1), np.zeros(2), 1_000, 20_000, 1, 1)
+    assert points_sha256(cloud.points) == "6971008ad0a603437f18cda5ef6f7517999bd0430a5d005e5a27eac83fc1c961"
+
+
+def test_preconditioned_thinned_cloud_pin():
+    """A preconditioned logistic chain, run serially, recorded every 3rd step."""
+    rng = np.random.default_rng(8)
+    A = rng.normal(size=(12, 2))
+    precond = PreconditionerSpec(np.array([[2.0, 0.5], [0.5, 1.0]]), (0.5, 2.5))
+    system = build_precond_sgd_ifs(Logistic(lam=0.1), Dataset(A, np.where(A[:, 1] > 0, 1.0, -1.0)),
+                                   partition_batches(12, 3), 0.5, precond)
+    cloud = sample_invariant(system, np.full(2, 0.1), 300, 400, 3, 5)
+    assert points_sha256(cloud.points) == "1b58265e15972b92d509ca814684e90f69d31c1a176f6569c8893ee218975029"
+
+
+def test_wide_one_hidden_cloud_pin():
+    """A one-hidden-layer chain with b * dim = 4 * 9 above SGD_MAX_WORK, run serially."""
+    rng = np.random.default_rng(13)
+    data = Dataset(rng.uniform(-1.0, 1.0, size=(16, 3)), rng.uniform(-1.0, 1.0, size=16))
+    problem = OneHiddenLayer(lam=0.05, out_weights=(1.0, -1.0, 0.5), activation="tanh")
+    system = build_sgd_ifs(problem, data, partition_batches(16, 4), 0.2)
+    assert system.batches.shape[1] * system.dim > ifs.SGD_MAX_WORK
+    cloud = sample_invariant(system, np.full(9, 0.1), 500, 1_200, 1, 6)
+    assert points_sha256(cloud.points) == "6577ee61248af297158314633486604802c4ebdff25e749271b3b21ad2cae964"
 
 
 def test_sample_invariant_thinning_and_determinism():

@@ -15,6 +15,7 @@ from ifslab.errors import ConfigError, IndivisibleBatch, NotPositiveDefinite
 from ifslab import ifs
 from ifslab.ifs import contractivity_report, iterate, lyapunov_exponent, sample_invariant
 from ifslab.optimizers import (
+    BatchScheme,
     PreconditionerSpec,
     SubsetScheme,
     build_precond_sgd_ifs,
@@ -24,7 +25,7 @@ from ifslab.optimizers import (
     partition_batches,
     sample_invariant_subset,
 )
-from ifslab.problems import Dataset, LeastSquares, Logistic, grad, hvp
+from ifslab.problems import Dataset, LeastSquares, Logistic, grad, hvp, norm_envelopes
 from ifslab.rng import Xoshiro256PP, draw_indices
 
 
@@ -474,6 +475,33 @@ def test_chain_inputs_are_checked_before_any_step(call, message):
         call(Logistic(lam=0.1), data)
 
 
+BAD_BATCHES = [
+    ([-1], r"batch 0, entry 0 is row -1, but the dataset has rows 0\.\.1"),  # used to read row 1
+    ([0.5], r"batch 0, entry 0 is 0\.5: a batch holds integer row indices, not float64"),
+    ([5], r"batch 0, entry 0 is row 5, but the dataset has rows 0\.\.1"),
+]
+TABLE_CONSUMERS = {
+    "sgd": lambda data, scheme: build_sgd_ifs(LeastSquares(lam=0.1), data, scheme, 0.1),
+    "precond": lambda data, scheme: build_precond_sgd_ifs(
+        LeastSquares(lam=0.1), data, scheme, 0.1, PreconditionerSpec(np.array([[2.0]]), (2.0, 2.0))),
+    "newton": lambda data, scheme: build_stoch_newton_ifs(LeastSquares(lam=0.1), data, scheme, 0.1),
+    "norm_envelopes": lambda data, scheme: norm_envelopes(LeastSquares(lam=0.1), data, scheme, 0.1),
+}
+
+
+@pytest.mark.parametrize("consumer", list(TABLE_CONSUMERS))
+@pytest.mark.parametrize("batch, message", BAD_BATCHES)
+def test_least_squares_consumers_check_the_batch_table(consumer, batch, message):
+    """The affine builders and ``norm_envelopes`` read a scheme's batch table
+    only through ``problems.require_batch_table``: a negative, fractional or
+    out-of-range row is a ConfigError, not a silently read row or a bare
+    IndexError.  The good table passes."""
+    data = Dataset(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]))
+    with pytest.raises(ConfigError, match=message):
+        TABLE_CONSUMERS[consumer](data, BatchScheme(np.array([batch]), np.array([1.0])))
+    TABLE_CONSUMERS[consumer](data, BatchScheme(np.array([[1]]), np.array([1.0])))
+
+
 def test_subset_invariant_cloud():
     rng = np.random.default_rng(16)
     data = Dataset(rng.uniform(-1, 1, size=(6, 3)), rng.uniform(-1, 1, size=6))
@@ -485,6 +513,17 @@ def test_subset_invariant_cloud():
     # the bytes of the cloud the per-step subset draw loop sampled
     assert hashlib.sha256(cloud.points.tobytes()).hexdigest() == (
         "d18f4c95b621f9f1271a3a0a68f0c632d5cc908dbe981fc9a861d44b9d811ad5"
+    )
+
+
+def test_thinned_subset_cloud_pin():
+    """A subset-mode logistic cloud recorded every 2nd step, pinned to its bytes."""
+    rng = np.random.default_rng(14)
+    A = rng.normal(size=(10, 2))
+    cloud = sample_invariant_subset(Logistic(lam=0.2), Dataset(A, np.where(A[:, 0] > 0, 1.0, -1.0)), 3, 0.4,
+                                    np.array([0.2, -0.1]), 50, 300, 2, 9)
+    assert hashlib.sha256(cloud.points.tobytes()).hexdigest() == (
+        "a0ec1e767cd793ef844bc57d628cf59c81f08bf67c7e2b370d2bfe238b64a8c7"
     )
 
 

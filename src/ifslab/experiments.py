@@ -9,6 +9,7 @@ binary PGM (P5) heatmaps, and JSON summaries.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from .dimension import (BoxCountConfig, DimensionEstimate, analytic_bound, box_c
 from .errors import (ComputeError, ConfigError, DegenerateVariance, IfslabError, NonFiniteState,
                      PreconditionViolation)
 from .fileio import FLOAT, atomic_write_bytes, atomic_write_text, csv_text, write_json
-from .ifs import IfsSystem, SampleCloud, require_eta, require_schedule, run_sgd, sample_invariant
+from .ifs import IfsSystem, SampleCloud, require_eta, require_schedule, run_chain, run_sgd, sample_invariant
 from .optimizers import BatchScheme, build_sgd_ifs, partition_batches
 from .rng import Xoshiro256PP, child_seed, draw_indices
 
@@ -338,6 +339,10 @@ class SweepConfig:
             raise ConfigError(f"n_test must be >= 1, got {self.n_test}")
         if self.check_every < 1:
             raise ConfigError("check_every must be a positive integer")
+        if self.max_iters < 0:
+            raise ConfigError(f"max_iters must be >= 0, got {self.max_iters}")
+        if math.isnan(self.loss_tol):  # no loss is below nan, so no chain could stop early
+            raise ConfigError("loss_tol must be a number, got nan")
         require_schedule(self.burn_in, self.n_cloud, self.thin)  # before any point trains
         ComplexityConfig(n_w=self.n_w, n_u=self.n_u)  # rejects an empty R table
         _student_problem(self)  # rejects an unknown activation
@@ -372,6 +377,12 @@ def _student_problem(config: SweepConfig) -> pr.OneHiddenLayer:
     return pr.OneHiddenLayer(lam=config.lam, out_weights=outs, activation=config.activation)
 
 
+def _sgd_lane(problem: pr.Problem, train: pr.Dataset, scheme: BatchScheme, etas, live: list[int]):
+    """``run_sgd`` along the scheme's batch table as a lane of the chains
+    ``live``, chain k at step size etas[k]: the stepper of a ``run_chain`` stack."""
+    return functools.partial(run_sgd, problem, train, scheme.batches, np.array([etas[k] for k in live])[:, None])
+
+
 def _train_point(
     problem: pr.OneHiddenLayer, train: pr.Dataset, scheme: BatchScheme, config: SweepConfig, seeds: list[int],
 ) -> list:
@@ -380,10 +391,13 @@ def _train_point(
 
     Chain k (step size config.etas[k]) starts from 0.5 * normals of
     Xoshiro256PP(seeds[k]) and then draws its max_iters map indices from that
-    stream, in one call.  After each ``check_every`` block its mean train loss is
-    checked: a chain below loss_tol leaves the stack, the rest go on until
-    max_iters steps.  Returns per chain the trained parameter, or the
-    NonFiniteState of a block that ended on a non-finite iterate or loss.
+    stream, in one call.  Each ``check_every`` block of the live chains is one
+    ``run_chain`` stack that records each chain's last state (the schedule
+    (block - 1, 1, 1)); ``run_chain`` reports a chain whose block went
+    non-finite.  Then each chain's mean train loss is checked: a chain below
+    loss_tol leaves the stack, the rest go on until max_iters steps.  Returns
+    per chain the trained parameter, or the NonFiniteState of a block that
+    ended on a non-finite iterate or loss.
     """
     gens = [Xoshiro256PP(seed) for seed in seeds]
     dim = pr.param_dim(problem, train)
@@ -394,15 +408,15 @@ def _train_point(
     steps = 0
     while live and steps < config.max_iters:
         block = min(config.check_every, config.max_iters - steps)
-        etas = np.array([config.etas[k] for k in live])[:, None]
-        ends = run_sgd(problem, train, scheme.batches, etas, idx[live, steps : steps + block], w,
-                       np.empty((len(live), 0, dim)))
+        lane = _sgd_lane(problem, train, scheme, config.etas, live)
+        ends = run_chain(lane, lane, 1, w, idx[live, steps : steps + block], block - 1, 1, 1)
         steps += block
         keep = []
         for k, end in zip(live, ends):
-            if not np.isfinite(end).all():
-                out[k] = NonFiniteState()
+            if isinstance(end, NonFiniteState):
+                out[k] = end
                 continue
+            end = end[0]  # the one record, the state after the block
             with np.errstate(over="ignore", invalid="ignore"):  # as in the driver
                 loss = pr.mean_loss(problem, end, train)
             if not math.isfinite(loss):
@@ -459,9 +473,10 @@ def _sweep_group(
     """The rows (eta, b) for every eta of the grid, point k seeded by seeds[k].
 
     The chains train in lockstep (``_train_point``), and those that trained
-    draw their clouds in lockstep too, chain k from child_seed(seeds[k], 1);
-    R, the dimensions, the bound and the gap are then computed per point.
-    A failure lands in its point's row.
+    draw their clouds in one ``run_chain`` stack, chain k's map indices from
+    child_seed(seeds[k], 1); R, the dimensions, the bound and the gap are
+    then computed per point.  A failure, such as a cloud chain's
+    NonFiniteState, lands in its point's row.
     """
     problem = _student_problem(config)
     scheme = partition_batches(train.n, b)
@@ -472,12 +487,9 @@ def _sweep_group(
         total = config.burn_in + config.n_cloud * config.thin
         gens = [Xoshiro256PP(child_seed(seeds[k], 1)) for k in live]
         idx = np.stack([draw_indices(gen, scheme.probs, total) for gen in gens])
-        rec = np.empty((len(live), config.n_cloud * config.thin, pr.param_dim(problem, train)))
-        ends = run_sgd(problem, train, scheme.batches, np.array([config.etas[k] for k in live])[:, None], idx,
-                       np.stack([trained[k] for k in live]), rec)
-        points = np.ascontiguousarray(rec[:, config.thin - 1 :: config.thin])
-        finite = np.isfinite(points).all(axis=(1, 2)) & np.isfinite(ends).all(axis=1)
-        clouds = {k: points[j] if finite[j] else NonFiniteState() for j, k in enumerate(live)}
+        lane = _sgd_lane(problem, train, scheme, config.etas, live)
+        starts = np.stack([trained[k] for k in live])
+        clouds = dict(zip(live, run_chain(lane, lane, 1, starts, idx, config.burn_in, config.thin, config.n_cloud)))
     rows = []
     for k, eta in enumerate(config.etas):
         points = clouds.get(k, trained[k])  # a chain that failed training has no cloud

@@ -18,11 +18,10 @@ writes ``w0`` and returns the end state(s).  Affine chains step through
 ``_lockstep`` (K at once) and ``_lane`` (one), problem-backed ones through
 ``run_sgd`` (either).  One runner, ``run_chain``, applies a recording
 schedule (burn-in, thinning, count) to a system's or a subset-mode chain
-of either kind: it keeps every state from the first recorded segment on,
-slices the schedule out of them and raises NonFiniteState unless the
-records and the end are finite.  Only the sweep's stacks of K chains
-(``experiments``) step ``run_sgd`` directly and check each chain's end and
-records themselves.
+of either kind, and to the sweep's stacks of K chains (``experiments``):
+it keeps every state from the first recorded segment on, slices the
+schedule out of them and reports NonFiniteState, per chain in a stack,
+unless the records and the end are finite.
 
 Affine chains and plain-SGD problem-backed chains run parallel in time
 through one settle loop, ``_settle``: the index stream is cut into segments
@@ -39,14 +38,14 @@ Every record equals the serial loop bit for bit.  ``run_sgd`` gathers its
 batch rows once per chunk of steps and passes them to the gradient kernel
 of ``problems.grad_rows``, whose buffers it allocates once per call; it
 steps a system's index-drawn batches (one chain, or its segments in
-lockstep), the sweep's K chains in lockstep (``experiments``), and subset
-mode's b-subsets (``optimizers``), drawn up front into a table stepped in
-order.  A stack of K chains takes one kernel call per step, each chain
-bit-equal to its run alone.  Preconditioned chains, and those whose steps
-cost too much per extra segment (b * dim above SGD_MAX_WORK), run in one
-serial lane.  No other code steps a state: ``lyapunov_exponent`` takes its
-states from these loops and only pushes a tangent vector through each
-step's Jacobian.
+lockstep), the sweep's K chains in lockstep (``experiments``, through
+``run_chain``), and subset mode's b-subsets (``optimizers``), drawn up
+front into a table stepped in order.  A stack of K chains takes one kernel
+call per step, each chain bit-equal to its run alone.  Preconditioned
+chains, and those whose steps cost too much per extra segment (b * dim
+above SGD_MAX_WORK), run in one serial lane.  No other code steps a state:
+``lyapunov_exponent`` takes its states from these loops and only pushes a
+tangent vector through each step's Jacobian.
 
 Geometric ergodicity of problem-backed systems is *not* certified here;
 stationarity is only spot-checked empirically (see the KS-distance test).
@@ -70,7 +69,7 @@ from .rng import Xoshiro256PP, draw_indices, require_probs
 # systems
 
 
-def _require_probs(probs: np.ndarray, n_maps: int) -> np.ndarray:
+def require_map_probs(probs: np.ndarray, n_maps: int) -> np.ndarray:
     """``probs`` as floats: one entry per map, passing :func:`rng.require_probs`."""
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (n_maps,):
@@ -97,7 +96,7 @@ class AffineSystem:
                               f"got {M.shape} and {q.shape}")
         object.__setattr__(self, "matrices", M)
         object.__setattr__(self, "offsets", q)
-        object.__setattr__(self, "probs", _require_probs(self.probs, M.shape[0]))
+        object.__setattr__(self, "probs", require_map_probs(self.probs, M.shape[0]))
 
     @property
     def dim(self) -> int:
@@ -130,7 +129,7 @@ class SgdSystem:
     solve: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _require_probs(self.probs, len(self.batches)))
+        object.__setattr__(self, "probs", require_map_probs(self.probs, len(self.batches)))
         object.__setattr__(self, "batches", pr.require_batch_table(self.batches, self.dataset.n))
 
     @property
@@ -234,20 +233,21 @@ def run_sgd(
     holding data indices.  It steps as ``_lockstep`` and ``_lane`` do.
 
     One chain has ``w0`` (dim,), a float ``eta`` and map indices ``idx``
-    (T,), and its states after the last R steps land in ``rec`` (R, dim);
-    K plain-SGD chains in lockstep have ``w0`` (K, dim), ``eta`` (K, 1) and
-    ``idx`` (K, T), take one gradient per step on rows (K, b, d), (K, b),
-    and the states of the last K' chains after the last R steps land in
-    ``rec`` (K', R, dim).  R may be 0.  Returns the end state(s), (dim,) or
-    (K, dim); overflow to inf or nan is not checked here.  Each chunk of
-    steps takes one gather of features and one of targets; a step's rows
-    are C-contiguous views, laid out as ``problems.grad`` lays out its own
-    gather.  The call builds one ``problems.GradWorkspace`` (the kernel of
-    ``grad_rows``), copies ``w0`` into its state buffer once and steps that
-    buffer in place; ``w0`` itself is never written.  A step writes the
-    gradient and eta * P(gradient) into the workspace's gradient buffer, so
-    it allocates nothing beyond what ``solve`` and a GLM margin derivative
-    return.
+    (T,), and its states after the last R steps land in ``rec`` (R, dim); K
+    plain-SGD chains in lockstep (a system's segments in ``_settle``, or the
+    sweep's stack of one chain per eta in ``run_chain``) have ``w0`` (K,
+    dim), ``eta`` (K, 1) and ``idx`` (K, T), take one gradient per step on
+    rows (K, b, d), (K, b), and the states of the last K' chains after the
+    last R steps land in ``rec`` (K', R, dim).  R may be 0.  Returns the end
+    state(s), (dim,) or (K, dim); overflow to inf or nan is checked by
+    ``run_chain``, not here.  Each chunk of steps takes one gather of
+    features and one of targets; a step's rows are C-contiguous views, laid
+    out as ``problems.grad`` lays out its own gather.  The call builds one
+    ``problems.GradWorkspace`` (the kernel of ``grad_rows``), copies ``w0``
+    into its state buffer once and steps that buffer in place; ``w0`` itself
+    is never written.  A step writes the gradient and eta * P(gradient) into
+    the workspace's gradient buffer, so it allocates nothing beyond what
+    ``solve`` and a GLM margin derivative return.
     """
     ws = pr.GradWorkspace(problem, np.shape(w0), table.shape[1], dataset.d)
     w, g = ws.w, ws.g
@@ -419,7 +419,7 @@ def _settle(step: Callable, idx: np.ndarray, w0: np.ndarray, rec: np.ndarray) ->
 def run_chain(
     step: Callable, lane: Callable, L: int, w0: np.ndarray, idx: np.ndarray,
     record_from: int, thin: int, n_record: int,
-) -> np.ndarray:
+) -> Union[np.ndarray, list]:
     """One chain from ``w0`` along the map indices ``idx``: its states after
     steps record_from + j*thin, j = 1..n_record, as (n_record, dim).
 
@@ -435,11 +435,16 @@ def run_chain(
     recorded step (from step record_from on at L = 1), then the schedule is
     sliced out of them, so every record is bit-equal to the serial loop.
     NonFiniteState unless the records and the end state are finite.
+
+    A stack of K chains runs at L = 1: ``w0`` (K, dim) and ``idx`` (K, n),
+    stepped together by a ``lane`` that steps K chains, such as ``run_sgd``
+    with eta (K, 1).  Entry k of the returned list is chain k's records, or
+    its NonFiniteState, so one chain's overflow stays in its own entry.
     """
-    n, d = idx.shape[0], w0.shape[0]
+    n, d = idx.shape[-1], w0.shape[-1]
     S = n // L
     lo = record_from if L == 1 else min(record_from // S, L) * S
-    buf = np.empty((n - lo, d))  # the states after steps lo + 1, ..., n
+    buf = np.empty(w0.shape[:-1] + (n - lo, d))  # each chain's states after steps lo + 1, ..., n
     w, a = w0, 0  # the chain's state after a steps
     # overflow to inf/nan is an anticipated outcome here, reported as
     # NonFiniteState below rather than as a numpy warning mid-loop
@@ -447,11 +452,16 @@ def run_chain(
         if L > 1:
             w, settled, _ = _settle(step, idx[: L * S].reshape(L, S), w, buf[: L * S - lo].reshape(-1, S, d))
             a = settled * S
-        w = lane(idx[a:], w, buf[max(a - lo, 0):])
-    rows = buf[record_from - lo + thin - 1 :: thin][:n_record]
-    if not (np.isfinite(rows).all() and np.isfinite(w).all()):
-        raise NonFiniteState()
-    return rows if thin == 1 else rows.copy()
+        w = lane(idx[..., a:], w, buf[..., max(a - lo, 0):, :])
+    rows = buf[..., record_from - lo + thin - 1 :: thin, :][..., :n_record, :]
+    if thin > 1:
+        rows = rows.copy()  # C-contiguous, and the unrecorded states are freed
+    finite = np.isfinite(rows).all(axis=(-2, -1)) & np.isfinite(w).all(axis=-1)
+    if w0.ndim == 1:
+        if not finite:
+            raise NonFiniteState()
+        return rows
+    return [r if ok else NonFiniteState() for r, ok in zip(rows, finite.tolist())]
 
 
 def _run_system(

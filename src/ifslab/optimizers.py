@@ -19,8 +19,8 @@ import numpy as np
 
 from . import problems as pr
 from .errors import ConfigError, IndivisibleBatch, NotPositiveDefinite, SingularBatchHessian
-from .ifs import (AffineSystem, IfsSystem, SampleCloud, SgdSystem, Trajectory, require_eta, require_schedule,
-                  require_start, run_chain, run_sgd)
+from .ifs import (AffineSystem, IfsSystem, SampleCloud, SgdSystem, Trajectory, require_eta, require_map_probs,
+                  require_schedule, require_start, run_chain, run_sgd)
 from .rng import Xoshiro256PP, draw_indices
 
 # --------------------------------------------------------------------------
@@ -36,10 +36,17 @@ def require_batch_size(n: int, b: int) -> None:
 @dataclass(frozen=True, eq=False)
 class BatchScheme:
     """Row i of the C-contiguous (m, b) int64 table ``batches`` is batch i,
-    drawn with probability ``probs[i]``."""
+    drawn with probability ``probs[i]``.  The table's shape and dtype, and
+    one probability per batch, are checked here; its rows are checked
+    against a dataset where a chain or an R table meets one
+    (``problems.require_batch_table``)."""
 
     batches: np.ndarray
     probs: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "batches", pr.require_batch_shape(self.batches))
+        object.__setattr__(self, "probs", require_map_probs(self.probs, len(self.batches)))
 
     def draw(self, gen: Xoshiro256PP, count: int) -> np.ndarray:
         """``count`` rows of ``batches`` drawn i.i.d. from ``probs`` off ``gen``."""

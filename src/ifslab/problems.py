@@ -86,11 +86,11 @@ def require_pm1_labels(dataset: Dataset, context: str) -> None:
         raise ConfigError(f"{context}: targets must be +/-1")
 
 
-def require_batch_table(batches, n_rows: int) -> np.ndarray:
+def require_batch_shape(batches) -> np.ndarray:
     """``batches``, a 2-D array or a sequence of batches, as a C-contiguous
-    (n_batches, b) int64 table of row indices into a dataset of ``n_rows``
-    rows.  An empty, ragged, non-integer or out-of-range table is a
-    ConfigError that names the bad batch or entry."""
+    (n_batches, b) int64 table.  An empty, ragged or non-integer table is a
+    ConfigError that names the bad batch or entry.  The table is always a
+    new array, never the caller's."""
     rows = [np.asarray(batch) for batch in batches]
     if not rows:
         raise ConfigError("a batch table needs at least one batch")
@@ -107,11 +107,19 @@ def require_batch_table(batches, n_rows: int) -> np.ndarray:
         raise ConfigError(
             f"batch {i}, entry {j} is {table[i, j].item()!r}: a batch holds integer row indices, not {table.dtype}"
         )
+    return np.ascontiguousarray(table, dtype=np.int64)
+
+
+def require_batch_table(batches, n_rows: int) -> np.ndarray:
+    """``require_batch_shape(batches)``, whose entries must also be row
+    indices into a dataset of ``n_rows`` rows: an out-of-range entry is a
+    ConfigError that names it."""
+    table = require_batch_shape(batches)
     bad = np.argwhere((table < 0) | (table >= n_rows))
     if bad.size:
         i, j = bad[0]
         raise ConfigError(f"batch {i}, entry {j} is row {table[i, j]}, but the dataset has rows 0..{n_rows - 1}")
-    return np.ascontiguousarray(table, dtype=np.int64)
+    return table
 
 
 # --------------------------------------------------------------------------

@@ -501,10 +501,17 @@ def test_experiment_sweep_rejects_empty_schedule(tmp_path, capsys, monkeypatch, 
     ("linreg2d", {"etas": [math.nan, 0.5], "n_samples": 1_000}, "eta must be positive, got nan"),
     ("sweep", {"data": {"n": 8, "d": 2}, "etas": [math.nan], "batch_sizes": [2]}, "eta must be positive, got nan"),
     ("sweep", {"data": {"n": 8, "d": 2}, "etas": [0.1], "batch_sizes": [2], "n_test": 0}, "n_test must be >= 1"),
+    ("sweep", {"data": {"n": 8, "d": 2}, "etas": [0.1], "batch_sizes": [2], "max_iters": -5},
+     "config error: max_iters must be >= 0, got -5"),
+    ("sweep", {"data": {"n": 8, "d": 2}, "etas": [0.1], "batch_sizes": [2], "loss_tol": math.nan},
+     "config error: loss_tol must be a number, got nan"),
 ])
 def test_experiment_rejects_nan_eta_and_empty_test_set(tmp_path, capsys, kind, doc, message):
     """A NaN eta used to pass the eta <= 0 checks and run (exit 0); n_test 0
-    failed only after the sweep had made its output directory."""
+    failed only after the sweep had made its output directory.  A negative
+    max_iters failed in the index draws with a message that named no key,
+    and a NaN loss_tol trained every chain to max_iters, since no loss is
+    below it."""
     cfg = write_config(tmp_path, "c.json", doc)
     out = tmp_path / "o"
     assert main(["experiment", kind, "--config", cfg, "--out", str(out)]) == 1

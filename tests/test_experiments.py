@@ -666,6 +666,11 @@ def test_sweep_rejects_empty_or_bad_grid():
         tiny_sweep_config(n_test=0)
     with pytest.raises(ConfigError):  # zero-step blocks would never advance training
         tiny_sweep_config(check_every=0)
+    with pytest.raises(ConfigError, match="max_iters must be >= 0, got -5"):  # used to fail in the draws
+        tiny_sweep_config(max_iters=-5)
+    tiny_sweep_config(max_iters=0)  # trains no step: the starts are the trained points
+    with pytest.raises(ConfigError, match="loss_tol must be a number, got nan"):  # used to run to the end
+        tiny_sweep_config(loss_tol=math.nan)
     for table in ({"n_w": 0}, {"n_u": 0}):
         with pytest.raises(ConfigError):
             tiny_sweep_config(**table)

@@ -488,28 +488,35 @@ def test_meeting_exit_expanding_map_raises(chunked_segments):
             ifs._run_system(system, np.ones(2), idx, 0, 1, idx.size)
 
 
-def test_sgd_stack_records_each_chain_as_sample_invariant():
-    """Three one-hidden-layer chains stepped in lockstep by ``run_sgd``
-    record, each, what ``sample_invariant`` records for it alone, bit for
-    bit, every thin-th of their post-burn-in states taken as the sweep takes
-    them.  Only the divergent middle chain's records are not finite, which
-    ``sample_invariant`` reports as NonFiniteState; it leaves the others
-    alone."""
+def sgd_stack(T):
+    """Three one-hidden-layer chains of T steps, the middle one divergent:
+    the lane that steps them in lockstep, its one-chain lanes, the data and
+    scheme, and the chains' etas, seeds, starts and map indices."""
     rng = np.random.default_rng(9)
     data = Dataset(rng.uniform(-1.0, 1.0, size=(12, 2)), rng.uniform(-1.0, 1.0, size=12))
     problem = OneHiddenLayer(lam=0.1, out_weights=(1.0, -1.0, 0.5), activation="tanh")
     scheme = partition_batches(data.n, 3)
     etas, seeds = (0.05, 1e6, 0.2), (1, 2, 3)
     w0 = rng.normal(size=(3, 6))
+    idx = np.stack([draw_indices(Xoshiro256PP(s), scheme.probs, T) for s in seeds])
+    lane = functools.partial(ifs.run_sgd, problem, data, scheme.batches)
+    return lane, problem, data, scheme, etas, seeds, w0, idx
+
+
+def test_sgd_stack_records_each_chain_as_sample_invariant():
+    """Three one-hidden-layer chains stepped in lockstep through
+    ``run_chain``'s stack form record, each, what ``sample_invariant``
+    records for it alone, bit for bit, every thin-th of their post-burn-in
+    states.  Only the divergent middle chain's entry is a NonFiniteState,
+    as ``sample_invariant`` reports it alone; it leaves the others alone."""
     burn_in, n_samples, thin = 20, 30, 2
-    idx = np.stack([draw_indices(Xoshiro256PP(s), scheme.probs, burn_in + n_samples * thin) for s in seeds])
+    lane, problem, data, scheme, etas, seeds, w0, idx = sgd_stack(burn_in + n_samples * thin)
+    stack = functools.partial(lane, np.array(etas)[:, None])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # overflow is reported as NonFiniteState only
-        rec = np.empty((3, n_samples * thin, 6))
-        ends = ifs.run_sgd(problem, data, scheme.batches, np.array(etas)[:, None], idx, w0, rec)
-    got = rec[:, thin - 1 :: thin]
-    finite = np.isfinite(got).all(axis=(1, 2)) & np.isfinite(ends).all(axis=1)
-    assert finite.tolist() == [True, False, True]
+        got = ifs.run_chain(stack, stack, 1, w0, idx, burn_in, thin, n_samples)
+    assert [isinstance(g, NonFiniteState) for g in got] == [False, True, False]
+    assert str(got[1]) == "iterate overflowed (system appears to diverge)"
     for k in (0, 2):
         system = build_sgd_ifs(problem, data, scheme, etas[k])
         cloud = sample_invariant(system, w0[k], burn_in, n_samples, thin, seeds[k])
@@ -517,6 +524,42 @@ def test_sgd_stack_records_each_chain_as_sample_invariant():
     system = build_sgd_ifs(problem, data, scheme, etas[1])
     with pytest.raises(NonFiniteState, match="system appears to diverge"):
         sample_invariant(system, w0[1], burn_in, n_samples, thin, seeds[1])
+
+
+T_STACK = 90
+
+
+@pytest.mark.parametrize("record_from, thin, n_record", [
+    (0, 1, T_STACK),  # every state
+    (0, 3, T_STACK // 3),
+    (30, 1, 60),  # after a burn-in
+    (30, 3, 20),
+    (30, 3, 7),  # fewer records than the steps hold
+    (T_STACK - 1, 1, 1),  # the training schedule: the last state only
+])
+def test_chain_stack_rows_equal_their_one_chain_runs(record_from, thin, n_record):
+    """Each entry of ``run_chain``'s stack form is bit-equal to a one-chain
+    ``run_chain`` on its own row, as a C-contiguous (n_record, dim) array.
+    The divergent middle chain gives its NonFiniteState in its own entry,
+    raises no numpy warning and leaves the others bit-equal; the starts keep
+    their bytes."""
+    lane, *_, etas, _, w0, idx = sgd_stack(T_STACK)
+    stack = functools.partial(lane, np.array(etas)[:, None])
+    w0_bytes = w0.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ifs.run_chain(stack, stack, 1, w0, idx, record_from, thin, n_record)
+        assert isinstance(got, list) and len(got) == 3 and w0.tobytes() == w0_bytes
+        for k, eta in enumerate(etas):
+            solo = functools.partial(lane, eta)
+            if k == 1:
+                assert isinstance(got[k], NonFiniteState)
+                with pytest.raises(NonFiniteState):
+                    ifs.run_chain(solo, solo, 1, w0[k], idx[k], record_from, thin, n_record)
+                continue
+            alone = ifs.run_chain(solo, solo, 1, w0[k], idx[k], record_from, thin, n_record)
+            assert got[k].flags.c_contiguous and same_bits(got[k], alone)
+            assert alone.shape == (n_record, w0.shape[1])
 
 
 def apply_loop(system, idx, w0, record_from, thin, n_record):

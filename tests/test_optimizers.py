@@ -86,6 +86,39 @@ def test_partition_draw_takes_table_rows_at_the_drawn_indices():
     assert np.array_equal(got, scheme.batches[draw_indices(Xoshiro256PP(4), scheme.probs, 50)])
 
 
+@pytest.mark.parametrize("batches, probs, message", [
+    ([[0], [1]], [0.3, 0.3], "probs must sum to 1"),
+    # one probability for two batches used to draw batch 0 only, silently
+    (np.array([[0], [1]]), np.array([1.0]), r"probs has shape \(1,\), but the system has 2 maps"),
+    # a float table used to be drawn as floats
+    ([[0.5], [1]], [0.5, 0.5], r"batch 0, entry 0 is 0\.5: a batch holds integer row indices, not float64"),
+    ([[0, 1], [2]], [0.5, 0.5], "nonempty batches of one length"),
+])
+def test_batch_scheme_checks_its_table_and_probs(batches, probs, message):
+    """A scheme checks its table's shape and dtype, and one valid probability
+    per batch, when it is made; its rows meet a dataset only later."""
+    with pytest.raises(ConfigError, match=message):
+        BatchScheme(batches, probs)
+
+
+def test_batch_scheme_takes_a_table_as_a_list():
+    """A list of integer batches becomes the scheme's int64 table and draws
+    its rows; it used to end in numpy's TypeError at draw time."""
+    scheme = BatchScheme([[0], [1]], [0.5, 0.5])
+    assert scheme.batches.dtype == np.int64 and scheme.batches.flags.c_contiguous
+    got = scheme.draw(Xoshiro256PP(3), 3)
+    assert np.array_equal(got, np.array([[0], [1]])[draw_indices(Xoshiro256PP(3), scheme.probs, 3)])
+
+
+def test_batch_scheme_owns_its_table():
+    """A scheme copies an int64 table too, so a later write to the caller's
+    array cannot put an unchecked row into the scheme or its systems."""
+    table = np.array([[0], [1]], dtype=np.int64)
+    scheme = BatchScheme(table, np.array([0.5, 0.5]))
+    table[0, 0] = -1
+    assert scheme.batches[0, 0] == 0
+
+
 def test_subset_scheme_counts_maps():
     scheme = SubsetScheme(6, 2)
     assert subset_map_count(scheme.n, scheme.b) == math.comb(6, 2)

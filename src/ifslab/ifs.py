@@ -245,14 +245,17 @@ def run_sgd(
     out as ``problems.grad`` lays out its own gather.  The call builds one
     ``problems.GradWorkspace`` (the kernel of ``grad_rows``), copies ``w0``
     into its state buffer once and steps that buffer in place; ``w0`` itself
-    is never written.  A step writes the gradient and eta * P(gradient) into
-    the workspace's gradient buffer, so it allocates nothing beyond what
-    ``solve`` and a GLM margin derivative return.
+    is never written.  ``eta`` is copied once into a table of the state's
+    shape, so the update's two calls broadcast no operand; the caller's
+    ``eta`` is never written either.  A step writes the gradient and
+    eta * P(gradient) into the workspace's gradient buffer, so it allocates
+    nothing beyond what ``solve`` and a GLM margin derivative return.
     """
     ws = pr.GradWorkspace(problem, np.shape(w0), table.shape[1], dataset.d)
     w, g = ws.w, ws.g
     w[...] = w0
-    skip = idx.shape[-1] - rec.shape[-2]  # the steps before the first recorded one
+    eta = np.full(w.shape, eta, dtype=float)
+    t = rec.shape[-2] - idx.shape[-1]  # the step's row in the records, negative before the first
     if idx.ndim == 1:
         lanes, recs, kept = 1, rec, w
     else:
@@ -262,12 +265,12 @@ def run_sgd(
     # checks on the records and the end, not a numpy warning mid-loop
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, idx.shape[-1], chunk):
-            rows = zip(*dataset.rows(table.take(idx[..., a : a + chunk].T, axis=0)))
-            for t, (A, y) in enumerate(rows, start=a - skip):
+            for A, y in zip(*dataset.rows(table.take(idx[..., a : a + chunk].T, axis=0))):
                 ws.grad(A, y)
-                np.subtract(w, np.multiply(eta, g if solve is None else solve(g), out=g), out=w)
+                np.subtract(w, np.multiply(eta, g if solve is None else solve(g), g), w)
                 if t >= 0:
                     recs[t] = kept
+                t += 1
     return w
 
 
@@ -294,7 +297,7 @@ MIN_SEGMENTS_SCALAR = 128
 # that share is at most about 3 % of a solo step, so such a chain runs under
 # 10 % slower than serially; the sweep's student (b = 16, dim 32, eta 0.17;
 # 1,000 + 20,000 steps through ``sample_invariant``, CPU time, median over
-# 24 processes on 2 shared vCPUs) ran 24, 23 and 25 % slower in lockstep
+# 24 processes on 2 shared vCPUs) ran 20, 27 and 23 % slower in lockstep
 # at widths 16, 32 and 64 than serially.
 SGD_SEG = 256
 SGD_MAX_SEGMENTS = 64

@@ -240,20 +240,21 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def _sigmoid_prime(s, out=None):
-    """s (1 - s), written into ``out`` when given."""
-    out = np.subtract(1.0, s, out=out)
-    return np.multiply(s, out, out=out)
+def _sigmoid_prime(s, one=1.0, out=None):
+    """s (1 - s), with ``one`` for the 1 and written into ``out`` when given."""
+    out = np.subtract(one, s, out)
+    return np.multiply(s, out, out)
 
 
-def _tanh_prime(t, out=None):
-    """1 - t^2, written into ``out`` when given."""
-    out = np.square(t, out=out)
-    return np.subtract(1.0, out, out=out)
+def _tanh_prime(t, one=1.0, out=None):
+    """1 - t^2, with ``one`` for the 1 and written into ``out`` when given."""
+    out = np.square(t, out)
+    return np.subtract(one, out, out)
 
 
 # (act, act' and act'' as functions of the activation value a = act(x), sup|act''|);
-# act' also writes into a given ``out``, for the gradient kernel's buffer
+# act' also takes its 1 as a ones block of the value's shape and writes into a
+# given ``out``, so that its calls in the gradient kernel broadcast no operand
 _ACTIVATIONS = {
     "sigmoid": (_sigmoid, _sigmoid_prime, lambda s: s * (1.0 - s) * (1.0 - 2.0 * s), SIGMOID_SECOND_SUP),
     "tanh": (np.tanh, _tanh_prime, lambda t: -2.0 * t * (1.0 - t**2), TANH_SECOND_SUP),
@@ -396,7 +397,11 @@ class GradWorkspace:
     ``g`` and returns ``g``.  Every step has the operands and the order of
     the plain expression, each stacked product a BLAS call per member with
     the solo call's operands, so the result is bit-equal to the plain
-    expression and row k of a stack to the solo gradient.  The next call
+    expression and row k of a stack to the solo gradient.  Each constant of
+    an elementwise step (the output weights, the 1 of act', nb and lam) is
+    held as a C-contiguous block of that step's shape, so that only the
+    residual column is broadcast: a call on same-shape contiguous operands
+    costs a third of a broadcast one at the sweep's sizes.  The next call
     overwrites ``g``.  ``grad_rows`` runs the kernel on a fresh workspace;
     ``ifs.run_sgd`` builds one per call and steps ``w`` in place.
     """
@@ -404,11 +409,13 @@ class GradWorkspace:
     def __init__(self, problem: Problem, shape: tuple, nb: int, d: int):
         lead = shape[:-1]
         self.w, self.g, self._reg = np.empty(shape), np.empty(shape), np.empty(shape)
-        self._problem, self._lam, self._nb = problem, regularizer_weight(problem), float(nb)
+        self._problem = problem
+        self._lam, self._nb = np.full(shape, regularizer_weight(problem)), np.full(shape, float(nb))
         self._mlp = isinstance(problem, OneHiddenLayer)
         if self._mlp:
             m = problem.hidden
             self._out = problem.out_array
+            self._out_block, self._ones = np.full(lead + (nb, m), self._out), np.ones(lead + (nb, m))
             self._act, self._act1 = _ACTIVATIONS[problem.activation][:2]
             self._act_in_place = isinstance(self._act, np.ufunc)
             self._wt = self.w.reshape(lead + (m, d)).swapaxes(-1, -2)  # W^T of the (m, d) layer, a view of w
@@ -424,22 +431,23 @@ class GradWorkspace:
             self._z = self._z_col[..., 0]
 
     def grad(self, A: np.ndarray, y: np.ndarray) -> np.ndarray:
+        g = self.g
         if self._mlp:
             # V[j] = flatten_r(b_r f'(z_jr) a_j); grad = -(1/b) sum resid_j V_j + lam w
             z, resid, coef = self._z, self._resid, self._coef
-            np.matmul(A, self._wt, out=z)
-            H = self._act(z, out=z) if self._act_in_place else self._act(z)  # (..., nb, m)
-            np.subtract(np.matmul(H, self._out, out=resid), y, out=resid)  # yhat - y
-            np.multiply(self._out, self._act1(H, out=coef), out=coef)
-            np.multiply(self._resid_col, coef, out=coef)
-            np.matmul(self._coef_t, A, out=self._g_out)
+            np.matmul(A, self._wt, z)
+            H = self._act(z, z) if self._act_in_place else self._act(z)  # (..., nb, m)
+            np.subtract(np.matmul(H, self._out, resid), y, resid)  # yhat - y
+            np.multiply(self._out_block, self._act1(H, self._ones, coef), coef)
+            np.multiply(self._resid_col, coef, coef)
+            np.matmul(self._coef_t, A, self._g_out)
         else:
             # grad = A^T phi'(A w, y) / b + lam w
-            np.matmul(A, self._w_col, out=self._z_col)
+            np.matmul(A, self._w_col, self._z_col)
             phi1 = self._phi1(self._problem, self._z, y)
-            np.matmul(A.swapaxes(-1, -2), phi1[..., None], out=self._g_out)
-        np.divide(self.g, self._nb, out=self.g)
-        return np.add(self.g, np.multiply(self._lam, self.w, out=self._reg), out=self.g)
+            np.matmul(A.swapaxes(-1, -2), phi1[..., None], self._g_out)
+        np.divide(g, self._nb, g)
+        return np.add(g, np.multiply(self._lam, self.w, self._reg), g)
 
 
 def hvp(problem: Problem, w: np.ndarray, dataset: Dataset, batch: np.ndarray, v: np.ndarray) -> np.ndarray:

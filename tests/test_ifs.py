@@ -742,16 +742,26 @@ def test_preconditioned_run_sgd_records_the_apply_loop(family):
 def test_run_sgd_leaves_w0_unchanged(K, precond):
     """The chain copies its start once and steps the copy: the caller's w0
     keeps its bytes, solo or stacked, with or without a preconditioner (a
-    scalar one for the stack)."""
+    scalar one for the stack).  A stack's eta (K, 1) keeps its bytes too and
+    shares no memory with the end or the records, and one float eta steps
+    the stack bit for bit as its (K, 1) column does."""
     system, solve, eta, w0, idx, _ = run_sgd_case("one_hidden", K, precond=precond and K is None)
     if precond and K is not None:
         solve = lambda g: 0.5 * g  # noqa: E731
-    before = w0.tobytes()
+    before, eta_before = w0.tobytes(), np.asarray(eta).tobytes()
     rec = np.empty(w0.shape[:-1] + (idx.shape[-1], system.dim))
     end = ifs.run_sgd(system.problem, system.dataset, system.batches, eta, idx, w0, rec, solve)
     assert w0.tobytes() == before
     assert not np.shares_memory(end, w0) and not np.shares_memory(rec, w0)
     assert same_bits(end, rec[..., -1, :]) and not (end == w0).all()
+    assert np.asarray(eta).tobytes() == eta_before
+    if K is not None:
+        assert not np.shares_memory(end, eta) and not np.shares_memory(rec, eta)
+        rec_float, rec_col = np.empty_like(rec), np.empty_like(rec)
+        run = functools.partial(ifs.run_sgd, system.problem, system.dataset, system.batches)
+        end_float = run(0.3, idx, w0, rec_float, solve)
+        end_col = run(np.full((K, 1), 0.3), idx, w0, rec_col, solve)
+        assert same_bits(end_float, end_col) and same_bits(rec_float, rec_col)
 
 
 def protocol_case(kind):

@@ -258,6 +258,42 @@ def test_stacked_glm_grad_rows_equal_the_solo_bits(family, d, b):
             assert np.array_equal(solo.view(np.uint64), solo_glm_grad(problem, W[k], A[k], y[k]).view(np.uint64))
 
 
+def solo_mlp_grad(problem, w, A, y):
+    """The one-hidden-layer batch gradient as a plain expression for one
+    chain: with output weights b, H = act(A W^T) and residuals r = H b - y
+    on nb rows, it is (r b act'(H))^T A / nb + lam w, act' = 1 - H^2 (tanh)
+    or H (1 - H) (sigmoid).  The oracle of ``grad_rows``' bits."""
+    b = np.array(problem.out_weights, dtype=float)
+    W = w.reshape(len(b), A.shape[1])
+    if problem.activation == "tanh":
+        H = np.tanh(A @ W.T)
+        d1 = 1.0 - H**2
+    else:
+        H = masked_sigmoid(A @ W.T)
+        d1 = H * (1.0 - H)
+    coef = (H @ b - y)[:, None] * (b * d1)
+    return (coef.T @ A).reshape(-1) / y.shape[0] + problem.lam * w
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+@pytest.mark.parametrize("lam", [0.0, 0.001])
+@pytest.mark.parametrize("b", [1, 3, 16])
+def test_mlp_grad_rows_equal_the_plain_expression_bits(activation, lam, b):
+    """Solo ``grad_rows`` of a one-hidden-layer net, and each row of a stack
+    of 1, 2 or 6, is bit-equal to the plain expression (at b = 3, 1/b is
+    not a power of two, so a changed division shows)."""
+    problem = OneHiddenLayer(lam=lam, out_weights=pr.alternating_out_weights(8, 3.0), activation=activation)
+    rng = np.random.default_rng(10 * b + (activation == "tanh"))
+    for K in (1, 2, 6):
+        A, y = rng.normal(size=(K, b, 4)), rng.normal(size=(K, b))
+        W = 0.5 * rng.normal(size=(K, 32))
+        G = pr.grad_rows(problem, W, A, y)
+        for k in range(K):
+            want = solo_mlp_grad(problem, W[k], A[k], y[k])
+            assert same_bits(pr.grad_rows(problem, W[k], A[k], y[k]), want)
+            assert same_bits(G[k], want)
+
+
 def test_stacked_grad_rejects_mismatched_leading_shapes():
     problem, data = reference_student()
     dim = param_dim(problem, data)

@@ -142,6 +142,38 @@ def test_simulate_missing_config_file(tmp_path, capsys):
     assert code == 1
 
 
+def test_simulate_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    # used to end in an uncaught UnicodeDecodeError traceback
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b'{"problem": {"kind": "\xff"}}')
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ifslab: config error: cannot read config file {cfg}: not UTF-8")
+
+
+def test_config_and_csv_files_read_as_utf8_in_an_ascii_locale(tmp_path):
+    """Both readers used to decode with the locale's encoding, ASCII here,
+    and fail on non-ASCII text that ``atomic_write_text`` writes as UTF-8."""
+    import subprocess
+    import sys
+
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"note": "\u00e9t\u00e9 \u2264 \u4e2d"}, ensure_ascii=False), encoding="utf-8")
+    data = tmp_path / "d.csv"
+    data.write_text("x0,y\n\u0663,1\n2,-1\n", encoding="utf-8")  # an Arabic-Indic 3
+    script = (
+        "import sys; from ifslab.config import load_json; from ifslab.problems import load_dataset_csv\n"
+        "print(ascii(load_json(sys.argv[1])['note']), load_dataset_csv(sys.argv[2]).features.tolist())"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg), str(data)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["'\\xe9t\\xe9", "\\u2264", "\\u4e2d'", "[[3.0],", "[2.0]]"]
+
+
 def test_simulate_missing_dataset_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.csv")
     cfg = experiment_config(tmp_path, dataset={"kind": "csv", "path": missing})
